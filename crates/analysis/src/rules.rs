@@ -105,9 +105,8 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// Paths (workspace-relative prefixes) where wall-clock reads are the
-/// point: the tick clock itself, the single-session driver, and the
-/// shard step loop that mirrors the driver's accounting deadline by
-/// deadline.
+/// point: the tick clock itself, the driver loop with its `Pacer`, and
+/// the shard step loop that books its wakes through that `Pacer`.
 const WALL_CLOCK_ALLOWED: &[&str] = &[
     "crates/net/src/clock.rs",
     "crates/net/src/driver.rs",

@@ -9,8 +9,9 @@
 //!            --faults 'kill=1@50;restart=1@120'            # crash/recovery drill
 //! ```
 //!
-//! `swarm` runs the whole experiment in one process — server plus M
-//! client transmitter threads — then verifies every receiver output `Y`
+//! `swarm` runs the whole experiment in one process — the server plus M
+//! client transmitter sessions on one client thread per shard — then
+//! verifies every receiver output `Y`
 //! against its session's input `X` and cross-checks a sample against the
 //! simulator oracle. A failed swarm (any mismatch, incomplete session,
 //! rejection, or timed-out client) surfaces through the exit code.
@@ -51,7 +52,6 @@ const SWARM_FLAGS: &[&str] = &[
     "oracle-sample",
     "record",
     "faults",
-    "force",
 ];
 
 const SERVE_FLAGS: &[&str] = &[
@@ -131,18 +131,6 @@ pub fn cmd_swarm(args: &Args) -> Result<String, ArgError> {
         // Stamp the input seed so `rstp replay` can regenerate each
         // session's X without the original command line.
         config.serve.record_seed = Some(config.seed);
-    }
-
-    // A shape the step-rate model predicts will stall (ROADMAP's 64×γ
-    // mem swarm) fails deterministically with the diagnosis instead of
-    // hanging until the wall clock; `--force true` runs it anyway.
-    let force = matches!(args.get("force"), Some("1" | "true" | "yes"));
-    if let Some(diagnosis) = rstp_serve::overload_diagnosis(&config) {
-        if !force {
-            return Err(ArgError(format!(
-                "{diagnosis}\n(or pass --force true to run the shape anyway)"
-            )));
-        }
     }
 
     let report = run_swarm(&config).map_err(|e| ArgError(e.to_string()))?;
@@ -315,15 +303,28 @@ mod tests {
     }
 
     #[test]
-    fn swarm_refuses_predicted_overload_shapes_deterministically() {
-        // The ROADMAP 64×γ(4) mem shape used to stall until the wall
-        // clock; now it fails instantly with the diagnosis and the
-        // escape hatch, with no threads spawned.
-        let err = run(&["swarm", "--protocol", "gamma", "--sessions", "64"])
-            .expect_err("overload shape must be refused");
-        let msg = err.to_string();
-        assert!(msg.contains("predicted overload"), "{msg}");
-        assert!(msg.contains("--force true"), "{msg}");
+    fn swarm_of_64_active_gamma_sessions_delivers_every_session() {
+        // 64 ack-clocked γ(4) sessions on the mem hub: every γ ack must
+        // reach its transmitter (the hub is lossless), and a transmitter
+        // waiting for acks is not done.
+        let _gate = crate::commands::swarm_gate();
+        let out = run(&[
+            "swarm",
+            "--sessions",
+            "64",
+            "--protocol",
+            "gamma",
+            "--k",
+            "4",
+            "--n",
+            "32",
+        ])
+        .expect("swarm");
+        assert!(
+            out.contains("64 planned, 64 admitted, 64 completed"),
+            "{out}"
+        );
+        assert!(out.contains("Y = X exactly"), "{out}");
     }
 
     #[test]

@@ -62,6 +62,15 @@ impl TickClock {
         self.epoch + self.tick * u32::try_from(n).unwrap_or(u32::MAX)
     }
 
+    /// The tick `at` falls in (ticks before the epoch count as tick 0),
+    /// at the microsecond resolution of [`TickClock::now_micros`].
+    #[inline]
+    pub fn tick_at(&self, at: Instant) -> u64 {
+        let since = at.saturating_duration_since(self.epoch).as_micros();
+        let tick = u64::try_from(self.tick.as_micros()).unwrap_or(u64::MAX);
+        u64::try_from(since).unwrap_or(u64::MAX) / tick.max(1)
+    }
+
     /// Converts a wall-clock duration into (possibly fractional, rounded
     /// up) ticks — used to express measured effort in the paper's units.
     pub fn duration_to_ticks(&self, d: Duration) -> f64 {
@@ -96,6 +105,17 @@ mod tests {
             Duration::from_millis(1)
         );
         assert_eq!(clock.instant_of_tick(0), clock.epoch());
+    }
+
+    #[test]
+    fn tick_at_inverts_instant_of_tick() {
+        let clock = TickClock::start(Duration::from_micros(300));
+        for n in [0, 1, 7, 1000] {
+            assert_eq!(clock.tick_at(clock.instant_of_tick(n)), n);
+        }
+        let mid = clock.instant_of_tick(4) + Duration::from_micros(299);
+        assert_eq!(clock.tick_at(mid), 4);
+        assert_eq!(clock.tick_at(clock.epoch() - Duration::from_millis(1)), 0);
     }
 
     #[test]

@@ -1,52 +1,64 @@
-//! The real-time driver: steps one protocol automaton against the wall
-//! clock instead of simulated ticks.
+//! The real-time driver: steps protocol automata against the wall clock
+//! instead of simulated ticks, any number of sessions per thread.
 //!
 //! # Scheduling
 //!
 //! The simulator's engine grants each process one local step every
 //! `[c1, c2]` ticks. Here the tick is a real [`Duration`] and the driver
 //! targets a fixed pace inside the window — `c1` ticks per step
-//! ([`Pace::Fast`]) or `c2` ticks ([`Pace::Slow`]). Deadlines are computed
-//! as absolute instants from the clock's epoch (`next += gap`), so a late
-//! wake-up does not shift every later step: the schedule self-corrects
-//! instead of drifting.
+//! ([`Pace::Fast`]) or `c2` ticks ([`Pace::Slow`]). Deadlines are absolute
+//! instants on the clock's epoch (`next = due + gap`), so a late wake-up
+//! does not shift every later step: the schedule self-corrects instead of
+//! drifting.
+//!
+//! [`run_sessions`] paces every session it is handed on the calling
+//! thread: each session keeps its own deadline and the loop sleeps until
+//! the earliest one. At most [`DriverConfig::max_live`] sessions run at
+//! once. Admission is closed: a waiting session starts when a running one
+//! finishes, in the finished session's schedule slot. The first wave's
+//! first steps spread over the ticks of one `c2` window, so a crowd of
+//! sessions never fires as one synchronized impulse.
 //!
 //! An operating system cannot honour the paper's idealized timing axioms
-//! exactly, so the driver *measures* its misses rather than pretending:
+//! exactly, so the [`Pacer`] *measures* misses rather than pretending:
 //! every wake-up later than the deadline by more than the configured
 //! slack counts a `deadline_miss`, and every observed step gap outside
 //! `[c1·tick − slack, c2·tick + slack]` counts a `timing_violation`.
 //! Runs at [`Pace::Slow`] sit exactly on the upper boundary, which is why
-//! the tolerance exists; `docs/NET.md` discusses the deviation.
+//! the tolerance exists; `docs/NET.md` discusses the deviation. The same
+//! [`Pacer`] paces every session of an `rstp-serve` shard.
 //!
 //! # Step semantics
 //!
-//! Before each local step the driver drains the transport and applies
-//! every received packet as a `recv` input (inputs are channel outputs,
-//! not clocked by `[c1, c2]` — same as the simulator). Then the unique
-//! enabled local action fires: `send` goes to the transport stamped with
-//! the local clock, `write` appends to the output, `wait`/`idle` just
-//! tick. Zero enabled actions means the automaton quiesced; more than one
-//! is a determinism violation, reported exactly as the simulator does.
+//! Before each local step the driver drains the session's transport and
+//! applies every received packet as a `recv` input (inputs are channel
+//! outputs, not clocked by `[c1, c2]` — same as the simulator). Then the
+//! unique enabled local action fires: `send` goes to the transport
+//! stamped with the local clock, `write` appends to the output,
+//! `wait`/`idle` just tick. Zero enabled actions means the automaton
+//! quiesced; more than one is a determinism violation, reported exactly
+//! as the simulator does.
 //!
 //! # Termination
 //!
 //! A single endpoint cannot see the global "settled" condition the
 //! simulator uses (peer quiescent and channel empty), so it infers
-//! completion locally: once its own work looks done — `expected_writes`
-//! reached on a receiver, only idle actions enabled on a transmitter —
-//! it keeps stepping through a grace period of `grace_ticks` (default
-//! `d + 2·c2`, long enough for any in-flight packet to land and be
-//! answered) and stops only if nothing arrived meanwhile. A hard
-//! wall-clock cap (`max_wall`) guards against a peer that never shows up.
+//! completion locally: once its own work is done — `expected_writes`
+//! reached on a receiver, no enabled action left on a transmitter — it
+//! keeps stepping through a grace period of `grace_ticks` (default
+//! `2·(d + c2)`, long enough for any in-flight packet to land and be
+//! answered) and stops only if nothing arrived meanwhile. A transmitter
+//! idling while it awaits acknowledgements is not done. A hard
+//! wall-clock cap (`max_wall`, measured from the clock's epoch) guards
+//! against a peer that never shows up.
 
 use crate::clock::TickClock;
 use crate::error::NetError;
 use crate::histogram::LatencyHistogram;
 use crate::transport::{Transport, TransportStats};
 use rstp_automata::Automaton;
-use rstp_core::{Message, Packet, RstpAction, TimingParams};
-use std::time::Duration;
+use rstp_core::{InternalKind, Message, Packet, RstpAction, TimingParams};
+use std::time::{Duration, Instant};
 
 /// Which point of the `[c1, c2]` window the driver paces at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,7 +80,7 @@ impl Pace {
     }
 }
 
-/// Configuration of one driven endpoint.
+/// Configuration shared by every session of one driver call.
 #[derive(Clone, Copy, Debug)]
 pub struct DriverConfig {
     /// Timing parameters `(c1, c2, d)` in ticks.
@@ -79,37 +91,31 @@ pub struct DriverConfig {
     pub pace: Pace,
     /// Timing tolerance for miss/violation accounting.
     pub slack: Duration,
-    /// For receivers: stop (after the grace period) once this many
-    /// `write` actions have fired. `None` relies on quiescence alone.
-    pub expected_writes: Option<usize>,
     /// How long (in ticks) the endpoint keeps stepping after it looks
     /// locally done, to let in-flight traffic land.
     pub grace_ticks: u64,
-    /// Hard wall-clock cap on the whole run.
+    /// Hard wall-clock cap on the whole run, from the clock's epoch.
     pub max_wall: Duration,
+    /// Most sessions one [`run_sessions`] call runs at once.
+    pub max_live: usize,
 }
 
 impl DriverConfig {
     /// A sensible default configuration: slow pace (the bounds' regime),
     /// slack of a quarter tick, grace of `2·(d + c2)` ticks (a full
     /// request/ack round trip with a step on each side — an ack-clocked
-    /// transmitter idles that long legitimately), and a generous wall cap.
+    /// transmitter idles that long legitimately), a generous wall cap,
+    /// and no cap on live sessions.
     pub fn new(params: TimingParams, tick: Duration) -> Self {
         DriverConfig {
             params,
             tick,
             pace: Pace::Slow,
             slack: tick / 4,
-            expected_writes: None,
             grace_ticks: 2 * (params.d().ticks() + params.c2().ticks()),
             max_wall: Duration::from_secs(60),
+            max_live: usize::MAX,
         }
-    }
-
-    /// Sets the expected write count (receiver endpoints).
-    pub fn with_expected_writes(mut self, n: usize) -> Self {
-        self.expected_writes = Some(n);
-        self
     }
 
     /// Sets the pace.
@@ -122,6 +128,276 @@ impl DriverConfig {
     pub fn with_max_wall(mut self, cap: Duration) -> Self {
         self.max_wall = cap;
         self
+    }
+
+    /// Caps how many sessions run at once.
+    pub fn with_max_live(mut self, max_live: usize) -> Self {
+        self.max_live = max_live;
+        self
+    }
+
+    /// The pacing rules this configuration describes.
+    pub fn pacer(&self) -> Pacer {
+        Pacer::new(
+            self.params,
+            self.tick,
+            self.pace,
+            self.slack,
+            self.grace_ticks,
+        )
+    }
+}
+
+/// The `[c1, c2]` accounting every paced session is held to — this
+/// driver's sessions and `rstp-serve`'s shard sessions alike.
+///
+/// Callers pass wake and due instants in; the pacer books deadline
+/// misses and timing violations, re-anchors the schedule after a stall,
+/// and decides grace-period completion. Each session keeps its own
+/// history in a [`Cadence`].
+#[derive(Clone, Copy, Debug)]
+pub struct Pacer {
+    gap: Duration,
+    lo: Duration,
+    hi: Duration,
+    slack: Duration,
+    quiet_steps: u64,
+}
+
+/// One session's pacing history under a [`Pacer`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Cadence {
+    prev_wake: Option<Instant>,
+    idle_streak: u64,
+}
+
+impl Cadence {
+    /// Forgets the previous wake, so the first gap after a pause (a
+    /// handover, a resumed session) goes unmeasured.
+    pub fn rebase(&mut self) {
+        self.prev_wake = None;
+    }
+}
+
+/// How a [`Pacer`] booked one wake-up.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wake {
+    /// Within the slack of its deadline, and inside the window when the
+    /// gap was measured.
+    Punctual,
+    /// Later than its deadline by more than the slack: a deadline miss.
+    Late,
+    /// Punctual, but the gap since the previous punctual wake fell
+    /// outside `[c1·tick − slack, c2·tick + slack]`: a timing violation.
+    Violation,
+}
+
+impl Pacer {
+    /// The rules for stepping at `pace` under `params`, with `tick` per
+    /// tick, `slack` of timing tolerance, and a grace period of
+    /// `grace_ticks` before a locally done session completes.
+    pub fn new(
+        params: TimingParams,
+        tick: Duration,
+        pace: Pace,
+        slack: Duration,
+        grace_ticks: u64,
+    ) -> Self {
+        let gap_ticks = pace.gap_ticks(params).max(1);
+        let ticks = |n: u64| tick * u32::try_from(n).unwrap_or(u32::MAX);
+        Pacer {
+            gap: ticks(gap_ticks),
+            lo: ticks(params.c1().ticks()).saturating_sub(slack),
+            hi: ticks(params.c2().ticks()) + slack,
+            slack,
+            quiet_steps: grace_ticks.div_ceil(gap_ticks).max(1),
+        }
+    }
+
+    /// Books a wake at `wake` for the step due at `due`.
+    ///
+    /// A late wake is accounted once, as a deadline miss. The gaps that
+    /// start or end at a late wake are distorted by that same stall, so
+    /// they are left unmeasured rather than double-counted as timing
+    /// violations.
+    #[inline]
+    pub fn wake(&self, cadence: &mut Cadence, due: Instant, wake: Instant) -> Wake {
+        let late = wake.saturating_duration_since(due) > self.slack;
+        let booked = match cadence.prev_wake {
+            _ if late => Wake::Late,
+            Some(prev) => {
+                let observed = wake.saturating_duration_since(prev);
+                if observed < self.lo || observed > self.hi {
+                    Wake::Violation
+                } else {
+                    Wake::Punctual
+                }
+            }
+            None => Wake::Punctual,
+        };
+        cadence.prev_wake = (!late).then_some(wake);
+        booked
+    }
+
+    /// The deadline after the step due at `due`, when that step finished
+    /// at `now`: one gap on — or `now` itself after a stall longer than a
+    /// whole gap. Replaying the missed deadlines back to back would burst
+    /// steps faster than `c1` and turn one stall into many violations.
+    /// The gap spanning the stall is as distorted as one ending at a late
+    /// wake, so it goes unmeasured too.
+    #[inline]
+    pub fn next_due(&self, cadence: &mut Cadence, due: Instant, now: Instant) -> Instant {
+        let next = due + self.gap;
+        if now > next + self.gap {
+            cadence.prev_wake = None;
+            now
+        } else {
+            next
+        }
+    }
+
+    /// Grace-period completion after one step: `true` once the session
+    /// has been locally `done` with nothing `productive` happening for a
+    /// whole grace period of steps.
+    #[inline]
+    pub fn settle(&self, cadence: &mut Cadence, productive: bool, done: bool) -> bool {
+        if productive || !done {
+            cadence.idle_streak = 0;
+            return false;
+        }
+        cadence.idle_streak += 1;
+        cadence.idle_streak >= self.quiet_steps
+    }
+}
+
+/// The externally visible effect of one local step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StepEffect {
+    /// The automaton sent a packet.
+    Sent(Packet),
+    /// The automaton wrote the next output message.
+    Wrote(Message),
+    /// A counted `wait` step — productive work, not idling.
+    Waited,
+    /// A pure `idle` step.
+    Idled,
+    /// No local action is enabled: the automaton has quiesced.
+    Quiescent,
+}
+
+/// One session's protocol endpoint, transmitter or receiver, statically
+/// erased so one loop or one shard can own a mixed-protocol table.
+pub trait SessionEndpoint: Send {
+    /// Applies a delivered packet as a `recv` input (input-enabled: this
+    /// must succeed in every state for well-formed automata).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Automaton`] if the automaton rejects the input.
+    fn apply_recv(&mut self, packet: Packet) -> Result<(), NetError>;
+
+    /// Fires the unique enabled local action, enforcing the paper's
+    /// determinism condition (more than one enabled action is a model
+    /// bug, reported exactly as the simulator does).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Determinism`] or [`NetError::Automaton`].
+    fn step(&mut self) -> Result<StepEffect, NetError>;
+
+    /// Messages written so far — the session's output sequence `Y`.
+    fn written(&self) -> &[Message];
+}
+
+/// A concrete automaton plus its evolving state: the
+/// [`SessionEndpoint`] of any protocol role.
+pub struct Driven<A: Automaton<Action = RstpAction>> {
+    automaton: A,
+    state: A::State,
+    written: Vec<Message>,
+}
+
+impl<A: Automaton<Action = RstpAction>> Driven<A> {
+    /// `automaton` in its initial state.
+    pub fn new(automaton: A) -> Self {
+        let state = automaton.initial_state();
+        Driven {
+            automaton,
+            state,
+            written: Vec::new(),
+        }
+    }
+
+    /// `automaton` resumed in `state`, with `written` already output.
+    pub fn resume(automaton: A, state: A::State, written: Vec<Message>) -> Self {
+        Driven {
+            automaton,
+            state,
+            written,
+        }
+    }
+
+    /// The automaton's current state.
+    pub fn state(&self) -> &A::State {
+        &self.state
+    }
+}
+
+impl<A> SessionEndpoint for Driven<A>
+where
+    A: Automaton<Action = RstpAction> + Send,
+    A::State: Send,
+{
+    fn apply_recv(&mut self, packet: Packet) -> Result<(), NetError> {
+        self.state = self
+            .automaton
+            .step(&self.state, &RstpAction::Recv(packet))
+            .map_err(|e| NetError::Automaton {
+                what: e.to_string(),
+            })?;
+        Ok(())
+    }
+
+    fn step(&mut self) -> Result<StepEffect, NetError> {
+        let enabled = self.automaton.enabled(&self.state);
+        let action = match enabled.as_slice() {
+            [] => return Ok(StepEffect::Quiescent),
+            [a] => *a,
+            many => {
+                return Err(NetError::Determinism {
+                    enabled: many.iter().map(|a| format!("{a:?}")).collect(),
+                })
+            }
+        };
+        self.state =
+            self.automaton
+                .step(&self.state, &action)
+                .map_err(|e| NetError::Automaton {
+                    what: e.to_string(),
+                })?;
+        Ok(match action {
+            RstpAction::Send(p) => StepEffect::Sent(p),
+            RstpAction::Write(m) => {
+                self.written.push(m);
+                StepEffect::Wrote(m)
+            }
+            RstpAction::TransmitterInternal(k) | RstpAction::ReceiverInternal(k) => {
+                if k == InternalKind::Wait {
+                    StepEffect::Waited
+                } else {
+                    StepEffect::Idled
+                }
+            }
+            RstpAction::Recv(_) => {
+                return Err(NetError::Automaton {
+                    what: "recv reported as a locally controlled action".into(),
+                })
+            }
+        })
+    }
+
+    fn written(&self) -> &[Message] {
+        &self.written
     }
 }
 
@@ -173,6 +449,26 @@ pub struct DriverReport {
 }
 
 impl DriverReport {
+    fn empty() -> Self {
+        DriverReport {
+            outcome: DriverOutcome::TimedOut,
+            steps: 0,
+            written: Vec::new(),
+            data_sends: 0,
+            ack_sends: 0,
+            recvs: 0,
+            wait_steps: 0,
+            idle_steps: 0,
+            last_data_send_micros: None,
+            last_write_micros: None,
+            deadline_misses: 0,
+            timing_violations: 0,
+            latency: LatencyHistogram::new(),
+            wall_elapsed: Duration::ZERO,
+            transport: TransportStats::default(),
+        }
+    }
+
     /// Wall-clock effort in ticks per message: time of the last data send
     /// divided by `n` and the tick length — the real-time analogue of the
     /// simulator's `t(last-send)/n`.
@@ -195,181 +491,199 @@ impl DriverReport {
     }
 }
 
-/// Drives `automaton` over `transport` against `clock` until completion,
-/// per the module-level semantics.
-///
-/// # Errors
-///
-/// [`NetError`] on transport failure, a determinism violation, or an
-/// automaton rejecting a step the driver believed applicable.
-pub fn run_endpoint<A, T>(
-    automaton: &A,
-    transport: &mut T,
-    clock: TickClock,
-    config: &DriverConfig,
-) -> Result<DriverReport, NetError>
-where
-    A: Automaton<Action = RstpAction>,
-    T: Transport,
-{
-    let gap_ticks = config.pace.gap_ticks(config.params).max(1);
-    let gap = config.tick * u32::try_from(gap_ticks).unwrap_or(u32::MAX);
-    let lo = (config.tick * u32::try_from(config.params.c1().ticks()).unwrap_or(u32::MAX))
-        .saturating_sub(config.slack);
-    let hi =
-        config.tick * u32::try_from(config.params.c2().ticks()).unwrap_or(u32::MAX) + config.slack;
-    let idle_steps_needed = config.grace_ticks.div_ceil(gap_ticks).max(1);
+/// One session [`run_sessions`] paces: a protocol endpoint and the
+/// transport to its peer.
+pub struct Session<T> {
+    /// The protocol endpoint, either role.
+    pub endpoint: Box<dyn SessionEndpoint>,
+    /// The endpoint's channel to its peer.
+    pub transport: T,
+    /// A receiver is locally done once this many `write` actions have
+    /// fired; `None` (a transmitter) is done once nothing is enabled.
+    pub expected_writes: Option<usize>,
+}
 
-    let mut state = automaton.initial_state();
-    let mut report = DriverReport {
-        outcome: DriverOutcome::TimedOut,
-        steps: 0,
-        written: Vec::new(),
-        data_sends: 0,
-        ack_sends: 0,
-        recvs: 0,
-        wait_steps: 0,
-        idle_steps: 0,
-        last_data_send_micros: None,
-        last_write_micros: None,
-        deadline_misses: 0,
-        timing_violations: 0,
-        latency: LatencyHistogram::new(),
-        wall_elapsed: Duration::ZERO,
-        transport: TransportStats::default(),
-    };
-
-    // First local step at tick 0 — both the paper's constructions and the
-    // simulator start every process at time 0.
-    let mut deadline = clock.epoch();
-    let mut prev_wake: Option<std::time::Instant> = None;
-    let mut idle_streak: u64 = 0;
-
-    loop {
-        if clock.epoch().elapsed() > config.max_wall {
-            report.outcome = DriverOutcome::TimedOut;
-            break;
+impl<T> Session<T> {
+    /// A transmitting session: done once its endpoint quiesces.
+    pub fn transmitter(endpoint: Box<dyn SessionEndpoint>, transport: T) -> Self {
+        Session {
+            endpoint,
+            transport,
+            expected_writes: None,
         }
-        let overshoot = clock.sleep_until(deadline);
-        let wake = std::time::Instant::now();
-        // A late wake is accounted once, as a deadline miss; intervals
-        // that start or end at a late wake are distorted by that same
-        // stall, so they are excluded from the step-gap measurement
-        // rather than double-counted as timing violations.
-        let late = overshoot > config.slack;
-        if late {
-            report.deadline_misses += 1;
-        } else if let Some(prev) = prev_wake {
-            let observed = wake.saturating_duration_since(prev);
-            if observed < lo || observed > hi {
-                report.timing_violations += 1;
-            }
+    }
+
+    /// A receiving session: done once it has written `n` messages.
+    pub fn receiver(endpoint: Box<dyn SessionEndpoint>, transport: T, n: usize) -> Self {
+        Session {
+            endpoint,
+            transport,
+            expected_writes: Some(n),
         }
-        prev_wake = (!late).then_some(wake);
+    }
+}
+
+/// A running session: its place in the caller's list, its deadline, and
+/// what it has observed so far.
+struct Running<T> {
+    index: usize,
+    session: Session<T>,
+    due: Instant,
+    cadence: Cadence,
+    report: DriverReport,
+}
+
+impl<T: Transport> Running<T> {
+    fn new(index: usize, session: Session<T>, due: Instant, cadence: Cadence) -> Self {
+        Running {
+            index,
+            session,
+            due,
+            cadence,
+            report: DriverReport::empty(),
+        }
+    }
+
+    /// One paced step: book the wake, drain deliveries as `recv` inputs,
+    /// fire the enabled action, and settle completion. `true` when the
+    /// session has completed; otherwise `due` holds its next deadline.
+    fn paced_step(&mut self, pacer: &Pacer, clock: &TickClock) -> Result<bool, NetError> {
+        let report = &mut self.report;
+        match pacer.wake(&mut self.cadence, self.due, Instant::now()) {
+            Wake::Late => report.deadline_misses += 1,
+            Wake::Violation => report.timing_violations += 1,
+            Wake::Punctual => {}
+        }
 
         // Apply every delivered packet as a recv input before the local
         // step, mirroring the engine's input-before-step ordering at a
         // shared instant.
-        let mut received_any = false;
-        while let Some(frame) = transport.poll_recv()? {
-            state = automaton
-                .step(&state, &RstpAction::Recv(frame.packet))
-                .map_err(|e| NetError::Automaton {
-                    what: e.to_string(),
-                })?;
-            let now_micros = clock.now_micros();
+        let mut productive = false;
+        while let Some(frame) = self.session.transport.poll_recv()? {
+            self.session.endpoint.apply_recv(frame.packet)?;
             report
                 .latency
-                .record(now_micros.saturating_sub(frame.sent_at_micros));
+                .record(clock.now_micros().saturating_sub(frame.sent_at_micros));
             report.recvs += 1;
-            received_any = true;
+            productive = true;
         }
 
-        let enabled = automaton.enabled(&state);
-        let action = match enabled.as_slice() {
-            [] => None,
-            [a] => Some(*a),
-            many => {
-                return Err(NetError::Determinism {
-                    enabled: many.iter().map(|a| format!("{a:?}")).collect(),
-                })
+        let effect = self.session.endpoint.step()?;
+        match effect {
+            StepEffect::Sent(p) => {
+                let stamp = clock.now_micros();
+                self.session.transport.send(p, stamp)?;
+                match p {
+                    Packet::Data(_) => {
+                        report.data_sends += 1;
+                        report.last_data_send_micros = Some(stamp);
+                    }
+                    Packet::Ack(_) => report.ack_sends += 1,
+                }
+                productive = true;
             }
-        };
-
-        let mut acted_productively = received_any;
-        if let Some(action) = action {
-            state = automaton
-                .step(&state, &action)
-                .map_err(|e| NetError::Automaton {
-                    what: e.to_string(),
-                })?;
+            StepEffect::Wrote(_) => {
+                report.last_write_micros = Some(clock.now_micros());
+                productive = true;
+            }
+            // `wait` is productive work (a counted phase of the
+            // beta/framed receivers); `idle` is not.
+            StepEffect::Waited => {
+                report.wait_steps += 1;
+                productive = true;
+            }
+            StepEffect::Idled => report.idle_steps += 1,
+            StepEffect::Quiescent => {}
+        }
+        if effect != StepEffect::Quiescent {
             report.steps += 1;
-            match action {
-                RstpAction::Send(p) => {
-                    let stamp = clock.now_micros();
-                    transport.send(p, stamp)?;
-                    match p {
-                        Packet::Data(_) => {
-                            report.data_sends += 1;
-                            report.last_data_send_micros = Some(stamp);
-                        }
-                        Packet::Ack(_) => report.ack_sends += 1,
-                    }
-                    acted_productively = true;
-                }
-                RstpAction::Write(m) => {
-                    report.written.push(m);
-                    report.last_write_micros = Some(clock.now_micros());
-                    acted_productively = true;
-                }
-                RstpAction::TransmitterInternal(k) | RstpAction::ReceiverInternal(k) => {
-                    // `wait` is productive work (a counted phase of the
-                    // beta/framed receivers); only `idle` marks the
-                    // endpoint as possibly done.
-                    if k == rstp_core::InternalKind::Wait {
-                        report.wait_steps += 1;
-                        acted_productively = true;
-                    } else {
-                        report.idle_steps += 1;
-                    }
-                }
-                RstpAction::Recv(_) => {
-                    return Err(NetError::Automaton {
-                        what: "recv reported as a locally controlled action".into(),
-                    })
-                }
-            }
         }
 
-        let writes_done = config
-            .expected_writes
-            .is_none_or(|n| report.written.len() >= n);
-        if acted_productively || !writes_done {
-            idle_streak = 0;
-        } else {
-            idle_streak += 1;
-            if idle_streak >= idle_steps_needed {
-                report.outcome = DriverOutcome::Completed;
-                break;
-            }
+        let done = match self.session.expected_writes {
+            Some(n) => self.session.endpoint.written().len() >= n,
+            None => effect == StepEffect::Quiescent,
+        };
+        if pacer.settle(&mut self.cadence, productive, done) {
+            return Ok(true);
         }
-
-        deadline += gap;
-        // After a stall longer than a whole step gap, re-anchor from now:
-        // replaying the missed deadlines back-to-back would burst steps
-        // faster than c1 and turn one stall into many violations.
-        let now = std::time::Instant::now();
-        if now > deadline + gap {
-            deadline = now;
-            // The interval spanning the stall is as distorted as one
-            // ending at a late wake — skip its gap measurement too.
-            prev_wake = None;
-        }
+        self.due = pacer.next_due(&mut self.cadence, self.due, Instant::now());
+        Ok(false)
     }
 
-    report.wall_elapsed = clock.epoch().elapsed();
-    report.transport = transport.local_stats();
-    Ok(report)
+    fn finish(mut self, outcome: DriverOutcome, clock: &TickClock) -> (usize, DriverReport) {
+        self.report.outcome = outcome;
+        self.report.written = self.session.endpoint.written().to_vec();
+        self.report.wall_elapsed = clock.epoch().elapsed();
+        self.report.transport = self.session.transport.local_stats();
+        (self.index, self.report)
+    }
+}
+
+/// Paces `sessions` on the calling thread against `clock` until each
+/// completes or the wall cap expires, per the module-level semantics.
+/// Returns one report per session, in order.
+///
+/// # Errors
+///
+/// [`NetError`] on transport failure, a determinism violation, or an
+/// automaton rejecting a step the driver believed applicable — in any
+/// session.
+pub fn run_sessions<T: Transport>(
+    sessions: Vec<Session<T>>,
+    clock: TickClock,
+    config: &DriverConfig,
+) -> Result<Vec<DriverReport>, NetError> {
+    let pacer = config.pacer();
+    let total = sessions.len();
+    let slots = config.max_live.clamp(1, total.max(1));
+    let window = config.params.c2().ticks();
+    let mut reports: Vec<Option<DriverReport>> = (0..total).map(|_| None).collect();
+    let mut waiting = sessions.into_iter().enumerate();
+    let mut live: Vec<Running<T>> = Vec::with_capacity(slots);
+
+    // The first wave takes its first steps spread over the ticks of one
+    // c2 window; slot 0 steps at tick 0, where the simulator starts every
+    // process. Sessions sharing a tick share the loop's wake-up.
+    for (slot, (index, session)) in waiting.by_ref().take(slots).enumerate() {
+        let tick = window * slot as u64 / slots as u64;
+        let due = clock.instant_of_tick(tick);
+        live.push(Running::new(index, session, due, Cadence::default()));
+    }
+
+    while !live.is_empty() {
+        if clock.epoch().elapsed() > config.max_wall {
+            break;
+        }
+        let Some(next) = (0..live.len()).min_by_key(|&i| live[i].due) else {
+            break;
+        };
+        clock.sleep_until(live[next].due);
+        if !live[next].paced_step(&pacer, &clock)? {
+            continue;
+        }
+        let done = live.swap_remove(next);
+        // Closed admission: the next waiting session takes over the
+        // finished one's slot, one gap after its last step.
+        if let Some((index, session)) = waiting.next() {
+            let mut cadence = Cadence::default();
+            let due = pacer.next_due(&mut cadence, done.due, Instant::now());
+            live.push(Running::new(index, session, due, cadence));
+        }
+        let (index, report) = done.finish(DriverOutcome::Completed, &clock);
+        reports[index] = Some(report);
+    }
+
+    // Whatever is still running or never started ran out of wall clock.
+    let unstarted = waiting
+        .map(|(index, session)| Running::new(index, session, clock.epoch(), Cadence::default()));
+    for running in live.into_iter().chain(unstarted) {
+        let (index, report) = running.finish(DriverOutcome::TimedOut, &clock);
+        reports[index] = Some(report);
+    }
+    Ok(reports
+        .into_iter()
+        .map(|r| r.unwrap_or_else(DriverReport::empty))
+        .collect())
 }
 
 #[cfg(test)]
@@ -377,12 +691,112 @@ mod tests {
     use super::*;
     use crate::chan::ChannelConfig;
     use crate::mem::MemTransport;
-    use crate::wire::{ProtocolId, WireCodec};
-    use rstp_core::protocols::{AlphaReceiver, AlphaTransmitter};
+    use crate::session::{receiver_endpoint, transmitter_endpoint};
+    use crate::wire::{Frame, ProtocolId, WireCodec};
+    use rstp_core::protocols::{gamma, AlphaReceiver, AlphaTransmitter, GammaTransmitter};
+    use rstp_sim::ProtocolKind;
+    use std::collections::VecDeque;
     use std::thread;
 
     fn params() -> TimingParams {
         TimingParams::from_ticks(1, 2, 4).expect("valid")
+    }
+
+    fn one<T: Transport>(
+        session: Session<T>,
+        clock: TickClock,
+        config: &DriverConfig,
+    ) -> DriverReport {
+        run_sessions(vec![session], clock, config)
+            .expect("run")
+            .pop()
+            .expect("one report")
+    }
+
+    /// Scripted time: `t(n)` is `n` ticks of 100 µs after a fixed base.
+    fn scripted() -> (Pacer, impl Fn(f64) -> Instant) {
+        let tick = Duration::from_micros(100);
+        let pacer = DriverConfig::new(params(), tick).pacer();
+        let base = Instant::now();
+        (pacer, move |ticks: f64| base + tick.mul_f64(ticks))
+    }
+
+    #[test]
+    fn pacer_books_punctual_wakes_one_gap_apart_as_clean() {
+        let (pacer, t) = scripted();
+        let mut cadence = Cadence::default();
+        let mut due = t(0.0);
+        for _ in 0..50 {
+            // Woken a little after each deadline, within the slack.
+            let wake = due + Duration::from_micros(10);
+            assert_eq!(pacer.wake(&mut cadence, due, wake), Wake::Punctual);
+            due = pacer.next_due(&mut cadence, due, wake);
+        }
+        assert_eq!(due, t(100.0), "50 steps at the slow pace of 2 ticks");
+    }
+
+    #[test]
+    fn pacer_flags_a_gap_outside_the_window_between_punctual_wakes() {
+        let (pacer, t) = scripted();
+        let mut cadence = Cadence::default();
+        assert_eq!(pacer.wake(&mut cadence, t(0.0), t(0.0)), Wake::Punctual);
+        // Half a tick later is below c1·tick − slack = 75 µs.
+        assert_eq!(pacer.wake(&mut cadence, t(0.5), t(0.5)), Wake::Violation);
+        // 2.5 ticks on is above c2·tick + slack = 225 µs.
+        assert_eq!(pacer.wake(&mut cadence, t(3.0), t(3.0)), Wake::Violation);
+    }
+
+    #[test]
+    fn pacer_books_a_late_wake_once_and_skips_the_gaps_beside_it() {
+        let (pacer, t) = scripted();
+        let mut cadence = Cadence::default();
+        assert_eq!(pacer.wake(&mut cadence, t(0.0), t(0.0)), Wake::Punctual);
+        assert_eq!(pacer.wake(&mut cadence, t(2.0), t(2.0)), Wake::Punctual);
+        // 1.5 ticks late: measured, the gap before (3.5 ticks) and the gap
+        // after (0.5 ticks) would both leave the window.
+        assert_eq!(pacer.wake(&mut cadence, t(4.0), t(5.5)), Wake::Late);
+        assert_eq!(pacer.wake(&mut cadence, t(6.0), t(6.0)), Wake::Punctual);
+        assert_eq!(pacer.wake(&mut cadence, t(8.0), t(8.0)), Wake::Punctual);
+    }
+
+    #[test]
+    fn pacer_reanchors_after_a_stall_without_a_catch_up_burst() {
+        let (pacer, t) = scripted();
+        let mut cadence = Cadence::default();
+        assert_eq!(pacer.wake(&mut cadence, t(0.0), t(0.0)), Wake::Punctual);
+        // A short overrun keeps the grid: the next deadline is one gap on.
+        assert_eq!(pacer.next_due(&mut cadence, t(0.0), t(3.0)), t(2.0));
+        // A stall past a whole gap beyond the next deadline re-anchors
+        // on now instead of replaying deadlines 2, 4, 6, 8.
+        let mut due = pacer.next_due(&mut cadence, t(0.0), t(9.0));
+        assert_eq!(due, t(9.0));
+        let mut wakes = Vec::new();
+        for _ in 0..5 {
+            assert_eq!(pacer.wake(&mut cadence, due, due), Wake::Punctual);
+            wakes.push(due);
+            due = pacer.next_due(&mut cadence, due, due);
+        }
+        let c1 = Duration::from_micros(100);
+        assert!(wakes.windows(2).all(|w| w[1] - w[0] >= c1), "{wakes:?}");
+    }
+
+    #[test]
+    fn pacer_completes_only_after_a_grace_period_of_local_quiet() {
+        let (pacer, _) = scripted();
+        // Grace 2·(d + c2) = 12 ticks at a 2-tick gap: 6 quiet steps.
+        let mut cadence = Cadence::default();
+        for _ in 0..20 {
+            assert!(!pacer.settle(&mut cadence, false, false), "not done");
+        }
+        for _ in 0..5 {
+            assert!(!pacer.settle(&mut cadence, false, true));
+        }
+        // Traffic during the grace period restarts it.
+        assert!(!pacer.settle(&mut cadence, true, true));
+        for _ in 0..5 {
+            assert!(!pacer.settle(&mut cadence, false, true));
+        }
+        assert!(pacer.settle(&mut cadence, false, true));
     }
 
     #[test]
@@ -391,24 +805,18 @@ mod tests {
         let tick = Duration::from_micros(300);
         let input = vec![true, false, true, true, false, false, true];
         let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
-        let (mut t_end, mut r_end) = MemTransport::pair(codec, ChannelConfig::reliable(p, tick, 7));
-        let epoch = std::time::Instant::now();
-        let t_clock = TickClock::with_epoch(epoch, tick);
-        let r_clock = TickClock::with_epoch(epoch, tick);
-
-        let t_cfg = DriverConfig::new(p, tick);
-        let r_cfg = DriverConfig::new(p, tick).with_expected_writes(input.len());
-        let t_input = input.clone();
-        let t_handle = thread::spawn(move || {
-            let automaton = AlphaTransmitter::new(p, t_input);
-            run_endpoint(&automaton, &mut t_end, t_clock, &t_cfg)
-        });
-        let r_handle = thread::spawn(move || {
-            let automaton = AlphaReceiver::new();
-            run_endpoint(&automaton, &mut r_end, r_clock, &r_cfg)
-        });
-        let t_report = t_handle.join().expect("join").expect("transmitter");
-        let r_report = r_handle.join().expect("join").expect("receiver");
+        let (t_end, r_end) = MemTransport::pair(codec, ChannelConfig::reliable(p, tick, 7));
+        let clock = TickClock::start(tick);
+        let cfg = DriverConfig::new(p, tick);
+        let n = input.len();
+        let transmitter = Box::new(Driven::new(AlphaTransmitter::new(p, input.clone())));
+        let t_handle =
+            thread::spawn(move || one(Session::transmitter(transmitter, t_end), clock, &cfg));
+        let receiver = Box::new(Driven::new(AlphaReceiver::new()));
+        let r_handle =
+            thread::spawn(move || one(Session::receiver(receiver, r_end, n), clock, &cfg));
+        let t_report = t_handle.join().expect("join");
+        let r_report = r_handle.join().expect("join");
 
         assert_eq!(t_report.outcome, DriverOutcome::Completed);
         assert_eq!(r_report.outcome, DriverOutcome::Completed);
@@ -418,17 +826,160 @@ mod tests {
     }
 
     #[test]
-    fn transmitter_alone_times_out_without_a_peer_only_if_acks_needed() {
-        // Alpha needs no acks, so a lone transmitter completes; the cap
-        // just has to be generous enough for the sends plus grace.
+    fn one_thread_paces_many_pairs_with_closed_admission() {
+        // Both ends of six alpha transfers on one thread, at most four
+        // sessions live at a time: every receiver still gets its input.
+        let p = params();
+        let tick = Duration::from_micros(200);
+        let kind = ProtocolKind::Alpha;
+        let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
+        let mut sessions = Vec::new();
+        let mut inputs = Vec::new();
+        for i in 0..3u64 {
+            let input: Vec<bool> = (0..6).map(|b| (b + i) % 3 == 0).collect();
+            let (t_end, r_end) = MemTransport::pair(codec, ChannelConfig::reliable(p, tick, i));
+            let transmitter = transmitter_endpoint(kind, p, &input).expect("tx");
+            let receiver = receiver_endpoint(kind, p, input.len()).expect("rx");
+            sessions.push(Session::transmitter(transmitter, t_end));
+            sessions.push(Session::receiver(receiver, r_end, input.len()));
+            inputs.push(input);
+        }
+        let cfg = DriverConfig::new(p, tick)
+            .with_max_live(4)
+            .with_max_wall(Duration::from_secs(10));
+        let reports = run_sessions(sessions, TickClock::start(tick), &cfg).expect("run");
+        assert_eq!(reports.len(), 6);
+        for (pair, input) in reports.chunks(2).zip(&inputs) {
+            assert_eq!(pair[0].outcome, DriverOutcome::Completed);
+            assert_eq!(pair[1].outcome, DriverOutcome::Completed);
+            assert_eq!(pair[1].written, *input);
+        }
+    }
+
+    #[test]
+    fn an_offset_first_step_stamps_its_first_frame_after_the_offset() {
+        // Two sessions sharing one slot window: the second slot's first
+        // step sits half a c2 window after the shared epoch, and its
+        // first frame's stamp is read on that same clock.
+        let p = params();
+        let tick = Duration::from_micros(500);
+        let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
+        let (a, _peer_a) = MemTransport::pair(codec, ChannelConfig::eager(tick, 1));
+        let (b, peer_b) = MemTransport::pair(codec, ChannelConfig::eager(tick, 2));
+        let tx = |bit| transmitter_endpoint(ProtocolKind::Alpha, p, &[bit]).expect("tx");
+        let sessions = vec![
+            Session::transmitter(tx(true), a),
+            Session::transmitter(tx(false), b),
+        ];
+        let clock = TickClock::start(tick);
+        let reports = run_sessions(sessions, clock, &DriverConfig::new(p, tick)).expect("run");
+        let offset = 500; // µs: half of the 2-tick window
+        let stamp = reports[1].last_data_send_micros.expect("sent");
+        assert!(
+            stamp >= offset,
+            "first frame at {stamp} µs, before {offset}"
+        );
+        let mut peer_b = peer_b;
+        let frame = loop {
+            if let Some(frame) = peer_b.poll_recv().expect("poll") {
+                break frame;
+            }
+            thread::yield_now();
+        };
+        assert_eq!(frame.sent_at_micros, stamp);
+    }
+
+    /// A peer that acknowledges every data packet, `lag` of the
+    /// transmitter's steps later (one empty poll ends each step's drain).
+    struct LaggingAcks {
+        lag: u64,
+        steps: u64,
+        owed: VecDeque<u64>,
+    }
+
+    impl Transport for LaggingAcks {
+        fn send(&mut self, packet: Packet, _sent_at_micros: u64) -> Result<(), NetError> {
+            if let Packet::Data(_) = packet {
+                self.owed.push_back(self.steps + self.lag);
+            }
+            Ok(())
+        }
+
+        fn poll_recv(&mut self) -> Result<Option<Frame>, NetError> {
+            if self.owed.front().is_some_and(|&due| due <= self.steps) {
+                self.owed.pop_front();
+                return Ok(Some(Frame {
+                    protocol: ProtocolId::Gamma,
+                    k: 4,
+                    packet: gamma::ACK,
+                    seq: 0,
+                    sent_at_micros: 0,
+                    session: None,
+                }));
+            }
+            self.steps += 1;
+            Ok(None)
+        }
+
+        fn local_stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+    }
+
+    #[test]
+    fn gamma_transmitter_waits_out_acks_slower_than_the_grace_period() {
+        // Acks arrive 10 steps after each data packet; the grace period
+        // is 6 steps. A transmitter idling for acks is not done, so it
+        // must send every burst and hear every ack before completing.
+        let p = params();
+        let tick = Duration::from_micros(100);
+        let input: Vec<bool> = (0..16).map(|i| i % 3 == 1).collect();
+        let automaton = GammaTransmitter::new(p, 4, &input).expect("gamma");
+        let symbols = automaton.num_blocks() as u64 * automaton.delta2();
+        assert!(automaton.num_blocks() > 1);
+        let peer = LaggingAcks {
+            lag: 10,
+            steps: 0,
+            owed: VecDeque::new(),
+        };
+        let cfg = DriverConfig::new(p, tick).with_max_wall(Duration::from_secs(10));
+        let session = Session::transmitter(Box::new(Driven::new(automaton)), peer);
+        let report = one(session, TickClock::start(tick), &cfg);
+        assert_eq!(report.outcome, DriverOutcome::Completed);
+        assert_eq!(report.data_sends, symbols);
+        assert_eq!(report.recvs, symbols);
+    }
+
+    #[test]
+    fn gamma_transmitter_without_a_peer_times_out() {
+        let p = params();
+        let tick = Duration::from_micros(100);
+        let codec = WireCodec::new(ProtocolId::Gamma, 4).expect("codec");
+        let (t_end, _r_end) = MemTransport::pair(codec, ChannelConfig::eager(tick, 1));
+        let endpoint =
+            transmitter_endpoint(ProtocolKind::Gamma { k: 4 }, p, &[true, false]).expect("tx");
+        let cfg = DriverConfig::new(p, tick).with_max_wall(Duration::from_millis(50));
+        let report = one(
+            Session::transmitter(endpoint, t_end),
+            TickClock::start(tick),
+            &cfg,
+        );
+        assert_eq!(report.outcome, DriverOutcome::TimedOut);
+        assert!(report.data_sends > 0);
+    }
+
+    #[test]
+    fn transmitter_alone_completes_when_it_needs_no_acks() {
+        // Alpha needs no acks, so a lone transmitter quiesces and
+        // completes; the cap just has to cover the sends plus grace.
         let p = params();
         let tick = Duration::from_micros(200);
         let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
-        let (mut t_end, _r_end) = MemTransport::pair(codec, ChannelConfig::eager(tick, 1));
+        let (t_end, _r_end) = MemTransport::pair(codec, ChannelConfig::eager(tick, 1));
         let automaton = AlphaTransmitter::new(p, vec![true, false]);
         let cfg = DriverConfig::new(p, tick).with_max_wall(Duration::from_secs(10));
-        let report =
-            run_endpoint(&automaton, &mut t_end, TickClock::start(tick), &cfg).expect("run");
+        let session = Session::transmitter(Box::new(Driven::new(automaton)), t_end);
+        let report = one(session, TickClock::start(tick), &cfg);
         assert_eq!(report.outcome, DriverOutcome::Completed);
         assert_eq!(report.data_sends, 2);
     }
@@ -438,13 +989,10 @@ mod tests {
         let p = params();
         let tick = Duration::from_micros(100);
         let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
-        let (mut r_end, _t_end) = MemTransport::pair(codec, ChannelConfig::eager(tick, 1));
-        let automaton = AlphaReceiver::new();
-        let cfg = DriverConfig::new(p, tick)
-            .with_expected_writes(3)
-            .with_max_wall(Duration::from_millis(100));
-        let report =
-            run_endpoint(&automaton, &mut r_end, TickClock::start(tick), &cfg).expect("run");
+        let (r_end, _t_end) = MemTransport::pair(codec, ChannelConfig::eager(tick, 1));
+        let cfg = DriverConfig::new(p, tick).with_max_wall(Duration::from_millis(100));
+        let session = Session::receiver(Box::new(Driven::new(AlphaReceiver::new())), r_end, 3);
+        let report = one(session, TickClock::start(tick), &cfg);
         assert_eq!(report.outcome, DriverOutcome::TimedOut);
         assert!(report.written.is_empty());
     }
@@ -454,20 +1002,12 @@ mod tests {
         let tick = Duration::from_micros(100);
         let mut report = DriverReport {
             outcome: DriverOutcome::Completed,
-            steps: 0,
             written: vec![true; 4],
             data_sends: 4,
-            ack_sends: 0,
-            recvs: 0,
-            wait_steps: 0,
-            idle_steps: 0,
             last_data_send_micros: Some(4_000),
             last_write_micros: Some(4_400),
-            deadline_misses: 0,
-            timing_violations: 0,
-            latency: LatencyHistogram::new(),
             wall_elapsed: Duration::from_millis(5),
-            transport: TransportStats::default(),
+            ..DriverReport::empty()
         };
         // 4000 µs / 100 µs-per-tick / 4 messages = 10 ticks per message.
         assert_eq!(report.effort_ticks(4, tick), Some(10.0));

@@ -19,12 +19,15 @@
 //!   `Faulty` adversary.
 //! * [`udp`] — the same endpoints over `std::net::UdpSocket`.
 //! * [`clock`] / [`driver`] — a tick-to-`Instant` mapping and the
-//!   real-time driver that schedules automaton steps inside `[c1, c2]`
-//!   wall-clock windows, counting every deadline miss and timing
-//!   violation instead of pretending the OS is ideal.
-//! * [`session`] — whole-transfer orchestration
-//!   ([`session::run_transfer_mem`], [`session::run_transmitter`],
-//!   [`session::run_receiver`]) keyed by the simulator's
+//!   real-time driver that paces any number of sessions per thread
+//!   inside `[c1, c2]` wall-clock windows. Its [`driver::Pacer`] counts
+//!   every deadline miss and timing violation instead of pretending the
+//!   OS is ideal, and `rstp-serve`'s shards pace with the same rules.
+//! * [`session`] — endpoint construction and whole-transfer
+//!   orchestration ([`session::transmitter_endpoint`],
+//!   [`session::receiver_endpoint`], [`session::run_transfer_mem`],
+//!   [`session::run_transmitter`], [`session::run_receiver`]) keyed by
+//!   the simulator's
 //!   `ProtocolKind`, so the simulator remains the oracle: the same input
 //!   through `rstp-sim` and through a real transport must produce the
 //!   same receiver output.
@@ -55,13 +58,16 @@ pub use control::{
     decode_control, encode_control, ControlError, ControlFrame, ControlKind, CONTROL_HEADER_LEN,
     CONTROL_MAX_PAYLOAD, CONTROL_VERSION,
 };
-pub use driver::{run_endpoint, DriverConfig, DriverOutcome, DriverReport, Pace};
+pub use driver::{
+    run_sessions, Cadence, Driven, DriverConfig, DriverOutcome, DriverReport, Pace, Pacer, Session,
+    SessionEndpoint, StepEffect, Wake,
+};
 pub use error::NetError;
 pub use histogram::LatencyHistogram;
 pub use mem::MemTransport;
 pub use session::{
-    codec_for, run_receiver, run_transfer_mem, run_transfer_mem_scripted, run_transmitter,
-    wire_identity, TransferConfig, TransferReport,
+    codec_for, receiver_endpoint, run_receiver, run_transfer_mem, run_transfer_mem_scripted,
+    run_transmitter, transmitter_endpoint, wire_identity, TransferConfig, TransferReport,
 };
 pub use transport::{Transport, TransportStats};
 pub use udp::UdpTransport;

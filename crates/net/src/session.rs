@@ -1,27 +1,33 @@
 //! Whole-transfer orchestration: build a protocol pair, drive both
 //! endpoints over a real transport, and collect a joint report.
 //!
-//! [`run_transmitter`]/[`run_receiver`] drive a single endpoint over any
-//! [`Transport`] — the CLI's two-terminal `net send`/`net recv` commands
-//! use them directly over UDP. [`run_transfer_mem`] wires both ends of a
-//! [`MemTransport`] pair together on two threads sharing one clock epoch,
-//! which is the deterministic in-process path the benchmarks and the
-//! sim-versus-net differential test use.
+//! [`transmitter_endpoint`]/[`receiver_endpoint`] build either role of
+//! any wire protocol behind one [`SessionEndpoint`] type, ready for the
+//! driver's [`run_sessions`] loop. [`run_transmitter`]/[`run_receiver`]
+//! are its one-session case over any [`Transport`] — the CLI's
+//! two-terminal `net send`/`net recv` commands use them directly over
+//! UDP. [`run_transfer_mem`] wires both ends of a [`MemTransport`] pair
+//! together on two threads sharing one clock epoch, which is the
+//! deterministic in-process path the benchmarks and the sim-versus-net
+//! differential test use.
 
 use crate::chan::ChannelConfig;
 use crate::clock::TickClock;
-use crate::driver::{run_endpoint, DriverConfig, DriverReport, Pace};
+use crate::driver::{
+    run_sessions, Driven, DriverConfig, DriverReport, Pace, Session, SessionEndpoint,
+};
 use crate::error::NetError;
 use crate::mem::MemTransport;
 use crate::transport::Transport;
 use crate::wire::{ProtocolId, WireCodec};
+use rstp_automata::Automaton;
 use rstp_core::protocols::{
     stab_beta_transmitter, AlphaReceiver, AlphaTransmitter, AltBitReceiver, AltBitTransmitter,
     BetaReceiver, BetaTransmitter, FramedReceiver, FramedTransmitter, GammaReceiver,
     GammaTransmitter, PipelinedReceiver, PipelinedTransmitter, StabBetaReceiver,
     StabStenningReceiver, StabStenningTransmitter, StenningReceiver, StenningTransmitter,
 };
-use rstp_core::{Message, TimingParams};
+use rstp_core::{Message, RstpAction, TimingParams};
 use rstp_sim::harness::ProtocolKind;
 use rstp_sim::ScriptedDelivery;
 use std::thread;
@@ -64,8 +70,86 @@ pub fn codec_for(kind: ProtocolKind) -> Result<WireCodec, NetError> {
     Ok(WireCodec::new(id, k)?)
 }
 
+/// The transmitter endpoint of `kind` carrying `input`.
+///
+/// # Errors
+///
+/// [`NetError::Unsupported`] for [`ProtocolKind::BetaWindow`] (see
+/// [`wire_identity`]), or a construction error from the protocol.
+pub fn transmitter_endpoint(
+    kind: ProtocolKind,
+    params: TimingParams,
+    input: &[Message],
+) -> Result<Box<dyn SessionEndpoint>, NetError> {
+    Ok(match kind {
+        ProtocolKind::Alpha => boxed(AlphaTransmitter::new(params, input.to_vec())),
+        ProtocolKind::Beta { k } => boxed(BetaTransmitter::new(params, k, input)?),
+        ProtocolKind::Gamma { k } => boxed(GammaTransmitter::new(params, k, input)?),
+        ProtocolKind::AltBit { timeout_steps } => boxed(AltBitTransmitter::new(
+            params,
+            input.to_vec(),
+            timeout_steps,
+        )),
+        ProtocolKind::Framed { k } => boxed(FramedTransmitter::new(params, k, input)?),
+        ProtocolKind::Stenning { timeout_steps } => boxed(StenningTransmitter::new(
+            params,
+            input.to_vec(),
+            timeout_steps,
+        )),
+        ProtocolKind::Pipelined { k, window } => {
+            boxed(PipelinedTransmitter::with_window(params, k, window, input)?)
+        }
+        ProtocolKind::StabStenning { timeout_steps } => boxed(StabStenningTransmitter::new(
+            params,
+            input.to_vec(),
+            timeout_steps,
+        )),
+        ProtocolKind::StabBeta { k } => boxed(stab_beta_transmitter(params, k, input)?),
+        ProtocolKind::BetaWindow { .. } => {
+            return Err(wire_identity(kind).expect_err("unsupported"))
+        }
+    })
+}
+
+/// The receiver endpoint of `kind` expecting `n` messages.
+///
+/// # Errors
+///
+/// [`NetError::Unsupported`] for [`ProtocolKind::BetaWindow`] (see
+/// [`wire_identity`]), or a construction error from the protocol.
+pub fn receiver_endpoint(
+    kind: ProtocolKind,
+    params: TimingParams,
+    n: usize,
+) -> Result<Box<dyn SessionEndpoint>, NetError> {
+    Ok(match kind {
+        ProtocolKind::Alpha => boxed(AlphaReceiver::new()),
+        ProtocolKind::Beta { k } => boxed(BetaReceiver::new(params, k, n)?),
+        ProtocolKind::Gamma { k } => boxed(GammaReceiver::new(params, k, n)?),
+        ProtocolKind::AltBit { .. } => boxed(AltBitReceiver::new()),
+        ProtocolKind::Framed { k } => boxed(FramedReceiver::new(params, k)?),
+        ProtocolKind::Stenning { .. } => boxed(StenningReceiver::new()),
+        ProtocolKind::Pipelined { k, window } => {
+            boxed(PipelinedReceiver::with_window(params, k, window, n)?)
+        }
+        ProtocolKind::StabStenning { .. } => boxed(StabStenningReceiver::new()),
+        ProtocolKind::StabBeta { k } => boxed(StabBetaReceiver::new(params, k, n)?),
+        ProtocolKind::BetaWindow { .. } => {
+            return Err(wire_identity(kind).expect_err("unsupported"))
+        }
+    })
+}
+
+fn boxed<A>(automaton: A) -> Box<dyn SessionEndpoint>
+where
+    A: Automaton<Action = RstpAction> + Send + 'static,
+    A::State: Send,
+{
+    Box::new(Driven::new(automaton))
+}
+
 /// Drives the transmitter endpoint of `kind` carrying `input` over
-/// `transport`.
+/// `transport` — the one-session case of [`run_sessions`].
 ///
 /// # Errors
 ///
@@ -79,67 +163,12 @@ pub fn run_transmitter<T: Transport>(
     clock: TickClock,
     config: &DriverConfig,
 ) -> Result<DriverReport, NetError> {
-    match kind {
-        ProtocolKind::Alpha => run_endpoint(
-            &AlphaTransmitter::new(params, input.to_vec()),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Beta { k } => run_endpoint(
-            &BetaTransmitter::new(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Gamma { k } => run_endpoint(
-            &GammaTransmitter::new(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::AltBit { timeout_steps } => run_endpoint(
-            &AltBitTransmitter::new(params, input.to_vec(), timeout_steps),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Framed { k } => run_endpoint(
-            &FramedTransmitter::new(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Stenning { timeout_steps } => run_endpoint(
-            &StenningTransmitter::new(params, input.to_vec(), timeout_steps),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Pipelined { k, window } => run_endpoint(
-            &PipelinedTransmitter::with_window(params, k, window, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::StabStenning { timeout_steps } => run_endpoint(
-            &StabStenningTransmitter::new(params, input.to_vec(), timeout_steps),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::StabBeta { k } => run_endpoint(
-            &stab_beta_transmitter(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::BetaWindow { .. } => Err(wire_identity(kind).expect_err("unsupported")),
-    }
+    let session = Session::transmitter(transmitter_endpoint(kind, params, input)?, transport);
+    run_one(session, clock, config)
 }
 
 /// Drives the receiver endpoint of `kind` expecting `n` messages over
-/// `transport`.
+/// `transport` — the one-session case of [`run_sessions`].
 ///
 /// # Errors
 ///
@@ -153,44 +182,20 @@ pub fn run_receiver<T: Transport>(
     clock: TickClock,
     config: &DriverConfig,
 ) -> Result<DriverReport, NetError> {
-    let config = &DriverConfig {
-        expected_writes: Some(n),
-        ..*config
-    };
-    match kind {
-        ProtocolKind::Alpha => run_endpoint(&AlphaReceiver::new(), transport, clock, config),
-        ProtocolKind::Beta { k } => {
-            run_endpoint(&BetaReceiver::new(params, k, n)?, transport, clock, config)
-        }
-        ProtocolKind::Gamma { k } => {
-            run_endpoint(&GammaReceiver::new(params, k, n)?, transport, clock, config)
-        }
-        ProtocolKind::AltBit { .. } => {
-            run_endpoint(&AltBitReceiver::new(), transport, clock, config)
-        }
-        ProtocolKind::Framed { k } => {
-            run_endpoint(&FramedReceiver::new(params, k)?, transport, clock, config)
-        }
-        ProtocolKind::Stenning { .. } => {
-            run_endpoint(&StenningReceiver::new(), transport, clock, config)
-        }
-        ProtocolKind::Pipelined { k, window } => run_endpoint(
-            &PipelinedReceiver::with_window(params, k, window, n)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::StabStenning { .. } => {
-            run_endpoint(&StabStenningReceiver::new(), transport, clock, config)
-        }
-        ProtocolKind::StabBeta { k } => run_endpoint(
-            &StabBetaReceiver::new(params, k, n)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::BetaWindow { .. } => Err(wire_identity(kind).expect_err("unsupported")),
-    }
+    let session = Session::receiver(receiver_endpoint(kind, params, n)?, transport, n);
+    run_one(session, clock, config)
+}
+
+fn run_one<T: Transport>(
+    session: Session<T>,
+    clock: TickClock,
+    config: &DriverConfig,
+) -> Result<DriverReport, NetError> {
+    run_sessions(vec![session], clock, config)?
+        .pop()
+        .ok_or_else(|| NetError::Thread {
+            what: "the driver returned no report".into(),
+        })
 }
 
 /// Configuration of an in-process transfer.

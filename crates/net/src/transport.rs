@@ -39,3 +39,19 @@ pub trait Transport {
     /// This endpoint's traffic counters.
     fn local_stats(&self) -> TransportStats;
 }
+
+/// A borrowed transport is a transport, so a caller can lend its
+/// endpoint to the driver and keep it afterwards.
+impl<T: Transport + ?Sized> Transport for &mut T {
+    fn send(&mut self, packet: Packet, sent_at_micros: u64) -> Result<(), NetError> {
+        (**self).send(packet, sent_at_micros)
+    }
+
+    fn poll_recv(&mut self) -> Result<Option<Frame>, NetError> {
+        (**self).poll_recv()
+    }
+
+    fn local_stats(&self) -> TransportStats {
+        (**self).local_stats()
+    }
+}

@@ -12,10 +12,11 @@
 //! not depend on timing and run unconditionally in `crates/net/src/udp.rs`
 //! and `udp_logic` below.
 
-use rstp_core::{Packet, TimingParams};
+use rstp_core::protocols::{AlphaReceiver, AlphaTransmitter};
+use rstp_core::{Message, Packet, TimingParams};
 use rstp_net::{
-    run_endpoint, DriverConfig, DriverOutcome, Pace, ProtocolId, TickClock, Transport,
-    UdpTransport, WireCodec,
+    run_sessions, Driven, DriverConfig, DriverOutcome, DriverReport, Pace, ProtocolId, Session,
+    TickClock, Transport, UdpTransport, WireCodec,
 };
 use std::time::{Duration, Instant};
 
@@ -28,6 +29,28 @@ fn params() -> TimingParams {
     TimingParams::from_ticks(1, 2, 4).expect("valid")
 }
 
+/// Both ends of an alpha transfer over real UDP loopback sockets, each
+/// paced by the driver loop on its own thread, sharing one clock epoch.
+fn alpha_over_udp(
+    p: TimingParams,
+    tick: Duration,
+    input: &[Message],
+    cfg: DriverConfig,
+) -> (DriverReport, DriverReport) {
+    let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
+    let (t_end, r_end) = UdpTransport::loopback_pair(codec).expect("pair");
+    let clock = TickClock::start_after(Duration::from_millis(5), tick);
+    let transmitter = Box::new(Driven::new(AlphaTransmitter::new(p, input.to_vec())));
+    let receiver = Box::new(Driven::new(AlphaReceiver::new()));
+    let n = input.len();
+    let run = move |session| run_sessions(vec![session], clock, &cfg).expect("run").pop();
+    let t_handle = std::thread::spawn(move || run(Session::transmitter(transmitter, t_end)));
+    let r_handle = std::thread::spawn(move || run(Session::receiver(receiver, r_end, n)));
+    let t_report = t_handle.join().expect("join").expect("transmitter");
+    let r_report = r_handle.join().expect("join").expect("receiver");
+    (t_report, r_report)
+}
+
 /// Unconditional logic test: a full alpha transfer over real UDP loopback
 /// sockets, with generous budgets so scheduling noise cannot fail it.
 #[test]
@@ -35,26 +58,8 @@ fn udp_logic_alpha_transfer_round_trips() {
     let p = params();
     let tick = Duration::from_micros(500);
     let input = vec![true, false, false, true, true];
-    let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
-    let (mut t_end, mut r_end) = UdpTransport::loopback_pair(codec).expect("pair");
-    let epoch = Instant::now() + Duration::from_millis(2);
-    let t_clock = TickClock::with_epoch(epoch, tick);
-    let r_clock = TickClock::with_epoch(epoch, tick);
-    let t_cfg = DriverConfig::new(p, tick).with_max_wall(Duration::from_secs(20));
-    let r_cfg = DriverConfig::new(p, tick)
-        .with_expected_writes(input.len())
-        .with_max_wall(Duration::from_secs(20));
-    let t_input = input.clone();
-    let t_handle = std::thread::spawn(move || {
-        let automaton = rstp_core::protocols::AlphaTransmitter::new(p, t_input);
-        run_endpoint(&automaton, &mut t_end, t_clock, &t_cfg)
-    });
-    let r_handle = std::thread::spawn(move || {
-        let automaton = rstp_core::protocols::AlphaReceiver::new();
-        run_endpoint(&automaton, &mut r_end, r_clock, &r_cfg)
-    });
-    let t_report = t_handle.join().expect("join").expect("transmitter");
-    let r_report = r_handle.join().expect("join").expect("receiver");
+    let cfg = DriverConfig::new(p, tick).with_max_wall(Duration::from_secs(20));
+    let (t_report, r_report) = alpha_over_udp(p, tick, &input, cfg);
     assert_eq!(t_report.outcome, DriverOutcome::Completed);
     assert_eq!(r_report.outcome, DriverOutcome::Completed);
     assert_eq!(r_report.written, input);
@@ -107,28 +112,10 @@ fn udp_driver_holds_its_schedule_under_comfortable_ticks() {
     let p = params();
     let tick = Duration::from_millis(2);
     let input = vec![true; 16];
-    let codec = WireCodec::new(ProtocolId::Alpha, 0).expect("codec");
-    let (mut t_end, mut r_end) = UdpTransport::loopback_pair(codec).expect("pair");
-    let epoch = Instant::now() + Duration::from_millis(5);
-    let t_clock = TickClock::with_epoch(epoch, tick);
-    let r_clock = TickClock::with_epoch(epoch, tick);
-    let t_cfg = DriverConfig::new(p, tick)
+    let cfg = DriverConfig::new(p, tick)
         .with_pace(Pace::Slow)
         .with_max_wall(Duration::from_secs(30));
-    let r_cfg = DriverConfig::new(p, tick)
-        .with_expected_writes(input.len())
-        .with_max_wall(Duration::from_secs(30));
-    let t_input = input.clone();
-    let t_handle = std::thread::spawn(move || {
-        let automaton = rstp_core::protocols::AlphaTransmitter::new(p, t_input);
-        run_endpoint(&automaton, &mut t_end, t_clock, &t_cfg)
-    });
-    let r_handle = std::thread::spawn(move || {
-        let automaton = rstp_core::protocols::AlphaReceiver::new();
-        run_endpoint(&automaton, &mut r_end, r_clock, &r_cfg)
-    });
-    let t_report = t_handle.join().expect("join").expect("transmitter");
-    let r_report = r_handle.join().expect("join").expect("receiver");
+    let (t_report, r_report) = alpha_over_udp(p, tick, &input, cfg);
     assert_eq!(r_report.written, input);
     let budget = t_report.steps / 10; // tolerate < 10% noise
     assert!(

@@ -1,13 +1,10 @@
-//! Object-safe session endpoints: heterogeneous automata in one table.
+//! Snapshottable receiver endpoints: the shard's session table.
 //!
-//! [`Automaton`] has an associated `State` type, so a shard cannot store
-//! `Box<dyn Automaton>` directly. [`Driven`] pairs a concrete automaton
-//! with its current state behind the object-safe [`SessionEndpoint`]
-//! trait: `apply_recv` feeds a delivered packet as a `recv` input, `step`
-//! fires the unique enabled local action and reports its visible effect.
-//! The single-enabled-action determinism check mirrors the real-time
-//! driver and the simulator exactly — a shard must not weaken the model
-//! just because it runs many sessions.
+//! `rstp-net` owns the object-safe [`SessionEndpoint`] every paced
+//! session runs behind, and its [`Driven`] wrapper pairs a concrete
+//! automaton with its state. A shard also has to snapshot a receiver for
+//! handover and crash recovery, which needs the state codec of this
+//! crate, so [`SnapshotEndpoint`] adds that one method on top.
 
 use crate::snapshot::{state_from_bytes, state_to_bytes, StateCodec};
 use rstp_automata::Automaton;
@@ -15,133 +12,49 @@ use rstp_core::protocols::{
     AlphaReceiver, AltBitReceiver, BetaReceiver, FramedReceiver, GammaReceiver, PipelinedReceiver,
     StabBetaReceiver, StabStenningReceiver, StenningReceiver,
 };
-use rstp_core::{InternalKind, Message, Packet, RstpAction, TimingParams};
-use rstp_net::NetError;
+use rstp_core::{Message, RstpAction, TimingParams};
+use rstp_net::{Driven, NetError, SessionEndpoint};
 use rstp_sim::ProtocolKind;
 
-/// The externally visible effect of one local step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepEffect {
-    /// The automaton sent a packet (to be framed and flushed by the shard).
-    Sent(Packet),
-    /// The automaton wrote the next output message.
-    Wrote(Message),
-    /// A counted `wait` step — productive work, not idling.
-    Waited,
-    /// A pure `idle` step — the endpoint may be done.
-    Idled,
-    /// No local action is enabled: the automaton has quiesced.
-    Quiescent,
-}
-
-/// One session's protocol endpoint, statically erased so shards can own a
-/// mixed-protocol table.
-pub trait SessionEndpoint: Send {
-    /// Applies a delivered packet as a `recv` input (input-enabled: this
-    /// must succeed in every state for well-formed automata).
-    fn apply_recv(&mut self, packet: Packet) -> Result<(), NetError>;
-
-    /// Fires the unique enabled local action, enforcing the paper's
-    /// determinism condition (more than one enabled action is a model
-    /// bug, reported exactly like the single-session driver does).
-    fn step(&mut self) -> Result<StepEffect, NetError>;
-
-    /// Messages written so far — the session's output sequence `Y`.
-    fn written(&self) -> &[Message];
-
+/// A session endpoint whose automaton state can be serialized.
+pub trait SnapshotEndpoint: SessionEndpoint {
     /// The automaton state serialized via the session snapshot codec —
     /// the payload a handover `SNAPSHOT` frame or a crash-recovery
     /// record carries. Paired with [`restore_receiver_endpoint`].
     fn state_bytes(&self) -> Vec<u8>;
 }
 
-/// A concrete automaton plus its evolving state.
-struct Driven<A: Automaton<Action = RstpAction>> {
-    automaton: A,
-    state: A::State,
-    written: Vec<Message>,
-}
-
-impl<A> SessionEndpoint for Driven<A>
+impl<A> SnapshotEndpoint for Driven<A>
 where
     A: Automaton<Action = RstpAction> + Send,
     A::State: Send + StateCodec,
 {
-    fn apply_recv(&mut self, packet: Packet) -> Result<(), NetError> {
-        self.state = self
-            .automaton
-            .step(&self.state, &RstpAction::Recv(packet))
-            .map_err(|e| NetError::Automaton {
-                what: e.to_string(),
-            })?;
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<StepEffect, NetError> {
-        let enabled = self.automaton.enabled(&self.state);
-        let action = match enabled.as_slice() {
-            [] => return Ok(StepEffect::Quiescent),
-            [a] => *a,
-            many => {
-                return Err(NetError::Determinism {
-                    enabled: many.iter().map(|a| format!("{a:?}")).collect(),
-                })
-            }
-        };
-        self.state =
-            self.automaton
-                .step(&self.state, &action)
-                .map_err(|e| NetError::Automaton {
-                    what: e.to_string(),
-                })?;
-        Ok(match action {
-            RstpAction::Send(p) => StepEffect::Sent(p),
-            RstpAction::Write(m) => {
-                self.written.push(m);
-                StepEffect::Wrote(m)
-            }
-            RstpAction::TransmitterInternal(k) | RstpAction::ReceiverInternal(k) => {
-                if k == InternalKind::Wait {
-                    StepEffect::Waited
-                } else {
-                    StepEffect::Idled
-                }
-            }
-            RstpAction::Recv(_) => {
-                return Err(NetError::Automaton {
-                    what: "recv reported as a locally controlled action".into(),
-                })
-            }
-        })
-    }
-
-    fn written(&self) -> &[Message] {
-        &self.written
-    }
-
     fn state_bytes(&self) -> Vec<u8> {
-        state_to_bytes(&self.state)
+        state_to_bytes(self.state())
     }
 }
 
-fn boxed<A>(automaton: A) -> Box<dyn SessionEndpoint>
+fn beta_window_unsupported() -> NetError {
+    NetError::Unsupported {
+        what: "beta-window needs an out-of-band d_lo agreement; \
+               run it in the simulator instead"
+            .into(),
+    }
+}
+
+fn boxed<A>(automaton: A) -> Box<dyn SnapshotEndpoint>
 where
     A: Automaton<Action = RstpAction> + Send + 'static,
     A::State: Send + StateCodec,
 {
-    let state = automaton.initial_state();
-    Box::new(Driven {
-        automaton,
-        state,
-        written: Vec::new(),
-    })
+    Box::new(Driven::new(automaton))
 }
 
 fn unboxed<A>(
     automaton: A,
     state_bytes: &[u8],
     written: Vec<Message>,
-) -> Result<Box<dyn SessionEndpoint>, NetError>
+) -> Result<Box<dyn SnapshotEndpoint>, NetError>
 where
     A: Automaton<Action = RstpAction> + Send + 'static,
     A::State: Send + StateCodec,
@@ -149,16 +62,12 @@ where
     let state = state_from_bytes::<A::State>(state_bytes).ok_or_else(|| NetError::Automaton {
         what: "session snapshot state failed to decode".into(),
     })?;
-    Ok(Box::new(Driven {
-        automaton,
-        state,
-        written,
-    }))
+    Ok(Box::new(Driven::resume(automaton, state, written)))
 }
 
 /// Builds the *receiver* endpoint of `kind` expecting `n` messages — the
-/// server side of a transfer (clients run the transmitter through the
-/// ordinary single-session driver).
+/// server side of a transfer (clients run the transmitter through
+/// `rstp-net`'s driver loop).
 ///
 /// # Errors
 ///
@@ -169,7 +78,7 @@ pub fn receiver_endpoint(
     kind: ProtocolKind,
     params: TimingParams,
     n: usize,
-) -> Result<Box<dyn SessionEndpoint>, NetError> {
+) -> Result<Box<dyn SnapshotEndpoint>, NetError> {
     Ok(match kind {
         ProtocolKind::Alpha => boxed(AlphaReceiver::new()),
         ProtocolKind::Beta { k } => boxed(BetaReceiver::new(params, k, n)?),
@@ -182,18 +91,12 @@ pub fn receiver_endpoint(
         ProtocolKind::Pipelined { k, window } => {
             boxed(PipelinedReceiver::with_window(params, k, window, n)?)
         }
-        ProtocolKind::BetaWindow { .. } => {
-            return Err(NetError::Unsupported {
-                what: "beta-window needs an out-of-band d_lo agreement; \
-                       run it in the simulator instead"
-                    .into(),
-            })
-        }
+        ProtocolKind::BetaWindow { .. } => return Err(beta_window_unsupported()),
     })
 }
 
 /// Re-creates a *live* receiver endpoint from serialized automaton
-/// state (as produced by [`SessionEndpoint::state_bytes`]) plus the
+/// state (as produced by [`SnapshotEndpoint::state_bytes`]) plus the
 /// output prefix `written` already committed for the session. This is
 /// the adopting side of a handover and the replay anchor of crash
 /// recovery.
@@ -210,7 +113,7 @@ pub fn restore_receiver_endpoint(
     n: usize,
     state: &[u8],
     written: Vec<Message>,
-) -> Result<Box<dyn SessionEndpoint>, NetError> {
+) -> Result<Box<dyn SnapshotEndpoint>, NetError> {
     match kind {
         ProtocolKind::Alpha => unboxed(AlphaReceiver::new(), state, written),
         ProtocolKind::Beta { k } => unboxed(BetaReceiver::new(params, k, n)?, state, written),
@@ -227,17 +130,15 @@ pub fn restore_receiver_endpoint(
             state,
             written,
         ),
-        ProtocolKind::BetaWindow { .. } => Err(NetError::Unsupported {
-            what: "beta-window needs an out-of-band d_lo agreement; \
-                   run it in the simulator instead"
-                .into(),
-        }),
+        ProtocolKind::BetaWindow { .. } => Err(beta_window_unsupported()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rstp_core::Packet;
+    use rstp_net::StepEffect;
 
     fn params() -> TimingParams {
         TimingParams::from_ticks(1, 2, 4).expect("valid")

@@ -6,15 +6,41 @@
 //! analogue of `recvmmsg`), and shard egress pushes reply frames into
 //! per-client inboxes keyed by session id. [`HubClientTransport`] adapts
 //! a client's view of the hub to the ordinary [`Transport`] trait, so
-//! the existing single-session real-time driver runs over it unchanged.
+//! `rstp-net`'s driver loop runs clients over it unchanged.
+//!
+//! The hub is lossless: a frame is only ever dropped for a session no
+//! client registered. Egress never parks on a lock (the shard must not
+//! block), so a contended lock is retried with `try_lock` and
+//! `yield_now` until its holder lets go.
 
 use crate::server::{EgressSink, ServeTransport};
 use rstp_core::{Packet, SessionId};
 use rstp_net::{decode_any, Frame, FrameBuf, NetError, Transport, TransportStats, WireCodec};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::thread;
 
 type Inbox = Arc<Mutex<VecDeque<FrameBuf>>>;
+
+/// `try_lock` attempts, a `yield_now` apart, before egress gives up on a
+/// contended lock. Every holder keeps its lock for a queue operation, so
+/// the bound is only reached when a holder is descheduled for tens of
+/// milliseconds.
+const LOCK_ATTEMPTS: u32 = 1 << 16;
+
+/// Takes `lock` without parking: retries a contended lock, yielding the
+/// CPU in between, up to [`LOCK_ATTEMPTS`] times. A poisoned lock still
+/// guards plain bytes, so its data is recovered.
+fn lock_without_parking<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    for _ in 0..LOCK_ATTEMPTS {
+        match lock.try_lock() {
+            Ok(guard) => return Some(guard),
+            Err(TryLockError::Poisoned(p)) => return Some(p.into_inner()),
+            Err(TryLockError::WouldBlock) => thread::yield_now(),
+        }
+    }
+    None
+}
 
 /// The shared loopback fabric joining one server to many clients.
 #[derive(Clone, Default)]
@@ -94,14 +120,10 @@ impl EgressSink for HubEgress {
         for (session, bytes) in frames {
             if !self.cached.contains_key(session) {
                 // First contact with a session: resolve its inbox from the
-                // shared map. Registration happens before any traffic, so
-                // contention here means another shard is mid-registration
-                // for a *different* session — skip, and this frame drops
-                // like any unroutable datagram (the hub mirrors UDP).
-                let map = match self.clients.try_lock() {
-                    Ok(map) => map,
-                    Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                    Err(TryLockError::WouldBlock) => continue,
+                // shared map, which another shard may hold for its own
+                // first contact.
+                let Some(map) = lock_without_parking(&self.clients) else {
+                    continue;
                 };
                 match map.get(session) {
                     Some(inbox) => {
@@ -115,12 +137,9 @@ impl EgressSink for HubEgress {
             let Some(inbox) = self.cached.get(session) else {
                 continue;
             };
-            // A contended client inbox drops the frame rather than
-            // stalling the whole batch behind one slow client.
-            let mut queue = match inbox.try_lock() {
-                Ok(queue) => queue,
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(TryLockError::WouldBlock) => continue,
+            // The client may be mid-poll on its own inbox.
+            let Some(mut queue) = lock_without_parking(inbox) else {
+                continue;
             };
             queue.push_back(*bytes);
             delivered += 1;
@@ -237,6 +256,53 @@ mod tests {
         assert_eq!(delivered, 1);
         let got = a.poll_recv().expect("recv").expect("frame");
         assert_eq!(got.packet, Packet::Ack(5));
+        assert_eq!(a.poll_recv().expect("recv"), None);
+    }
+
+    /// Holds `lock` on another thread for a millisecond, returning once
+    /// it is held; the handle joins after the release.
+    fn hold<T: Send + 'static>(lock: Arc<Mutex<T>>) -> thread::JoinHandle<()> {
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let holder = thread::spawn(move || {
+            let _guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            held_tx.send(()).expect("signal");
+            thread::sleep(std::time::Duration::from_millis(1));
+        });
+        held_rx.recv().expect("held");
+        holder
+    }
+
+    fn ack_for(session: u32) -> FrameBuf {
+        let id = SessionId::new(session);
+        FrameBuf::from(codec().encode_with_session(Packet::Ack(1), 0, 0, id))
+    }
+
+    #[test]
+    fn egress_waits_out_a_held_session_map() {
+        let hub = MemHub::new();
+        let mut a = hub.client_transport(SessionId::new(3), codec());
+        let mut sink = hub.egress().expect("egress");
+        let holder = hold(Arc::clone(&hub.clients));
+        assert_eq!(sink.send_batch(&[(3, ack_for(3))]).expect("send"), 1);
+        holder.join().expect("holder");
+        assert_eq!(
+            a.poll_recv().expect("recv").map(|f| f.packet),
+            Some(Packet::Ack(1))
+        );
+    }
+
+    #[test]
+    fn egress_waits_out_a_held_client_inbox() {
+        let hub = MemHub::new();
+        let mut a = hub.client_transport(SessionId::new(3), codec());
+        let mut sink = hub.egress().expect("egress");
+        // First contact caches the inbox; the second frame meets it held.
+        assert_eq!(sink.send_batch(&[(3, ack_for(3))]).expect("send"), 1);
+        let holder = hold(Arc::clone(&a.inbox));
+        assert_eq!(sink.send_batch(&[(3, ack_for(3))]).expect("send"), 1);
+        holder.join().expect("holder");
+        assert!(a.poll_recv().expect("recv").is_some());
+        assert!(a.poll_recv().expect("recv").is_some());
         assert_eq!(a.poll_recv().expect("recv"), None);
     }
 

@@ -1,8 +1,7 @@
 //! # rstp-serve — sharded multi-session RSTP transfer server
 //!
-//! Everything below `rstp-net` drives exactly one transmitter–receiver
-//! pair: one automaton, one transport, one thread sleeping through one
-//! `[c1, c2]` schedule. This crate is the server-side answer to *many*
+//! `rstp-net` paces protocol endpoints on the wall clock, each over its
+//! own transport. This crate is the server-side answer to *many*
 //! concurrent transfers multiplexed over one socket, while preserving
 //! each session's paper semantics — per-process pacing in `[c1, c2]`,
 //! `d`-bounded delivery, and the prefix-safety obligation that every
@@ -12,9 +11,9 @@
 //!
 //! * [`wheel`] — a hierarchical timer wheel: one thread paces thousands
 //!   of session deadlines without one sleeper per session.
-//! * [`endpoint`] — object-safe wrapper over the protocol automata, so a
-//!   shard can own a heterogeneous session table (α next to β(k) next to
-//!   γ(k)) behind one trait.
+//! * [`endpoint`] — snapshottable receivers over `rstp-net`'s object-safe
+//!   session endpoints, so a shard can own a heterogeneous session table
+//!   (α next to β(k) next to γ(k)) behind one trait.
 //! * [`metrics`] — per-shard and aggregate counters: active/completed
 //!   sessions, per-session effort, latency percentiles, deadline misses.
 //! * [`shard`] — the worker: a session table slice, its timer wheel, a
@@ -45,15 +44,17 @@ pub mod swarm;
 pub mod udp;
 pub mod wheel;
 
-pub use endpoint::{receiver_endpoint, restore_receiver_endpoint, SessionEndpoint, StepEffect};
+pub use endpoint::{receiver_endpoint, restore_receiver_endpoint, SnapshotEndpoint};
 pub use faults::{FaultEvent, FaultPlan};
 pub use hub::{HubClientTransport, MemHub};
 pub use metrics::{ServeReport, SessionStats, ShardReport};
 pub use server::{run_server, EgressSink, ServeConfig, ServeTransport, SessionSpec};
 pub use shard::ShardMsg;
 pub use snapshot::{SessionSnapshot, SnapshotError, StateCodec, SNAPSHOT_VERSION};
-pub use swarm::{
-    overload_diagnosis, run_swarm, run_swarm_sessions, SwarmConfig, SwarmReport, SwarmTransport,
-};
+pub use swarm::{run_swarm, run_swarm_sessions, SwarmConfig, SwarmReport, SwarmTransport};
 pub use udp::{UdpServerTransport, UdpSessionClient};
 pub use wheel::TimerWheel;
+
+/// The effect of one endpoint step, as the shard and `rstp-net`'s driver
+/// see it.
+pub use rstp_net::StepEffect;

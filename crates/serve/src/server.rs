@@ -115,10 +115,10 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults mirroring the single-session driver where the knobs
-    /// overlap: slow pace, slack of a quarter tick, grace of
-    /// `2·(d + c2)` ticks; plus 4 shards, batches of 32, queues of 256,
-    /// and room for 1024 sessions.
+    /// Defaults mirroring `rstp-net`'s driver where the knobs overlap:
+    /// slow pace, slack of a quarter tick, grace of `2·(d + c2)` ticks;
+    /// plus 4 shards, batches of 32, queues of 256, and room for 1024
+    /// sessions.
     #[must_use]
     pub fn new(params: TimingParams, tick: Duration) -> Self {
         ServeConfig {

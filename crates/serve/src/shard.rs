@@ -7,20 +7,20 @@
 //! an admitted session may lose a frame, which the protocols already
 //! tolerate, but it is never stalled past its `c2` window by a slow
 //! neighbour). Pacing uses the hierarchical [`TimerWheel`] instead of
-//! one sleeping thread per session; the miss/violation accounting
-//! mirrors `rstp_net`'s single-session driver exactly, deadline by
-//! deadline, so a 256-session swarm is held to the same `[c1, c2]`
-//! standard as a lone endpoint.
+//! one sleeping thread per session; the miss/violation accounting,
+//! re-anchoring and grace completion are `rstp_net`'s [`Pacer`], the
+//! same rules its driver loop applies, so a 256-session swarm is held to
+//! the same `[c1, c2]` standard as a lone endpoint.
 
-use crate::endpoint::{receiver_endpoint, SessionEndpoint, StepEffect};
+use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
 use crate::metrics::{SessionStats, ShardReport};
 use crate::server::{EgressSink, PumpMsg, SessionSpec};
 use crate::snapshot::SessionSnapshot;
 use crate::wheel::TimerWheel;
 use rstp_core::{SessionId, TimingParams};
 use rstp_net::{
-    codec_for, decode_control, encode_control, ControlFrame, ControlKind, Frame, FrameBuf,
-    NetError, Pace, TickClock, WireCodec,
+    codec_for, decode_control, encode_control, Cadence, ControlFrame, ControlKind, Frame, FrameBuf,
+    NetError, Pace, Pacer, StepEffect, TickClock, Wake, WireCodec,
 };
 use rstp_record::{Event, ShardRecorder};
 use std::collections::{HashMap, VecDeque};
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 /// outgoing sequence number to continue from.
 pub struct ResumeSession {
     pub(crate) spec: SessionSpec,
-    pub(crate) endpoint: Box<dyn SessionEndpoint>,
+    pub(crate) endpoint: Box<dyn SnapshotEndpoint>,
     pub(crate) seq: u64,
 }
 
@@ -97,7 +97,7 @@ pub(crate) struct ShardParams {
 /// One live session owned by a shard.
 struct Live {
     spec: SessionSpec,
-    endpoint: Box<dyn SessionEndpoint>,
+    endpoint: Box<dyn SnapshotEndpoint>,
     codec: WireCodec,
     seq: u64,
     /// Frames delivered but not yet applied — they become `recv` inputs
@@ -106,8 +106,7 @@ struct Live {
     pending: VecDeque<Frame>,
     /// Mid-handover: deadlines are reported as migrated, not stepped.
     paused: bool,
-    prev_wake: Option<Instant>,
-    idle_streak: u64,
+    cadence: Cadence,
     steps: u64,
     recvs: u64,
     sends: u64,
@@ -119,6 +118,29 @@ struct Live {
 }
 
 impl Live {
+    fn new(
+        spec: SessionSpec,
+        endpoint: Box<dyn SnapshotEndpoint>,
+        seq: u64,
+        paused: bool,
+    ) -> Result<Live, NetError> {
+        Ok(Live {
+            spec,
+            endpoint,
+            codec: codec_for(spec.kind)?,
+            seq,
+            pending: VecDeque::new(),
+            paused,
+            cadence: Cadence::default(),
+            steps: 0,
+            recvs: 0,
+            sends: 0,
+            last_write_tick: None,
+            #[cfg(rstp_check_inject_ack_bug)]
+            defer: None,
+        })
+    }
+
     /// The session's full state as a handover/recovery snapshot.
     fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
@@ -161,10 +183,7 @@ pub(crate) fn run_shard(
     let inject_delta2 = sp.params.delta2();
     let gap_ticks = sp.pace.gap_ticks(sp.params).max(1);
     let tick_micros = sp.tick.as_micros().max(1) as u64;
-    let lo = (sp.tick * u32::try_from(sp.params.c1().ticks()).unwrap_or(u32::MAX))
-        .saturating_sub(sp.slack);
-    let hi = sp.tick * u32::try_from(sp.params.c2().ticks()).unwrap_or(u32::MAX) + sp.slack;
-    let idle_steps_needed = sp.grace_ticks.div_ceil(gap_ticks).max(1);
+    let pacer = Pacer::new(sp.params, sp.tick, sp.pace, sp.slack, sp.grace_ticks);
 
     let mut report = ShardReport::new(sp.index);
     let mut wheel: TimerWheel<usize> = TimerWheel::new();
@@ -205,23 +224,7 @@ pub(crate) fn run_shard(
             match msg {
                 ShardMsg::Admit(spec) => {
                     let endpoint = receiver_endpoint(spec.kind, sp.params, spec.n)?;
-                    let codec = codec_for(spec.kind)?;
-                    let live = Live {
-                        spec,
-                        endpoint,
-                        codec,
-                        seq: 0,
-                        pending: VecDeque::new(),
-                        paused: false,
-                        prev_wake: None,
-                        idle_streak: 0,
-                        steps: 0,
-                        recvs: 0,
-                        sends: 0,
-                        last_write_tick: None,
-                        #[cfg(rstp_check_inject_ack_bug)]
-                        defer: None,
-                    };
+                    let live = Live::new(spec, endpoint, 0, false)?;
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(spec.id.raw(), idx);
                     // First step strictly in the future, like the
@@ -304,23 +307,7 @@ pub(crate) fn run_shard(
                 }
                 ShardMsg::Resume(resume) => {
                     let rs = *resume;
-                    let codec = codec_for(rs.spec.kind)?;
-                    let live = Live {
-                        spec: rs.spec,
-                        endpoint: rs.endpoint,
-                        codec,
-                        seq: rs.seq,
-                        pending: VecDeque::new(),
-                        paused: false,
-                        prev_wake: None,
-                        idle_streak: 0,
-                        steps: 0,
-                        recvs: 0,
-                        sends: 0,
-                        last_write_tick: None,
-                        #[cfg(rstp_check_inject_ack_bug)]
-                        defer: None,
-                    };
+                    let live = Live::new(rs.spec, rs.endpoint, rs.seq, false)?;
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(rs.spec.id.raw(), idx);
                     wheel.schedule(now_tick(&clock) + 1, idx);
@@ -393,22 +380,14 @@ pub(crate) fn run_shard(
                 continue;
             }
 
-            // Accounting identical to the single-session driver: a late
-            // wake is one deadline miss and poisons the adjacent gap
-            // measurements; a punctual wake's distance from the previous
-            // punctual wake must sit inside [c1·tick − slack, c2·tick + slack].
-            let wake = Instant::now();
-            let overshoot = wake.saturating_duration_since(clock.instant_of_tick(due_tick));
-            let late = overshoot > sp.slack;
-            if late {
-                report.deadline_misses += 1;
-            } else if let Some(prev) = live.prev_wake {
-                let observed = wake.saturating_duration_since(prev);
-                if observed < lo || observed > hi {
-                    report.timing_violations += 1;
-                }
+            let due = clock.instant_of_tick(due_tick);
+            let booked = pacer.wake(&mut live.cadence, due, Instant::now());
+            match booked {
+                Wake::Late => report.deadline_misses += 1,
+                Wake::Violation => report.timing_violations += 1,
+                Wake::Punctual => {}
             }
-            live.prev_wake = (!late).then_some(wake);
+            let late = booked == Wake::Late;
             if let Some(r) = &recorder {
                 r.record(Event::WheelPop {
                     at_micros: clock.now_micros(),
@@ -502,48 +481,36 @@ pub(crate) fn run_shard(
 
             // Completion: all writes in and a full grace period of quiet.
             let writes_done = live.endpoint.written().len() >= live.spec.n;
-            if productive || !writes_done {
-                live.idle_streak = 0;
-            } else {
-                live.idle_streak += 1;
-                if live.idle_streak >= idle_steps_needed {
-                    // `live` borrows this same slot, so it is occupied;
-                    // a vacant slot just means nothing to retire.
-                    let Some(done) = sessions.get_mut(idx).and_then(Option::take) else {
-                        continue;
-                    };
-                    by_id.remove(&done.spec.id.raw());
-                    report.completed += 1;
-                    let stats = done.stats(true);
-                    if let Some(r) = &recorder {
-                        r.record_durable(Event::Verdict {
-                            at_micros: clock.now_micros(),
-                            session: stats.id.raw(),
-                            completed: true,
-                            written: stats.written.clone(),
-                        });
-                    }
-                    report.sessions.push(stats);
-                    completed_total.fetch_add(1, Ordering::Relaxed);
-                    // Retire, don't discard: the paper's receiver never
-                    // stops acknowledging, and the final ack can be
-                    // lost or its client stalled past our grace by the
-                    // scheduler. Late duplicates find the ghost below.
-                    retired.insert(done.spec.id.raw(), done);
+            if pacer.settle(&mut live.cadence, productive, writes_done) {
+                // `live` borrows this same slot, so it is occupied; a
+                // vacant slot just means nothing to retire.
+                let Some(done) = sessions.get_mut(idx).and_then(Option::take) else {
                     continue;
+                };
+                by_id.remove(&done.spec.id.raw());
+                report.completed += 1;
+                let stats = done.stats(true);
+                if let Some(r) = &recorder {
+                    r.record_durable(Event::Verdict {
+                        at_micros: clock.now_micros(),
+                        session: stats.id.raw(),
+                        completed: true,
+                        written: stats.written.clone(),
+                    });
                 }
+                report.sessions.push(stats);
+                completed_total.fetch_add(1, Ordering::Relaxed);
+                // Retire, don't discard: the paper's receiver never stops
+                // acknowledging, and the final ack can be lost or its
+                // client stalled past our grace by the scheduler. Late
+                // duplicates find the ghost below.
+                retired.insert(done.spec.id.raw(), done);
+                continue;
             }
 
-            // Reschedule; after a stall longer than a whole gap,
-            // re-anchor from now rather than replaying missed deadlines
-            // back-to-back faster than c1.
-            let mut next = due_tick + gap_ticks;
-            let now = now_tick(&clock);
-            if now > next + gap_ticks {
-                next = now;
-                live.prev_wake = None;
-            }
-            wheel.schedule(next, idx);
+            // Reschedule one gap on, or re-anchored on now after a stall.
+            let next = pacer.next_due(&mut live.cadence, due, Instant::now());
+            wheel.schedule(clock.tick_at(next), idx);
         }
 
         // Flush egress in batches of B frames per call.
@@ -727,24 +694,8 @@ fn handle_control(
             ) else {
                 return;
             };
-            let Ok(codec) = codec_for(snap.kind) else {
+            let Ok(live) = Live::new(spec, endpoint, snap.seq, true) else {
                 return;
-            };
-            let live = Live {
-                spec,
-                endpoint,
-                codec,
-                seq: snap.seq,
-                pending: VecDeque::new(),
-                paused: true,
-                prev_wake: None,
-                idle_streak: 0,
-                steps: 0,
-                recvs: 0,
-                sends: 0,
-                last_write_tick: None,
-                #[cfg(rstp_check_inject_ack_bug)]
-                defer: None,
             };
             let idx = insert_live(sessions, live);
             by_id.insert(snap.session, idx);
@@ -809,7 +760,7 @@ fn handle_control(
             if let Some(live) = sessions.get_mut(idx).and_then(Option::as_mut) {
                 if live.paused {
                     live.paused = false;
-                    live.prev_wake = None;
+                    live.cadence.rebase();
                     wheel.schedule(now + 1, idx);
                     report.adopted += 1;
                 }
@@ -844,7 +795,7 @@ fn sweep_handover(
             if let Some(live) = sessions.get_mut(p.idx).and_then(Option::as_mut) {
                 if live.paused && live.spec.id.raw() == p.session {
                     live.paused = false;
-                    live.prev_wake = None;
+                    live.cadence.rebase();
                     wheel.schedule(now + 1, p.idx);
                 }
             }

@@ -1,12 +1,13 @@
 //! The M-client loopback load harness behind `rstp swarm`.
 //!
 //! One server process (sharded, timer-wheel paced) runs the receiver of
-//! every session; M client threads each run the ordinary single-session
-//! transmitter driver over its own [`Transport`] endpoint, all sharing
-//! one clock epoch so latency stamps are comparable. After the run the
-//! harness verifies the paper's correctness obligation end to end —
-//! every receiver output `Y` must equal its session's input `X` — and
-//! cross-checks a sample of sessions against the simulator oracle
+//! every session. The clients are transmitter sessions of `rstp-net`'s
+//! driver loop, each over its own [`Transport`] endpoint, spread over as
+//! many client threads as the server has shards. Everything shares the
+//! server's clock epoch, so latency stamps measure delivery. After the
+//! run the harness verifies the paper's correctness obligation end to
+//! end — every receiver output `Y` must equal its session's input `X` —
+//! and cross-checks a sample of sessions against the simulator oracle
 //! (`rstp_sim::harness::expected_output`), so the wall-clock stack is
 //! held to the same answer as the discrete-time model.
 
@@ -16,13 +17,13 @@ use crate::server::{run_server, ServeConfig, SessionSpec};
 use crate::udp::{UdpServerTransport, UdpSessionClient};
 use rstp_core::{Message, SessionId, TimingParams};
 use rstp_net::{
-    codec_for, run_transmitter, DriverConfig, DriverOutcome, DriverReport, NetError, Pace,
-    TickClock, Transport,
+    codec_for, run_sessions, transmitter_endpoint, DriverConfig, DriverOutcome, DriverReport,
+    NetError, Session, TickClock, Transport,
 };
 use rstp_sim::harness::{expected_output, random_input};
 use rstp_sim::ProtocolKind;
 use std::collections::HashMap;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 /// Which fabric carries the swarm.
@@ -95,13 +96,13 @@ pub struct SwarmReport {
     pub serve: ServeReport,
     /// Sessions the plan asked for.
     pub planned: usize,
-    /// Deadline misses across all client drivers.
+    /// Deadline misses across all client sessions.
     pub client_deadline_misses: u64,
-    /// Timing violations across all client drivers.
+    /// Timing violations across all client sessions.
     pub client_timing_violations: u64,
-    /// Ids of clients whose driver hit its wall-clock cap.
+    /// Ids of clients whose session hit the wall-clock cap.
     pub clients_timed_out: Vec<u32>,
-    /// One diagnostic line per timed-out client — what its driver did
+    /// One diagnostic line per timed-out client — what its session did
     /// before giving up, so an ack-loss race leaves a postmortem trail
     /// in the summary instead of a bare id.
     pub clients_timed_out_detail: Vec<String>,
@@ -258,57 +259,6 @@ impl SwarmReport {
     }
 }
 
-/// Per-shard step budget (steps per second) a commodity CI box sustains
-/// before the timer wheel lags the clock and deadline misses cascade.
-/// Calibrated against the γ(4) stall in ROADMAP item 5: 64 active
-/// sessions at a 200 µs tick offer 80k steps/s/shard on 4 shards and
-/// reliably starve the wall clock, while β at 256 sessions (passive,
-/// demand-driven) is fine.
-const SHARD_STEP_BUDGET_PER_SEC: u64 = 50_000;
-
-/// Deterministic pre-flight overload check for a swarm shape.
-///
-/// An *active* receiver (γ, pipelined) takes a local step — and sends an
-/// ack — every `[c1, c2]` window for the whole transfer, whether or not
-/// data arrived. Each session therefore offers about `1 / (c1 · tick)`
-/// server steps per second regardless of progress, and past the shard
-/// budget the wheel lags, misses cascade, and transfers stall past any
-/// wall clock instead of failing. Rather than flake, the harness
-/// predicts that load from the shape alone and refuses up front: the
-/// returned diagnosis names the offered and budgeted rates and the
-/// knobs that bring the shape back inside them. Passive receivers
-/// (α, β and the framed/windowed/stabilizing variants) step on demand,
-/// so their load is bounded by the client send rate and they pass.
-#[must_use]
-pub fn overload_diagnosis(config: &SwarmConfig) -> Option<String> {
-    let active = matches!(
-        config.kind,
-        ProtocolKind::Gamma { .. } | ProtocolKind::Pipelined { .. }
-    );
-    if !active {
-        return None;
-    }
-    let tick_us = config.serve.tick.as_micros().max(1) as u64;
-    let c1 = config.serve.params.c1().ticks().max(1);
-    let per_session = 1_000_000 / (c1 * tick_us).max(1);
-    let shards = config.serve.shards.max(1) as u64;
-    let offered = (config.sessions as u64) * per_session / shards;
-    if offered <= SHARD_STEP_BUDGET_PER_SEC {
-        return None;
-    }
-    Some(format!(
-        "predicted overload: {} active {} sessions at a {} µs tick offer \
-         ~{offered} steps/s per shard ({} shards), over the {} steps/s \
-         budget; transfers would stall, not fail. Raise --tick-us, add \
-         --shards, or lower --sessions.",
-        config.sessions,
-        config.kind.name(),
-        tick_us,
-        shards,
-        SHARD_STEP_BUDGET_PER_SEC
-    ))
-}
-
 /// Runs a uniform swarm per `config`, including the simulator-oracle
 /// cross-check on the first `oracle_sample` sessions.
 ///
@@ -360,7 +310,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
 }
 
 /// Runs an explicit (possibly mixed-protocol, mixed-`n`) session plan:
-/// each `(spec, input)` pair becomes one client thread transmitting
+/// each `(spec, input)` pair becomes one client session transmitting
 /// `input` while the server runs the matching receiver.
 ///
 /// # Errors
@@ -371,39 +321,36 @@ pub fn run_swarm_sessions(
     serve: &ServeConfig,
     transport: SwarmTransport,
 ) -> Result<SwarmReport, NetError> {
-    // Anchor tick 0 far enough ahead that every client thread exists
-    // before its first deadline (spawning M threads takes real time).
-    let headroom = Duration::from_millis(20)
-        + Duration::from_micros(100) * u32::try_from(sessions.len()).unwrap_or(u32::MAX);
-    let clock = TickClock::start_after(headroom, serve.tick);
-    let base = DriverConfig::new(serve.params, serve.tick)
-        .with_pace(serve.pace)
-        .with_max_wall(serve.max_wall);
+    // Anchor tick 0 far enough ahead that the shards and client threads
+    // are running before their first deadlines.
+    let clock = TickClock::start_after(Duration::from_millis(20), serve.tick);
     let specs: Vec<SessionSpec> = sessions.iter().map(|(s, _)| *s).collect();
 
     let (serve_report, clients) = match transport {
         SwarmTransport::Mem => {
             let mut hub = MemHub::new();
             let mut ends = Vec::with_capacity(sessions.len());
-            for (spec, input) in sessions {
-                let end = hub.client_transport(spec.id, codec_for(spec.kind)?);
-                ends.push((*spec, input.clone(), end));
+            for (spec, _) in sessions {
+                ends.push(hub.client_transport(spec.id, codec_for(spec.kind)?));
             }
-            let spawner = spawn_clients_async(ends, clock, base)?;
-            let report = run_server(&mut hub, clock, &specs, serve)?;
-            (report, join_clients(join_spawner(spawner)?)?)
+            with_clients(sessions, ends, serve, clock, || {
+                run_server(&mut hub, clock, &specs, serve)
+            })?
         }
         SwarmTransport::Udp => {
             let mut server = UdpServerTransport::bind(("127.0.0.1", 0))?;
             let addr = server.local_addr()?;
             let mut ends = Vec::with_capacity(sessions.len());
-            for (spec, input) in sessions {
-                let end = UdpSessionClient::connect(addr, spec.id, codec_for(spec.kind)?)?;
-                ends.push((*spec, input.clone(), end));
+            for (spec, _) in sessions {
+                ends.push(UdpSessionClient::connect(
+                    addr,
+                    spec.id,
+                    codec_for(spec.kind)?,
+                )?);
             }
-            let spawner = spawn_clients_async(ends, clock, base)?;
-            let report = run_server(&mut server, clock, &specs, serve)?;
-            (report, join_clients(join_spawner(spawner)?)?)
+            with_clients(sessions, ends, serve, clock, || {
+                run_server(&mut server, clock, &specs, serve)
+            })?
         }
     };
 
@@ -492,146 +439,70 @@ pub fn run_swarm_sessions(
     })
 }
 
-type ClientHandles = Vec<JoinHandle<Result<DriverReport, NetError>>>;
-
-/// Spawns the client threads from a helper thread so the caller can
-/// start the server pump *immediately*. Spawning hundreds of threads
-/// takes real time; if the clients were all spawned before the pump ran,
-/// their first sends could overrun a kernel socket buffer with nobody
-/// draining it — a correlated loss of every session's first symbol.
-fn spawn_clients_async<T: Transport + Send + 'static>(
-    ends: Vec<(SessionSpec, Vec<Message>, T)>,
-    clock: TickClock,
-    base: DriverConfig,
-) -> Result<JoinHandle<Result<ClientHandles, NetError>>, NetError> {
-    thread::Builder::new()
-        .name("rstp-swarm-spawner".into())
-        .spawn(move || spawn_clients(ends, clock, base))
-        .map_err(|e| NetError::Thread {
-            what: format!("spawn client spawner: {e}"),
-        })
-}
-
-fn join_spawner(
-    spawner: JoinHandle<Result<ClientHandles, NetError>>,
-) -> Result<ClientHandles, NetError> {
-    spawner.join().map_err(|_| NetError::Thread {
-        what: "swarm client spawner panicked".into(),
-    })?
-}
-
-/// At most this many clients are in their send phase at once; later
-/// clients start whole waves later (see [`spawn_clients`]).
+/// At most this many client sessions are sending at once, across all
+/// client threads. A default kernel UDP receive buffer holds only a few
+/// hundred datagrams, and on a small host the scheduler can hold the pump
+/// off for tens of milliseconds: 256 concurrent senders overrun the
+/// buffer in that gap, and losing all k copies of a symbol stalls an
+/// open-loop session forever.
 const WAVE: usize = 64;
 
-fn spawn_clients<T: Transport + Send + 'static>(
-    ends: Vec<(SessionSpec, Vec<Message>, T)>,
+/// Runs `server` on the calling thread while one client thread per shard
+/// drives the transmitter sessions — session `i` over `ends[i]` — under
+/// closed admission. Returns the server's report and one client report
+/// per session, in plan order.
+fn with_clients<T: Transport + Send>(
+    sessions: &[(SessionSpec, Vec<Message>)],
+    ends: Vec<T>,
+    serve: &ServeConfig,
     clock: TickClock,
-    base: DriverConfig,
-) -> Result<ClientHandles, NetError> {
-    // Client arrivals are ramped, in two tiers. Within a wave of WAVE
-    // clients, epochs spread across one step window: a shared epoch
-    // would send the whole wave's datagrams as one synchronized impulse
-    // per step. Successive waves start a conservatively overestimated
-    // transfer duration apart, so at most ~WAVE clients are in their
-    // send phase at once. Both tiers exist for the same reason: a
-    // default kernel UDP receive buffer holds only a few hundred
-    // datagrams, and on a small host the scheduler can hold the pump
-    // off for tens of milliseconds — 256 concurrent senders overrun the
-    // buffer in that gap, and losing all k copies of a symbol stalls an
-    // open-loop session forever. The ramp shapes client arrivals only;
-    // the server admits every session up front and paces all of their
-    // receivers on the wheel for the whole run.
-    let p = base.params;
-    let gap_ticks = match base.pace {
-        Pace::Fast => p.c1().ticks(),
-        Pace::Slow => p.c2().ticks(),
-    };
-    // One worst-case delivery + ack round, in ticks.
-    let round = p.c2().ticks() + p.d().ticks();
-    let n_max = ends
-        .iter()
-        .map(|(s, _, _)| u64::try_from(s.n).unwrap_or(u64::MAX))
-        .max()
-        .unwrap_or(0);
-    // Upper bound on one transfer: every message costs at most two send
-    // steps plus a round trip (covers ack-clocked gamma), plus the
-    // driver's terminal idle streak. A ramp estimate, not a correctness
-    // bound — overshooting only stretches the run.
-    let span_ticks = n_max
-        .saturating_mul(2 * gap_ticks + round)
-        .saturating_add(4 * round);
-    let wave_span = clock.tick() * u32::try_from(span_ticks).unwrap_or(u32::MAX);
-    let window = clock.tick() * u32::try_from(p.c2().ticks()).unwrap_or(u32::MAX);
-    let in_wave = u32::try_from(ends.len().min(WAVE))
-        .unwrap_or(u32::MAX)
-        .max(1);
-    let mut handles = Vec::with_capacity(ends.len());
-    for (i, (spec, input, mut end)) in ends.into_iter().enumerate() {
-        let wave = u32::try_from(i / WAVE).unwrap_or(u32::MAX);
-        let jitter = window * u32::try_from(i % WAVE).unwrap_or(u32::MAX) / in_wave;
-        let offset = wave_span * wave + jitter;
-        let clock = TickClock::with_epoch(clock.epoch() + offset, clock.tick());
-        let params = base.params;
-        let handle = thread::Builder::new()
-            .name(format!("rstp-swarm-client-{}", spec.id))
-            .spawn(move || run_transmitter(spec.kind, params, &input, &mut end, clock, &base))
-            .map_err(|e| NetError::Thread {
-                what: format!("spawn client {}: {e}", spec.id),
-            })?;
-        handles.push(handle);
+    server: impl FnOnce() -> Result<ServeReport, NetError>,
+) -> Result<(ServeReport, Vec<DriverReport>), NetError> {
+    let threads = serve.shards.clamp(1, WAVE);
+    let config = DriverConfig::new(serve.params, serve.tick)
+        .with_pace(serve.pace)
+        .with_max_wall(serve.max_wall)
+        .with_max_live((WAVE / threads).max(1));
+    // Deal sessions round-robin, so every thread carries a share of each
+    // part of the plan.
+    let mut lanes: Vec<(Vec<usize>, Vec<Session<T>>)> =
+        (0..threads).map(|_| (Vec::new(), Vec::new())).collect();
+    for (i, ((spec, input), end)) in sessions.iter().zip(ends).enumerate() {
+        let endpoint = transmitter_endpoint(spec.kind, serve.params, input)?;
+        let (ids, lane) = &mut lanes[i % threads];
+        ids.push(i);
+        lane.push(Session::transmitter(endpoint, end));
     }
-    Ok(handles)
-}
 
-fn join_clients(handles: ClientHandles) -> Result<Vec<DriverReport>, NetError> {
-    handles
-        .into_iter()
-        .map(|h| {
-            h.join().map_err(|_| NetError::Thread {
-                what: "swarm client panicked".into(),
-            })?
-        })
-        .collect()
+    thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(threads);
+        for (ids, lane) in lanes {
+            let handle = thread::Builder::new()
+                .name("rstp-swarm-clients".into())
+                .spawn_scoped(scope, move || run_sessions(lane, clock, &config))
+                .map_err(|e| NetError::Thread {
+                    what: format!("spawn client thread: {e}"),
+                })?;
+            handles.push((ids, handle));
+        }
+        let report = server();
+        let mut clients: Vec<Option<DriverReport>> = sessions.iter().map(|_| None).collect();
+        for (ids, handle) in handles {
+            let reports = handle.join().map_err(|_| NetError::Thread {
+                what: "swarm client thread panicked".into(),
+            })??;
+            for (i, r) in ids.into_iter().zip(reports) {
+                clients[i] = Some(r);
+            }
+        }
+        let clients = clients.into_iter().flatten().collect();
+        Ok((report?, clients))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overload_model_flags_the_roadmap_gamma_shape_and_nothing_passive() {
-        let params = TimingParams::from_ticks(1, 2, 8).expect("valid");
-        let tick = Duration::from_micros(200);
-        // The documented stall: 64 γ(4) sessions on the mem hub.
-        let gamma = SwarmConfig::new(ProtocolKind::Gamma { k: 4 }, 32, 64, params, tick);
-        let diag = overload_diagnosis(&gamma).expect("the 64×γ shape must be flagged");
-        assert!(diag.contains("predicted overload"), "{diag}");
-        assert!(diag.contains("gamma"), "{diag}");
-        // Passive β is fine even at 4× the sessions.
-        let beta = SwarmConfig::new(ProtocolKind::Beta { k: 4 }, 32, 256, params, tick);
-        assert!(overload_diagnosis(&beta).is_none());
-        // So are the stabilizing kinds — demand-driven receivers.
-        let stab = SwarmConfig::new(
-            ProtocolKind::StabStenning {
-                timeout_steps: None,
-            },
-            32,
-            64,
-            params,
-            tick,
-        );
-        assert!(overload_diagnosis(&stab).is_none());
-        // And γ itself passes once the tick is coarse enough.
-        let coarse = SwarmConfig::new(
-            ProtocolKind::Gamma { k: 4 },
-            32,
-            64,
-            params,
-            Duration::from_micros(2000),
-        );
-        assert!(overload_diagnosis(&coarse).is_none());
-    }
 
     #[test]
     fn stabilizing_swarm_holds_y_equals_x_at_64_sessions() {

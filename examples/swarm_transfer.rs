@@ -19,7 +19,7 @@ use std::time::Duration;
 
 fn main() {
     let params = TimingParams::from_ticks(1, 2, 4).expect("valid parameters");
-    // A coarse tick: 64 client threads plus the shards all share however
+    // A coarse tick: the client threads and the shards share however
     // many cores the host has, and gamma's ack clocking needs every
     // round trip to land inside the schedule even on a loaded machine.
     let tick = Duration::from_millis(1);

@@ -11,9 +11,11 @@
 
 use rstp::core::protocols::{BetaReceiver, BetaTransmitter};
 use rstp::core::TimingParams;
-use rstp::net::{run_endpoint, DriverConfig, ProtocolId, TickClock, UdpTransport, WireCodec};
+use rstp::net::{
+    run_sessions, Driven, DriverConfig, ProtocolId, Session, TickClock, UdpTransport, WireCodec,
+};
 use rstp::sim::harness::random_input;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() {
     let params = TimingParams::from_ticks(1, 2, 8).expect("valid parameters");
@@ -29,35 +31,30 @@ fn main() {
 
     // Two cross-wired sockets on 127.0.0.1, one per endpoint.
     let codec = WireCodec::new(ProtocolId::Beta, k).expect("k fits the wire");
-    let (mut t_end, mut r_end) = UdpTransport::loopback_pair(codec).expect("loopback sockets");
+    let (t_end, r_end) = UdpTransport::loopback_pair(codec).expect("loopback sockets");
     println!(
         "transmitter {} <-> receiver {}",
         t_end.local_addr().expect("addr"),
         r_end.local_addr().expect("addr")
     );
 
-    // A shared epoch a moment in the future, so both drivers take their
-    // first step at tick 0 like the simulator's processes.
-    let epoch = Instant::now() + Duration::from_millis(5);
-    let t_clock = TickClock::with_epoch(epoch, tick);
-    let r_clock = TickClock::with_epoch(epoch, tick);
-    let t_cfg = DriverConfig::new(params, tick).with_max_wall(Duration::from_secs(30));
-    let r_cfg = DriverConfig::new(params, tick)
-        .with_expected_writes(n)
-        .with_max_wall(Duration::from_secs(30));
+    // A shared epoch a moment in the future, so both driver loops take
+    // their first step at tick 0 like the simulator's processes.
+    let clock = TickClock::start_after(Duration::from_millis(5), tick);
+    let cfg = DriverConfig::new(params, tick).with_max_wall(Duration::from_secs(30));
 
-    let t_input = input.clone();
-    let transmitter = std::thread::spawn(move || {
-        let automaton = BetaTransmitter::new(params, k, &t_input).expect("beta transmitter");
-        run_endpoint(&automaton, &mut t_end, t_clock, &t_cfg)
-    });
-    let receiver = std::thread::spawn(move || {
-        let automaton = BetaReceiver::new(params, k, n).expect("beta receiver");
-        run_endpoint(&automaton, &mut r_end, r_clock, &r_cfg)
-    });
+    // Each end is one session of its own driver loop; a loop could as
+    // well pace both (or hundreds) on one thread.
+    let automaton = BetaTransmitter::new(params, k, &input).expect("beta transmitter");
+    let transmitter = Session::transmitter(Box::new(Driven::new(automaton)), t_end);
+    let automaton = BetaReceiver::new(params, k, n).expect("beta receiver");
+    let receiver = Session::receiver(Box::new(Driven::new(automaton)), r_end, n);
+    let run = move |session| run_sessions(vec![session], clock, &cfg).expect("driver run");
+    let transmitter = std::thread::spawn(move || run(transmitter));
+    let receiver = std::thread::spawn(move || run(receiver));
 
-    let t_report = transmitter.join().expect("join").expect("transmitter run");
-    let r_report = receiver.join().expect("join").expect("receiver run");
+    let t_report = transmitter.join().expect("join").remove(0);
+    let r_report = receiver.join().expect("join").remove(0);
 
     assert_eq!(
         r_report.written, input,
