@@ -342,7 +342,9 @@ fn fn_defs(file: &SourceFile, file_idx: usize, attrs: &[bool]) -> Vec<FnDef> {
             && !attrs.get(i).copied().unwrap_or(false)
         {
             let name = toks[i + 1].text.clone();
-            // Body `{` at paren depth 0, or `;` (a declaration).
+            // Body `{` at paren depth 0, or `;` (a declaration). Brackets
+            // count as parens: the `;` of an array type (`-> [u8; N]`)
+            // does not end the signature.
             let mut j = i + 2;
             if toks.get(j).is_some_and(|t| t.is_punct('<')) {
                 j = crate::path::skip_angles(toks, j).map_or(j + 1, |c| c + 1);
@@ -351,9 +353,9 @@ fn fn_defs(file: &SourceFile, file_idx: usize, attrs: &[bool]) -> Vec<FnDef> {
             let mut body = None;
             while j < toks.len() {
                 let t = &toks[j];
-                if t.is_punct('(') {
+                if t.is_punct('(') || t.is_punct('[') {
                     paren += 1;
-                } else if t.is_punct(')') {
+                } else if t.is_punct(')') || t.is_punct(']') {
                     paren = paren.saturating_sub(1);
                 } else if paren == 0 && t.is_punct('{') {
                     body = Some(j);
@@ -1030,6 +1032,18 @@ mod tests {
         assert_eq!(g.fns[2].trait_name.as_deref(), Some("T"));
         assert_eq!(g.fns[3].self_type.as_deref(), Some("S"));
         assert_eq!(g.fns[3].trait_name.as_deref(), Some("T"));
+    }
+
+    #[test]
+    fn array_return_types_do_not_end_the_signature() {
+        let g = graph_of(
+            "struct C;\n\
+             impl C { fn encode(&self, x: [u8; 2]) -> [u8; 4] { self.fill() } fn fill(&self) {} }\n\
+             fn decl() -> [u8; 4];",
+        );
+        let encode = g.find("C", "encode")[0];
+        assert_eq!(g.edges[encode], vec![g.find("C", "fill")[0]]);
+        assert!(g.find_in_file("crates/serve/src/x.rs", "decl").is_empty());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::callgraph::{CallGraph, FnDef, SinkKind};
 use crate::rules::Finding;
 
 /// How a pass recognizes its entry points in the symbol table.
+#[derive(Debug)]
 enum Matcher {
     /// Any impl of `trait_name`; `method` narrows to one method name
     /// (`None` = every method of the trait).
@@ -62,11 +63,7 @@ impl Matcher {
 const PANIC_ENTRIES: &[Matcher] = &[
     Matcher::TraitImpl {
         trait_name: "Automaton",
-        method: Some("step"),
-    },
-    Matcher::TraitImpl {
-        trait_name: "Automaton",
-        method: Some("output"),
+        method: Some("apply"),
     },
     Matcher::TypeMethod {
         type_name: "WireCodec",
@@ -111,7 +108,7 @@ const PANIC_ENTRIES: &[Matcher] = &[
 /// `run_shard` itself is *not* here — its single `recv_timeout` park is
 /// the designed blocking point, and its admission work (session setup)
 /// may allocate; the per-frame work it dispatches to is what must stay
-/// nonblocking and allocation-free. Protocol automata (`step`) are the
+/// nonblocking and allocation-free. Protocol automata (`apply`) are the
 /// *panic* pass's concern: their error paths may format messages, which
 /// is cold-path allocation, not steady state.
 const STEADY_STATE_ENTRIES: &[Matcher] = &[
@@ -132,6 +129,19 @@ const STEADY_STATE_ENTRIES: &[Matcher] = &[
         method: Some("recv_batch"),
     },
 ];
+
+/// The entry matchers of every pass that match no fn in `graph`. A stale
+/// matcher silently drops its roots while the pass's other matchers keep
+/// its entry count above zero.
+#[must_use]
+pub fn unmatched_entries(graph: &CallGraph) -> Vec<String> {
+    PANIC_ENTRIES
+        .iter()
+        .chain(STEADY_STATE_ENTRIES)
+        .filter(|m| !graph.fns.iter().any(|f| m.matches(f)))
+        .map(|m| format!("{m:?}"))
+        .collect()
+}
 
 /// One pass's summary, surfaced in the JSON report.
 #[derive(Clone, Debug)]

@@ -5,7 +5,7 @@
 //! violation (or a baseline entry gone stale) fails `cargo test` before
 //! it ever reaches CI.
 
-use rstp_analyze::{analyze_workspace, lockorder, LOCK_ORDER_PATH};
+use rstp_analyze::{analyze_workspace, lockorder, reach, LOCK_ORDER_PATH};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -86,6 +86,18 @@ fn call_graph_resolves_the_workspace_it_ships_in() {
             pass.rule
         );
     }
+}
+
+#[test]
+fn every_entry_matcher_matches_a_workspace_fn() {
+    // A pass with several matchers keeps a nonzero entry count when one of
+    // them goes stale (say, a trait method renamed), so check each one.
+    let report = analyze_workspace(&workspace_root()).expect("workspace analyzes");
+    let stale = reach::unmatched_entries(&report.call_graph);
+    assert!(
+        stale.is_empty(),
+        "entry matchers that match no fn: {stale:#?}"
+    );
 }
 
 #[test]

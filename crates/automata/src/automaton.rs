@@ -31,6 +31,15 @@ pub enum StepError {
     },
 }
 
+impl StepError {
+    /// [`StepError::UnknownAction`] for `action`.
+    pub fn unknown(action: &impl fmt::Debug) -> Self {
+        StepError::UnknownAction {
+            action: format!("{action:?}"),
+        }
+    }
+}
+
 impl fmt::Display for StepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -48,8 +57,8 @@ impl std::error::Error for StepError {}
 
 /// An I/O automaton (paper §2.1).
 ///
-/// The transition relation is represented by [`step`](Automaton::step)
-/// (partial function: `None`-like failure via [`StepError`]) together with
+/// The transition relation is represented by [`apply`](Automaton::apply)
+/// (a partial function: failure via [`StepError`]) together with
 /// [`enabled`](Automaton::enabled) (which local actions may fire). All
 /// automata in this crate family are *deterministic* in the paper's sense —
 /// at most one local action enabled per state and at most one post-state per
@@ -78,12 +87,22 @@ pub trait Automaton {
     /// [`ActionClass::Internal`].
     fn enabled(&self, state: &Self::State) -> Vec<Self::Action>;
 
-    /// Applies `action` to `state`.
+    /// Applies `action` to `state` in place, as the paper's effects update
+    /// state variables (`A := A ∪ {p}`, `k := k + 1`).
     ///
     /// Must succeed for every input action in every state
     /// (**input-enabledness**, paper §2.1 item 3). For local actions it must
-    /// succeed exactly when the action's precondition holds.
-    fn step(&self, state: &Self::State, action: &Self::Action) -> Result<Self::State, StepError>;
+    /// succeed exactly when the action's precondition holds. An `Err` leaves
+    /// `state` untouched, so a caller may keep using it.
+    fn apply(&self, state: &mut Self::State, action: &Self::Action) -> Result<(), StepError>;
+
+    /// The post-state of `action` from `state`, leaving `state` as it was:
+    /// [`apply`](Automaton::apply) on a clone.
+    fn step(&self, state: &Self::State, action: &Self::Action) -> Result<Self::State, StepError> {
+        let mut next = state.clone();
+        self.apply(&mut next, action)?;
+        Ok(next)
+    }
 
     /// The index of the fairness class of a local action
     /// (`fair(A)` is a partition of `loc(A)`; paper §2.1 item 4).
@@ -218,16 +237,19 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &bool, action: &Act) -> Result<bool, StepError> {
+        fn apply(&self, state: &mut bool, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Poke => Ok(*state), // input-enabled: always applicable
-                Act::On if !*state => Ok(true),
-                Act::Off if *state => Ok(false),
-                _ => Err(StepError::PreconditionFalse {
-                    action: format!("{action:?}"),
-                    reason: "toggle already in target position".into(),
-                }),
+                Act::Poke => {} // input-enabled: always applicable
+                Act::On if !*state => *state = true,
+                Act::Off if *state => *state = false,
+                _ => {
+                    return Err(StepError::PreconditionFalse {
+                        action: format!("{action:?}"),
+                        reason: "toggle already in target position".into(),
+                    })
+                }
             }
+            Ok(())
         }
     }
 

@@ -95,15 +95,15 @@ impl std::error::Error for CompatibilityError {}
 ///     fn enabled(&self, s: &bool) -> Vec<Act> {
 ///         if *s { vec![] } else { vec![Act::Fire] }
 ///     }
-///     fn step(&self, s: &bool, _: &Act) -> Result<bool, StepError> {
+///     fn apply(&self, s: &mut bool, _: &Act) -> Result<(), StepError> {
 ///         if *s {
-///             Err(StepError::PreconditionFalse {
+///             return Err(StepError::PreconditionFalse {
 ///                 action: "Fire".into(),
 ///                 reason: "already fired".into(),
-///             })
-///         } else {
-///             Ok(true)
+///             });
 ///         }
+///         *s = true;
+///         Ok(())
 ///     }
 /// }
 ///
@@ -114,7 +114,10 @@ impl std::error::Error for CompatibilityError {}
 ///     fn initial_state(&self) -> bool { false }
 ///     fn classify(&self, _: &Act) -> Option<ActionClass> { Some(ActionClass::Input) }
 ///     fn enabled(&self, _: &bool) -> Vec<Act> { vec![] }
-///     fn step(&self, _: &bool, _: &Act) -> Result<bool, StepError> { Ok(true) }
+///     fn apply(&self, s: &mut bool, _: &Act) -> Result<(), StepError> {
+///         *s = true;
+///         Ok(())
+///     }
 /// }
 ///
 /// let sys = Compose::new(Sender, Latch);
@@ -247,24 +250,23 @@ where
         actions
     }
 
-    fn step(&self, state: &Self::State, action: &A) -> Result<Self::State, StepError> {
-        let (in_left, in_right) = self.participants(action);
-        if !in_left && !in_right {
-            return Err(StepError::UnknownAction {
-                action: format!("{action:?}"),
-            });
+    /// All-or-nothing: when a shared action fails on the right, the left
+    /// component's move is undone, so neither component changes.
+    fn apply(&self, state: &mut Self::State, action: &A) -> Result<(), StepError> {
+        match self.participants(action) {
+            (false, false) => Err(StepError::unknown(action)),
+            (true, false) => self.left.apply(&mut state.0, action),
+            (false, true) => self.right.apply(&mut state.1, action),
+            (true, true) => {
+                let left_before = state.0.clone();
+                self.left.apply(&mut state.0, action)?;
+                if let Err(e) = self.right.apply(&mut state.1, action) {
+                    state.0 = left_before;
+                    return Err(e);
+                }
+                Ok(())
+            }
         }
-        let next_left = if in_left {
-            self.left.step(&state.0, action)?
-        } else {
-            state.0.clone()
-        };
-        let next_right = if in_right {
-            self.right.step(&state.1, action)?
-        } else {
-            state.1.clone()
-        };
-        Ok((next_left, next_right))
     }
 
     fn fairness_class(&self, action: &A) -> usize {
@@ -320,12 +322,13 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &Self::State, action: &Act) -> Result<Self::State, StepError> {
+        fn apply(&self, state: &mut Self::State, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Ping => Ok((true, state.1)),
-                Act::Pong => Ok((state.0, true)),
-                Act::Tick(_) => Ok(*state),
+                Act::Ping => state.0 = true,
+                Act::Pong => state.1 = true,
+                Act::Tick(_) => {}
             }
+            Ok(())
         }
     }
 
@@ -354,12 +357,13 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &Self::State, action: &Act) -> Result<Self::State, StepError> {
+        fn apply(&self, state: &mut Self::State, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Ping => Ok((true, state.1)),
-                Act::Pong => Ok((state.0, true)),
-                Act::Tick(_) => Ok(*state),
+                Act::Ping => state.0 = true,
+                Act::Pong => state.1 = true,
+                Act::Tick(_) => {}
             }
+            Ok(())
         }
     }
 
@@ -415,6 +419,56 @@ mod tests {
         // For Compose<PingSide, PingSide>, Tick(Right) is known to neither.
         let err = sys.step(&sys.initial_state(), &Act::Tick(Side::Right));
         assert!(matches!(err, Err(StepError::UnknownAction { .. })));
+    }
+
+    /// Emits Ping once; a second Ping fails its precondition.
+    struct PingOnce;
+
+    impl Automaton for PingOnce {
+        type Action = Act;
+        type State = bool; // pinged?
+
+        fn initial_state(&self) -> bool {
+            false
+        }
+
+        fn classify(&self, action: &Act) -> Option<ActionClass> {
+            (*action == Act::Ping).then_some(ActionClass::Output)
+        }
+
+        fn enabled(&self, state: &bool) -> Vec<Act> {
+            if *state {
+                vec![]
+            } else {
+                vec![Act::Ping]
+            }
+        }
+
+        fn apply(&self, state: &mut bool, action: &Act) -> Result<(), StepError> {
+            if *state {
+                return Err(StepError::PreconditionFalse {
+                    action: format!("{action:?}"),
+                    reason: "already pinged".into(),
+                });
+            }
+            *state = true;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failed_shared_action_changes_neither_component() {
+        // The left side accepts Ping, the right rejects it: the left's move
+        // must be undone.
+        let sys = Compose::new(PingOnce, PingOnce);
+        let mut state = (false, true);
+        let err = sys.apply(&mut state, &Act::Ping);
+        assert!(matches!(err, Err(StepError::PreconditionFalse { .. })));
+        assert_eq!(state, (false, true));
+        // Rejected on the left: the right is never touched.
+        let mut state = (true, false);
+        assert!(sys.apply(&mut state, &Act::Ping).is_err());
+        assert_eq!(state, (true, false));
     }
 
     #[test]

@@ -135,8 +135,9 @@ mod tests {
                 Vec::new()
             }
         }
-        fn step(&self, s: &u64, _a: &Act) -> Result<u64, StepError> {
-            Ok((s + 1).min(self.cap))
+        fn apply(&self, s: &mut u64, _a: &Act) -> Result<(), StepError> {
+            *s = (*s + 1).min(self.cap);
+            Ok(())
         }
     }
 

@@ -261,16 +261,19 @@ mod tests {
             vec![Act::Inc, Act::Report(*state)]
         }
 
-        fn step(&self, state: &u32, action: &Act) -> Result<u32, StepError> {
+        fn apply(&self, state: &mut u32, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Inc => Ok(state + 1),
-                Act::Nudge => Ok(*state),
-                Act::Report(n) if n == state => Ok(*state),
-                Act::Report(n) => Err(StepError::PreconditionFalse {
-                    action: format!("Report({n})"),
-                    reason: format!("counter is {state}"),
-                }),
+                Act::Inc => *state += 1,
+                Act::Nudge => {}
+                Act::Report(n) if n == state => {}
+                Act::Report(n) => {
+                    return Err(StepError::PreconditionFalse {
+                        action: format!("Report({n})"),
+                        reason: format!("counter is {state}"),
+                    })
+                }
             }
+            Ok(())
         }
     }
 

@@ -222,15 +222,18 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &u32, action: &Act) -> Result<u32, StepError> {
+        fn apply(&self, state: &mut u32, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Inc if *state < self.limit => Ok(state + 1),
-                Act::Inc => Err(StepError::PreconditionFalse {
-                    action: "Inc".into(),
-                    reason: "saturated".into(),
-                }),
-                Act::Reset => Ok(0),
+                Act::Inc if *state < self.limit => *state += 1,
+                Act::Inc => {
+                    return Err(StepError::PreconditionFalse {
+                        action: "Inc".into(),
+                        reason: "saturated".into(),
+                    })
+                }
+                Act::Reset => *state = 0,
             }
+            Ok(())
         }
     }
 
@@ -300,8 +303,8 @@ mod tests {
             fn enabled(&self, _s: &u32) -> Vec<Act> {
                 vec![Act::Inc, Act::Reset]
             }
-            fn step(&self, s: &u32, _a: &Act) -> Result<u32, StepError> {
-                Ok(*s)
+            fn apply(&self, _s: &mut u32, _a: &Act) -> Result<(), StepError> {
+                Ok(())
             }
         }
         let err = explore(&Bad, &[], 10, |_| Ok(())).unwrap_err();

@@ -95,15 +95,15 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &u32, _action: &Emit) -> Result<u32, StepError> {
-            if *state < self.limit {
-                Ok(state + 1)
-            } else {
-                Err(StepError::PreconditionFalse {
+        fn apply(&self, state: &mut u32, _action: &Emit) -> Result<(), StepError> {
+            if *state >= self.limit {
+                return Err(StepError::PreconditionFalse {
                     action: "Emit".into(),
                     reason: "limit reached".into(),
-                })
+                });
             }
+            *state += 1;
+            Ok(())
         }
     }
 

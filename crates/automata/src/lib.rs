@@ -55,7 +55,10 @@
 //!         Some(ActionClass::Internal)
 //!     }
 //!     fn enabled(&self, _s: &u32) -> Vec<Act> { vec![Act::Tick] }
-//!     fn step(&self, s: &u32, _a: &Act) -> Result<u32, StepError> { Ok(s + 1) }
+//!     fn apply(&self, s: &mut u32, _a: &Act) -> Result<(), StepError> {
+//!         *s += 1;
+//!         Ok(())
+//!     }
 //! }
 //!
 //! let mut exec = Execution::new(Counter.initial_state());

@@ -121,32 +121,24 @@ impl Automaton for PositionalTransmitter {
         }
     }
 
-    fn step(&self, s: &PtState, action: &RstpAction) -> Result<PtState, StepError> {
-        let advance = |s: &PtState| {
-            let c = (s.c + 1) % (self.burst_len + self.wait_len);
-            if c == 0 {
-                PtState {
-                    block: s.block + 1,
-                    c: 0,
-                }
-            } else {
-                PtState { block: s.block, c }
-            }
-        };
+    fn apply(&self, s: &mut PtState, action: &RstpAction) -> Result<(), StepError> {
+        let sending = s.c < self.burst_len;
         match action {
-            RstpAction::Send(_) if s.block < self.blocks.len() && s.c < self.burst_len => {
-                Ok(advance(s))
-            }
+            RstpAction::Send(_) if s.block < self.blocks.len() && sending => {}
             RstpAction::TransmitterInternal(InternalKind::Wait)
-                if s.block < self.blocks.len() && s.c >= self.burst_len =>
-            {
-                Ok(advance(s))
+                if s.block < self.blocks.len() && !sending => {}
+            other => {
+                return Err(StepError::PreconditionFalse {
+                    action: format!("{other:?}"),
+                    reason: "positional transmitter precondition".into(),
+                })
             }
-            other => Err(StepError::PreconditionFalse {
-                action: format!("{other:?}"),
-                reason: "positional transmitter precondition".into(),
-            }),
         }
+        s.c = (s.c + 1) % (self.burst_len + self.wait_len);
+        if s.c == 0 {
+            s.block += 1;
+        }
+        Ok(())
     }
 }
 
@@ -207,46 +199,38 @@ impl Automaton for PositionalReceiver {
         }
     }
 
-    fn step(&self, s: &PrState, action: &RstpAction) -> Result<PrState, StepError> {
+    fn apply(&self, s: &mut PrState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(sym)) => {
-                let mut next = s.clone();
-                next.burst.push(*sym % self.k);
-                if next.burst.len() as u64 == self.delta {
-                    let bits = positional_decode(self.k, &next.burst, self.bits);
-                    let remaining = self.expected.saturating_sub(next.decoded.len());
+                s.burst.push(*sym % self.k);
+                if s.burst.len() as u64 == self.delta {
+                    let bits = positional_decode(self.k, &s.burst, self.bits);
+                    let remaining = self.expected.saturating_sub(s.decoded.len());
                     let take = bits.len().min(remaining);
-                    next.decoded.extend(bits.into_iter().take(take));
-                    next.burst.clear();
+                    s.decoded.extend(bits.into_iter().take(take));
+                    s.burst.clear();
                 }
-                Ok(next)
             }
             RstpAction::Write(m) => {
-                if s.decoded.get(s.written) == Some(m) {
-                    let mut next = s.clone();
-                    next.written += 1;
-                    Ok(next)
-                } else {
-                    Err(StepError::PreconditionFalse {
+                if s.decoded.get(s.written) != Some(m) {
+                    return Err(StepError::PreconditionFalse {
                         action: format!("{action:?}"),
                         reason: "write precondition".into(),
-                    })
+                    });
                 }
+                s.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if s.written < s.decoded.len() {
-                    Err(StepError::PreconditionFalse {
+                    return Err(StepError::PreconditionFalse {
                         action: format!("{action:?}"),
                         reason: "idle precondition".into(),
-                    })
-                } else {
-                    Ok(s.clone())
+                    });
                 }
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

@@ -347,12 +347,6 @@ fn first_failure(
     let mut check = CheckConfig::from_params(scenario.params);
     check.expect_complete = !faulty;
     check.expect_bijection = !faulty;
-    if faulty {
-        // Under injected drops the checker's per-value FIFO matching pairs
-        // a delivery against a dropped earlier send, so the Δ upper bound
-        // would false-alarm; the prefix, liveness, and Σ checks stay on.
-        check.d_hi = rstp_automata::TimeDelta::from_ticks(u64::MAX / 4);
-    }
     let report = check_trace(trace, &check);
     if let Some(v) = report.violations.first() {
         return Some(Failure {

@@ -120,30 +120,21 @@ impl Automaton for Channel {
         seen.into_iter().map(RstpAction::Recv).collect()
     }
 
-    fn step(&self, state: &ChannelState, action: &RstpAction) -> Result<ChannelState, StepError> {
+    fn apply(&self, state: &mut ChannelState, action: &RstpAction) -> Result<(), StepError> {
         match action {
-            RstpAction::Send(p) => {
-                let mut next = state.clone();
-                next.in_flight.push(*p);
-                Ok(next)
-            }
+            RstpAction::Send(p) => state.in_flight.push(*p),
             RstpAction::Recv(p) => {
-                let mut next = state.clone();
-                match next.in_flight.iter().position(|q| q == p) {
-                    Some(idx) => {
-                        next.in_flight.remove(idx);
-                        Ok(next)
-                    }
-                    None => Err(StepError::PreconditionFalse {
+                let Some(idx) = state.in_flight.iter().position(|q| q == p) else {
+                    return Err(StepError::PreconditionFalse {
                         action: format!("{action:?}"),
                         reason: format!("packet {p} is not in flight"),
-                    }),
-                }
+                    });
+                };
+                state.in_flight.remove(idx);
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

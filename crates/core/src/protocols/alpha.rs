@@ -77,18 +77,11 @@ impl AlphaTransmitter {
 
     /// Advances the round counters after a step: `j := j + 1;
     /// if j = δ1 then (i := i + 1; j := 0)`.
-    fn advance(&self, state: &AlphaTransmitterState) -> AlphaTransmitterState {
-        let j = state.idle_count + 1;
-        if j == self.delta1 {
-            AlphaTransmitterState {
-                next: state.next + 1,
-                idle_count: 0,
-            }
-        } else {
-            AlphaTransmitterState {
-                next: state.next,
-                idle_count: j,
-            }
+    fn advance(&self, state: &mut AlphaTransmitterState) {
+        state.idle_count += 1;
+        if state.idle_count == self.delta1 {
+            state.next += 1;
+            state.idle_count = 0;
         }
     }
 }
@@ -125,11 +118,11 @@ impl Automaton for AlphaTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &AlphaTransmitterState,
+        state: &mut AlphaTransmitterState,
         action: &RstpAction,
-    ) -> Result<AlphaTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Send(p) => {
                 if state.idle_count != 0 || state.next >= self.input.len() {
@@ -147,7 +140,6 @@ impl Automaton for AlphaTransmitter {
                         reason: format!("p must equal x_i = {}", self.packet_for(state.next)),
                     });
                 }
-                Ok(self.advance(state))
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
                 if state.idle_count == 0 || state.idle_count >= self.delta1 {
@@ -156,12 +148,11 @@ impl Automaton for AlphaTransmitter {
                         reason: format!("wait_t requires 0 < j < δ1 (j = {})", state.idle_count),
                     });
                 }
-                Ok(self.advance(state))
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        self.advance(state);
+        Ok(())
     }
 }
 
@@ -214,17 +205,9 @@ impl Automaton for AlphaReceiver {
         }
     }
 
-    fn step(
-        &self,
-        state: &AlphaReceiverState,
-        action: &RstpAction,
-    ) -> Result<AlphaReceiverState, StepError> {
+    fn apply(&self, state: &mut AlphaReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
-            RstpAction::Recv(Packet::Data(s)) => {
-                let mut next = state.clone();
-                next.received.push(*s != 0);
-                Ok(next)
-            }
+            RstpAction::Recv(Packet::Data(s)) => state.received.push(*s != 0),
             RstpAction::Write(m) => {
                 let Some(&expected) = state.received.get(state.written) else {
                     return Err(StepError::PreconditionFalse {
@@ -238,9 +221,7 @@ impl Automaton for AlphaReceiver {
                         reason: format!("m must equal y_k = {expected}"),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if state.written < state.received.len() {
@@ -249,12 +230,10 @@ impl Automaton for AlphaReceiver {
                         reason: "idle_r requires k > i (nothing to write)".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

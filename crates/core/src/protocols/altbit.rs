@@ -111,21 +111,17 @@ impl Automaton for AltBitTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &AltBitTransmitterState,
+        state: &mut AltBitTransmitterState,
         action: &RstpAction,
-    ) -> Result<AltBitTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Ack(tag)) => {
                 // Input-enabled: stale or stray acks are absorbed silently.
                 if state.next < self.input.len() && (tag & 1) == (state.next as u64) & 1 {
-                    Ok(AltBitTransmitterState {
-                        next: state.next + 1,
-                        timer: 0,
-                    })
-                } else {
-                    Ok(state.clone())
+                    state.next += 1;
+                    state.timer = 0;
                 }
             }
             RstpAction::Send(Packet::Data(symbol)) => {
@@ -144,10 +140,7 @@ impl Automaton for AltBitTransmitter {
                         reason: "packet must carry the current (tag, bit)".into(),
                     });
                 }
-                Ok(AltBitTransmitterState {
-                    next: state.next,
-                    timer: 1,
-                })
+                state.timer = 1;
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
                 if state.next >= self.input.len() || state.timer == 0 {
@@ -156,16 +149,11 @@ impl Automaton for AltBitTransmitter {
                         reason: "wait requires a running retransmission timer".into(),
                     });
                 }
-                let timer = (state.timer + 1) % self.timeout_steps;
-                Ok(AltBitTransmitterState {
-                    next: state.next,
-                    timer,
-                })
+                state.timer = (state.timer + 1) % self.timeout_steps;
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 
@@ -222,36 +210,28 @@ impl Automaton for AltBitReceiver {
         }
     }
 
-    fn step(
-        &self,
-        state: &AltBitReceiverState,
-        action: &RstpAction,
-    ) -> Result<AltBitReceiverState, StepError> {
+    fn apply(&self, state: &mut AltBitReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(symbol)) => {
                 let (tag, bit) = decode_symbol(*symbol);
-                let mut next = state.clone();
                 if tag == state.expected_tag {
-                    next.received.push(bit);
-                    next.expected_tag ^= 1;
+                    state.received.push(bit);
+                    state.expected_tag ^= 1;
                 }
                 // Ack every arrival — duplicates get their (old) tag
                 // re-acked, which is what lets the transmitter recover from
                 // a lost ack.
-                next.ack_queue.push_back(tag);
-                Ok(next)
+                state.ack_queue.push_back(tag);
             }
-            RstpAction::Send(Packet::Ack(tag)) => match state.ack_queue.front() {
-                Some(&front) if front == *tag => {
-                    let mut next = state.clone();
-                    next.ack_queue.pop_front();
-                    Ok(next)
+            RstpAction::Send(Packet::Ack(tag)) => {
+                if state.ack_queue.front() != Some(tag) {
+                    return Err(StepError::PreconditionFalse {
+                        action: format!("{action:?}"),
+                        reason: "send(ack) must acknowledge the oldest pending tag".into(),
+                    });
                 }
-                _ => Err(StepError::PreconditionFalse {
-                    action: format!("{action:?}"),
-                    reason: "send(ack) must acknowledge the oldest pending tag".into(),
-                }),
-            },
+                state.ack_queue.pop_front();
+            }
             RstpAction::Write(m) => {
                 if state.received.get(state.written) != Some(m) {
                     return Err(StepError::PreconditionFalse {
@@ -259,9 +239,7 @@ impl Automaton for AltBitReceiver {
                         reason: "write requires the next accepted message".into(),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if !state.ack_queue.is_empty() || state.written < state.received.len() {
@@ -270,12 +248,10 @@ impl Automaton for AltBitReceiver {
                         reason: "idle_r requires no pending acks or writes".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

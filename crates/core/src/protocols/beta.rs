@@ -158,18 +158,10 @@ impl BetaTransmitter {
     }
 
     /// `c := c + 1 (mod round)`, advancing to the next block on wrap.
-    fn advance(&self, state: &BetaTransmitterState) -> BetaTransmitterState {
-        let c = (state.step_in_round + 1) % self.round_len();
-        if c == 0 {
-            BetaTransmitterState {
-                block: state.block + 1,
-                step_in_round: 0,
-            }
-        } else {
-            BetaTransmitterState {
-                block: state.block,
-                step_in_round: c,
-            }
+    fn advance(&self, state: &mut BetaTransmitterState) {
+        state.step_in_round = (state.step_in_round + 1) % self.round_len();
+        if state.step_in_round == 0 {
+            state.block += 1;
         }
     }
 }
@@ -209,11 +201,11 @@ impl Automaton for BetaTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &BetaTransmitterState,
+        state: &mut BetaTransmitterState,
         action: &RstpAction,
-    ) -> Result<BetaTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         let precondition_false = |reason: String| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason,
@@ -233,7 +225,6 @@ impl Automaton for BetaTransmitter {
                 if *symbol != expected {
                     return Err(precondition_false(format!("p must equal x̂_i = {expected}")));
                 }
-                Ok(self.advance(state))
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
                 if state.step_in_round < self.burst_len {
@@ -242,12 +233,11 @@ impl Automaton for BetaTransmitter {
                         state.step_in_round
                     )));
                 }
-                Ok(self.advance(state))
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        self.advance(state);
+        Ok(())
     }
 }
 
@@ -369,17 +359,9 @@ impl Automaton for BetaReceiver {
         }
     }
 
-    fn step(
-        &self,
-        state: &BetaReceiverState,
-        action: &RstpAction,
-    ) -> Result<BetaReceiverState, StepError> {
+    fn apply(&self, state: &mut BetaReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
-            RstpAction::Recv(Packet::Data(s)) => {
-                let mut next = state.clone();
-                self.absorb(&mut next, *s);
-                Ok(next)
-            }
+            RstpAction::Recv(Packet::Data(s)) => self.absorb(state, *s),
             RstpAction::Write(m) => {
                 let Some(&expected) = state.decoded.get(state.written) else {
                     return Err(StepError::PreconditionFalse {
@@ -393,9 +375,7 @@ impl Automaton for BetaReceiver {
                         reason: format!("m must equal ŷ_k = {expected}"),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if state.written < state.decoded.len() {
@@ -404,12 +384,10 @@ impl Automaton for BetaReceiver {
                         reason: "idle_r requires nothing to write".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

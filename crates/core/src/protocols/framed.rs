@@ -88,12 +88,12 @@ impl Automaton for FramedTransmitter {
         self.inner.enabled(state)
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &BetaTransmitterState,
+        state: &mut BetaTransmitterState,
         action: &RstpAction,
-    ) -> Result<BetaTransmitterState, StepError> {
-        self.inner.step(state, action)
+    ) -> Result<(), StepError> {
+        self.inner.apply(state, action)
     }
 }
 
@@ -200,27 +200,21 @@ impl Automaton for FramedReceiver {
         vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
     }
 
-    fn step(
-        &self,
-        state: &FramedReceiverState,
-        action: &RstpAction,
-    ) -> Result<FramedReceiverState, StepError> {
+    fn apply(&self, state: &mut FramedReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(s)) => {
-                let mut next = state.clone();
                 if *s >= self.k {
-                    next.decode_failures += 1;
-                    return Ok(next);
+                    state.decode_failures += 1;
+                    return Ok(());
                 }
-                next.burst.insert(*s);
-                if next.burst.len() == self.codec.packets_per_block() {
-                    match self.codec.decode_block(&next.burst) {
-                        Ok(bits) => next.decoded.extend(bits),
-                        Err(_) => next.decode_failures += 1,
+                state.burst.insert(*s);
+                if state.burst.len() == self.codec.packets_per_block() {
+                    match self.codec.decode_block(&state.burst) {
+                        Ok(bits) => state.decoded.extend(bits),
+                        Err(_) => state.decode_failures += 1,
                     }
-                    next.burst.clear();
+                    state.burst.clear();
                 }
-                Ok(next)
             }
             RstpAction::Write(m) => {
                 if state.written >= state.available_payload() {
@@ -235,9 +229,7 @@ impl Automaton for FramedReceiver {
                         reason: "m must equal the next payload bit".into(),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if state.written < state.available_payload() {
@@ -246,12 +238,10 @@ impl Automaton for FramedReceiver {
                         reason: "idle_r requires nothing to write".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

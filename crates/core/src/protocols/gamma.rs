@@ -148,11 +148,11 @@ impl Automaton for GammaTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &GammaTransmitterState,
+        state: &mut GammaTransmitterState,
         action: &RstpAction,
-    ) -> Result<GammaTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         let precondition_false = |reason: String| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason,
@@ -162,9 +162,9 @@ impl Automaton for GammaTransmitter {
                 // Input: must be accepted in every state. Stray acks after
                 // the final block are absorbed without effect.
                 if state.block >= self.blocks.len() {
-                    return Ok(state.clone());
+                    return Ok(());
                 }
-                let acks = state.acks + 1;
+                state.acks += 1;
                 // Test-only seeded fault for the `rstp-check` fuzzer's
                 // acceptance run: compile with
                 // `RUSTFLAGS="--cfg rstp_check_inject_ack_bug"` and the
@@ -177,17 +177,12 @@ impl Automaton for GammaTransmitter {
                 } else {
                     self.delta2
                 };
-                if acks == needed {
-                    Ok(GammaTransmitterState {
+                if state.acks == needed {
+                    *state = GammaTransmitterState {
                         block: state.block + 1,
                         step_in_burst: 0,
                         acks: 0,
-                    })
-                } else {
-                    Ok(GammaTransmitterState {
-                        acks,
-                        ..state.clone()
-                    })
+                    };
                 }
             }
             RstpAction::Send(Packet::Data(symbol)) => {
@@ -204,10 +199,7 @@ impl Automaton for GammaTransmitter {
                 if *symbol != expected {
                     return Err(precondition_false(format!("p must equal x̂_i = {expected}")));
                 }
-                Ok(GammaTransmitterState {
-                    step_in_burst: state.step_in_burst + 1,
-                    ..state.clone()
-                })
+                state.step_in_burst += 1;
             }
             RstpAction::TransmitterInternal(InternalKind::Idle) => {
                 if state.block >= self.blocks.len() || state.step_in_burst < self.delta2 {
@@ -216,12 +208,10 @@ impl Automaton for GammaTransmitter {
                         state.step_in_burst
                     )));
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 
@@ -315,33 +305,27 @@ impl Automaton for GammaReceiver {
         }
     }
 
-    fn step(
-        &self,
-        state: &GammaReceiverState,
-        action: &RstpAction,
-    ) -> Result<GammaReceiverState, StepError> {
+    fn apply(&self, state: &mut GammaReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(s)) => {
-                let mut next = state.clone();
                 // Figure 4: j := j + 1; A := A ∪ {p}; decode on |A| = δ2.
-                next.pending_acks += 1;
+                state.pending_acks += 1;
                 if *s >= self.k {
-                    next.decode_failures += 1;
-                    return Ok(next);
+                    state.decode_failures += 1;
+                    return Ok(());
                 }
-                next.burst.insert(*s);
-                if next.burst.len() == self.codec.packets_per_block() {
-                    match self.codec.decode_block(&next.burst) {
+                state.burst.insert(*s);
+                if state.burst.len() == self.codec.packets_per_block() {
+                    match self.codec.decode_block(&state.burst) {
                         Ok(bits) => {
-                            let remaining = self.expected_bits.saturating_sub(next.decoded.len());
+                            let remaining = self.expected_bits.saturating_sub(state.decoded.len());
                             let take = bits.len().min(remaining);
-                            next.decoded.extend(bits.into_iter().take(take));
+                            state.decoded.extend(bits.into_iter().take(take));
                         }
-                        Err(_) => next.decode_failures += 1,
+                        Err(_) => state.decode_failures += 1,
                     }
-                    next.burst.clear();
+                    state.burst.clear();
                 }
-                Ok(next)
             }
             RstpAction::Send(Packet::Ack(0)) => {
                 if state.pending_acks == 0 {
@@ -350,9 +334,7 @@ impl Automaton for GammaReceiver {
                         reason: "send(ack) requires j > 0".into(),
                     });
                 }
-                let mut next = state.clone();
-                next.pending_acks -= 1;
-                Ok(next)
+                state.pending_acks -= 1;
             }
             RstpAction::Write(m) => {
                 let Some(&expected) = state.decoded.get(state.written) else {
@@ -367,9 +349,7 @@ impl Automaton for GammaReceiver {
                         reason: format!("m must equal ŷ_k = {expected}"),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if state.pending_acks > 0 || state.written < state.decoded.len() {
@@ -378,12 +358,10 @@ impl Automaton for GammaReceiver {
                         reason: "idle_r requires k > i and j = 0".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

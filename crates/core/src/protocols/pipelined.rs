@@ -184,33 +184,31 @@ impl Automaton for PipelinedTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &PipelinedTransmitterState,
+        state: &mut PipelinedTransmitterState,
         action: &RstpAction,
-    ) -> Result<PipelinedTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Ack(tag)) => {
                 if self.done(state) {
-                    return Ok(state.clone()); // stray ack
+                    return Ok(()); // stray ack
                 }
-                let mut next = state.clone();
                 // The unique outstanding block with this tag sits at window
                 // offset (tag - low_block) mod w.
                 let w = self.window;
-                let offset = ((tag % w) + w - (next.low_block as u64 % w)) % w;
-                if let Some(acked) = next.acks.get_mut(offset as usize) {
+                let offset = ((tag % w) + w - (state.low_block as u64 % w)) % w;
+                if let Some(acked) = state.acks.get_mut(offset as usize) {
                     *acked += 1;
                 }
                 // Retire fully acknowledged bursts from the front.
-                while next.acks.front().is_some_and(|&a| a >= self.delta2)
-                    && next.low_block < self.blocks.len()
+                while state.acks.front().is_some_and(|&a| a >= self.delta2)
+                    && state.low_block < self.blocks.len()
                 {
-                    next.acks.pop_front();
-                    next.acks.push_back(0);
-                    next.low_block += 1;
+                    state.acks.pop_front();
+                    state.acks.push_back(0);
+                    state.low_block += 1;
                 }
-                Ok(next)
             }
             RstpAction::Send(Packet::Data(wire)) => {
                 if !self.may_send(state) {
@@ -230,13 +228,11 @@ impl Automaton for PipelinedTransmitter {
                         reason: format!("wire symbol must be {expected}"),
                     });
                 }
-                let mut next = state.clone();
-                next.c += 1;
-                if next.c == self.delta2 {
-                    next.sending_block += 1;
-                    next.c = 0;
+                state.c += 1;
+                if state.c == self.delta2 {
+                    state.sending_block += 1;
+                    state.c = 0;
                 }
-                Ok(next)
             }
             RstpAction::TransmitterInternal(InternalKind::Idle) => {
                 if self.done(state) || self.may_send(state) {
@@ -245,12 +241,10 @@ impl Automaton for PipelinedTransmitter {
                         reason: "idle_t requires a full window".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 
@@ -372,27 +366,26 @@ impl Automaton for PipelinedReceiver {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &PipelinedReceiverState,
+        state: &mut PipelinedReceiverState,
         action: &RstpAction,
-    ) -> Result<PipelinedReceiverState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(wire)) => {
                 let (sym, tag) = unwire(self.window, *wire);
-                let mut next = state.clone();
-                next.ack_queue.push_back(tag);
+                state.ack_queue.push_back(tag);
                 if sym >= self.k {
-                    next.decode_failures += 1;
-                    return Ok(next);
+                    state.decode_failures += 1;
+                    return Ok(());
                 }
                 // `unwire` reduces the tag mod w, so the slot is always in
                 // range; index through `get_mut` so corruption of that
                 // invariant counts as a decode failure instead of a panic.
                 let slot = tag as usize;
-                let Some(burst) = next.bursts.get_mut(slot) else {
-                    next.decode_failures += 1;
-                    return Ok(next);
+                let Some(burst) = state.bursts.get_mut(slot) else {
+                    state.decode_failures += 1;
+                    return Ok(());
                 };
                 burst.insert(sym);
                 if burst.len() == self.codec.packets_per_block() {
@@ -403,32 +396,29 @@ impl Automaton for PipelinedReceiver {
                             // The window discipline keeps the slot free;
                             // defensively count an overwrite (reachable
                             // only under fault injection).
-                            if next
+                            if state
                                 .staged
                                 .get_mut(slot)
                                 .and_then(|staged| staged.replace(bits))
                                 .is_some()
                             {
-                                next.decode_failures += 1;
+                                state.decode_failures += 1;
                             }
                         }
-                        Err(_) => next.decode_failures += 1,
+                        Err(_) => state.decode_failures += 1,
                     }
-                    self.commit_ready(&mut next);
+                    self.commit_ready(state);
                 }
-                Ok(next)
             }
-            RstpAction::Send(Packet::Ack(tag)) => match state.ack_queue.front() {
-                Some(&front) if front == *tag => {
-                    let mut next = state.clone();
-                    next.ack_queue.pop_front();
-                    Ok(next)
+            RstpAction::Send(Packet::Ack(tag)) => {
+                if state.ack_queue.front() != Some(tag) {
+                    return Err(StepError::PreconditionFalse {
+                        action: format!("{action:?}"),
+                        reason: "send(ack) must acknowledge the oldest pending tag".into(),
+                    });
                 }
-                _ => Err(StepError::PreconditionFalse {
-                    action: format!("{action:?}"),
-                    reason: "send(ack) must acknowledge the oldest pending tag".into(),
-                }),
-            },
+                state.ack_queue.pop_front();
+            }
             RstpAction::Write(m) => {
                 if state.decoded.get(state.written) != Some(m) {
                     return Err(StepError::PreconditionFalse {
@@ -436,9 +426,7 @@ impl Automaton for PipelinedReceiver {
                         reason: "write requires the next committed message".into(),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if !state.ack_queue.is_empty() || state.written < state.decoded.len() {
@@ -447,12 +435,10 @@ impl Automaton for PipelinedReceiver {
                         reason: "idle_r requires no pending work".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

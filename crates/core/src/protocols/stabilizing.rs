@@ -324,14 +324,9 @@ impl StabStenningTransmitter {
     }
 
     /// Applies an incoming ack symbol to a normalized state.
-    fn absorb_ack(
-        &self,
-        s: &StabStenningTransmitterState,
-        symbol: u64,
-    ) -> StabStenningTransmitterState {
-        let mut next = s.clone();
+    fn absorb_ack(&self, s: &mut StabStenningTransmitterState, symbol: u64) {
         if s.next >= self.input.len() {
-            return next;
+            return;
         }
         let tag = tag_of(s.next);
         if symbol == ack_data_symbol(tag) && symbol >= TAGS {
@@ -339,17 +334,16 @@ impl StabStenningTransmitter {
             // phase: a short explicit timeout can strike out while the
             // legitimate ack is still in flight, and dropping it here
             // would make the subsequent sync roll the receiver back.
-            next.next = s.next + 1;
-            next.timer = 0;
-            next.strikes = 0;
-            next.phase = StabPhase::Run;
+            s.next += 1;
+            s.timer = 0;
+            s.strikes = 0;
+            s.phase = StabPhase::Run;
         } else if symbol == ack_sync_symbol(tag) && symbol < TAGS && s.phase == StabPhase::Sync {
-            next.phase = StabPhase::Run;
-            next.timer = 0;
-            next.strikes = 0;
+            s.phase = StabPhase::Run;
+            s.timer = 0;
+            s.strikes = 0;
         }
         // Anything else is stale or corrupted; input-enabledness absorbs it.
-        next
     }
 }
 
@@ -386,18 +380,20 @@ impl Automaton for StabStenningTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &StabStenningTransmitterState,
+        state: &mut StabStenningTransmitterState,
         action: &RstpAction,
-    ) -> Result<StabStenningTransmitterState, StepError> {
-        let s = self.normalize(state);
+    ) -> Result<(), StepError> {
+        // The state is four words: the effect lands on a normalized copy,
+        // committed once the precondition has held.
+        let mut s = self.normalize(state);
         let precondition_false = |reason: &str| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason: reason.into(),
         };
         match action {
-            RstpAction::Recv(Packet::Ack(symbol)) => Ok(self.absorb_ack(&s, *symbol)),
+            RstpAction::Recv(Packet::Ack(symbol)) => self.absorb_ack(&mut s, *symbol),
             RstpAction::Send(Packet::Data(symbol)) => {
                 if s.next >= self.input.len() || s.timer != 0 {
                     return Err(precondition_false(
@@ -405,12 +401,11 @@ impl Automaton for StabStenningTransmitter {
                     ));
                 }
                 match self.outgoing_symbol(&s) {
-                    Some(expected) if expected == *symbol => Ok(StabStenningTransmitterState {
-                        timer: 1 % self.timeout_steps,
-                        ..s
-                    }),
-                    Some(_) => Err(precondition_false("packet must match the phase's symbol")),
-                    None => Err(precondition_false("flush phase sends nothing")),
+                    Some(expected) if expected == *symbol => s.timer = 1 % self.timeout_steps,
+                    Some(_) => {
+                        return Err(precondition_false("packet must match the phase's symbol"))
+                    }
+                    None => return Err(precondition_false("flush phase sends nothing")),
                 }
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
@@ -418,43 +413,31 @@ impl Automaton for StabStenningTransmitter {
                     return Err(precondition_false("all input acknowledged"));
                 }
                 match s.phase {
-                    StabPhase::Flush { left } => {
-                        if left <= 1 {
-                            Ok(StabStenningTransmitterState {
-                                phase: StabPhase::Sync,
-                                timer: 0,
-                                ..s
-                            })
-                        } else {
-                            Ok(StabStenningTransmitterState {
-                                phase: StabPhase::Flush { left: left - 1 },
-                                ..s
-                            })
-                        }
+                    StabPhase::Flush { left } if left <= 1 => {
+                        s.phase = StabPhase::Sync;
+                        s.timer = 0;
                     }
+                    StabPhase::Flush { left } => s.phase = StabPhase::Flush { left: left - 1 },
                     StabPhase::Sync | StabPhase::Run if s.timer != 0 => {
-                        let timer = (s.timer + 1) % self.timeout_steps;
-                        let mut out = StabStenningTransmitterState { timer, ..s };
-                        if timer == 0 && s.phase == StabPhase::Run {
+                        s.timer = (s.timer + 1) % self.timeout_steps;
+                        if s.timer == 0 && s.phase == StabPhase::Run {
                             // A full period elapsed unacknowledged.
-                            out.strikes = s.strikes + 1;
-                            if out.strikes >= ESCALATE_AFTER {
-                                out.phase = StabPhase::Flush {
+                            s.strikes += 1;
+                            if s.strikes >= ESCALATE_AFTER {
+                                s.phase = StabPhase::Flush {
                                     left: self.flush_steps,
                                 };
-                                out.strikes = 0;
-                                out.timer = 0;
+                                s.strikes = 0;
                             }
                         }
-                        Ok(out)
                     }
-                    _ => Err(precondition_false("wait requires a running timer")),
+                    _ => return Err(precondition_false("wait requires a running timer")),
                 }
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        *state = s;
+        Ok(())
     }
 }
 
@@ -528,8 +511,7 @@ impl StabStenningReceiver {
         StabStenningReceiver
     }
 
-    fn normalize(&self, state: &StabStenningReceiverState) -> StabStenningReceiverState {
-        let mut s = state.clone();
+    fn normalize(&self, s: &mut StabStenningReceiverState) {
         s.expected %= TAGS;
         s.written = s.written.min(s.received.len());
         // The unwritten tail is NOT clamped here: corruption can only
@@ -539,12 +521,13 @@ impl StabStenningReceiver {
         // than the channel delivers — the sharded server does exactly that
         // under deadline misses, and truncating here silently dropped
         // accepted messages.
-        if s.pending_ack
-            .is_some_and(|a| a >= stab_stenning_ack_alphabet())
-        {
-            s.pending_ack = None;
-        }
-        s
+        s.pending_ack = Self::pending_ack(s);
+    }
+
+    /// The pending ack as normalization leaves it: a symbol outside the ack
+    /// alphabet is no ack at all.
+    fn pending_ack(s: &StabStenningReceiverState) -> Option<u64> {
+        s.pending_ack.filter(|&a| a < stab_stenning_ack_alphabet())
     }
 
     fn write_value(&self, s: &StabStenningReceiverState) -> Option<Message> {
@@ -579,79 +562,78 @@ impl Automaton for StabStenningReceiver {
     }
 
     fn enabled(&self, state: &StabStenningReceiverState) -> Vec<RstpAction> {
-        let s = self.normalize(state);
-        if let Some(symbol) = s.pending_ack {
+        // A `written` past the end reads as caught up, so only the pending
+        // ack needs normalizing here.
+        if let Some(symbol) = Self::pending_ack(state) {
             vec![RstpAction::Send(Packet::Ack(symbol))]
-        } else if let Some(m) = self.write_value(&s) {
+        } else if let Some(m) = self.write_value(state) {
             vec![RstpAction::Write(m)]
         } else {
             vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
         }
     }
 
-    fn step(
+    /// Preconditions read the state as normalization would leave it, and
+    /// each effect normalizes in place first, so a refused action leaves
+    /// even a corrupted state as it was.
+    fn apply(
         &self,
-        state: &StabStenningReceiverState,
+        state: &mut StabStenningReceiverState,
         action: &RstpAction,
-    ) -> Result<StabStenningReceiverState, StepError> {
-        let s = self.normalize(state);
+    ) -> Result<(), StepError> {
         let precondition_false = |reason: &str| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason: reason.into(),
         };
         match action {
             RstpAction::Recv(Packet::Data(symbol)) => {
-                let mut next = s.clone();
+                self.normalize(state);
                 if *symbol < TAGS {
                     // Sync probe: adopt the transmitter's tag unconditionally.
-                    next.expected = *symbol;
-                    next.pending_ack = Some(ack_sync_symbol(*symbol));
-                    next.synced = true;
+                    state.expected = *symbol;
+                    state.pending_ack = Some(ack_sync_symbol(*symbol));
+                    state.synced = true;
                 } else if *symbol < stab_stenning_data_alphabet() {
                     let tag = (*symbol - TAGS) / 2;
                     let bit = (*symbol - TAGS) % 2 == 1;
-                    if tag == s.expected {
-                        next.received.push(bit);
-                        next.expected = (s.expected + 1) % TAGS;
-                        next.pending_ack = Some(ack_data_symbol(tag));
-                    } else if tag == (s.expected + TAGS - 1) % TAGS {
+                    if tag == state.expected {
+                        state.received.push(bit);
+                        state.expected = (state.expected + 1) % TAGS;
+                        state.pending_ack = Some(ack_data_symbol(tag));
+                    } else if tag == (state.expected + TAGS - 1) % TAGS {
                         // Retransmission of the message just accepted: the
                         // ack was lost to corruption; re-ack, don't re-store.
-                        next.pending_ack = Some(ack_data_symbol(tag));
+                        state.pending_ack = Some(ack_data_symbol(tag));
                     }
                     // Any other tag is unanswerable garbage: stay silent so
                     // the transmitter strikes out and escalates to a sync.
                 }
-                Ok(next)
             }
-            RstpAction::Send(Packet::Ack(symbol)) => match s.pending_ack {
-                Some(pending) if pending == *symbol => Ok(StabStenningReceiverState {
-                    pending_ack: None,
-                    ..s
-                }),
-                _ => Err(precondition_false("send(ack) must emit the pending ack")),
-            },
+            RstpAction::Send(Packet::Ack(symbol)) => {
+                if Self::pending_ack(state) != Some(*symbol) {
+                    return Err(precondition_false("send(ack) must emit the pending ack"));
+                }
+                self.normalize(state);
+                state.pending_ack = None;
+            }
             RstpAction::Write(m) => {
-                if self.write_value(&s) != Some(*m) {
+                if self.write_value(state) != Some(*m) {
                     return Err(precondition_false(
                         "write requires the next accepted message",
                     ));
                 }
-                Ok(StabStenningReceiverState {
-                    written: s.written + 1,
-                    ..s
-                })
+                self.normalize(state);
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
-                if s.pending_ack.is_some() || s.written < s.received.len() {
+                if Self::pending_ack(state).is_some() || state.written < state.received.len() {
                     return Err(precondition_false("idle_r requires no pending work"));
                 }
-                Ok(s)
+                self.normalize(state);
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 
@@ -672,17 +654,20 @@ impl Corruptible for StabStenningReceiver {
         let bits = reg(3);
         let received = (0..garbage_len).map(|i| bits >> i & 1 == 1).collect();
         let pending = reg(1);
-        self.normalize(&StabStenningReceiverState {
+        let mut s = StabStenningReceiverState {
             expected: reg(0),
             received,
             written: 0,
             pending_ack: (pending < stab_stenning_ack_alphabet()).then_some(pending),
             synced: false,
-        })
+        };
+        self.normalize(&mut s);
+        s
     }
 
     fn state_to_registers(&self, state: &StabStenningReceiverState) -> Vec<u64> {
-        let s = self.normalize(state);
+        let mut s = state.clone();
+        self.normalize(&mut s);
         let tail: Vec<Message> = s.received[s.written..]
             .iter()
             .copied()
@@ -783,8 +768,7 @@ impl StabBetaReceiver {
         self.gap_reset
     }
 
-    fn normalize(&self, state: &StabBetaReceiverState) -> StabBetaReceiverState {
-        let mut s = state.clone();
+    fn normalize(&self, s: &mut StabBetaReceiverState) {
         s.written = s.written.min(s.decoded.len());
         // As with the stabilizing Stenning receiver, the decoded-but-
         // unwritten tail is deliberately unclamped: corruption is bounded
@@ -792,7 +776,6 @@ impl StabBetaReceiver {
         // and a long legitimate tail just means the writer is scheduled
         // more slowly than bursts arrive (routine on a loaded shard).
         s.silent_steps = s.silent_steps.min(self.gap_reset);
-        s
     }
 
     fn absorb(&self, state: &mut StabBetaReceiverState, symbol: u64) {
@@ -847,10 +830,11 @@ impl Automaton for StabBetaReceiver {
     }
 
     fn enabled(&self, state: &StabBetaReceiverState) -> Vec<RstpAction> {
-        let s = self.normalize(state);
-        if let Some(&m) = s.decoded.get(s.written) {
+        // A `written` past the end reads as caught up, so the raw state
+        // enables what its normalization would.
+        if let Some(&m) = state.decoded.get(state.written) {
             vec![RstpAction::Write(m)]
-        } else if !s.burst.is_empty() {
+        } else if !state.burst.is_empty() {
             // A partial burst is either live (an arrival is imminent) or
             // corrupted garbage; count the silence to tell them apart.
             vec![RstpAction::ReceiverInternal(InternalKind::Wait)]
@@ -859,61 +843,56 @@ impl Automaton for StabBetaReceiver {
         }
     }
 
-    fn step(
+    /// Preconditions read only what normalization leaves equivalent, and
+    /// each effect normalizes in place first, so a refused action leaves
+    /// even a corrupted state as it was.
+    fn apply(
         &self,
-        state: &StabBetaReceiverState,
+        state: &mut StabBetaReceiverState,
         action: &RstpAction,
-    ) -> Result<StabBetaReceiverState, StepError> {
-        let s = self.normalize(state);
+    ) -> Result<(), StepError> {
         let precondition_false = |reason: &str| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason: reason.into(),
         };
         match action {
             RstpAction::Recv(Packet::Data(symbol)) => {
-                let mut next = s.clone();
-                next.silent_steps = 0;
-                self.absorb(&mut next, *symbol);
-                Ok(next)
+                self.normalize(state);
+                state.silent_steps = 0;
+                self.absorb(state, *symbol);
             }
             RstpAction::Write(m) => {
-                if s.decoded.get(s.written) != Some(m) {
+                if state.decoded.get(state.written) != Some(m) {
                     return Err(precondition_false(
                         "write requires a decoded, unwritten message",
                     ));
                 }
-                Ok(StabBetaReceiverState {
-                    written: s.written + 1,
-                    ..s
-                })
+                self.normalize(state);
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Wait) => {
-                if s.burst.is_empty() || s.written < s.decoded.len() {
+                if state.burst.is_empty() || state.written < state.decoded.len() {
                     return Err(precondition_false("wait_r requires only a partial burst"));
                 }
-                let mut next = StabBetaReceiverState {
-                    silent_steps: s.silent_steps + 1,
-                    ..s
-                };
-                if next.silent_steps >= self.gap_reset {
+                self.normalize(state);
+                state.silent_steps += 1;
+                if state.silent_steps >= self.gap_reset {
                     // Arrivals within a live burst are never this far
                     // apart: the partial burst is corrupted framing.
-                    next.burst.clear();
-                    next.resets += 1;
-                    next.silent_steps = 0;
+                    state.burst.clear();
+                    state.resets += 1;
+                    state.silent_steps = 0;
                 }
-                Ok(next)
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
-                if s.written < s.decoded.len() || !s.burst.is_empty() {
+                if state.written < state.decoded.len() || !state.burst.is_empty() {
                     return Err(precondition_false("idle_r requires no pending work"));
                 }
-                Ok(s)
+                self.normalize(state);
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 
@@ -939,18 +918,21 @@ impl Corruptible for StabBetaReceiver {
         let pending_len = reg(REG_BETA_R_PENDING_LEN).min(GARBAGE_MAX);
         let bits = reg(3);
         let decoded = (0..pending_len).map(|i| bits >> i & 1 == 1).collect();
-        self.normalize(&StabBetaReceiverState {
+        let mut s = StabBetaReceiverState {
             burst,
             decoded,
             written: 0,
             silent_steps: reg(4),
             resets: 0,
             decode_failures: 0,
-        })
+        };
+        self.normalize(&mut s);
+        s
     }
 
     fn state_to_registers(&self, state: &StabBetaReceiverState) -> Vec<u64> {
-        let s = self.normalize(state);
+        let mut s = state.clone();
+        self.normalize(&mut s);
         // A multiset is summarized by its size and smallest element; the
         // round trip is behavioral (framing-equivalent), not structural.
         let sym = (0..self.k).find(|&v| s.burst.mult(v) > 0).unwrap_or(0);

@@ -104,22 +104,18 @@ impl Automaton for StenningTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &StenningTransmitterState,
+        state: &mut StenningTransmitterState,
         action: &RstpAction,
-    ) -> Result<StenningTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Ack(seq)) => {
                 // Unbounded seqs: only the exact current number advances;
                 // anything else is provably stale and absorbed.
                 if state.next < self.input.len() && *seq == state.next as u64 {
-                    Ok(StenningTransmitterState {
-                        next: state.next + 1,
-                        timer: 0,
-                    })
-                } else {
-                    Ok(state.clone())
+                    state.next += 1;
+                    state.timer = 0;
                 }
             }
             RstpAction::Send(Packet::Data(symbol)) => {
@@ -135,10 +131,7 @@ impl Automaton for StenningTransmitter {
                         reason: "packet must carry (seq, x_seq)".into(),
                     });
                 }
-                Ok(StenningTransmitterState {
-                    next: state.next,
-                    timer: 1,
-                })
+                state.timer = 1;
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
                 if state.next >= self.input.len() || state.timer == 0 {
@@ -147,15 +140,11 @@ impl Automaton for StenningTransmitter {
                         reason: "wait requires a running timer".into(),
                     });
                 }
-                Ok(StenningTransmitterState {
-                    next: state.next,
-                    timer: (state.timer + 1) % self.timeout_steps,
-                })
+                state.timer = (state.timer + 1) % self.timeout_steps;
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 
@@ -212,40 +201,36 @@ impl Automaton for StenningReceiver {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &StenningReceiverState,
+        state: &mut StenningReceiverState,
         action: &RstpAction,
-    ) -> Result<StenningReceiverState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(symbol)) => {
                 let (seq, bit) = decode_symbol(*symbol);
-                let mut next = state.clone();
-                if seq == state.expected_seq {
-                    next.received.push(bit);
-                    next.expected_seq += 1;
-                }
                 // Ack everything at or below the frontier so a lost ack is
                 // recovered by the retransmission's re-ack; future packets
                 // (seq > expected) are dropped *unacked* so the transmitter
                 // keeps retrying them — with stop-and-wait they cannot
                 // occur on a faithful channel anyway.
                 if seq <= state.expected_seq {
-                    next.ack_queue.push_back(seq);
+                    state.ack_queue.push_back(seq);
                 }
-                Ok(next)
+                if seq == state.expected_seq {
+                    state.received.push(bit);
+                    state.expected_seq += 1;
+                }
             }
-            RstpAction::Send(Packet::Ack(seq)) => match state.ack_queue.front() {
-                Some(&front) if front == *seq => {
-                    let mut next = state.clone();
-                    next.ack_queue.pop_front();
-                    Ok(next)
+            RstpAction::Send(Packet::Ack(seq)) => {
+                if state.ack_queue.front() != Some(seq) {
+                    return Err(StepError::PreconditionFalse {
+                        action: format!("{action:?}"),
+                        reason: "send(ack) must acknowledge the oldest pending seq".into(),
+                    });
                 }
-                _ => Err(StepError::PreconditionFalse {
-                    action: format!("{action:?}"),
-                    reason: "send(ack) must acknowledge the oldest pending seq".into(),
-                }),
-            },
+                state.ack_queue.pop_front();
+            }
             RstpAction::Write(m) => {
                 if state.received.get(state.written) != Some(m) {
                     return Err(StepError::PreconditionFalse {
@@ -253,9 +238,7 @@ impl Automaton for StenningReceiver {
                         reason: "write requires the next accepted message".into(),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if !state.ack_queue.is_empty() || state.written < state.received.len() {
@@ -264,12 +247,10 @@ impl Automaton for StenningReceiver {
                         reason: "idle_r requires no pending work".into(),
                     });
                 }
-                Ok(state.clone())
             }
-            other => Err(StepError::UnknownAction {
-                action: format!("{other:?}"),
-            }),
+            other => return Err(StepError::unknown(other)),
         }
+        Ok(())
     }
 }
 

@@ -349,13 +349,11 @@ where
     A::State: Send,
 {
     fn apply_recv(&mut self, packet: Packet) -> Result<(), NetError> {
-        self.state = self
-            .automaton
-            .step(&self.state, &RstpAction::Recv(packet))
+        self.automaton
+            .apply(&mut self.state, &RstpAction::Recv(packet))
             .map_err(|e| NetError::Automaton {
                 what: e.to_string(),
-            })?;
-        Ok(())
+            })
     }
 
     fn step(&mut self) -> Result<StepEffect, NetError> {
@@ -369,12 +367,11 @@ where
                 })
             }
         };
-        self.state =
-            self.automaton
-                .step(&self.state, &action)
-                .map_err(|e| NetError::Automaton {
-                    what: e.to_string(),
-                })?;
+        self.automaton
+            .apply(&mut self.state, &action)
+            .map_err(|e| NetError::Automaton {
+                what: e.to_string(),
+            })?;
         Ok(match action {
             RstpAction::Send(p) => StepEffect::Sent(p),
             RstpAction::Write(m) => {

@@ -15,7 +15,9 @@
 //!   `[d_lo, d_hi]` of its send and never before it. The checker constructs
 //!   the witness matching explicitly (per-value FIFO, which is valid
 //!   whenever any valid matching exists, by the classic exchange argument
-//!   for interval constraints).
+//!   for interval constraints). Under injected loss or duplication no
+//!   bijection exists, so each `recv` needs only a witness: some send of
+//!   the same value between `d_hi` and `d_lo` before it.
 
 use crate::trace::SimTrace;
 use core::fmt;
@@ -281,31 +283,46 @@ fn check_delta(trace: &SimTrace, cfg: &CheckConfig, report: &mut CheckReport) {
         }
     }
     for (packet, (sends, recvs)) in per_packet {
-        if cfg.expect_bijection {
-            if recvs.len() > sends.len() {
-                report.violations.push(Violation::UnmatchedRecv {
+        if !cfg.expect_bijection {
+            // A drop leaves a send unmatched and a duplicate receives one
+            // send twice, so FIFO pairing would misalign; the latest send
+            // at or before `r - d_lo` is the tightest witness for `r`.
+            for (i, &r) in recvs.iter().enumerate() {
+                let early_enough =
+                    sends.partition_point(|&s| r.checked_since(s).is_some_and(|g| g >= cfg.d_lo));
+                let witness = early_enough.checked_sub(1).and_then(|j| sends.get(j));
+                if witness.is_some_and(|&s| r - s <= cfg.d_hi) {
+                    continue;
+                }
+                report.violations.push(Violation::DeliveryDelay {
                     packet,
-                    sends: sends.len(),
-                    recvs: recvs.len(),
+                    detail: format!(
+                        "recv #{i} at {r} has no send of it in [{r} - {}, {r} - {}]",
+                        cfg.d_hi, cfg.d_lo
+                    ),
                 });
-                continue;
+                break;
             }
-            if recvs.len() < sends.len() {
-                report.violations.push(Violation::UndeliveredSend {
-                    packet,
-                    sends: sends.len(),
-                    recvs: recvs.len(),
-                });
-                continue;
-            }
+            continue;
         }
-        // Per-value FIFO matching over the common prefix length.
-        let n = sends.len().min(recvs.len());
-        let pairs: Vec<(Time, Time)> = sends[..n]
-            .iter()
-            .copied()
-            .zip(recvs[..n].iter().copied())
-            .collect();
+        if recvs.len() > sends.len() {
+            report.violations.push(Violation::UnmatchedRecv {
+                packet,
+                sends: sends.len(),
+                recvs: recvs.len(),
+            });
+            continue;
+        }
+        if recvs.len() < sends.len() {
+            report.violations.push(Violation::UndeliveredSend {
+                packet,
+                sends: sends.len(),
+                recvs: recvs.len(),
+            });
+            continue;
+        }
+        // Per-value FIFO matching.
+        let pairs: Vec<(Time, Time)> = sends.iter().copied().zip(recvs.iter().copied()).collect();
         // Window lower bound: recv - send >= d_lo too.
         if let Err(e) = timed::check_delays(&pairs, cfg.d_hi) {
             report.violations.push(Violation::DeliveryDelay {
@@ -486,6 +503,53 @@ mod tests {
         c.expect_complete = false;
         assert!(check_trace(&lost, &c).all_good());
         assert!(check_trace(&duped, &c).all_good());
+    }
+
+    #[test]
+    fn duplicate_copy_matches_its_own_send_not_a_later_one() {
+        // Value 0 is sent at 0 and 3. The first copy is duplicated (recvs
+        // at 1 and 2) and the second arrives at 8. FIFO pairing would match
+        // the recv at 2 with the send at 3: received before sent.
+        let mut tr = SimTrace::new(vec![]);
+        tr.push(t(0), RstpAction::Send(Packet::Data(0)));
+        tr.push(t(1), RstpAction::Recv(Packet::Data(0)));
+        tr.push(t(2), RstpAction::Recv(Packet::Data(0)));
+        tr.push(t(3), RstpAction::Send(Packet::Data(0)));
+        tr.push(t(8), RstpAction::Recv(Packet::Data(0)));
+        let mut c = cfg();
+        c.expect_bijection = false;
+        c.expect_complete = false;
+        assert!(check_trace(&tr, &c).all_good(), "{}", check_trace(&tr, &c));
+    }
+
+    #[test]
+    fn without_a_bijection_every_recv_still_needs_a_send_within_d() {
+        let mut c = cfg();
+        c.expect_bijection = false;
+        c.expect_complete = false;
+        // A recv with no earlier send of its value.
+        let mut early = SimTrace::new(vec![]);
+        early.push(t(0), RstpAction::Recv(Packet::Data(0)));
+        early.push(t(1), RstpAction::Send(Packet::Data(0)));
+        assert!(check_trace(&early, &c).has(|v| matches!(v, Violation::DeliveryDelay { .. })));
+        // A duplicate delivered past d = 8 of its only send.
+        let mut late = SimTrace::new(vec![]);
+        late.push(t(0), RstpAction::Send(Packet::Data(0)));
+        late.push(t(2), RstpAction::Recv(Packet::Data(0)));
+        late.push(t(9), RstpAction::Recv(Packet::Data(0)));
+        assert!(check_trace(&late, &c).has(|v| matches!(v, Violation::DeliveryDelay { .. })));
+        // d_lo: the send at 2 is too recent for a recv at 3, the one at 0
+        // is early enough.
+        c.d_lo = TimeDelta::from_ticks(2);
+        let mut window = SimTrace::new(vec![]);
+        window.push(t(0), RstpAction::Send(Packet::Data(0)));
+        window.push(t(2), RstpAction::Send(Packet::Data(0)));
+        window.push(t(3), RstpAction::Recv(Packet::Data(0)));
+        assert!(check_trace(&window, &c).all_good());
+        let mut too_soon = SimTrace::new(vec![]);
+        too_soon.push(t(2), RstpAction::Send(Packet::Data(0)));
+        too_soon.push(t(3), RstpAction::Recv(Packet::Data(0)));
+        assert!(check_trace(&too_soon, &c).has(|v| matches!(v, Violation::DeliveryDelay { .. })));
     }
 
     #[test]

@@ -337,7 +337,7 @@ where
                         if may_park {
                             continue; // settled: deschedule
                         }
-                        ts = self.transmitter.step(&ts, &action).map_err(|e| {
+                        self.transmitter.apply(&mut ts, &action).map_err(|e| {
                             SimError::Automaton {
                                 what: e.to_string(),
                             }
@@ -359,9 +359,8 @@ where
                         if may_park {
                             continue;
                         }
-                        rs = self
-                            .receiver
-                            .step(&rs, &action)
+                        self.receiver
+                            .apply(&mut rs, &action)
                             .map_err(|e| SimError::Automaton {
                                 what: e.to_string(),
                             })?;
@@ -376,16 +375,16 @@ where
                 }
                 EventKind::Deliver(packet) => {
                     engine.pending_deliveries -= 1;
-                    engine.channel_state = engine
+                    engine
                         .channel
-                        .step(&engine.channel_state, &RstpAction::Recv(packet))
+                        .apply(&mut engine.channel_state, &RstpAction::Recv(packet))
                         .map_err(|e| SimError::Channel {
                             what: e.to_string(),
                         })?;
                     let recv = RstpAction::Recv(packet);
                     match packet {
                         Packet::Data(_) => {
-                            rs = self.receiver.step(&rs, &recv).map_err(|e| {
+                            self.receiver.apply(&mut rs, &recv).map_err(|e| {
                                 SimError::Automaton {
                                     what: e.to_string(),
                                 }
@@ -400,7 +399,7 @@ where
                             }
                         }
                         Packet::Ack(_) => {
-                            ts = self.transmitter.step(&ts, &recv).map_err(|e| {
+                            self.transmitter.apply(&mut ts, &recv).map_err(|e| {
                                 SimError::Automaton {
                                     what: e.to_string(),
                                 }
@@ -466,9 +465,9 @@ where
                 // Swap the packet inside the channel automaton too, so the
                 // channel's multiset stays consistent with the queue.
                 for action in [RstpAction::Recv(old), RstpAction::Send(new)] {
-                    engine.channel_state = engine
+                    engine
                         .channel
-                        .step(&engine.channel_state, &action)
+                        .apply(&mut engine.channel_state, &action)
                         .map_err(|e| SimError::Channel {
                             what: e.to_string(),
                         })?;
@@ -567,9 +566,8 @@ impl Engine {
     ) -> Result<(), SimError> {
         match action {
             RstpAction::Send(p) => {
-                self.channel_state = self
-                    .channel
-                    .step(&self.channel_state, &RstpAction::Send(p))
+                self.channel
+                    .apply(&mut self.channel_state, &RstpAction::Send(p))
                     .map_err(|e| SimError::Channel {
                         what: e.to_string(),
                     })?;
@@ -591,9 +589,8 @@ impl Engine {
                     Disposition::Drop => {
                         // Outside the C(P) contract: silently remove the
                         // packet from flight and count it.
-                        self.channel_state = self
-                            .channel
-                            .step(&self.channel_state, &RstpAction::Recv(p))
+                        self.channel
+                            .apply(&mut self.channel_state, &RstpAction::Recv(p))
                             .map_err(|e| SimError::Channel {
                                 what: e.to_string(),
                             })?;
@@ -604,9 +601,8 @@ impl Engine {
                         self.check_delay(second)?;
                         // Inject the extra copy into the channel so the
                         // bookkeeping stays consistent.
-                        self.channel_state = self
-                            .channel
-                            .step(&self.channel_state, &RstpAction::Send(p))
+                        self.channel
+                            .apply(&mut self.channel_state, &RstpAction::Send(p))
                             .map_err(|e| SimError::Channel {
                                 what: e.to_string(),
                             })?;
