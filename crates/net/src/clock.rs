@@ -4,6 +4,11 @@
 //! [`TickClock`] anchors an epoch `Instant` and converts tick counts into
 //! absolute deadlines, so scheduling drift does not accumulate: sleeping
 //! to `epoch + n·tick` self-corrects even when individual sleeps overshoot.
+//!
+//! It is also the one reader of the wall clock. A paced loop takes one
+//! [`TickClock::now`] reading per step (or [`TickClock::sleep_until`]'s
+//! wake instant) and derives every time in that step from it, as the
+//! paper's process steps at one instant.
 
 use std::time::{Duration, Instant};
 
@@ -52,9 +57,22 @@ impl TickClock {
         self.tick
     }
 
+    /// One wall-clock reading.
+    #[inline]
+    pub fn now(&self) -> Instant {
+        Instant::now()
+    }
+
     /// Microseconds elapsed since the epoch.
     pub fn now_micros(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+        self.micros_at(self.now())
+    }
+
+    /// Microseconds from the epoch to `at` (0 before the epoch).
+    #[inline]
+    pub fn micros_at(&self, at: Instant) -> u64 {
+        let since = at.saturating_duration_since(self.epoch).as_micros();
+        u64::try_from(since).unwrap_or(u64::MAX)
     }
 
     /// The absolute instant of tick `n`.
@@ -63,12 +81,11 @@ impl TickClock {
     }
 
     /// The tick `at` falls in (ticks before the epoch count as tick 0),
-    /// at the microsecond resolution of [`TickClock::now_micros`].
+    /// at the microsecond resolution of [`TickClock::micros_at`].
     #[inline]
     pub fn tick_at(&self, at: Instant) -> u64 {
-        let since = at.saturating_duration_since(self.epoch).as_micros();
         let tick = u64::try_from(self.tick.as_micros()).unwrap_or(u64::MAX);
-        u64::try_from(since).unwrap_or(u64::MAX) / tick.max(1)
+        self.micros_at(at) / tick.max(1)
     }
 
     /// Converts a wall-clock duration into (possibly fractional, rounded
@@ -80,15 +97,16 @@ impl TickClock {
         d.as_secs_f64() / self.tick.as_secs_f64()
     }
 
-    /// Sleeps until `deadline` and reports the overshoot: how far past the
-    /// deadline the caller actually woke. A deadline already in the past
-    /// sleeps nothing and reports the full lateness.
-    pub fn sleep_until(&self, deadline: Instant) -> Duration {
-        let now = Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
+    /// Sleeps until `deadline` and returns the instant the caller woke,
+    /// never before `deadline`. A deadline already in the past sleeps
+    /// nothing and returns the reading that found it past.
+    pub fn sleep_until(&self, deadline: Instant) -> Instant {
+        let now = self.now();
+        if deadline <= now {
+            return now;
         }
-        Instant::now().saturating_duration_since(deadline)
+        std::thread::sleep(deadline - now);
+        self.now()
     }
 }
 
@@ -126,20 +144,31 @@ mod tests {
     }
 
     #[test]
-    fn sleep_until_past_deadline_reports_lateness() {
+    fn sleep_until_past_deadline_returns_at_once() {
         let clock = TickClock::start(Duration::from_micros(100));
-        let overshoot = clock.sleep_until(Instant::now() - Duration::from_millis(5));
-        assert!(overshoot >= Duration::from_millis(5));
+        let deadline = clock.now() - Duration::from_millis(5);
+        let woke = clock.sleep_until(deadline);
+        assert!(woke.saturating_duration_since(deadline) >= Duration::from_millis(5));
     }
 
     #[test]
     fn sleep_until_future_deadline_waits() {
         let clock = TickClock::start(Duration::from_micros(100));
-        let deadline = Instant::now() + Duration::from_millis(10);
-        let overshoot = clock.sleep_until(deadline);
-        assert!(Instant::now() >= deadline);
+        let deadline = clock.now() + Duration::from_millis(10);
+        let woke = clock.sleep_until(deadline);
+        assert!(woke >= deadline);
+        assert!(clock.now() >= woke);
         // Overshoot is OS scheduling noise; it must at least be measured.
-        assert!(overshoot < Duration::from_secs(1));
+        assert!(woke - deadline < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn micros_at_reads_a_given_instant() {
+        let clock = TickClock::start(Duration::from_micros(100));
+        let at = clock.epoch() + Duration::from_micros(1234);
+        assert_eq!(clock.micros_at(at), 1234);
+        assert_eq!(clock.micros_at(clock.epoch() - Duration::from_millis(1)), 0);
+        assert_eq!(clock.tick_at(at), 12);
     }
 
     #[test]

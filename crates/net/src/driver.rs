@@ -19,6 +19,11 @@
 //! first steps spread over the ticks of one `c2` window, so a crowd of
 //! sessions never fires as one synchronized impulse.
 //!
+//! A step happens at one instant, as in the paper: the loop takes one
+//! clock reading per step, the instant [`TickClock::sleep_until`] woke,
+//! and the wake booking, every latency sample, a sent frame's stamp, the
+//! write time and the next deadline are all derived from it.
+//!
 //! An operating system cannot honour the paper's idealized timing axioms
 //! exactly, so the [`Pacer`] *measures* misses rather than pretending:
 //! every wake-up later than the deadline by more than the configured
@@ -239,18 +244,22 @@ impl Pacer {
         booked
     }
 
-    /// The deadline after the step due at `due`, when that step finished
-    /// at `now`: one gap on — or `now` itself after a stall longer than a
-    /// whole gap. Replaying the missed deadlines back to back would burst
-    /// steps faster than `c1` and turn one stall into many violations.
-    /// The gap spanning the stall is as distorted as one ending at a late
-    /// wake, so it goes unmeasured too.
+    /// The deadline after the step due at `due`, when that step woke at
+    /// `wake`: one gap on — or `wake` itself after a stall that woke it
+    /// more than one gap past that next deadline. Replaying the missed
+    /// deadlines back to back would burst steps faster than `c1` and turn
+    /// one stall into many violations. The gap spanning the stall is as
+    /// distorted as one ending at a late wake, so it goes unmeasured too.
+    ///
+    /// Callers pass the step's one clock reading, its wake instant, not a
+    /// reading taken after the step ran: the two differ by one step's run
+    /// time, typically under a microsecond.
     #[inline]
-    pub fn next_due(&self, cadence: &mut Cadence, due: Instant, now: Instant) -> Instant {
+    pub fn next_due(&self, cadence: &mut Cadence, due: Instant, wake: Instant) -> Instant {
         let next = due + self.gap;
-        if now > next + self.gap {
+        if wake > next + self.gap {
             cadence.prev_wake = None;
-            now
+            wake
         } else {
             next
         }
@@ -541,12 +550,19 @@ impl<T: Transport> Running<T> {
         }
     }
 
-    /// One paced step: book the wake, drain deliveries as `recv` inputs,
-    /// fire the enabled action, and settle completion. `true` when the
+    /// One paced step at the instant `now` it woke: book the wake, drain
+    /// deliveries as `recv` inputs, fire the enabled action, and settle
+    /// completion. Every time the step records is `now`. `true` when the
     /// session has completed; otherwise `due` holds its next deadline.
-    fn paced_step(&mut self, pacer: &Pacer, clock: &TickClock) -> Result<bool, NetError> {
+    fn paced_step(
+        &mut self,
+        pacer: &Pacer,
+        clock: &TickClock,
+        now: Instant,
+    ) -> Result<bool, NetError> {
         let report = &mut self.report;
-        match pacer.wake(&mut self.cadence, self.due, Instant::now()) {
+        let at = clock.micros_at(now);
+        match pacer.wake(&mut self.cadence, self.due, now) {
             Wake::Late => report.deadline_misses += 1,
             Wake::Violation => report.timing_violations += 1,
             Wake::Punctual => {}
@@ -560,7 +576,7 @@ impl<T: Transport> Running<T> {
             self.session.endpoint.apply_recv(frame.packet)?;
             report
                 .latency
-                .record(clock.now_micros().saturating_sub(frame.sent_at_micros));
+                .record(at.saturating_sub(frame.sent_at_micros));
             report.recvs += 1;
             productive = true;
         }
@@ -568,19 +584,18 @@ impl<T: Transport> Running<T> {
         let effect = self.session.endpoint.step()?;
         match effect {
             StepEffect::Sent(p) => {
-                let stamp = clock.now_micros();
-                self.session.transport.send(p, stamp)?;
+                self.session.transport.send(p, at)?;
                 match p {
                     Packet::Data(_) => {
                         report.data_sends += 1;
-                        report.last_data_send_micros = Some(stamp);
+                        report.last_data_send_micros = Some(at);
                     }
                     Packet::Ack(_) => report.ack_sends += 1,
                 }
                 productive = true;
             }
             StepEffect::Wrote(_) => {
-                report.last_write_micros = Some(clock.now_micros());
+                report.last_write_micros = Some(at);
                 productive = true;
             }
             // `wait` is productive work (a counted phase of the
@@ -603,14 +618,20 @@ impl<T: Transport> Running<T> {
         if pacer.settle(&mut self.cadence, productive, done) {
             return Ok(true);
         }
-        self.due = pacer.next_due(&mut self.cadence, self.due, Instant::now());
+        self.due = pacer.next_due(&mut self.cadence, self.due, now);
         Ok(false)
     }
 
-    fn finish(mut self, outcome: DriverOutcome, clock: &TickClock) -> (usize, DriverReport) {
+    /// The session's report, for a run that ended at `now`.
+    fn finish(
+        mut self,
+        outcome: DriverOutcome,
+        clock: &TickClock,
+        now: Instant,
+    ) -> (usize, DriverReport) {
         self.report.outcome = outcome;
         self.report.written = self.session.endpoint.written().to_vec();
-        self.report.wall_elapsed = clock.epoch().elapsed();
+        self.report.wall_elapsed = now.saturating_duration_since(clock.epoch());
         self.report.transport = self.session.transport.local_stats();
         (self.index, self.report)
     }
@@ -647,15 +668,17 @@ pub fn run_sessions<T: Transport>(
         live.push(Running::new(index, session, due, Cadence::default()));
     }
 
+    // The loop's one clock reading per step: the instant it woke.
+    let mut now = clock.now();
     while !live.is_empty() {
-        if clock.epoch().elapsed() > config.max_wall {
+        if now.saturating_duration_since(clock.epoch()) > config.max_wall {
             break;
         }
         let Some(next) = (0..live.len()).min_by_key(|&i| live[i].due) else {
             break;
         };
-        clock.sleep_until(live[next].due);
-        if !live[next].paced_step(&pacer, &clock)? {
+        now = clock.sleep_until(live[next].due);
+        if !live[next].paced_step(&pacer, &clock, now)? {
             continue;
         }
         let done = live.swap_remove(next);
@@ -663,10 +686,10 @@ pub fn run_sessions<T: Transport>(
         // finished one's slot, one gap after its last step.
         if let Some((index, session)) = waiting.next() {
             let mut cadence = Cadence::default();
-            let due = pacer.next_due(&mut cadence, done.due, Instant::now());
+            let due = pacer.next_due(&mut cadence, done.due, now);
             live.push(Running::new(index, session, due, cadence));
         }
-        let (index, report) = done.finish(DriverOutcome::Completed, &clock);
+        let (index, report) = done.finish(DriverOutcome::Completed, &clock, now);
         reports[index] = Some(report);
     }
 
@@ -674,7 +697,7 @@ pub fn run_sessions<T: Transport>(
     let unstarted = waiting
         .map(|(index, session)| Running::new(index, session, clock.epoch(), Cadence::default()));
     for running in live.into_iter().chain(unstarted) {
-        let (index, report) = running.finish(DriverOutcome::TimedOut, &clock);
+        let (index, report) = running.finish(DriverOutcome::TimedOut, &clock, now);
         reports[index] = Some(report);
     }
     Ok(reports

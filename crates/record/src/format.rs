@@ -148,8 +148,9 @@ pub struct RecStats {
 }
 
 /// One frame-level event, stamped with the shard clock's microsecond
-/// reading (`TickClock::now_micros`; the shard never reads the wall
-/// clock on the recorder's behalf).
+/// reading: the one `TickClock` reading of the step it belongs to, so
+/// every event of a step carries the same stamp (the shard never reads
+/// the wall clock on the recorder's behalf).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A session was admitted to the shard's table.

@@ -19,9 +19,9 @@
 //! ([`format`]); [`reader`] and [`index`] turn the files back into
 //! per-session histories.
 //!
-//! Timestamps are `TickClock::now_micros` readings supplied by the
-//! shard — this crate never reads the wall clock itself, so the
-//! `wall-clock-outside-driver` lint holds by construction.
+//! Timestamps are `TickClock` readings supplied by the shard, one per
+//! step — this crate never reads the wall clock to stamp an event, so
+//! the `wall-clock-outside-driver` lint holds by construction.
 //!
 //! See `docs/REPLAY.md` for the format specification and the full
 //! record → replay → shrink walkthrough.

@@ -65,8 +65,11 @@ pub struct ShardReport {
     pub steps: u64,
     /// Frames sent by this shard's sessions.
     pub frames_sent: u64,
-    /// Frames delivered to this shard's sessions.
+    /// Frames delivered to this shard's sessions, retired ones included.
     pub frames_received: u64,
+    /// Frames for a session id this shard does not hold, dropped here. The
+    /// server adds them to [`ServeReport::orphan_frames`] at join.
+    pub orphan_frames: u64,
     /// Per-packet delivery latency across the shard's sessions.
     pub latency: LatencyHistogram,
     /// Flight-recorder events this shard's ring accepted (0 when
@@ -118,6 +121,7 @@ impl ShardReport {
             steps: 0,
             frames_sent: 0,
             frames_received: 0,
+            orphan_frames: 0,
             latency: LatencyHistogram::new(),
             events_recorded: 0,
             events_dropped: 0,
@@ -145,7 +149,8 @@ pub struct ServeReport {
     /// tell a planned-but-rejected session (expected to produce no
     /// output) from one lost in an unrecovered crash (a failure).
     pub rejected_ids: Vec<u32>,
-    /// Frames that arrived for no admitted session and were dropped.
+    /// Frames that arrived for no admitted session and were dropped, at
+    /// the pump or at a shard.
     pub orphan_frames: u64,
     /// Frames that failed strict decoding at the socket and were dropped.
     pub decode_errors: u64,

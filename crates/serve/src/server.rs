@@ -2,13 +2,14 @@
 //!
 //! [`run_server`] is the pump: it drains the transport in batches of up
 //! to `B` datagrams per call, peels each frame's wire v2 session id, and
-//! hands the frame to the owning shard over a bounded queue. Admission
-//! is strict — a session beyond `max_sessions`, with a duplicate id, or
-//! arriving while its shard's queue is full is *rejected*, because the
-//! alternative (blocking the pump) would stall every admitted session
-//! past its `c2` window. Frames for admitted sessions likewise drop
-//! rather than block when a queue is full; the protocols already
-//! tolerate channel loss, they do not tolerate a frozen clock.
+//! hands each shard its share of the batch, in arrival order, as one
+//! message on that shard's bounded queue. Admission is strict — a
+//! session beyond `max_sessions`, with a duplicate id, or arriving while
+//! its shard's queue is full is *rejected*, because the alternative
+//! (blocking the pump) would stall every admitted session past its `c2`
+//! window. Frames for admitted sessions likewise drop rather than block
+//! when a queue is full; the protocols already tolerate channel loss,
+//! they do not tolerate a frozen clock.
 
 use crate::endpoint::restore_receiver_endpoint;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -16,7 +17,9 @@ use crate::metrics::{ServeReport, ShardReport};
 use crate::shard::{run_shard, ResumeSession, ShardMsg, ShardParams};
 use crate::snapshot::SessionSnapshot;
 use rstp_core::{SessionId, TimingParams};
-use rstp_net::{decode_any, decode_control, ControlKind, FrameBuf, NetError, Pace, TickClock};
+use rstp_net::{
+    decode_any, decode_control, ControlKind, Frame, FrameBuf, NetError, Pace, TickClock,
+};
 use rstp_record::{
     shard_file_name, Event, RecStats, RecorderSet, Recording, RunMeta, ShardRecorder,
 };
@@ -89,10 +92,12 @@ pub struct ServeConfig {
     pub pace: Pace,
     /// Worker shard count; sessions are hashed by `id % shards`.
     pub shards: usize,
-    /// Batch bound `B`: datagrams drained per ingress call and frames
-    /// flushed per egress call.
+    /// Batch bound `B`: datagrams drained per ingress call, frames per
+    /// shard queue message, and frames flushed per egress call.
     pub batch: usize,
-    /// Bound of each shard's ingress queue (frames + admissions).
+    /// Bound of each shard's ingress queue, in messages: an admission, a
+    /// control frame, or one pump batch's frames for that shard (up to
+    /// `batch` frames).
     pub queue_cap: usize,
     /// Admission ceiling across all shards.
     pub max_sessions: usize,
@@ -152,7 +157,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-shard ingress queue bound.
+    /// Sets the per-shard ingress queue bound, in messages.
     #[must_use]
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap.max(1);
@@ -215,11 +220,18 @@ pub(crate) enum PumpMsg {
         bytes: Vec<u8>,
     },
     /// A REDIRECT: re-route the session's ownership to the shard named
-    /// in the payload, then deliver the frame there for activation.
+    /// in the payload, then deliver the frame there for activation,
+    /// followed by the frames the source still held for the session.
     Redirect {
         /// The encoded REDIRECT frame.
         bytes: Vec<u8>,
+        /// Frames the source received for the session but never applied,
+        /// in arrival order.
+        held: Vec<Frame>,
     },
+    /// Frames that reached a shard after it handed their session off:
+    /// route them again, to the session's owner now.
+    Forward(Vec<Frame>),
 }
 
 /// The pump tick a scheduled fault fires at.
@@ -255,6 +267,43 @@ fn deliver_ctl(
             }
         }
         Err(_) => {}
+    }
+}
+
+/// Queues `frame` on its owning shard's share of the current batch, or
+/// counts it as an orphan when no shard owns its session.
+fn route(
+    owner: &HashMap<u32, usize>,
+    routed: &mut [Vec<Frame>],
+    orphan_frames: &mut u64,
+    frame: Frame,
+) {
+    let shard = frame.session.and_then(|id| owner.get(&id.raw()));
+    match shard.and_then(|&shard| routed.get_mut(shard)) {
+        Some(share) => share.push(frame),
+        None => *orphan_frames += 1,
+    }
+}
+
+/// Sends each shard its routed frames, in arrival order, as messages of
+/// at most `batch` frames: one message per shard for an ingress batch.
+/// Backpressure: a full queue refuses a whole message and each of its
+/// frames counts as `ingress_overflow` (a channel loss the protocol
+/// tolerates) instead of stalling the pump. A shard that died drops its
+/// share; its error surfaces at join.
+fn send_routed(
+    txs: &[SyncSender<ShardMsg>],
+    routed: &mut [Vec<Frame>],
+    overflow: &mut [u64],
+    batch: usize,
+) {
+    for ((tx, share), dropped) in txs.iter().zip(routed.iter_mut()).zip(overflow) {
+        for frames in share.chunks(batch) {
+            if let Err(TrySendError::Full(_)) = tx.try_send(ShardMsg::Frames(frames.to_vec())) {
+                *dropped += frames.len() as u64;
+            }
+        }
+        share.clear();
     }
 }
 
@@ -524,7 +573,12 @@ pub fn run_server<T: ServeTransport>(
     let mut orphan_frames: u64 = 0;
     let mut decode_errors: u64 = 0;
     let mut overflow = vec![0u64; shard_count];
-    let mut batch: Vec<FrameBuf> = Vec::with_capacity(config.batch.max(1));
+    let batch_cap = config.batch.max(1);
+    let mut batch: Vec<FrameBuf> = Vec::with_capacity(batch_cap);
+    // Each shard's share of the frames routed in this iteration.
+    let mut routed: Vec<Vec<Frame>> = (0..shard_count)
+        .map(|_| Vec::with_capacity(batch_cap))
+        .collect();
     let schedule: Vec<FaultEvent> = config
         .faults
         .as_ref()
@@ -540,7 +594,6 @@ pub fn run_server<T: ServeTransport>(
     let mut recovered_sessions: u64 = 0;
     let mut unrecoverable_sessions: u64 = 0;
     let mut hub_dropped_frames: u64 = 0;
-    let tick_micros = config.tick.as_micros().max(1) as u64;
     // Nap briefly when the socket is dry — but never so long that a
     // kernel receive buffer (a few hundred datagrams on most systems)
     // could fill behind our back at coarse ticks.
@@ -556,7 +609,9 @@ pub fn run_server<T: ServeTransport>(
     let mut last_ingress_tick: u64 = 0;
     let mut all_done_tick: Option<u64> = None;
     let pump_result = 'pump: loop {
-        let now_tick = clock.now_micros() / tick_micros;
+        // The iteration's one clock reading.
+        let now = clock.now();
+        let now_tick = clock.tick_at(now);
         if completed.load(Ordering::Relaxed) >= admitted {
             let done_at = *all_done_tick.get_or_insert(now_tick);
             let quiet_since = last_ingress_tick.max(done_at);
@@ -566,7 +621,7 @@ pub fn run_server<T: ServeTransport>(
         } else {
             all_done_tick = None;
         }
-        if clock.epoch().elapsed() > config.max_wall {
+        if now.saturating_duration_since(clock.epoch()) > config.max_wall {
             break Ok(());
         }
 
@@ -691,7 +746,12 @@ pub fn run_server<T: ServeTransport>(
                 PumpMsg::ToShard { shard, bytes } => {
                     deliver_ctl(&txs, &dead, &mut pending_ctl, shard, bytes);
                 }
-                PumpMsg::Redirect { bytes } => {
+                PumpMsg::Forward(frames) => {
+                    for frame in frames {
+                        route(&owner, &mut routed, &mut orphan_frames, frame);
+                    }
+                }
+                PumpMsg::Redirect { bytes, held } => {
                     // Ownership flips here, in the pump, so no frame
                     // routed after this point can reach the source's
                     // retired copy.
@@ -712,9 +772,13 @@ pub fn run_server<T: ServeTransport>(
                     }
                     owner.insert(frame.session.raw(), target);
                     deliver_ctl(&txs, &dead, &mut pending_ctl, target, bytes);
+                    for frame in held {
+                        route(&owner, &mut routed, &mut orphan_frames, frame);
+                    }
                 }
             }
         }
+        send_routed(&txs, &mut routed, &mut overflow, batch_cap);
         // Retry control frames parked on a full queue.
         for _ in 0..pending_ctl.len() {
             if let Some((shard, bytes)) = pending_ctl.pop_front() {
@@ -728,7 +792,7 @@ pub fn run_server<T: ServeTransport>(
             continue;
         }
         batch.clear();
-        let got = match transport.recv_batch(&mut batch, config.batch.max(1)) {
+        let got = match transport.recv_batch(&mut batch, batch_cap) {
             Ok(got) => got,
             Err(e) => break Err(e),
         };
@@ -750,33 +814,15 @@ pub fn run_server<T: ServeTransport>(
         for bytes in &batch {
             // Full strict decode before routing: the frame crosses a
             // thread boundary, so the checksum is verified exactly once,
-            // here, rather than trusting the cheap peek.
-            let frame = match decode_any(bytes) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    decode_errors += 1;
-                    continue;
-                }
-            };
-            let Some(id) = frame.session else {
-                // A v1 single-session frame has no place in a
-                // multi-session table.
-                orphan_frames += 1;
-                continue;
-            };
-            let Some(&shard) = owner.get(&id.raw()) else {
-                orphan_frames += 1;
-                continue;
-            };
-            match txs[shard].try_send(ShardMsg::Frame(id, frame)) {
-                Ok(()) => {}
-                // Backpressure: drop the frame (a channel loss the
-                // protocol tolerates) instead of stalling the pump.
-                Err(TrySendError::Full(_)) => overflow[shard] += 1,
-                // The shard died; its error surfaces at join.
-                Err(TrySendError::Disconnected(_)) => {}
+            // here, rather than trusting the cheap peek. A v1
+            // single-session frame has no session id, so no place in a
+            // multi-session table: it routes nowhere, as an orphan.
+            match decode_any(bytes) {
+                Ok(frame) => route(&owner, &mut routed, &mut orphan_frames, frame),
+                Err(_) => decode_errors += 1,
             }
         }
+        send_routed(&txs, &mut routed, &mut overflow, batch_cap);
     };
 
     // Shutdown: best-effort message, then close the queues — a shard
@@ -798,6 +844,7 @@ pub fn run_server<T: ServeTransport>(
     for (index, handle) in handles {
         match handle.join() {
             Ok(Ok(mut report)) => {
+                orphan_frames += report.orphan_frames;
                 // Pump-side overflow is per shard index, not per epoch;
                 // book it once, against the index's first-joined epoch.
                 if !overflow_applied[index] {
@@ -837,7 +884,7 @@ pub fn run_server<T: ServeTransport>(
         recovered_sessions,
         unrecoverable_sessions,
         hub_dropped_frames,
-        wall_elapsed: clock.epoch().elapsed(),
+        wall_elapsed: clock.now().saturating_duration_since(clock.epoch()),
     })
 }
 

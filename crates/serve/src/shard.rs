@@ -3,14 +3,20 @@
 //!
 //! A shard owns every session hashed to it — no other thread touches
 //! their automata, so the data path takes no locks. Ingress arrives on a
-//! *bounded* channel (the server drops, never blocks, when it is full:
-//! an admitted session may lose a frame, which the protocols already
-//! tolerate, but it is never stalled past its `c2` window by a slow
-//! neighbour). Pacing uses the hierarchical [`TimerWheel`] instead of
-//! one sleeping thread per session; the miss/violation accounting,
-//! re-anchoring and grace completion are `rstp_net`'s [`Pacer`], the
-//! same rules its driver loop applies, so a 256-session swarm is held to
-//! the same `[c1, c2]` standard as a lone endpoint.
+//! *bounded* channel, one message per pump batch (the server drops,
+//! never blocks, when it is full: an admitted session may lose frames,
+//! which the protocols already tolerate, but it is never stalled past its
+//! `c2` window by a slow neighbour). Pacing uses the hierarchical
+//! [`TimerWheel`] instead of one sleeping thread per session; the
+//! miss/violation accounting, re-anchoring and grace completion are
+//! `rstp_net`'s [`Pacer`], the same rules its driver loop applies, so a
+//! 256-session swarm is held to the same `[c1, c2]` standard as a lone
+//! endpoint.
+//!
+//! A session's step happens at one instant: the shard reads its
+//! [`TickClock`] once per wheel pop, and the wake booking, latency
+//! samples, frame stamps, recorded events and next deadline of that step
+//! all derive from that reading.
 
 use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
 use crate::metrics::{SessionStats, ShardReport};
@@ -23,11 +29,11 @@ use rstp_net::{
     NetError, Pace, Pacer, StepEffect, TickClock, Wake, WireCodec,
 };
 use rstp_record::{Event, ShardRecorder};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A recovered session the server hands a restarted shard: the spec, a
 /// restored endpoint (snapshot + event replay already applied), and the
@@ -42,8 +48,10 @@ pub struct ResumeSession {
 pub enum ShardMsg {
     /// Take ownership of a new session.
     Admit(SessionSpec),
-    /// A decoded frame for a session this shard owns.
-    Frame(SessionId, Frame),
+    /// Decoded frames for sessions this shard owns, in arrival order: this
+    /// shard's share of one pump batch, or frames a peer held for a
+    /// session it handed over here.
+    Frames(Vec<Frame>),
     /// An encoded wire-v3 control frame: the pair-wise handover protocol
     /// (DRAIN → SNAPSHOT → SNAPSHOT_ACK → REDIRECT).
     Control(Vec<u8>),
@@ -182,7 +190,7 @@ pub(crate) fn run_shard(
     #[cfg(rstp_check_inject_ack_bug)]
     let inject_delta2 = sp.params.delta2();
     let gap_ticks = sp.pace.gap_ticks(sp.params).max(1);
-    let tick_micros = sp.tick.as_micros().max(1) as u64;
+    let idle_timeout = sp.tick * u32::try_from(gap_ticks).unwrap_or(u32::MAX);
     let pacer = Pacer::new(sp.params, sp.tick, sp.pace, sp.slack, sp.grace_ticks);
 
     let mut report = ShardReport::new(sp.index);
@@ -203,23 +211,31 @@ pub(crate) fn run_shard(
     // still finish. Ghosts hold no wheel deadlines and cost nothing
     // until a frame actually arrives for them.
     let mut retired: HashMap<u32, Live> = HashMap::new();
-    let now_tick = |clock: &TickClock| clock.now_micros() / tick_micros;
+    // Sessions handed off to a peer. A frame for one that still reaches
+    // this shard (the pump routed it before the REDIRECT flipped the
+    // owner table) follows the session through the pump.
+    let mut handed_off: HashSet<u32> = HashSet::new();
+    // The latest clock reading: one when the loop wakes, then one per
+    // wheel pop. The next sleep is sized from whichever came last.
+    let mut now = clock.now();
 
     'run: loop {
         // Sleep until the next deadline (or new work arrives). The
         // channel doubles as the wake-up: one blocking point serves both
         // ingress and pacing.
         let timeout = match wheel.next_due() {
-            Some(t) => clock
-                .instant_of_tick(t)
-                .saturating_duration_since(Instant::now()),
-            None => sp.tick * u32::try_from(gap_ticks).unwrap_or(u32::MAX),
+            Some(t) => clock.instant_of_tick(t).saturating_duration_since(now),
+            None => idle_timeout,
         };
         let mut first = match rx.recv_timeout(timeout) {
             Ok(msg) => Some(msg),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break 'run,
         };
+        // The iteration's own reading, for everything outside a step.
+        now = clock.now();
+        let now_tick = clock.tick_at(now);
+        let at = clock.micros_at(now);
         while let Some(msg) = first.take() {
             match msg {
                 ShardMsg::Admit(spec) => {
@@ -230,11 +246,11 @@ pub(crate) fn run_shard(
                     // First step strictly in the future, like the
                     // driver's epoch anchor — an overdue first deadline
                     // would book a spurious miss at admission.
-                    wheel.schedule(now_tick(&clock) + 1, idx);
+                    wheel.schedule(now_tick + 1, idx);
                     report.admitted += 1;
                     if let Some(r) = &recorder {
                         r.record_durable(Event::Admit {
-                            at_micros: clock.now_micros(),
+                            at_micros: at,
                             session: spec.id.raw(),
                             kind: spec.kind,
                             n: u32::try_from(spec.n).unwrap_or(u32::MAX),
@@ -243,65 +259,58 @@ pub(crate) fn run_shard(
                         // restarted shard replays forward from.
                         if let Some(live) = sessions.get(idx).and_then(Option::as_ref) {
                             r.record_durable(Event::Snapshot {
-                                at_micros: clock.now_micros(),
+                                at_micros: at,
                                 session: spec.id.raw(),
                                 state: live.snapshot().encode(),
                             });
                         }
                     }
                 }
-                ShardMsg::Frame(id, frame) => {
-                    if let Some(&idx) = by_id.get(&id.raw()) {
-                        if let Some(live) = sessions.get_mut(idx).and_then(Option::as_mut) {
+                ShardMsg::Frames(frames) => {
+                    let mut forward = Vec::new();
+                    for frame in frames {
+                        let Some(id) = frame.session.map(SessionId::raw) else {
+                            report.orphan_frames += 1;
+                            continue;
+                        };
+                        if let Some(live) = by_id
+                            .get(&id)
+                            .and_then(|&idx| sessions.get_mut(idx))
+                            .and_then(Option::as_mut)
+                        {
                             live.pending.push_back(frame);
-                        }
-                    } else if let Some(ghost) = retired.get_mut(&id.raw()) {
-                        // A duplicate for a completed session: re-ack
-                        // event-driven. The session has no deadlines
-                        // left, and answering a retransmission is the
-                        // channel's business, not the [c1, c2] step
-                        // schedule's. A ghost must never take down the
-                        // shard, so automaton errors end the exchange
-                        // instead of propagating.
-                        if ghost.endpoint.apply_recv(frame.packet).is_ok() {
-                            for _ in 0..4 {
-                                match ghost.endpoint.step() {
-                                    Ok(StepEffect::Sent(p)) => {
-                                        let stamp = clock.now_micros();
-                                        let bytes = ghost.codec.encode_with_session(
-                                            p,
-                                            ghost.seq,
-                                            stamp,
-                                            ghost.spec.id,
-                                        );
-                                        ghost.seq += 1;
-                                        out_buf.push((ghost.spec.id.raw(), bytes.into()));
-                                        report.reacked += 1;
-                                    }
-                                    Ok(StepEffect::Waited) => {}
-                                    Ok(_) | Err(_) => break,
-                                }
-                            }
+                        } else if let Some(ghost) = retired.get_mut(&id) {
+                            report.frames_received += 1;
+                            reack(ghost, frame, at, &mut out_buf, &mut report);
+                        } else if handed_off.contains(&id) {
+                            forward.push(frame);
+                        } else {
+                            // Unknown id: trailing traffic for a session
+                            // that completed on another epoch or shard.
+                            // Dropped, like the driver ignoring frames
+                            // after its grace period.
+                            report.orphan_frames += 1;
                         }
                     }
-                    // Unknown id: trailing traffic for a session that
-                    // completed on another epoch or shard. Dropped, like
-                    // the driver ignoring frames after its grace period.
+                    if !forward.is_empty() {
+                        let _ = pump.send(PumpMsg::Forward(forward));
+                    }
                 }
                 ShardMsg::Control(bytes) => {
                     handle_control(
                         &bytes,
                         &sp,
-                        &clock,
+                        at,
                         &pump,
                         &recorder,
                         &mut report,
                         &mut sessions,
                         &mut by_id,
+                        &mut handed_off,
                         &mut wheel,
                         &mut pending_handover,
                         &mut provisional,
-                        now_tick(&clock),
+                        now_tick,
                         gap_ticks,
                     );
                 }
@@ -310,20 +319,20 @@ pub(crate) fn run_shard(
                     let live = Live::new(rs.spec, rs.endpoint, rs.seq, false)?;
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(rs.spec.id.raw(), idx);
-                    wheel.schedule(now_tick(&clock) + 1, idx);
+                    wheel.schedule(now_tick + 1, idx);
                     report.adopted += 1;
                     if let Some(r) = &recorder {
                         if let Some(live) = sessions.get(idx).and_then(Option::as_ref) {
                             // A fresh anchor, so a *second* crash can
                             // recover without replaying the first life.
                             r.record_durable(Event::Admit {
-                                at_micros: clock.now_micros(),
+                                at_micros: at,
                                 session: rs.spec.id.raw(),
                                 kind: rs.spec.kind,
                                 n: u32::try_from(rs.spec.n).unwrap_or(u32::MAX),
                             });
                             r.record_durable(Event::Snapshot {
-                                at_micros: clock.now_micros(),
+                                at_micros: at,
                                 session: rs.spec.id.raw(),
                                 state: live.snapshot().encode(),
                             });
@@ -360,12 +369,12 @@ pub(crate) fn run_shard(
             &mut wheel,
             &mut pending_handover,
             &mut provisional,
-            now_tick(&clock),
+            now_tick,
             gap_ticks,
         );
 
         // Fire every deadline up to now.
-        wheel.advance(now_tick(&clock), &mut due);
+        wheel.advance(now_tick, &mut due);
         for (due_tick, idx) in due.drain(..) {
             let Some(live) = sessions.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
@@ -380,8 +389,12 @@ pub(crate) fn run_shard(
                 continue;
             }
 
+            // The step's one clock reading: everything it books, stamps
+            // and records happens at this instant.
+            now = clock.now();
+            let at = clock.micros_at(now);
             let due = clock.instant_of_tick(due_tick);
-            let booked = pacer.wake(&mut live.cadence, due, Instant::now());
+            let booked = pacer.wake(&mut live.cadence, due, now);
             match booked {
                 Wake::Late => report.deadline_misses += 1,
                 Wake::Violation => report.timing_violations += 1,
@@ -390,14 +403,14 @@ pub(crate) fn run_shard(
             let late = booked == Wake::Late;
             if let Some(r) = &recorder {
                 r.record(Event::WheelPop {
-                    at_micros: clock.now_micros(),
+                    at_micros: at,
                     session: live.spec.id.raw(),
                     due_tick,
                     late,
                 });
                 if late {
                     r.record(Event::DeadlineMiss {
-                        at_micros: clock.now_micros(),
+                        at_micros: at,
                         session: live.spec.id.raw(),
                         due_tick,
                     });
@@ -421,7 +434,7 @@ pub(crate) fn run_shard(
                         live.spec.id,
                     );
                     r.record(Event::Rx {
-                        at_micros: clock.now_micros(),
+                        at_micros: at,
                         session: live.spec.id.raw(),
                         wire: wire.to_vec(),
                     });
@@ -429,7 +442,7 @@ pub(crate) fn run_shard(
                 live.endpoint.apply_recv(frame.packet)?;
                 report
                     .latency
-                    .record(clock.now_micros().saturating_sub(frame.sent_at_micros));
+                    .record(at.saturating_sub(frame.sent_at_micros));
                 live.recvs += 1;
                 report.frames_received += 1;
             }
@@ -443,13 +456,12 @@ pub(crate) fn run_shard(
             let mut productive = received_any;
             match effect {
                 StepEffect::Sent(p) => {
-                    let stamp = clock.now_micros();
                     let bytes = live
                         .codec
-                        .encode_with_session(p, live.seq, stamp, live.spec.id);
+                        .encode_with_session(p, live.seq, at, live.spec.id);
                     if let Some(r) = &recorder {
                         r.record(Event::Tx {
-                            at_micros: stamp,
+                            at_micros: at,
                             session: live.spec.id.raw(),
                             wire: bytes.to_vec(),
                         });
@@ -467,7 +479,7 @@ pub(crate) fn run_shard(
                         // loss oracle can check Y's *content* prefix
                         // across a crash, not just its length.
                         r.record(Event::Write {
-                            at_micros: clock.now_micros(),
+                            at_micros: at,
                             session: live.spec.id.raw(),
                             written: live.endpoint.written().len() as u64,
                             bit: m,
@@ -492,7 +504,7 @@ pub(crate) fn run_shard(
                 let stats = done.stats(true);
                 if let Some(r) = &recorder {
                     r.record_durable(Event::Verdict {
-                        at_micros: clock.now_micros(),
+                        at_micros: at,
                         session: stats.id.raw(),
                         completed: true,
                         written: stats.written.clone(),
@@ -508,8 +520,9 @@ pub(crate) fn run_shard(
                 continue;
             }
 
-            // Reschedule one gap on, or re-anchored on now after a stall.
-            let next = pacer.next_due(&mut live.cadence, due, Instant::now());
+            // Reschedule one gap on, or re-anchored on the wake after a
+            // stall.
+            let next = pacer.next_due(&mut live.cadence, due, now);
             wheel.schedule(clock.tick_at(next), idx);
         }
 
@@ -521,12 +534,13 @@ pub(crate) fn run_shard(
     }
 
     // Account whatever is still open.
+    let at = clock.now_micros();
     for slot in sessions.into_iter().flatten() {
         report.unfinished += 1;
         let stats = slot.stats(false);
         if let Some(r) = &recorder {
             r.record_durable(Event::Verdict {
-                at_micros: clock.now_micros(),
+                at_micros: at,
                 session: stats.id.raw(),
                 completed: false,
                 written: stats.written.clone(),
@@ -539,6 +553,37 @@ pub(crate) fn run_shard(
         report.events_dropped = r.dropped();
     }
     Ok(report)
+}
+
+/// A duplicate for a completed session, answered at `at`: re-ack
+/// event-driven. The session has no deadlines left, and answering a
+/// retransmission is the channel's business, not the [c1, c2] step
+/// schedule's. A ghost must never take down the shard, so automaton
+/// errors end the exchange instead of propagating.
+fn reack(
+    ghost: &mut Live,
+    frame: Frame,
+    at: u64,
+    out_buf: &mut Vec<(u32, FrameBuf)>,
+    report: &mut ShardReport,
+) {
+    if ghost.endpoint.apply_recv(frame.packet).is_err() {
+        return;
+    }
+    for _ in 0..4 {
+        match ghost.endpoint.step() {
+            Ok(StepEffect::Sent(p)) => {
+                let bytes = ghost
+                    .codec
+                    .encode_with_session(p, ghost.seq, at, ghost.spec.id);
+                ghost.seq += 1;
+                out_buf.push((ghost.spec.id.raw(), bytes.into()));
+                report.reacked += 1;
+            }
+            Ok(StepEffect::Waited) => {}
+            Ok(_) | Err(_) => break,
+        }
+    }
 }
 
 /// Places `live` in the first free slot (or a new one) and returns its
@@ -606,19 +651,21 @@ fn send_ack(pump: &Sender<PumpMsg>, own: usize, src: usize, session: u32) {
     }
 }
 
-/// One incoming control frame: the four corners of the handover
-/// protocol. Corrupt or stale frames are ignored — the retry/TTL
-/// machinery recovers, and a shard must never die on peer input.
+/// One incoming control frame, handled at `at` µs (tick `now`): the four
+/// corners of the handover protocol. Corrupt or stale frames are ignored
+/// — the retry/TTL machinery recovers, and a shard must never die on
+/// peer input.
 #[allow(clippy::too_many_arguments)]
 fn handle_control(
     bytes: &[u8],
     sp: &ShardParams,
-    clock: &TickClock,
+    at: u64,
     pump: &Sender<PumpMsg>,
     recorder: &Option<ShardRecorder>,
     report: &mut ShardReport,
     sessions: &mut Vec<Option<Live>>,
     by_id: &mut HashMap<u32, usize>,
+    handed_off: &mut HashSet<u32>,
     wheel: &mut TimerWheel<usize>,
     pending_handover: &mut Vec<PendingHandover>,
     provisional: &mut Vec<(usize, u64)>,
@@ -699,19 +746,20 @@ fn handle_control(
             };
             let idx = insert_live(sessions, live);
             by_id.insert(snap.session, idx);
+            handed_off.remove(&snap.session);
             provisional.push((idx, now + PROVISIONAL_TTL_GAPS * gap_ticks));
             if let Some(r) = recorder {
                 if let Some(live) = sessions.get(idx).and_then(Option::as_ref) {
                     // Anchor the adopted session in *this* shard's
                     // recording, so a later crash here recovers it.
                     r.record_durable(Event::Admit {
-                        at_micros: clock.now_micros(),
+                        at_micros: at,
                         session: snap.session,
                         kind: snap.kind,
                         n: snap.n,
                     });
                     r.record_durable(Event::Snapshot {
-                        at_micros: clock.now_micros(),
+                        at_micros: at,
                         session: snap.session,
                         state: live.snapshot().encode(),
                     });
@@ -723,7 +771,10 @@ fn handle_control(
             // Source side: the target holds the session. Retire our
             // copy silently (its Y continues over there — no verdict,
             // no stats) and publish the REDIRECT through the pump so
-            // routing flips atomically with the activation.
+            // routing flips atomically with the activation. The frames
+            // the paused copy still holds travel with the REDIRECT, and
+            // any that reach us later are forwarded: they follow the
+            // session, in arrival order.
             let Some(pos) = pending_handover
                 .iter()
                 .position(|p| p.session == frame.session.raw())
@@ -735,11 +786,13 @@ fn handle_control(
                 .get(p.idx)
                 .and_then(Option::as_ref)
                 .is_some_and(|l| l.paused && l.spec.id.raw() == p.session);
+            let mut held = Vec::new();
             if retire {
-                if let Some(slot) = sessions.get_mut(p.idx) {
-                    *slot = None;
+                if let Some(live) = sessions.get_mut(p.idx).and_then(Option::take) {
+                    held = live.pending.into();
                 }
                 by_id.remove(&p.session);
+                handed_off.insert(p.session);
                 report.handed_off += 1;
             }
             let redirect = ControlFrame {
@@ -748,7 +801,7 @@ fn handle_control(
                 payload: shard_payload(p.target),
             };
             if let Ok(bytes) = encode_control(&redirect) {
-                let _ = pump.send(PumpMsg::Redirect { bytes });
+                let _ = pump.send(PumpMsg::Redirect { bytes, held });
             }
         }
         ControlKind::Redirect => {

@@ -71,9 +71,10 @@ impl SwarmConfig {
         // box the shards can lag the clients by entire bursts, and a
         // drop kills an open-loop session (β sends each symbol exactly
         // k times — lose all k and the receiver stalls forever). The
-        // bound still exists; the load harness just provisions it, as a
-        // deployment would. The dedicated backpressure tests shrink it
-        // on purpose.
+        // bound counts messages, and a frame message carries up to
+        // `batch` frames. The bound still exists; the load harness just
+        // provisions it, as a deployment would. The dedicated
+        // backpressure tests shrink it on purpose.
         let queue_cap = (sessions.saturating_mul(32)).max(256);
         SwarmConfig {
             serve: ServeConfig::new(params, tick)
@@ -100,6 +101,8 @@ pub struct SwarmReport {
     pub client_deadline_misses: u64,
     /// Timing violations across all client sessions.
     pub client_timing_violations: u64,
+    /// Frames the client sessions handed to their transports, in total.
+    pub client_frames_sent: u64,
     /// Ids of clients whose session hit the wall-clock cap.
     pub clients_timed_out: Vec<u32>,
     /// One diagnostic line per timed-out client — what its session did
@@ -403,11 +406,13 @@ pub fn run_swarm_sessions(
 
     let mut client_deadline_misses = 0;
     let mut client_timing_violations = 0;
+    let mut client_frames_sent = 0;
     let mut clients_timed_out = Vec::new();
     let mut clients_timed_out_detail = Vec::new();
     for (spec, report) in specs.iter().zip(&clients) {
         client_deadline_misses += report.deadline_misses;
         client_timing_violations += report.timing_violations;
+        client_frames_sent += report.transport.frames_sent;
         if report.outcome == DriverOutcome::TimedOut {
             clients_timed_out.push(spec.id.raw());
             clients_timed_out_detail.push(format!(
@@ -430,6 +435,7 @@ pub fn run_swarm_sessions(
         planned: sessions.len(),
         client_deadline_misses,
         client_timing_violations,
+        client_frames_sent,
         clients_timed_out,
         clients_timed_out_detail,
         mismatched,
@@ -504,6 +510,23 @@ fn with_clients<T: Transport + Send>(
 mod tests {
     use super::*;
 
+    /// Every frame a client sent is accounted for exactly once: applied
+    /// by a shard, refused by a full queue, orphaned, or undecodable.
+    fn assert_frames_conserved(report: &SwarmReport) {
+        let serve = &report.serve;
+        let received: u64 = serve.shards.iter().map(|s| s.frames_received).sum();
+        assert_eq!(
+            received + serve.ingress_overflow() + serve.orphan_frames + serve.decode_errors,
+            report.client_frames_sent,
+            "{} received, {} overflow, {} orphan, {} undecodable\n{}",
+            received,
+            serve.ingress_overflow(),
+            serve.orphan_frames,
+            serve.decode_errors,
+            report.summary()
+        );
+    }
+
     #[test]
     fn stabilizing_swarm_holds_y_equals_x_at_64_sessions() {
         // The CI swarm shape pinning the stabilizing family at scale:
@@ -527,18 +550,16 @@ mod tests {
     #[test]
     fn small_mem_swarm_reproduces_every_input() {
         let params = TimingParams::from_ticks(1, 2, 4).expect("valid");
-        let config = SwarmConfig::new(
-            ProtocolKind::Beta { k: 4 },
-            16,
-            8,
-            params,
-            Duration::from_micros(200),
-        );
-        let report = run_swarm(&config).expect("swarm");
-        assert!(report.all_good(), "{}", report.summary());
-        assert_eq!(report.serve.completed(), 8);
-        assert_eq!(report.oracle_checked, 2);
-        assert!(report.serve.latency().count() > 0);
+        for kind in [ProtocolKind::Beta { k: 4 }, ProtocolKind::Gamma { k: 4 }] {
+            let config = SwarmConfig::new(kind, 16, 8, params, Duration::from_micros(200));
+            let report = run_swarm(&config).expect("swarm");
+            assert!(report.all_good(), "{kind:?}: {}", report.summary());
+            assert_eq!(report.serve.completed(), 8);
+            assert_eq!(report.oracle_checked, 2);
+            assert!(report.serve.latency().count() > 0);
+            assert!(report.client_frames_sent > 0);
+            assert_frames_conserved(&report);
+        }
     }
 
     #[test]
@@ -647,46 +668,57 @@ mod tests {
         // shard 1 mid-transfer (DRAIN → SNAPSHOT → ACK → REDIRECT).
         // The adopted sessions must finish with Y = X, and deadlines
         // that fired while paused are reported as migrated, not lost.
+        // β and γ never resend data, so the frames the source held when
+        // it retired its copy (delivered but not yet applied, or routed
+        // to it before the REDIRECT) must follow the session.
         let params = TimingParams::from_ticks(1, 2, 4).expect("valid");
         let tick = Duration::from_micros(200);
-        let plan = crate::FaultPlan::parse("drain=0->1@15").expect("plan");
-        let serve = ServeConfig::new(params, tick)
-            .with_shards(2)
-            .with_max_sessions(8)
-            .with_queue_cap(512)
-            .with_max_wall(Duration::from_secs(30))
-            .with_faults(plan);
-        let sessions: Vec<(SessionSpec, Vec<Message>)> = (1..=8u32)
-            .map(|i| {
-                let spec = SessionSpec {
-                    id: SessionId::new(i),
-                    kind: ProtocolKind::Stenning {
-                        timeout_steps: None,
-                    },
-                    n: 8,
-                };
-                (spec, random_input(8, 100 + u64::from(i)))
-            })
-            .collect();
-        let report = run_swarm_sessions(&sessions, &serve, SwarmTransport::Mem).expect("swarm");
-        assert!(report.all_good(), "{}", report.summary());
-        assert_eq!(report.serve.completed(), 8);
-        assert!(
-            report.serve.handed_off() >= 1,
-            "the drain must move sessions: {}",
-            report.summary()
-        );
-        assert_eq!(
-            report.serve.handed_off(),
-            report.serve.adopted(),
-            "every handoff must be adopted exactly once: {}",
-            report.summary()
-        );
-        assert!(
-            report.summary().contains("handover  :"),
-            "{}",
-            report.summary()
-        );
+        let stenning = ProtocolKind::Stenning {
+            timeout_steps: None,
+        };
+        for (kind, n) in [
+            (stenning, 8),
+            (ProtocolKind::Beta { k: 4 }, 64),
+            (ProtocolKind::Gamma { k: 4 }, 64),
+        ] {
+            let plan = crate::FaultPlan::parse("drain=0->1@15").expect("plan");
+            let serve = ServeConfig::new(params, tick)
+                .with_shards(2)
+                .with_max_sessions(8)
+                .with_queue_cap(512)
+                .with_max_wall(Duration::from_secs(30))
+                .with_faults(plan);
+            let sessions: Vec<(SessionSpec, Vec<Message>)> = (1..=8u32)
+                .map(|i| {
+                    let spec = SessionSpec {
+                        id: SessionId::new(i),
+                        kind,
+                        n,
+                    };
+                    (spec, random_input(n, 100 + u64::from(i)))
+                })
+                .collect();
+            let report = run_swarm_sessions(&sessions, &serve, SwarmTransport::Mem).expect("swarm");
+            assert!(report.all_good(), "{kind:?}: {}", report.summary());
+            assert_eq!(report.serve.completed(), 8);
+            assert!(
+                report.serve.handed_off() >= 1,
+                "the drain must move sessions: {}",
+                report.summary()
+            );
+            assert_eq!(
+                report.serve.handed_off(),
+                report.serve.adopted(),
+                "every handoff must be adopted exactly once: {}",
+                report.summary()
+            );
+            assert!(
+                report.summary().contains("handover  :"),
+                "{}",
+                report.summary()
+            );
+            assert_frames_conserved(&report);
+        }
     }
 
     #[test]
