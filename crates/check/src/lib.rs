@@ -19,7 +19,7 @@
 //!    (channel-occupancy profile, delivery-reorder depth, deadline-slack
 //!    histogram) so the [`engine`] can favor mutating scenarios that reached
 //!    novel behavior.
-//! 4. [`shrink`] delta-debugs any failing scenario down to a minimal repro,
+//! 4. [`shrink`](mod@shrink) delta-debugs any failing scenario down to a minimal repro,
 //!    and [`corpus`] serializes it as a replayable text trace that is
 //!    committed under `tests/corpus/` and re-run as a cargo test.
 //! 5. [`bridge`] lifts a session out of an `rstp-record` flight recording

@@ -8,9 +8,6 @@
 //!
 //! * [`wire`] — a versioned byte codec for protocol packets, with strict
 //!   decode errors ([`wire::WireCodec`], [`wire::Frame`]).
-//! * [`control`] — wire v3 node-to-node control frames (DRAIN /
-//!   SNAPSHOT / REDIRECT) carrying the pair-wise session handover
-//!   protocol between serve nodes ([`control::ControlFrame`]).
 //! * [`transport`] — the [`transport::Transport`] trait
 //!   (`send`/`poll_recv`/`local_stats`).
 //! * [`mem`] — an in-process endpoint pair whose delivery threads enforce
@@ -40,7 +37,6 @@
 
 pub mod chan;
 pub mod clock;
-pub mod control;
 pub mod driver;
 pub mod error;
 pub mod histogram;
@@ -54,10 +50,6 @@ pub use chan::{
     ChannelConfig, ChannelSampler, DelayModel, ScriptedVerdicts, Verdict, VerdictSource,
 };
 pub use clock::TickClock;
-pub use control::{
-    decode_control, encode_control, ControlError, ControlFrame, ControlKind, CONTROL_HEADER_LEN,
-    CONTROL_MAX_PAYLOAD, CONTROL_VERSION,
-};
 pub use driver::{
     run_sessions, Cadence, Driven, DriverConfig, DriverOutcome, DriverReport, Pace, Pacer, Session,
     SessionEndpoint, StepEffect, Wake,

@@ -3,9 +3,9 @@
 //!
 //! [`MemTransport::pair`] returns two connected endpoints. Each direction
 //! owns a background delivery thread: frames arrive with their send
-//! instant, the thread draws a [`Verdict`](crate::chan::Verdict) from the
-//! seeded [`ChannelSampler`](crate::chan::ChannelSampler), and due frames
-//! are released into the peer's inbox at `send_instant + delay`. Because
+//! instant, the thread draws a [`Verdict`] from the seeded
+//! [`ChannelSampler`], and due frames are released into the peer's
+//! inbox at `send_instant + delay`. Because
 //! consecutive packets draw independent delays from overlapping windows,
 //! later packets can overtake earlier ones — the bounded-delay-with-
 //! reorder behaviour the paper's channel axioms permit, now realised in

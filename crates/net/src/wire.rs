@@ -545,9 +545,8 @@ impl AsRef<[u8]> for FrameBuf {
     }
 }
 
-/// 32-bit FNV-1a over `bytes`. Shared with the v3 control-frame codec
-/// (`crate::control`) so both frame families agree on one checksum.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
+/// 32-bit FNV-1a over `bytes`: the frame checksum of wire v1 and v2.
+fn fnv1a(bytes: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c_9dc5;
     for &b in bytes {
         hash ^= u32::from(b);

@@ -316,7 +316,10 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-fn put_kind(out: &mut Vec<u8>, kind: ProtocolKind) {
+/// Appends `kind` in the layout `Admit` records and session snapshots
+/// share: tag u8, k u64, window u64, timeout flag u8 + u64.
+/// [`kind_from_tag`] reads the tag back.
+pub fn put_kind(out: &mut Vec<u8>, kind: ProtocolKind) {
     let (tag, k, window, timeout) = match kind {
         ProtocolKind::Alpha => (TAG_ALPHA, 0, 0, None),
         ProtocolKind::Beta { k } => (TAG_BETA, k, 0, None),
@@ -532,6 +535,30 @@ impl<'a> Body<'a> {
     }
 }
 
+/// The protocol a [`put_kind`] tag names, given the fields read after
+/// it; `None` for an unknown tag.
+#[must_use]
+pub fn kind_from_tag(
+    tag: u8,
+    k: u64,
+    window: u64,
+    timeout_steps: Option<u64>,
+) -> Option<ProtocolKind> {
+    Some(match tag {
+        TAG_ALPHA => ProtocolKind::Alpha,
+        TAG_BETA => ProtocolKind::Beta { k },
+        TAG_GAMMA => ProtocolKind::Gamma { k },
+        TAG_ALTBIT => ProtocolKind::AltBit { timeout_steps },
+        TAG_FRAMED => ProtocolKind::Framed { k },
+        TAG_BETA_WINDOW => ProtocolKind::BetaWindow { k },
+        TAG_STENNING => ProtocolKind::Stenning { timeout_steps },
+        TAG_PIPELINED => ProtocolKind::Pipelined { k, window },
+        TAG_STAB_STENNING => ProtocolKind::StabStenning { timeout_steps },
+        TAG_STAB_BETA => ProtocolKind::StabBeta { k },
+        _ => return None,
+    })
+}
+
 fn take_kind(b: &mut Body<'_>) -> Result<ProtocolKind, RecordError> {
     let tag = b.u8()?;
     let k = b.u64()?;
@@ -539,21 +566,9 @@ fn take_kind(b: &mut Body<'_>) -> Result<ProtocolKind, RecordError> {
     let has_timeout = b.flag("protocol timeout flag")?;
     let timeout_raw = b.u64()?;
     let timeout_steps = has_timeout.then_some(timeout_raw);
-    match tag {
-        TAG_ALPHA => Ok(ProtocolKind::Alpha),
-        TAG_BETA => Ok(ProtocolKind::Beta { k }),
-        TAG_GAMMA => Ok(ProtocolKind::Gamma { k }),
-        TAG_ALTBIT => Ok(ProtocolKind::AltBit { timeout_steps }),
-        TAG_FRAMED => Ok(ProtocolKind::Framed { k }),
-        TAG_BETA_WINDOW => Ok(ProtocolKind::BetaWindow { k }),
-        TAG_STENNING => Ok(ProtocolKind::Stenning { timeout_steps }),
-        TAG_PIPELINED => Ok(ProtocolKind::Pipelined { k, window }),
-        TAG_STAB_STENNING => Ok(ProtocolKind::StabStenning { timeout_steps }),
-        TAG_STAB_BETA => Ok(ProtocolKind::StabBeta { k }),
-        _ => Err(RecordError::Malformed {
-            what: "unknown protocol tag",
-        }),
-    }
+    kind_from_tag(tag, k, window, timeout_steps).ok_or(RecordError::Malformed {
+        what: "unknown protocol tag",
+    })
 }
 
 /// Decodes one length-prefixed record from the start of `buf`.

@@ -13,10 +13,10 @@
 //! the data path. The producer side is strictly nonblocking — a bounded
 //! ring accepts events with a single `try_lock`, and saturation or
 //! contention drops the event and counts it, loudly, rather than
-//! stalling a shard past its `c2` window (see [`ring`]). A writer
+//! stalling a shard past its `c2` window (see [`ring`](mod@ring)). A writer
 //! thread per shard drains the ring to disk ([`writer`]) in a
 //! versioned, length-prefixed format with pinned golden bytes
-//! ([`format`]); [`reader`] and [`index`] turn the files back into
+//! ([`format`](mod@format)); [`reader`] and [`index`] turn the files back into
 //! per-session histories.
 //!
 //! Timestamps are `TickClock` readings supplied by the shard, one per

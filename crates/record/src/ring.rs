@@ -115,7 +115,7 @@ impl RingProducer {
 
     /// Offers one record. Returns `true` if it was accepted. A full
     /// ring drops the record immediately; a contended lock is retried
-    /// for at most [`PUSH_SPINS`] spin hints (the consumer holds it
+    /// for at most `PUSH_SPINS` spin hints (the consumer holds it
     /// only for a pointer swap) before the record is likewise dropped.
     /// Every drop is counted in [`dropped`]. This never blocks and
     /// never allocates beyond the deque's growth toward its fixed
@@ -133,7 +133,7 @@ impl RingProducer {
     /// Offers one record that the caller cannot afford to shed (crash
     /// recovery's admission / snapshot anchors and final verdicts).
     /// Retries [`push`](RingProducer::push)'s bounded attempt across up
-    /// to [`INSIST_YIELDS`] scheduler yields, so a writer descheduled
+    /// to `INSIST_YIELDS` scheduler yields, so a writer descheduled
     /// while holding the lock no longer forces a drop. Bounded and
     /// lock-free like `push`, but willing to spend scheduler quanta —
     /// keep it off the per-frame data path.

@@ -22,8 +22,8 @@
 //!   that the server and `rstp swarm` report a nonzero verdict instead
 //!   of unwinding silently.
 //! * `drain=A->B@T` — at tick `T`, shard `A` hands every live session
-//!   over to shard `B` via the wire-v3 DRAIN → SNAPSHOT → REDIRECT
-//!   protocol.
+//!   over to shard `B` via the DRAIN → SNAPSHOT → SNAPSHOT_ACK →
+//!   REDIRECT handover protocol.
 //! * `stall=T1..T2` — the pump stops reading ingress for ticks
 //!   `[T1, T2)`: a socket stall. Frames queue in the transport.
 //! * `hubdrop=T1..T2` — the pump reads and *discards* ingress for

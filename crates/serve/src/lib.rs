@@ -49,7 +49,6 @@ pub use faults::{FaultEvent, FaultPlan};
 pub use hub::{HubClientTransport, MemHub};
 pub use metrics::{ServeReport, SessionStats, ShardReport};
 pub use server::{run_server, EgressSink, ServeConfig, ServeTransport, SessionSpec};
-pub use shard::ShardMsg;
 pub use snapshot::{SessionSnapshot, SnapshotError, StateCodec, SNAPSHOT_VERSION};
 pub use swarm::{run_swarm, run_swarm_sessions, SwarmConfig, SwarmReport, SwarmTransport};
 pub use udp::{UdpServerTransport, UdpSessionClient};

@@ -14,12 +14,10 @@
 use crate::endpoint::restore_receiver_endpoint;
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::{ServeReport, ShardReport};
-use crate::shard::{run_shard, ResumeSession, ShardMsg, ShardParams};
+use crate::shard::{run_shard, Handover, ResumeSession, ShardMsg, ShardParams};
 use crate::snapshot::SessionSnapshot;
 use rstp_core::{SessionId, TimingParams};
-use rstp_net::{
-    decode_any, decode_control, ControlKind, Frame, FrameBuf, NetError, Pace, TickClock,
-};
+use rstp_net::{decode_any, Frame, FrameBuf, NetError, Pace, TickClock};
 use rstp_record::{
     shard_file_name, Event, RecStats, RecorderSet, Recording, RunMeta, ShardRecorder,
 };
@@ -96,7 +94,7 @@ pub struct ServeConfig {
     /// shard queue message, and frames flushed per egress call.
     pub batch: usize,
     /// Bound of each shard's ingress queue, in messages: an admission, a
-    /// control frame, or one pump batch's frames for that shard (up to
+    /// handover message, or one pump batch's frames for that shard (up to
     /// `batch` frames).
     pub queue_cap: usize,
     /// Admission ceiling across all shards.
@@ -207,24 +205,26 @@ impl ServeConfig {
     }
 }
 
-/// Shard → pump messages: the handover control plane. Control frames
-/// ride through the pump rather than shard-to-shard channels so a
-/// routing flip (REDIRECT) lands in the owner table atomically with the
+/// Shard → pump messages: the handover control plane. Handover
+/// messages ride through the pump rather than shard-to-shard channels so
+/// a routing flip (REDIRECT) lands in the owner table atomically with the
 /// frame's delivery order.
 pub(crate) enum PumpMsg {
-    /// Deliver an encoded wire-v3 control frame to a shard's queue.
+    /// Deliver a handover message to a shard's queue.
     ToShard {
         /// Destination shard index.
         shard: usize,
-        /// The encoded control frame.
-        bytes: Vec<u8>,
+        /// The message.
+        msg: Handover,
     },
-    /// A REDIRECT: re-route the session's ownership to the shard named
-    /// in the payload, then deliver the frame there for activation,
-    /// followed by the frames the source still held for the session.
+    /// A REDIRECT: re-route the session's ownership to `target`, then
+    /// deliver the REDIRECT there for activation, followed by the frames
+    /// the source still held for the session.
     Redirect {
-        /// The encoded REDIRECT frame.
-        bytes: Vec<u8>,
+        /// The session handed over.
+        session: u32,
+        /// Its new owner.
+        target: usize,
         /// Frames the source received for the session but never applied,
         /// in arrival order.
         held: Vec<Frame>,
@@ -246,24 +246,24 @@ fn fault_tick(ev: &FaultEvent) -> u64 {
     }
 }
 
-/// Best-effort control-frame delivery: a full queue parks the frame for
+/// Best-effort handover delivery: a full queue parks the message for
 /// retry on the next pump iteration (bounded — the handover protocol
 /// retries end-to-end anyway), a dead shard drops it.
 fn deliver_ctl(
     txs: &[SyncSender<ShardMsg>],
     dead: &[bool],
-    pending_ctl: &mut VecDeque<(usize, Vec<u8>)>,
+    pending_ctl: &mut VecDeque<(usize, Handover)>,
     shard: usize,
-    bytes: Vec<u8>,
+    msg: Handover,
 ) {
     if shard >= txs.len() || dead.get(shard).copied().unwrap_or(true) {
         return;
     }
-    match txs[shard].try_send(ShardMsg::Control(bytes)) {
+    match txs[shard].try_send(ShardMsg::Control(msg)) {
         Ok(()) => {}
-        Err(TrySendError::Full(ShardMsg::Control(b))) => {
+        Err(TrySendError::Full(ShardMsg::Control(m))) => {
             if pending_ctl.len() < 1024 {
-                pending_ctl.push_back((shard, b));
+                pending_ctl.push_back((shard, m));
             }
         }
         Err(_) => {}
@@ -588,7 +588,7 @@ pub fn run_server<T: ServeTransport>(
     let mut dead = vec![false; shard_count];
     let mut stall_end: u64 = 0;
     let mut drop_end: u64 = 0;
-    let mut pending_ctl: VecDeque<(usize, Vec<u8>)> = VecDeque::new();
+    let mut pending_ctl: VecDeque<(usize, Handover)> = VecDeque::new();
     let mut restarts: u64 = 0;
     let mut crashes: u64 = 0;
     let mut recovered_sessions: u64 = 0;
@@ -723,14 +723,7 @@ pub fn run_server<T: ServeTransport>(
                 FaultEvent::Drain { from, to, .. }
                     if from < shard_count && to < shard_count && from != to && !dead[from] =>
                 {
-                    let frame = rstp_net::ControlFrame {
-                        kind: ControlKind::Drain,
-                        session: SessionId::new(0),
-                        payload: u32::try_from(to).unwrap_or(u32::MAX).to_be_bytes().to_vec(),
-                    };
-                    if let Ok(bytes) = rstp_net::encode_control(&frame) {
-                        deliver_ctl(&txs, &dead, &mut pending_ctl, from, bytes);
-                    }
+                    deliver_ctl(&txs, &dead, &mut pending_ctl, from, Handover::Drain { to });
                 }
                 FaultEvent::Stall { to_tick, .. } => stall_end = stall_end.max(to_tick),
                 FaultEvent::HubDrop { to_tick, .. } => drop_end = drop_end.max(to_tick),
@@ -743,35 +736,25 @@ pub fn run_server<T: ServeTransport>(
         // Drain the handover control plane.
         while let Ok(msg) = pump_rx.try_recv() {
             match msg {
-                PumpMsg::ToShard { shard, bytes } => {
-                    deliver_ctl(&txs, &dead, &mut pending_ctl, shard, bytes);
+                PumpMsg::ToShard { shard, msg } => {
+                    deliver_ctl(&txs, &dead, &mut pending_ctl, shard, msg);
                 }
                 PumpMsg::Forward(frames) => {
                     for frame in frames {
                         route(&owner, &mut routed, &mut orphan_frames, frame);
                     }
                 }
-                PumpMsg::Redirect { bytes, held } => {
+                PumpMsg::Redirect {
+                    session,
+                    target,
+                    held,
+                } => {
                     // Ownership flips here, in the pump, so no frame
                     // routed after this point can reach the source's
                     // retired copy.
-                    let Ok(frame) = decode_control(&bytes) else {
-                        continue;
-                    };
-                    if frame.kind != ControlKind::Redirect || frame.payload.len() < 4 {
-                        continue;
-                    }
-                    let target = u32::from_be_bytes([
-                        frame.payload[0],
-                        frame.payload[1],
-                        frame.payload[2],
-                        frame.payload[3],
-                    ]) as usize;
-                    if target >= shard_count {
-                        continue;
-                    }
-                    owner.insert(frame.session.raw(), target);
-                    deliver_ctl(&txs, &dead, &mut pending_ctl, target, bytes);
+                    owner.insert(session, target);
+                    let msg = Handover::Redirect { session };
+                    deliver_ctl(&txs, &dead, &mut pending_ctl, target, msg);
                     for frame in held {
                         route(&owner, &mut routed, &mut orphan_frames, frame);
                     }
@@ -779,10 +762,10 @@ pub fn run_server<T: ServeTransport>(
             }
         }
         send_routed(&txs, &mut routed, &mut overflow, batch_cap);
-        // Retry control frames parked on a full queue.
+        // Retry handover messages parked on a full queue.
         for _ in 0..pending_ctl.len() {
-            if let Some((shard, bytes)) = pending_ctl.pop_front() {
-                deliver_ctl(&txs, &dead, &mut pending_ctl, shard, bytes);
+            if let Some((shard, msg)) = pending_ctl.pop_front() {
+                deliver_ctl(&txs, &dead, &mut pending_ctl, shard, msg);
             }
         }
 

@@ -18,15 +18,15 @@
 //! samples, frame stamps, recorded events and next deadline of that step
 //! all derive from that reading.
 
-use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
+use crate::endpoint::{receiver_endpoint, restore_receiver_endpoint, SnapshotEndpoint};
 use crate::metrics::{SessionStats, ShardReport};
 use crate::server::{EgressSink, PumpMsg, SessionSpec};
 use crate::snapshot::SessionSnapshot;
 use crate::wheel::TimerWheel;
 use rstp_core::{SessionId, TimingParams};
 use rstp_net::{
-    codec_for, decode_control, encode_control, Cadence, ControlFrame, ControlKind, Frame, FrameBuf,
-    NetError, Pace, Pacer, StepEffect, TickClock, Wake, WireCodec,
+    codec_for, Cadence, Frame, FrameBuf, NetError, Pace, Pacer, StepEffect, TickClock, Wake,
+    WireCodec,
 };
 use rstp_record::{Event, ShardRecorder};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -38,23 +38,22 @@ use std::time::Duration;
 /// A recovered session the server hands a restarted shard: the spec, a
 /// restored endpoint (snapshot + event replay already applied), and the
 /// outgoing sequence number to continue from.
-pub struct ResumeSession {
+pub(crate) struct ResumeSession {
     pub(crate) spec: SessionSpec,
     pub(crate) endpoint: Box<dyn SnapshotEndpoint>,
     pub(crate) seq: u64,
 }
 
 /// What the server sends a shard over its bounded ingress queue.
-pub enum ShardMsg {
+pub(crate) enum ShardMsg {
     /// Take ownership of a new session.
     Admit(SessionSpec),
     /// Decoded frames for sessions this shard owns, in arrival order: this
     /// shard's share of one pump batch, or frames a peer held for a
     /// session it handed over here.
     Frames(Vec<Frame>),
-    /// An encoded wire-v3 control frame: the pair-wise handover protocol
-    /// (DRAIN → SNAPSHOT → SNAPSHOT_ACK → REDIRECT).
-    Control(Vec<u8>),
+    /// A message of the pair-wise handover protocol.
+    Control(Handover),
     /// Injected fault: stop as if the shard's process segment died —
     /// live sessions are discarded (completed verdicts survive) and the
     /// thread returns its report with `crashed` set.
@@ -66,6 +65,37 @@ pub enum ShardMsg {
     Resume(Box<ResumeSession>),
     /// Finish up: account remaining sessions as unfinished and return.
     Shutdown,
+}
+
+/// The pair-wise handover conversation (DRAIN → SNAPSHOT → SNAPSHOT_ACK
+/// → REDIRECT). Every message travels through the pump, so a REDIRECT
+/// flips the owner table where frames are routed.
+pub(crate) enum Handover {
+    /// Pump → source shard: move every live session to shard `to`.
+    Drain {
+        /// The target shard.
+        to: usize,
+    },
+    /// Source → target: one live session's full state, offered by shard
+    /// `from`. Boxed so a queue message stays small.
+    Snapshot {
+        /// The source shard, where the acknowledgement goes.
+        from: usize,
+        /// The session's state.
+        snapshot: Box<SessionSnapshot>,
+    },
+    /// Target → source: `session` was restored and is held
+    /// provisionally.
+    SnapshotAck {
+        /// The session acknowledged.
+        session: u32,
+    },
+    /// Source → pump → target: ownership of `session` moves to the
+    /// target, which activates its provisional copy.
+    Redirect {
+        /// The session to activate.
+        session: u32,
+    },
 }
 
 /// First handover retry after this many step gaps without an ack.
@@ -241,6 +271,7 @@ pub(crate) fn run_shard(
                 ShardMsg::Admit(spec) => {
                     let endpoint = receiver_endpoint(spec.kind, sp.params, spec.n)?;
                     let live = Live::new(spec, endpoint, 0, false)?;
+                    record_anchor(recorder.as_ref(), &live, at);
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(spec.id.raw(), idx);
                     // First step strictly in the future, like the
@@ -248,23 +279,6 @@ pub(crate) fn run_shard(
                     // would book a spurious miss at admission.
                     wheel.schedule(now_tick + 1, idx);
                     report.admitted += 1;
-                    if let Some(r) = &recorder {
-                        r.record_durable(Event::Admit {
-                            at_micros: at,
-                            session: spec.id.raw(),
-                            kind: spec.kind,
-                            n: u32::try_from(spec.n).unwrap_or(u32::MAX),
-                        });
-                        // Snapshot-on-admit: the recovery anchor a
-                        // restarted shard replays forward from.
-                        if let Some(live) = sessions.get(idx).and_then(Option::as_ref) {
-                            r.record_durable(Event::Snapshot {
-                                at_micros: at,
-                                session: spec.id.raw(),
-                                state: live.snapshot().encode(),
-                            });
-                        }
-                    }
                 }
                 ShardMsg::Frames(frames) => {
                     let mut forward = Vec::new();
@@ -296,9 +310,9 @@ pub(crate) fn run_shard(
                         let _ = pump.send(PumpMsg::Forward(forward));
                     }
                 }
-                ShardMsg::Control(bytes) => {
+                ShardMsg::Control(msg) => {
                     handle_control(
-                        &bytes,
+                        msg,
                         &sp,
                         at,
                         &pump,
@@ -317,27 +331,13 @@ pub(crate) fn run_shard(
                 ShardMsg::Resume(resume) => {
                     let rs = *resume;
                     let live = Live::new(rs.spec, rs.endpoint, rs.seq, false)?;
+                    // A fresh anchor, so a *second* crash can recover
+                    // without replaying the first life.
+                    record_anchor(recorder.as_ref(), &live, at);
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(rs.spec.id.raw(), idx);
                     wheel.schedule(now_tick + 1, idx);
                     report.adopted += 1;
-                    if let Some(r) = &recorder {
-                        if let Some(live) = sessions.get(idx).and_then(Option::as_ref) {
-                            // A fresh anchor, so a *second* crash can
-                            // recover without replaying the first life.
-                            r.record_durable(Event::Admit {
-                                at_micros: at,
-                                session: rs.spec.id.raw(),
-                                kind: rs.spec.kind,
-                                n: u32::try_from(rs.spec.n).unwrap_or(u32::MAX),
-                            });
-                            r.record_durable(Event::Snapshot {
-                                at_micros: at,
-                                session: rs.spec.id.raw(),
-                                state: live.snapshot().encode(),
-                            });
-                        }
-                    }
                 }
                 ShardMsg::Crash => {
                     // The scripted crash: drop live sessions without
@@ -602,62 +602,45 @@ fn insert_live(sessions: &mut Vec<Option<Live>>, live: Live) -> usize {
     idx
 }
 
-/// The shard-index payload (a big-endian `u32`) every handover frame
-/// carries.
-fn shard_payload(shard: usize) -> Vec<u8> {
-    u32::try_from(shard)
-        .unwrap_or(u32::MAX)
-        .to_be_bytes()
-        .to_vec()
+/// Writes `live`'s durable recovery anchor, stamped `at`: an `Admit`,
+/// then the `Snapshot` a restarted shard replays forward from.
+fn record_anchor(recorder: Option<&ShardRecorder>, live: &Live, at: u64) {
+    let Some(r) = recorder else { return };
+    let snap = live.snapshot();
+    r.record_durable(Event::Admit {
+        at_micros: at,
+        session: snap.session,
+        kind: snap.kind,
+        n: snap.n,
+    });
+    r.record_durable(Event::Snapshot {
+        at_micros: at,
+        session: snap.session,
+        state: snap.encode(),
+    });
 }
 
-fn payload_shard(payload: &[u8]) -> Option<usize> {
-    payload
-        .get(..4)
-        .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]) as usize)
-}
-
-/// Ships one SNAPSHOT frame (source shard, then the session snapshot)
-/// toward `target` via the pump. `false` when the snapshot exceeds the
-/// control payload cap or the pump is gone — the caller falls back to
-/// local resume.
-fn send_snapshot(pump: &Sender<PumpMsg>, src: usize, target: usize, live: &Live) -> bool {
-    let mut payload = shard_payload(src);
-    payload.extend_from_slice(&live.snapshot().encode());
-    let frame = ControlFrame {
-        kind: ControlKind::Snapshot,
-        session: live.spec.id,
-        payload,
+/// Offers `live` to shard `target` through the pump.
+fn send_snapshot(pump: &Sender<PumpMsg>, src: usize, target: usize, live: &Live) {
+    let msg = Handover::Snapshot {
+        from: src,
+        snapshot: Box::new(live.snapshot()),
     };
-    match encode_control(&frame) {
-        Ok(bytes) => pump
-            .send(PumpMsg::ToShard {
-                shard: target,
-                bytes,
-            })
-            .is_ok(),
-        Err(_) => false,
-    }
+    let _ = pump.send(PumpMsg::ToShard { shard: target, msg });
 }
 
-fn send_ack(pump: &Sender<PumpMsg>, own: usize, src: usize, session: u32) {
-    let frame = ControlFrame {
-        kind: ControlKind::SnapshotAck,
-        session: SessionId::new(session),
-        payload: shard_payload(own),
-    };
-    if let Ok(bytes) = encode_control(&frame) {
-        let _ = pump.send(PumpMsg::ToShard { shard: src, bytes });
-    }
+fn send_ack(pump: &Sender<PumpMsg>, src: usize, session: u32) {
+    let msg = Handover::SnapshotAck { session };
+    let _ = pump.send(PumpMsg::ToShard { shard: src, msg });
 }
 
-/// One incoming control frame, handled at `at` µs (tick `now`): the four
-/// corners of the handover protocol. Corrupt or stale frames are ignored
-/// — the retry/TTL machinery recovers, and a shard must never die on
-/// peer input.
+/// One incoming handover message, handled at `at` µs (tick `now`): the
+/// four corners of the protocol. Stale messages are ignored — the
+/// retry/TTL machinery recovers, and a shard must never die on peer
+/// input.
 #[allow(clippy::too_many_arguments)]
 fn handle_control(
-    bytes: &[u8],
+    msg: Handover,
     sp: &ShardParams,
     at: u64,
     pump: &Sender<PumpMsg>,
@@ -672,17 +655,11 @@ fn handle_control(
     now: u64,
     gap_ticks: u64,
 ) {
-    let Ok(frame) = decode_control(bytes) else {
-        return;
-    };
-    match frame.kind {
-        ControlKind::Drain => {
+    match msg {
+        Handover::Drain { to: target } => {
             // Source side: pause every live session and offer each to
             // the target. Paused sessions stop stepping immediately;
             // their deadlines are reported as migrated.
-            let Some(target) = payload_shard(&frame.payload) else {
-                return;
-            };
             if target == sp.index {
                 return;
             }
@@ -692,39 +669,25 @@ fn handle_control(
                     continue;
                 }
                 live.paused = true;
-                if send_snapshot(pump, sp.index, target, live) {
-                    pending_handover.push(PendingHandover {
-                        idx,
-                        session: live.spec.id.raw(),
-                        target,
-                        attempts: 1,
-                        backoff_gaps: HANDOVER_BASE_BACKOFF_GAPS,
-                        next_retry_tick: now + HANDOVER_BASE_BACKOFF_GAPS * gap_ticks,
-                    });
-                } else {
-                    // Oversized snapshot or dead pump: keep running
-                    // here rather than stranding the session.
-                    live.paused = false;
-                    report.handover_failed += 1;
-                }
+                send_snapshot(pump, sp.index, target, live);
+                pending_handover.push(PendingHandover {
+                    idx,
+                    session: live.spec.id.raw(),
+                    target,
+                    attempts: 1,
+                    backoff_gaps: HANDOVER_BASE_BACKOFF_GAPS,
+                    next_retry_tick: now + HANDOVER_BASE_BACKOFF_GAPS * gap_ticks,
+                });
             }
         }
-        ControlKind::Snapshot => {
+        Handover::Snapshot { from, snapshot } => {
             // Target side: restore a provisional copy and acknowledge.
             // It stays paused (frames queue, deadlines don't fire) until
             // the REDIRECT confirms the source has retired its copy.
-            let Some(src) = payload_shard(&frame.payload) else {
-                return;
-            };
-            let Ok(snap) = SessionSnapshot::decode(&frame.payload[4..]) else {
-                return;
-            };
-            if snap.session != frame.session.raw() {
-                return;
-            }
+            let snap = *snapshot;
             if by_id.contains_key(&snap.session) {
                 // A retry of a snapshot we already hold: re-ack.
-                send_ack(pump, sp.index, src, snap.session);
+                send_ack(pump, from, snap.session);
                 return;
             }
             let spec = SessionSpec {
@@ -732,42 +695,24 @@ fn handle_control(
                 kind: snap.kind,
                 n: snap.n as usize,
             };
-            let Ok(endpoint) = crate::endpoint::restore_receiver_endpoint(
-                snap.kind,
-                sp.params,
-                spec.n,
-                &snap.state,
-                snap.written.clone(),
-            ) else {
+            let Ok(endpoint) =
+                restore_receiver_endpoint(snap.kind, sp.params, spec.n, &snap.state, snap.written)
+            else {
                 return;
             };
             let Ok(live) = Live::new(spec, endpoint, snap.seq, true) else {
                 return;
             };
+            // Anchor the adopted session in *this* shard's recording, so
+            // a later crash here recovers it.
+            record_anchor(recorder.as_ref(), &live, at);
             let idx = insert_live(sessions, live);
             by_id.insert(snap.session, idx);
             handed_off.remove(&snap.session);
             provisional.push((idx, now + PROVISIONAL_TTL_GAPS * gap_ticks));
-            if let Some(r) = recorder {
-                if let Some(live) = sessions.get(idx).and_then(Option::as_ref) {
-                    // Anchor the adopted session in *this* shard's
-                    // recording, so a later crash here recovers it.
-                    r.record_durable(Event::Admit {
-                        at_micros: at,
-                        session: snap.session,
-                        kind: snap.kind,
-                        n: snap.n,
-                    });
-                    r.record_durable(Event::Snapshot {
-                        at_micros: at,
-                        session: snap.session,
-                        state: live.snapshot().encode(),
-                    });
-                }
-            }
-            send_ack(pump, sp.index, src, snap.session);
+            send_ack(pump, from, snap.session);
         }
-        ControlKind::SnapshotAck => {
+        Handover::SnapshotAck { session } => {
             // Source side: the target holds the session. Retire our
             // copy silently (its Y continues over there — no verdict,
             // no stats) and publish the REDIRECT through the pump so
@@ -775,10 +720,7 @@ fn handle_control(
             // the paused copy still holds travel with the REDIRECT, and
             // any that reach us later are forwarded: they follow the
             // session, in arrival order.
-            let Some(pos) = pending_handover
-                .iter()
-                .position(|p| p.session == frame.session.raw())
-            else {
+            let Some(pos) = pending_handover.iter().position(|p| p.session == session) else {
                 return; // stale ack (already resumed locally)
             };
             let p = pending_handover.swap_remove(pos);
@@ -795,19 +737,16 @@ fn handle_control(
                 handed_off.insert(p.session);
                 report.handed_off += 1;
             }
-            let redirect = ControlFrame {
-                kind: ControlKind::Redirect,
-                session: SessionId::new(p.session),
-                payload: shard_payload(p.target),
-            };
-            if let Ok(bytes) = encode_control(&redirect) {
-                let _ = pump.send(PumpMsg::Redirect { bytes, held });
-            }
+            let _ = pump.send(PumpMsg::Redirect {
+                session: p.session,
+                target: p.target,
+                held,
+            });
         }
-        ControlKind::Redirect => {
+        Handover::Redirect { session } => {
             // Target side: activation. Re-anchor pacing from now — the
             // deadlines the source reported as migrated resume here.
-            let Some(&idx) = by_id.get(&frame.session.raw()) else {
+            let Some(&idx) = by_id.get(&session) else {
                 return;
             };
             if let Some(live) = sessions.get_mut(idx).and_then(Option::as_mut) {
@@ -859,7 +798,7 @@ fn sweep_handover(
         p.backoff_gaps = (p.backoff_gaps * 2).min(HANDOVER_MAX_BACKOFF_GAPS);
         p.next_retry_tick = now + p.backoff_gaps * gap_ticks;
         if let Some(live) = sessions.get(p.idx).and_then(Option::as_ref) {
-            let _ = send_snapshot(pump, sp.index, p.target, live);
+            send_snapshot(pump, sp.index, p.target, live);
         }
         true
     });
@@ -915,5 +854,18 @@ fn inject_defer(live: &mut Live, delta2: u64) {
         if let Some(frame) = live.pending.remove(pos) {
             live.defer = Some((0, frame));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_handover_message_costs_a_queue_slot_no_more_than_an_admission() {
+        // The snapshot travels boxed, so a handover message is no larger
+        // than an admission and a queue slot stays 40 bytes on x86-64.
+        assert!(std::mem::size_of::<Handover>() <= std::mem::size_of::<SessionSpec>());
+        assert!(std::mem::size_of::<ShardMsg>() <= 40);
     }
 }

@@ -1,14 +1,14 @@
-//! Versioned session-state snapshots: the payload of a handover
-//! `SNAPSHOT` control frame and the recovery anchor in a flight
-//! recording.
+//! Versioned session-state snapshots: what a handover moves between
+//! shards, and the recovery anchor in a flight recording.
 //!
 //! A [`SessionSnapshot`] captures everything a shard needs to re-create
 //! a live receiver session elsewhere — on a peer shard during a
 //! pair-wise handover, or on a restarted shard replaying its flight
-//! recording after a crash. The encoding is explicitly versioned and
-//! length-prefixed so a future layout can coexist with recordings and
-//! control frames produced by this one; golden-byte tests below pin the
-//! v1 layout.
+//! recording after a crash. A handover passes the snapshot in memory;
+//! only the recording stores it as bytes. That encoding is explicitly
+//! versioned and length-prefixed so a future layout can coexist with
+//! recordings produced by this one; golden-byte tests below pin the v1
+//! layout.
 //!
 //! The per-protocol receiver state is serialized through [`StateCodec`],
 //! implemented here for every receiver state type the server can host.
@@ -26,6 +26,7 @@ use rstp_core::protocols::{
     StenningReceiverState,
 };
 use rstp_core::Message;
+use rstp_record::format::{kind_from_tag, put_kind};
 use rstp_sim::ProtocolKind;
 use std::collections::VecDeque;
 use std::fmt;
@@ -463,46 +464,14 @@ impl StateCodec for StabBetaReceiverState {
     }
 }
 
-fn put_kind(out: &mut Vec<u8>, kind: ProtocolKind) {
-    // Same tag space as the flight-record format, so a postmortem can
-    // name the protocol of a recovered snapshot without a second table.
-    let (tag, k, window, timeout) = match kind {
-        ProtocolKind::Alpha => (1, 0, 0, None),
-        ProtocolKind::Beta { k } => (2, k, 0, None),
-        ProtocolKind::Gamma { k } => (3, k, 0, None),
-        ProtocolKind::AltBit { timeout_steps } => (4, 0, 0, timeout_steps),
-        ProtocolKind::Framed { k } => (5, k, 0, None),
-        ProtocolKind::BetaWindow { k } => (6, k, 0, None),
-        ProtocolKind::Stenning { timeout_steps } => (7, 0, 0, timeout_steps),
-        ProtocolKind::Pipelined { k, window } => (8, k, window, None),
-        ProtocolKind::StabStenning { timeout_steps } => (9, 0, 0, timeout_steps),
-        ProtocolKind::StabBeta { k } => (10, k, 0, None),
-    };
-    out.push(tag);
-    put_u64(out, k);
-    put_u64(out, window);
-    out.push(u8::from(timeout.is_some()));
-    put_u64(out, timeout.unwrap_or(0));
-}
-
+/// The protocol header, in the flight-record format's layout and tag
+/// space, so a postmortem names a snapshot's protocol with one table.
 fn take_kind(cur: &mut Cur<'_>) -> Option<ProtocolKind> {
     let tag = cur.u8()?;
     let k = cur.u64()?;
     let window = cur.u64()?;
     let timeout_steps = take_opt_u64(cur)?;
-    Some(match tag {
-        1 => ProtocolKind::Alpha,
-        2 => ProtocolKind::Beta { k },
-        3 => ProtocolKind::Gamma { k },
-        4 => ProtocolKind::AltBit { timeout_steps },
-        5 => ProtocolKind::Framed { k },
-        6 => ProtocolKind::BetaWindow { k },
-        7 => ProtocolKind::Stenning { timeout_steps },
-        8 => ProtocolKind::Pipelined { k, window },
-        9 => ProtocolKind::StabStenning { timeout_steps },
-        10 => ProtocolKind::StabBeta { k },
-        _ => return None,
-    })
+    kind_from_tag(tag, k, window, timeout_steps)
 }
 
 /// Everything needed to re-create one live receiver session: identity,
