@@ -1133,7 +1133,7 @@ mod tests {
     #[test]
     fn screaming_const_indexing_is_not_a_sink() {
         let g = graph_of(
-            "fn f(v: &[u8]) { let a = v[FRAME_LEN]; let b = v[..FRAME_LEN_V2]; let c = v[4..8]; }",
+            "fn f(v: &[u8]) { let a = v[HEADER_LEN]; let b = v[..FRAME_LEN_V2]; let c = v[4..8]; }",
         );
         assert!(g.sinks[0].is_empty(), "{:?}", g.sinks[0]);
     }

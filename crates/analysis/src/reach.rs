@@ -67,10 +67,6 @@ const PANIC_ENTRIES: &[Matcher] = &[
     },
     Matcher::TypeMethod {
         type_name: "WireCodec",
-        name: "encode",
-    },
-    Matcher::TypeMethod {
-        type_name: "WireCodec",
         name: "encode_with_session",
     },
     Matcher::TypeMethod {
@@ -100,6 +96,20 @@ const PANIC_ENTRIES: &[Matcher] = &[
     Matcher::TypeMethod {
         type_name: "ShardRecorder",
         name: "record",
+    },
+    // The decoders of bytes read back from disk: a corrupt recording
+    // must fail to parse, never abort the replay or the recovery.
+    Matcher::FileFn {
+        suffix: "record/src/format.rs",
+        name: "decode_record",
+    },
+    Matcher::TypeMethod {
+        type_name: "SessionSnapshot",
+        name: "decode",
+    },
+    Matcher::TraitImpl {
+        trait_name: "StateCodec",
+        method: Some("decode_state"),
     },
 ];
 

@@ -57,9 +57,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "wire-const-drift",
-        invariant: "wire compatibility: frame-size prose matches the declared consts (v1/v2)",
+        invariant: "wire compatibility: frame-size prose matches the declared frame length",
         description: "a `N-byte` frame mention in code docs or markdown disagrees with \
-                      FRAME_LEN / FRAME_LEN_V2",
+                      FRAME_LEN_V2",
     },
     RuleInfo {
         id: "lock-order-cycle",
@@ -75,8 +75,9 @@ pub const RULES: &[RuleInfo] = &[
         id: "panic-reachable",
         invariant: "Y is always a prefix of X: no protocol entry point reaches a panic",
         description: "an unwrap/expect/panic!/variable-index sink reachable from \
-                      Automaton::step/output, codec encode/decode, the serve shard tick, or \
-                      the record append path — reported with the full call chain",
+                      Automaton::step/output, codec encode/decode, the serve shard tick, \
+                      the record append path, or the recording and snapshot decoders — \
+                      reported with the full call chain",
     },
     RuleInfo {
         id: "blocking-in-nonblocking",
@@ -171,14 +172,19 @@ fn unbounded_channel_rule(file: &SourceFile, out: &mut Vec<Finding>) {
         return;
     }
     use Pat::{Id, P};
-    // `use ...::mpsc::channel;` style imports make later bare
-    // `channel(...)` calls unbounded too.
-    let imported_bare = file.tokens.windows(5).any(|w| {
-        w[0].is_ident("mpsc")
-            && w[1].is_punct(':')
-            && w[2].is_punct(':')
-            && w[3].is_ident("channel")
-            && !w[4].is_punct('(')
+    // `use ...::mpsc::channel;` and `use ...::mpsc::{channel, ...};`
+    // imports make later bare `channel(...)` calls unbounded too.
+    let toks = &file.tokens;
+    let imported_bare = (0..toks.len()).any(|i| {
+        if matches_seq(toks, i, &[Id("mpsc"), P(':'), P(':'), Id("channel")]) {
+            return !matches_seq(toks, i + 4, &[P('(')]);
+        }
+        matches_seq(toks, i, &[Id("mpsc"), P(':'), P(':'), P('{')])
+            && toks
+                .iter()
+                .skip(i + 4)
+                .take_while(|t| !t.is_punct('}'))
+                .any(|t| t.is_ident("channel"))
     });
     // True when token `i` opens a call: `(` directly, or a turbofish
     // `::<...>` followed by `(`.
@@ -292,9 +298,9 @@ fn sleep_rule(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// The workspace-level wire-const rule: extracts `FRAME_LEN` /
-/// `FRAME_LEN_V2` from `crates/net/src/wire.rs` and checks every
-/// `N-byte` frame mention in first-party sources and docs against them.
+/// The workspace-level wire-const rule: extracts `FRAME_LEN_V2` from
+/// `crates/net/src/wire.rs` and checks every `N-byte` frame mention in
+/// first-party sources and docs against it.
 ///
 /// `texts` is `(workspace-relative path, raw file text)` for every file
 /// the rule should patrol — the engine passes net/serve sources plus
@@ -309,14 +315,12 @@ pub fn wire_const_rule(texts: &[(String, String)]) -> Vec<Finding> {
         return out;
     };
     let wire = SourceFile::new(wire_path, wire_text);
-    let v1 = const_value(&wire, "FRAME_LEN", None);
-    let v2 = const_value(&wire, "FRAME_LEN_V2", v1);
-    let (Some(v1), Some(v2)) = (v1, v2) else {
+    let Some(frame_len) = const_value(&wire, "FRAME_LEN_V2") else {
         out.push(Finding {
             rule: "wire-const-drift",
             path: wire_path.clone(),
             line: 1,
-            message: "cannot locate FRAME_LEN / FRAME_LEN_V2 declarations".to_string(),
+            message: "cannot locate the FRAME_LEN_V2 declaration".to_string(),
         });
         return out;
     };
@@ -327,14 +331,14 @@ pub fn wire_const_rule(texts: &[(String, String)]) -> Vec<Finding> {
                 continue;
             }
             for n in byte_mentions(line) {
-                if n != v1 && n != v2 {
+                if n != frame_len {
                     out.push(Finding {
                         rule: "wire-const-drift",
                         path: path.clone(),
                         line: u32::try_from(lineno + 1).unwrap_or(u32::MAX),
                         message: format!(
                             "\"{n}-byte\" frame mention disagrees with wire.rs \
-                             (v1 = {v1}, v2 = {v2})"
+                             (FRAME_LEN_V2 = {frame_len})"
                         ),
                     });
                 }
@@ -344,9 +348,8 @@ pub fn wire_const_rule(texts: &[(String, String)]) -> Vec<Finding> {
     out
 }
 
-/// Evaluates `const NAME: usize = <int>;` or `= FRAME_LEN + <int>;`
-/// (`base` supplies the referenced const's value).
-fn const_value(file: &SourceFile, name: &str, base: Option<u64>) -> Option<u64> {
+/// Evaluates `const NAME: usize = <int>;` (a sum of integer literals).
+fn const_value(file: &SourceFile, name: &str) -> Option<u64> {
     let toks = &file.tokens;
     for i in 0..toks.len() {
         if !(toks[i].is_ident("const") && toks.get(i + 1).is_some_and(|t| t.is_ident(name))) {
@@ -362,8 +365,6 @@ fn const_value(file: &SourceFile, name: &str, base: Option<u64>) -> Option<u64> 
             let t = &toks[j];
             if let Some(n) = parse_int(&t.text) {
                 value = Some(value.unwrap_or(0) + n);
-            } else if t.is_ident("FRAME_LEN") && name != "FRAME_LEN" {
-                value = Some(value.unwrap_or(0) + base?);
             }
             j += 1;
         }
@@ -464,6 +465,13 @@ mod tests {
             "fn f() { let (tx, rx) = mpsc::channel::<(Instant, Vec<u8>)>(); }",
         );
         assert_eq!(run_token_rules(&f).len(), 1);
+        // Nor does a grouped import.
+        let f = file(
+            "crates/serve/src/server.rs",
+            "use std::sync::mpsc::{channel, sync_channel, Sender};\n\
+             fn f() { let (tx, rx) = channel::<u8>(); }",
+        );
+        assert_eq!(run_token_rules(&f).len(), 1);
         let ok = file(
             "crates/net/src/mem.rs",
             "fn f() { let (tx, rx) = mpsc::sync_channel(64); }",
@@ -504,22 +512,22 @@ mod tests {
     fn wire_const_rule_checks_docs_against_declared_consts() {
         let wire = (
             "crates/net/src/wire.rs".to_string(),
-            "pub const FRAME_LEN: usize = 36;\npub const FRAME_LEN_V2: usize = FRAME_LEN + 4;"
-                .to_string(),
+            "pub const FRAME_LEN_V2: usize = 40;".to_string(),
         );
         let good = (
             "docs/NET.md".to_string(),
-            "The 36-byte v1 frame and the 40-byte v2 session frame.".to_string(),
+            "Every frame is a 40-byte datagram.".to_string(),
         );
         let bad = (
             "docs/SERVE.md".to_string(),
-            "Each 44-byte frame carries a session id.".to_string(),
+            "Each 44-byte frame carries a session id.\nA 36-byte frame has none.".to_string(),
         );
         let texts = vec![wire, good, bad];
         let got = wire_const_rule(&texts);
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].path, "docs/SERVE.md");
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(got.iter().all(|f| f.path == "docs/SERVE.md"));
         assert!(got[0].message.contains("44-byte"));
+        assert!(got[1].message.contains("36-byte"));
     }
 
     #[test]
@@ -527,8 +535,7 @@ mod tests {
         let texts = vec![
             (
                 "crates/net/src/wire.rs".to_string(),
-                "pub const FRAME_LEN: usize = 36;\npub const FRAME_LEN_V2: usize = FRAME_LEN + 4;"
-                    .to_string(),
+                "pub const FRAME_LEN_V2: usize = 40;".to_string(),
             ),
             (
                 "docs/NET.md".to_string(),

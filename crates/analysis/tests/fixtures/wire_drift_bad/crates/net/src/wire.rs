@@ -1,6 +1,4 @@
-//! Fixture: wire constants whose prose drifted.
+//! Fixture: the wire frame length whose prose drifted.
 
-/// Total length of an encoded v1 frame.
-pub const FRAME_LEN: usize = 36;
-/// v2 appends the 4-byte session id extension.
-pub const FRAME_LEN_V2: usize = FRAME_LEN + 4;
+/// Encoded length of every frame.
+pub const FRAME_LEN_V2: usize = 40;

@@ -934,7 +934,7 @@ mod tests {
                     packet: gamma::ACK,
                     seq: 0,
                     sent_at_micros: 0,
-                    session: None,
+                    session: rstp_core::SessionId::new(0),
                 }));
             }
             self.steps += 1;

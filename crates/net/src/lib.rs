@@ -65,5 +65,5 @@ pub use transport::{Transport, TransportStats};
 pub use udp::UdpTransport;
 pub use wire::{
     decode_any, peek_session, Frame, FrameBuf, ProtocolId, WireCodec, WireError, FLAG_SESSION,
-    FRAME_BUF_CAP, FRAME_LEN, FRAME_LEN_V2, WIRE_VERSION,
+    FRAME_BUF_CAP, FRAME_LEN_V2, WIRE_VERSION,
 };

@@ -15,7 +15,7 @@ use crate::chan::{ChannelConfig, ChannelSampler, ScriptedVerdicts, Verdict, Verd
 use crate::error::NetError;
 use crate::transport::{Transport, TransportStats};
 use crate::wire::{Frame, WireCodec};
-use rstp_core::Packet;
+use rstp_core::{Packet, SessionId};
 use rstp_sim::ScriptedDelivery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -217,7 +217,9 @@ fn delivery_loop(
 
 impl Transport for MemTransport {
     fn send(&mut self, packet: Packet, sent_at_micros: u64) -> Result<(), NetError> {
-        let buf = self.codec.encode(packet, self.seq, sent_at_micros);
+        let buf =
+            self.codec
+                .encode_with_session(packet, self.seq, sent_at_micros, SessionId::new(0));
         self.seq += 1;
         match self.egress.try_send((Instant::now(), buf.to_vec())) {
             Ok(()) => {}

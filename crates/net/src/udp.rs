@@ -10,8 +10,8 @@
 
 use crate::error::NetError;
 use crate::transport::{Transport, TransportStats};
-use crate::wire::{Frame, WireCodec, FRAME_LEN};
-use rstp_core::Packet;
+use crate::wire::{Frame, WireCodec, FRAME_BUF_CAP};
+use rstp_core::{Packet, SessionId};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 
@@ -95,7 +95,9 @@ impl UdpTransport {
 
 impl Transport for UdpTransport {
     fn send(&mut self, packet: Packet, sent_at_micros: u64) -> Result<(), NetError> {
-        let buf = self.codec.encode(packet, self.seq, sent_at_micros);
+        let buf =
+            self.codec
+                .encode_with_session(packet, self.seq, sent_at_micros, SessionId::new(0));
         self.seq += 1;
         self.socket.send_to(&buf, self.peer)?;
         self.frames_sent += 1;
@@ -105,7 +107,7 @@ impl Transport for UdpTransport {
     fn poll_recv(&mut self) -> Result<Option<Frame>, NetError> {
         // Read slightly more than a frame so oversized datagrams are
         // detected as TrailingBytes instead of silently truncated.
-        let mut buf = [0u8; FRAME_LEN + 16];
+        let mut buf = [0u8; FRAME_BUF_CAP];
         loop {
             match self.socket.recv_from(&mut buf) {
                 Ok((n, from)) => {
@@ -145,7 +147,7 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ProtocolId;
+    use crate::wire::{ProtocolId, FRAME_LEN_V2};
     use std::thread;
     use std::time::{Duration, Instant};
 
@@ -199,8 +201,11 @@ mod tests {
             )
             .expect("send raw");
         // Foreign traffic from an unrelated socket is also ignored.
-        raw.send_to(&[0u8; FRAME_LEN], a.local_addr().expect("addr").to_string())
-            .expect("send foreign");
+        raw.send_to(
+            &[0u8; FRAME_LEN_V2],
+            a.local_addr().expect("addr").to_string(),
+        )
+        .expect("send foreign");
         let deadline = Instant::now() + Duration::from_secs(1);
         while a.local_stats().decode_errors < 2 && Instant::now() < deadline {
             assert!(a

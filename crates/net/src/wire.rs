@@ -4,7 +4,7 @@
 //! channel; this module gives those packets a concrete byte layout so they
 //! can cross a real transport (an in-process channel or a UDP socket).
 //!
-//! # Frame layout (36 bytes, all integers big-endian)
+//! # Frame layout (40 bytes, all integers big-endian)
 //!
 //! | offset | size | field            | notes                                   |
 //! |-------:|-----:|------------------|-----------------------------------------|
@@ -13,31 +13,18 @@
 //! | 3      | 1    | protocol id      | [`ProtocolId`] discriminant             |
 //! | 4      | 2    | k                | burst parameter of the sender (0 = n/a) |
 //! | 6      | 1    | kind             | 0 = data, 1 = ack                       |
-//! | 7      | 1    | flags            | extension bits, see below               |
+//! | 7      | 1    | flags            | exactly [`FLAG_SESSION`]                |
 //! | 8      | 8    | symbol           | packet symbol (multiset element / seq)  |
 //! | 16     | 8    | seq              | per-endpoint send counter               |
 //! | 24     | 8    | sent\_at\_micros | sender clock at send, microseconds      |
-//! | 32     | 4    | checksum         | FNV-1a over bytes `0..32`               |
-//!
-//! # Frame v2: the session-id extension (40 bytes)
+//! | 32     | 4    | session id       | [`rstp_core::SessionId`]                |
+//! | 36     | 4    | checksum         | FNV-1a over bytes `0..36`               |
 //!
 //! Multi-session servers ([`rstp-serve`]) multiplex many transfers over
-//! one socket and need each frame to name its session. Setting
-//! [`FLAG_SESSION`] in the flags byte inserts a 32-bit session id between
-//! the fixed body and the checksum:
-//!
-//! | offset | size | field      | notes                               |
-//! |-------:|-----:|------------|-------------------------------------|
-//! | 0..32  |      | as v1      | identical byte-for-byte             |
-//! | 32     | 4    | session id | [`rstp_core::SessionId`], big-endian |
-//! | 36     | 4    | checksum   | FNV-1a over bytes `0..36`           |
-//!
-//! Compatibility is strict in both directions: a frame with `flags = 0`
-//! is exactly a v1 frame (same bytes, same checksum coverage — pinned by
-//! a golden test), and any flag bit other than [`FLAG_SESSION`] is
-//! rejected, so future extensions cannot be silently misparsed. The
-//! version byte stays [`WIRE_VERSION`]: the extension changes the frame
-//! *shape*, not the protocol semantics.
+//! one socket and route each frame by its session id; a point-to-point
+//! transport sends session 0. The flags byte must be exactly
+//! [`FLAG_SESSION`], so a future extension cannot be silently
+//! misparsed.
 //!
 //! Decoding is strict: any malformed frame yields a typed [`WireError`];
 //! no input may panic the decoder. The `symbol` field is the paper's
@@ -57,13 +44,10 @@ pub const WIRE_VERSION: u8 = 1;
 /// Leading magic bytes of every frame (`"RT"`).
 pub const WIRE_MAGIC: u16 = 0x5254;
 
-/// Encoded v1 frame length in bytes.
-pub const FRAME_LEN: usize = 36;
+/// Encoded length of every frame.
+pub const FRAME_LEN_V2: usize = 40;
 
-/// Encoded length of a frame carrying the session-id extension.
-pub const FRAME_LEN_V2: usize = FRAME_LEN + 4;
-
-/// Flags bit marking the session-id extension (frame v2).
+/// The flags byte of every frame: the session-id field is present.
 pub const FLAG_SESSION: u8 = 0x01;
 
 /// Largest `k` representable in the 16-bit header field.
@@ -143,22 +127,20 @@ pub struct Frame {
     pub seq: u64,
     /// Sender clock at send time, in microseconds since its epoch.
     pub sent_at_micros: u64,
-    /// Session id carried by the v2 extension, `None` for v1 frames.
-    pub session: Option<SessionId>,
+    /// The session the frame belongs to (0 on a point-to-point link).
+    pub session: SessionId,
 }
 
 /// Strict decode failures. Every variant names the first check that failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// Fewer bytes than the frame's shape requires: below [`FRAME_LEN`]
-    /// for any frame, below [`FRAME_LEN_V2`] when [`FLAG_SESSION`] is set.
+    /// Fewer bytes than a frame: below [`FRAME_LEN_V2`].
     TooShort {
         /// Bytes actually available.
         got: usize,
     },
-    /// More bytes than the frame's shape allows: datagram transports
-    /// deliver whole frames, so trailing bytes mean corruption or a
-    /// foreign sender.
+    /// More bytes than a frame: datagram transports deliver whole
+    /// frames, so trailing bytes mean corruption or a foreign sender.
     TrailingBytes {
         /// Bytes actually available.
         got: usize,
@@ -183,9 +165,8 @@ pub enum WireError {
         /// Kind observed on the wire.
         got: u8,
     },
-    /// Flags byte has bits set outside the known extensions
-    /// (currently only [`FLAG_SESSION`]).
-    NonZeroFlags {
+    /// Flags byte is not exactly [`FLAG_SESSION`].
+    BadFlags {
         /// Flags observed on the wire.
         got: u8,
     },
@@ -215,13 +196,10 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::TooShort { got } => {
-                write!(f, "frame too short: {got} bytes, need at least {FRAME_LEN}")
+                write!(f, "frame too short: {got} bytes, need {FRAME_LEN_V2}")
             }
             WireError::TrailingBytes { got } => {
-                write!(
-                    f,
-                    "frame too long: {got} bytes, expected {FRAME_LEN} or {FRAME_LEN_V2}"
-                )
+                write!(f, "frame too long: {got} bytes, expected {FRAME_LEN_V2}")
             }
             WireError::BadMagic { got } => {
                 write!(f, "bad magic {got:#06x}, expected {WIRE_MAGIC:#06x}")
@@ -231,8 +209,8 @@ impl fmt::Display for WireError {
             }
             WireError::UnknownProtocol { got } => write!(f, "unknown protocol id {got}"),
             WireError::BadKind { got } => write!(f, "bad packet kind {got}, expected 0 or 1"),
-            WireError::NonZeroFlags { got } => {
-                write!(f, "flags byte {got:#04x} has unknown extension bits set")
+            WireError::BadFlags { got } => {
+                write!(f, "flags byte {got:#04x}, expected {FLAG_SESSION:#04x}")
             }
             WireError::BadChecksum { got, want } => {
                 write!(
@@ -288,18 +266,8 @@ impl WireCodec {
         self.k
     }
 
-    /// Encodes `packet` with transport metadata into a fresh v1 frame
-    /// buffer (no session extension).
-    pub fn encode(&self, packet: Packet, seq: u64, sent_at_micros: u64) -> [u8; FRAME_LEN] {
-        let mut buf = [0u8; FRAME_LEN];
-        self.fill_body(&mut buf, packet, seq, sent_at_micros, 0);
-        let sum = fnv1a(&buf[0..32]);
-        buf[32..36].copy_from_slice(&sum.to_be_bytes());
-        buf
-    }
-
-    /// Encodes `packet` into a v2 frame carrying `session` (sets
-    /// [`FLAG_SESSION`]; the checksum covers the extension).
+    /// Encodes `packet` with its transport metadata into a frame of
+    /// `session`.
     pub fn encode_with_session(
         &self,
         packet: Packet,
@@ -307,29 +275,24 @@ impl WireCodec {
         sent_at_micros: u64,
         session: SessionId,
     ) -> [u8; FRAME_LEN_V2] {
-        let mut buf = [0u8; FRAME_LEN_V2];
-        self.fill_body(&mut buf, packet, seq, sent_at_micros, FLAG_SESSION);
-        buf[32..36].copy_from_slice(&session.raw().to_be_bytes());
-        let sum = fnv1a(&buf[0..36]);
-        buf[36..40].copy_from_slice(&sum.to_be_bytes());
-        buf
-    }
-
-    /// Writes the 32-byte fixed body shared by both frame shapes.
-    fn fill_body(&self, buf: &mut [u8], packet: Packet, seq: u64, sent_at_micros: u64, flags: u8) {
         let (kind, symbol) = match packet {
             Packet::Data(s) => (0u8, s),
             Packet::Ack(s) => (1u8, s),
         };
+        let mut buf = [0u8; FRAME_LEN_V2];
         buf[0..2].copy_from_slice(&WIRE_MAGIC.to_be_bytes());
         buf[2] = WIRE_VERSION;
         buf[3] = self.protocol as u8;
         buf[4..6].copy_from_slice(&self.k.to_be_bytes());
         buf[6] = kind;
-        buf[7] = flags;
+        buf[7] = FLAG_SESSION;
         buf[8..16].copy_from_slice(&symbol.to_be_bytes());
         buf[16..24].copy_from_slice(&seq.to_be_bytes());
         buf[24..32].copy_from_slice(&sent_at_micros.to_be_bytes());
+        buf[32..36].copy_from_slice(&session.raw().to_be_bytes());
+        let sum = fnv1a(&buf[0..36]);
+        buf[36..40].copy_from_slice(&sum.to_be_bytes());
+        buf
     }
 
     /// Decodes one frame, enforcing structure, checksum, and protocol
@@ -351,107 +314,81 @@ impl WireCodec {
 /// Used by diagnostic tooling; endpoints should prefer
 /// [`WireCodec::decode`], which also verifies protocol agreement.
 pub fn decode_any(bytes: &[u8]) -> Result<Frame, WireError> {
-    if bytes.len() < FRAME_LEN {
-        return Err(WireError::TooShort { got: bytes.len() });
-    }
-    let magic = u16::from_be_bytes([bytes[0], bytes[1]]);
+    let frame: &[u8; FRAME_LEN_V2] = bytes.try_into().map_err(|_| {
+        let got = bytes.len();
+        if got < FRAME_LEN_V2 {
+            WireError::TooShort { got }
+        } else {
+            WireError::TrailingBytes { got }
+        }
+    })?;
+    // Every field sits at a fixed offset of a fixed-size array, so no
+    // read below can fail.
+    #[rustfmt::skip]
+    let [
+        m0, m1, version, protocol, k0, k1, kind, flags,
+        s0, s1, s2, s3, s4, s5, s6, s7,
+        q0, q1, q2, q3, q4, q5, q6, q7,
+        t0, t1, t2, t3, t4, t5, t6, t7,
+        i0, i1, i2, i3,
+        c0, c1, c2, c3,
+    ] = *frame;
+    let magic = u16::from_be_bytes([m0, m1]);
     if magic != WIRE_MAGIC {
         return Err(WireError::BadMagic { got: magic });
     }
-    if bytes[2] != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion { got: bytes[2] });
+    if version != WIRE_VERSION {
+        return Err(WireError::UnsupportedVersion { got: version });
     }
     let protocol =
-        ProtocolId::from_byte(bytes[3]).ok_or(WireError::UnknownProtocol { got: bytes[3] })?;
-    let k = u16::from_be_bytes([bytes[4], bytes[5]]);
-    let kind = bytes[6];
+        ProtocolId::from_byte(protocol).ok_or(WireError::UnknownProtocol { got: protocol })?;
     if kind > 1 {
         return Err(WireError::BadKind { got: kind });
     }
-    let flags = bytes[7];
-    if flags & !FLAG_SESSION != 0 {
-        return Err(WireError::NonZeroFlags { got: flags });
+    if flags != FLAG_SESSION {
+        return Err(WireError::BadFlags { got: flags });
     }
-    let expected_len = if flags & FLAG_SESSION != 0 {
-        FRAME_LEN_V2
-    } else {
-        FRAME_LEN
-    };
-    if bytes.len() < expected_len {
-        return Err(WireError::TooShort { got: bytes.len() });
-    }
-    if bytes.len() > expected_len {
-        return Err(WireError::TrailingBytes { got: bytes.len() });
-    }
-    let body_len = expected_len - 4;
-    let too_short = || WireError::TooShort { got: bytes.len() };
-    let stored = u32::from_be_bytes(read_array(bytes, body_len).ok_or_else(too_short)?);
-    let computed = fnv1a(bytes.get(0..body_len).ok_or_else(too_short)?);
+    let stored = u32::from_be_bytes([c0, c1, c2, c3]);
+    let [body @ .., _, _, _, _] = *frame;
+    let computed = fnv1a(&body);
     if stored != computed {
         return Err(WireError::BadChecksum {
             got: stored,
             want: computed,
         });
     }
-    let symbol = u64::from_be_bytes(read_array(bytes, 8).ok_or_else(too_short)?);
-    let seq = u64::from_be_bytes(read_array(bytes, 16).ok_or_else(too_short)?);
-    let sent_at_micros = u64::from_be_bytes(read_array(bytes, 24).ok_or_else(too_short)?);
-    let session = if flags & FLAG_SESSION != 0 {
-        let raw = u32::from_be_bytes(read_array(bytes, 32).ok_or_else(too_short)?);
-        Some(SessionId::new(raw))
-    } else {
-        None
-    };
-    let packet = if kind == 0 {
-        Packet::Data(symbol)
-    } else {
-        Packet::Ack(symbol)
-    };
+    let symbol = u64::from_be_bytes([s0, s1, s2, s3, s4, s5, s6, s7]);
     Ok(Frame {
         protocol,
-        k,
-        packet,
-        seq,
-        sent_at_micros,
-        session,
+        k: u16::from_be_bytes([k0, k1]),
+        packet: if kind == 0 {
+            Packet::Data(symbol)
+        } else {
+            Packet::Ack(symbol)
+        },
+        seq: u64::from_be_bytes([q0, q1, q2, q3, q4, q5, q6, q7]),
+        sent_at_micros: u64::from_be_bytes([t0, t1, t2, t3, t4, t5, t6, t7]),
+        session: SessionId::new(u32::from_be_bytes([i0, i1, i2, i3])),
     })
 }
 
-/// Extracts the session id from a v2 frame's fixed offset *without*
+/// Extracts the session id from a frame's fixed offset *without*
 /// validating the checksum or any other field beyond the minimum needed
-/// to locate it (length, magic, and [`FLAG_SESSION`]).
+/// to locate it (length, magic, and the flags byte).
 ///
-/// This exists for the server's hot demultiplexing path, where the frame
-/// will be fully decoded (and checksum-verified) by the owning shard; a
-/// frame whose id lies about its session is caught there, never acted on
-/// here. Returns `None` for v1 frames and anything malformed.
+/// The UDP server transport uses this to learn a session's return
+/// address as datagrams arrive; the pump still decodes every frame in
+/// full, checksum included, before routing it. Returns `None` for
+/// anything that is not frame-shaped.
 #[must_use]
 pub fn peek_session(bytes: &[u8]) -> Option<SessionId> {
-    if bytes.len() != FRAME_LEN_V2 {
-        return None;
-    }
-    if u16::from_be_bytes([bytes[0], bytes[1]]) != WIRE_MAGIC {
-        return None;
-    }
-    if bytes[7] & FLAG_SESSION == 0 {
-        return None;
-    }
-    let raw = u32::from_be_bytes(read_array(bytes, 32)?);
-    Some(SessionId::new(raw))
+    let frame: &[u8; FRAME_LEN_V2] = bytes.try_into().ok()?;
+    let [m0, m1, _, _, _, _, _, flags, .., i0, i1, i2, i3, _, _, _, _] = *frame;
+    (u16::from_be_bytes([m0, m1]) == WIRE_MAGIC && flags == FLAG_SESSION)
+        .then(|| SessionId::new(u32::from_be_bytes([i0, i1, i2, i3])))
 }
 
-/// Copies `N` bytes starting at `off` into a fixed array, or `None` when
-/// the input is too short. The checked replacement for
-/// `bytes[off..off + N].try_into().expect(..)`: every read in the decode
-/// path goes through here so no input length can reach a panic.
-fn read_array<const N: usize>(bytes: &[u8], off: usize) -> Option<[u8; N]> {
-    let src = bytes.get(off..off.checked_add(N)?)?;
-    let mut out = [0u8; N];
-    out.copy_from_slice(src);
-    Some(out)
-}
-
-/// Capacity of a [`FrameBuf`]: the v2 frame length plus slack so a
+/// Capacity of a [`FrameBuf`]: the frame length plus slack so a
 /// slightly-oversized datagram still fits and can be carried to the
 /// owning shard for triage (where [`decode_any`] rejects it with
 /// [`WireError::TrailingBytes`]) instead of being silently dropped at
@@ -468,7 +405,7 @@ pub const FRAME_BUF_CAP: usize = FRAME_LEN_V2 + 16;
 /// [`FRAME_BUF_CAP`] bytes, so the steady-state path allocates nothing.
 ///
 /// Anything longer than the capacity is *not* a frame (the wire format
-/// tops out at [`FRAME_LEN_V2`]); [`FrameBuf::from_slice`] refuses it
+/// is [`FRAME_LEN_V2`] bytes); [`FrameBuf::from_slice`] refuses it
 /// and transports count it as a drop, exactly as they would any other
 /// unparseable input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -509,17 +446,6 @@ impl FrameBuf {
     }
 }
 
-impl From<[u8; FRAME_LEN]> for FrameBuf {
-    fn from(frame: [u8; FRAME_LEN]) -> FrameBuf {
-        let mut buf = [0u8; FRAME_BUF_CAP];
-        buf[..FRAME_LEN].copy_from_slice(&frame);
-        FrameBuf {
-            len: FRAME_LEN as u8,
-            buf,
-        }
-    }
-}
-
 impl From<[u8; FRAME_LEN_V2]> for FrameBuf {
     fn from(frame: [u8; FRAME_LEN_V2]) -> FrameBuf {
         let mut buf = [0u8; FRAME_BUF_CAP];
@@ -545,7 +471,7 @@ impl AsRef<[u8]> for FrameBuf {
     }
 }
 
-/// 32-bit FNV-1a over `bytes`: the frame checksum of wire v1 and v2.
+/// 32-bit FNV-1a over `bytes`: the frame checksum.
 fn fnv1a(bytes: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c_9dc5;
     for &b in bytes {
@@ -563,40 +489,22 @@ mod tests {
         WireCodec::new(ProtocolId::Beta, 4).expect("k fits")
     }
 
-    #[test]
-    fn round_trips_data_and_ack() {
-        let c = codec();
-        for packet in [Packet::Data(17), Packet::Ack(0), Packet::Data(u64::MAX)] {
-            let buf = c.encode(packet, 9, 123_456);
-            let frame = c.decode(&buf).expect("round trip");
-            assert_eq!(frame.packet, packet);
-            assert_eq!(frame.seq, 9);
-            assert_eq!(frame.sent_at_micros, 123_456);
-            assert_eq!(frame.protocol, ProtocolId::Beta);
-            assert_eq!(frame.k, 4);
-        }
+    fn encode(c: WireCodec, packet: Packet, seq: u64, sent_at_micros: u64) -> [u8; FRAME_LEN_V2] {
+        c.encode_with_session(packet, seq, sent_at_micros, SessionId::new(1))
     }
 
-    #[test]
-    fn rejects_short_and_long_frames() {
-        let c = codec();
-        let buf = c.encode(Packet::Data(1), 0, 0);
-        assert_eq!(
-            c.decode(&buf[..FRAME_LEN - 1]),
-            Err(WireError::TooShort { got: FRAME_LEN - 1 })
-        );
-        let mut long = buf.to_vec();
-        long.push(0);
-        assert_eq!(
-            c.decode(&long),
-            Err(WireError::TrailingBytes { got: FRAME_LEN + 1 })
-        );
+    /// Recomputes the checksum after a deliberate header edit, so a test
+    /// reaches the error it targets rather than the (later) checksum
+    /// check.
+    fn reseal(buf: &mut [u8]) {
+        let sum = fnv1a(&buf[0..36]);
+        buf[36..40].copy_from_slice(&sum.to_be_bytes());
     }
 
     #[test]
     fn rejects_corrupted_header_fields() {
         let c = codec();
-        let good = c.encode(Packet::Data(1), 0, 0);
+        let good = encode(c, Packet::Data(1), 0, 0);
 
         let mut bad = good;
         bad[0] = 0xff;
@@ -609,12 +517,10 @@ mod tests {
             Err(WireError::UnsupportedVersion { .. })
         ));
 
+        // Reseal to prove UnknownProtocol fires before ProtocolMismatch.
         let mut bad = good;
         bad[3] = 0;
-        // checksum is recomputed below the protocol-id check, so fix it up
-        // to prove UnknownProtocol fires before ProtocolMismatch.
-        let sum = fnv1a(&bad[0..32]);
-        bad[32..36].copy_from_slice(&sum.to_be_bytes());
+        reseal(&mut bad);
         assert!(matches!(
             c.decode(&bad),
             Err(WireError::UnknownProtocol { .. })
@@ -626,16 +532,13 @@ mod tests {
 
         let mut bad = good;
         bad[7] = 0x80;
-        assert!(matches!(
-            c.decode(&bad),
-            Err(WireError::NonZeroFlags { .. })
-        ));
+        assert!(matches!(c.decode(&bad), Err(WireError::BadFlags { .. })));
     }
 
     #[test]
     fn rejects_flipped_body_bits_via_checksum() {
         let c = codec();
-        let good = c.encode(Packet::Data(0b1010), 3, 77);
+        let good = encode(c, Packet::Data(0b1010), 3, 77);
         for offset in 8..32 {
             let mut bad = good;
             bad[offset] ^= 0x01;
@@ -650,7 +553,7 @@ mod tests {
     fn rejects_cross_protocol_frames() {
         let beta = codec();
         let gamma = WireCodec::new(ProtocolId::Gamma, 4).expect("k fits");
-        let buf = gamma.encode(Packet::Ack(2), 0, 0);
+        let buf = encode(gamma, Packet::Ack(2), 0, 0);
         assert_eq!(
             beta.decode(&buf),
             Err(WireError::ProtocolMismatch {
@@ -660,7 +563,7 @@ mod tests {
         );
         // Same protocol but different k is also a mismatch.
         let beta8 = WireCodec::new(ProtocolId::Beta, 8).expect("k fits");
-        let buf = beta8.encode(Packet::Data(1), 0, 0);
+        let buf = encode(beta8, Packet::Data(1), 0, 0);
         assert!(matches!(
             beta.decode(&buf),
             Err(WireError::ProtocolMismatch { .. })
@@ -679,49 +582,46 @@ mod tests {
     fn decode_any_accepts_every_protocol_id() {
         for id in ProtocolId::ALL {
             let c = WireCodec::new(id, 0).expect("k fits");
-            let buf = c.encode(Packet::Data(5), 1, 2);
+            let buf = encode(c, Packet::Data(5), 1, 2);
             let frame = decode_any(&buf).expect("structurally valid");
             assert_eq!(frame.protocol, id);
         }
     }
 
-    /// Golden test: the exact bytes of a v1 frame are pinned, so no codec
-    /// change (including the v2 extension) can silently alter the layout
-    /// existing peers depend on. If this test fails, the wire format broke.
+    /// Golden test: the exact bytes of a frame are pinned, so no codec
+    /// change can silently alter the layout existing peers and flight
+    /// recordings depend on. If this test fails, the wire format broke.
     #[test]
-    fn v1_frame_bytes_are_pinned() {
+    fn frame_bytes_are_pinned() {
         let c = WireCodec::new(ProtocolId::Beta, 4).expect("k fits");
-        let buf = c.encode(
+        let buf = c.encode_with_session(
             Packet::Data(0x0102_0304_0506_0708),
             0x1122,
             0x0055_6677_8899_AABB,
+            SessionId::new(0x0A0B_0C0D),
         );
-        let expected: [u8; FRAME_LEN] = [
+        let expected: [u8; FRAME_LEN_V2] = [
             0x52, 0x54, // magic "RT"
             0x01, // version
             0x02, // protocol id: beta
             0x00, 0x04, // k = 4
             0x00, // kind = data
-            0x00, // flags = 0 (v1)
+            0x01, // flags = FLAG_SESSION
             0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // symbol
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x11, 0x22, // seq
             0x00, 0x55, 0x66, 0x77, 0x88, 0x99, 0xAA, 0xBB, // sent_at_micros
-            0x3F, 0x17, 0x82, 0x7F, // FNV-1a over bytes 0..32
+            0x0A, 0x0B, 0x0C, 0x0D, // session id
+            0x18, 0xD8, 0x74, 0x1C, // FNV-1a over bytes 0..36
         ];
-        assert_eq!(buf, expected, "v1 wire layout must never change");
-        // And those pinned bytes decode to exactly the original frame.
-        let frame = decode_any(&expected).expect("pinned v1 frame decodes");
+        assert_eq!(buf, expected, "wire layout must never change");
+        let frame = decode_any(&expected).expect("pinned frame decodes");
+        assert_eq!(frame.packet, Packet::Data(0x0102_0304_0506_0708));
+        assert_eq!((frame.protocol, frame.k), (ProtocolId::Beta, 4));
         assert_eq!(
-            frame,
-            Frame {
-                protocol: ProtocolId::Beta,
-                k: 4,
-                packet: Packet::Data(0x0102_0304_0506_0708),
-                seq: 0x1122,
-                sent_at_micros: 0x0055_6677_8899_AABB,
-                session: None,
-            }
+            (frame.seq, frame.sent_at_micros),
+            (0x1122, 0x0055_6677_8899_AABB)
         );
+        assert_eq!(peek_session(&expected), Some(SessionId::new(0x0A0B_0C0D)));
     }
 
     #[test]
@@ -733,7 +633,7 @@ mod tests {
             assert_eq!(buf.len(), FRAME_LEN_V2);
             assert_eq!(buf[7], FLAG_SESSION);
             let frame = c.decode(&buf).expect("v2 round trip");
-            assert_eq!(frame.session, Some(sid));
+            assert_eq!(frame.session, sid);
             assert_eq!(frame.packet, Packet::Ack(3));
             assert_eq!(frame.seq, 7);
             assert_eq!(frame.sent_at_micros, 99);
@@ -741,25 +641,16 @@ mod tests {
     }
 
     #[test]
-    fn v2_first_32_bytes_match_v1() {
-        // The extension inserts after the fixed body: a v2 frame's first
-        // 32 bytes are byte-for-byte the v1 encoding of the same packet.
-        let c = codec();
-        let v1 = c.encode(Packet::Data(42), 5, 1000);
-        let v2 = c.encode_with_session(Packet::Data(42), 5, 1000, SessionId::new(9));
-        assert_eq!(v1[0..7], v2[0..7]);
-        assert_eq!(v1[8..32], v2[8..32]);
-        assert_eq!(v2[32..36], 9u32.to_be_bytes());
-    }
-
-    #[test]
     fn v2_rejects_truncation_and_trailing() {
         let c = codec();
         let buf = c.encode_with_session(Packet::Data(1), 0, 0, SessionId::new(7));
-        // A v2 frame truncated to v1 length: the flag promises 40 bytes.
+        // Cut before the checksum: the shape of a frame without the
+        // session field is too short, not a frame of its own.
         assert_eq!(
-            decode_any(&buf[..FRAME_LEN]),
-            Err(WireError::TooShort { got: FRAME_LEN })
+            decode_any(&buf[..FRAME_LEN_V2 - 4]),
+            Err(WireError::TooShort {
+                got: FRAME_LEN_V2 - 4
+            })
         );
         let mut long = buf.to_vec();
         long.push(0);
@@ -787,49 +678,38 @@ mod tests {
 
     #[test]
     fn unknown_flag_bits_rejected_even_with_session_bit() {
-        let c = codec();
-        let mut buf = c
-            .encode_with_session(Packet::Data(1), 0, 0, SessionId::new(1))
-            .to_vec();
+        let mut buf = encode(codec(), Packet::Data(1), 0, 0);
         buf[7] = FLAG_SESSION | 0x02;
-        let sum = fnv1a(&buf[0..36]);
-        buf[36..40].copy_from_slice(&sum.to_be_bytes());
+        reseal(&mut buf);
         assert_eq!(
             decode_any(&buf),
-            Err(WireError::NonZeroFlags {
+            Err(WireError::BadFlags {
                 got: FLAG_SESSION | 0x02
             })
         );
     }
 
     #[test]
-    fn peek_session_reads_v2_only() {
-        let c = codec();
-        let v2 = c.encode_with_session(Packet::Data(1), 0, 0, SessionId::new(77));
+    fn peek_session_reads_frames_only() {
+        let v2 = codec().encode_with_session(Packet::Data(1), 0, 0, SessionId::new(77));
         assert_eq!(peek_session(&v2), Some(SessionId::new(77)));
-        let v1 = c.encode(Packet::Data(1), 0, 0);
-        assert_eq!(peek_session(&v1), None);
         assert_eq!(peek_session(&[]), None);
-        assert_eq!(peek_session(&v2[..FRAME_LEN]), None);
+        assert_eq!(peek_session(&v2[..FRAME_LEN_V2 - 4]), None);
         let mut bad_magic = v2;
         bad_magic[0] = 0;
         assert_eq!(peek_session(&bad_magic), None);
+        let mut no_flag = v2;
+        no_flag[7] = 0;
+        assert_eq!(peek_session(&no_flag), None);
     }
 
     #[test]
-    fn frame_buf_round_trips_both_frame_shapes() {
-        let c = codec();
-        let v1 = c.encode(Packet::Data(3), 1, 2);
-        let fb = FrameBuf::from(v1);
-        assert_eq!(fb.as_slice(), &v1[..]);
-        assert_eq!(fb.len(), FRAME_LEN);
-        let v2 = c.encode_with_session(Packet::Ack(9), 4, 5, SessionId::new(6));
+    fn frame_buf_round_trips_a_frame() {
+        let v2 = codec().encode_with_session(Packet::Ack(9), 4, 5, SessionId::new(6));
         let fb = FrameBuf::from(v2);
         assert_eq!(fb.as_slice(), &v2[..]);
-        assert_eq!(
-            decode_any(&fb).expect("decodes").session,
-            Some(SessionId::new(6))
-        );
+        assert_eq!(fb.len(), FRAME_LEN_V2);
+        assert_eq!(decode_any(&fb).expect("decodes").session, SessionId::new(6));
     }
 
     #[test]
@@ -844,16 +724,6 @@ mod tests {
         assert_eq!(empty.as_slice(), &[] as &[u8]);
     }
 
-    #[test]
-    fn read_array_is_length_checked() {
-        let bytes = [1u8, 2, 3, 4, 5];
-        assert_eq!(read_array::<4>(&bytes, 0), Some([1, 2, 3, 4]));
-        assert_eq!(read_array::<4>(&bytes, 1), Some([2, 3, 4, 5]));
-        assert_eq!(read_array::<4>(&bytes, 2), None);
-        assert_eq!(read_array::<2>(&bytes, usize::MAX), None);
-        assert_eq!(read_array::<0>(&bytes, 5), Some([]));
-    }
-
     /// Exhaustiveness: every [`WireError`] variant is reachable from a
     /// hand-crafted byte buffer — one test per variant, built from the
     /// layout table rather than by mutating `encode` output, so a layout
@@ -862,33 +732,33 @@ mod tests {
         use super::*;
 
         /// Builds a frame byte-by-byte from the documented layout, with a
-        /// correct checksum. Independent of `encode`.
+        /// correct checksum. Independent of `encode_with_session`.
         fn crafted() -> Vec<u8> {
-            let mut buf = vec![0u8; FRAME_LEN];
+            let mut buf = vec![0u8; FRAME_LEN_V2];
             buf[0] = 0x52; // magic "R"
             buf[1] = 0x54; // magic "T"
             buf[2] = WIRE_VERSION;
             buf[3] = ProtocolId::Beta as u8;
             buf[4..6].copy_from_slice(&4u16.to_be_bytes()); // k = 4
             buf[6] = 0; // kind = data
-            buf[7] = 0; // flags
+            buf[7] = FLAG_SESSION;
             buf[8..16].copy_from_slice(&7u64.to_be_bytes()); // symbol
             buf[16..24].copy_from_slice(&1u64.to_be_bytes()); // seq
             buf[24..32].copy_from_slice(&2u64.to_be_bytes()); // sent_at
+            buf[32..36].copy_from_slice(&3u32.to_be_bytes()); // session
             reseal(&mut buf);
             buf
         }
 
-        /// Recomputes the FNV-1a checksum after a deliberate header edit,
-        /// so the test reaches the *intended* error rather than tripping
-        /// the (later) checksum check.
+        /// FNV-1a over bytes 0..36 into 36..40, written out rather than
+        /// shared with the codec.
         fn reseal(buf: &mut [u8]) {
             let mut sum: u32 = 0x811c_9dc5;
-            for &b in &buf[0..32] {
+            for &b in &buf[0..36] {
                 sum ^= u32::from(b);
                 sum = sum.wrapping_mul(0x0100_0193);
             }
-            buf[32..36].copy_from_slice(&sum.to_be_bytes());
+            buf[36..40].copy_from_slice(&sum.to_be_bytes());
         }
 
         #[test]
@@ -896,12 +766,13 @@ mod tests {
             let frame = decode_any(&crafted()).expect("baseline must be valid");
             assert_eq!(frame.packet, Packet::Data(7));
             assert_eq!(frame.k, 4);
+            assert_eq!(frame.session, SessionId::new(3));
         }
 
         #[test]
         fn too_short() {
             let buf = crafted();
-            assert_eq!(decode_any(&buf[..35]), Err(WireError::TooShort { got: 35 }));
+            assert_eq!(decode_any(&buf[..39]), Err(WireError::TooShort { got: 39 }));
             assert_eq!(decode_any(&[]), Err(WireError::TooShort { got: 0 }));
         }
 
@@ -909,7 +780,7 @@ mod tests {
         fn trailing_bytes() {
             let mut buf = crafted();
             buf.push(0xFF);
-            assert_eq!(decode_any(&buf), Err(WireError::TrailingBytes { got: 37 }));
+            assert_eq!(decode_any(&buf), Err(WireError::TrailingBytes { got: 41 }));
         }
 
         #[test]
@@ -957,19 +828,23 @@ mod tests {
         }
 
         #[test]
-        fn non_zero_flags() {
-            let mut buf = crafted();
-            buf[7] = 0x80;
-            reseal(&mut buf);
-            assert_eq!(decode_any(&buf), Err(WireError::NonZeroFlags { got: 0x80 }));
+        fn bad_flags() {
+            // An unknown extension bit, and no session flag at all: the
+            // flags byte must be exactly FLAG_SESSION.
+            for flags in [0x80, 0] {
+                let mut buf = crafted();
+                buf[7] = flags;
+                reseal(&mut buf);
+                assert_eq!(decode_any(&buf), Err(WireError::BadFlags { got: flags }));
+            }
         }
 
         #[test]
         fn bad_checksum() {
             let mut buf = crafted();
-            let want = u32::from_be_bytes([buf[32], buf[33], buf[34], buf[35]]);
+            let want = u32::from_be_bytes([buf[36], buf[37], buf[38], buf[39]]);
             let got = want ^ 1;
-            buf[32..36].copy_from_slice(&got.to_be_bytes());
+            buf[36..40].copy_from_slice(&got.to_be_bytes());
             assert_eq!(decode_any(&buf), Err(WireError::BadChecksum { got, want }));
         }
 

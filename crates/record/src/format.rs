@@ -1,4 +1,5 @@
-//! The versioned, length-prefixed flight-record format.
+//! The versioned, length-prefixed flight-record format, and the byte
+//! layer it shares with the session snapshots `rstp-serve` stores in it.
 //!
 //! A recording file is a 9-byte header — the 8-byte magic `RSTPREC\0`
 //! followed by a version byte — and then a stream of records. Each
@@ -12,7 +13,10 @@
 //! short tail as a flagged condition, not corruption (see
 //! [`crate::reader`]). Everything *before* the tail must parse exactly
 //! — the golden-bytes tests below pin the encoding so a revision bump
-//! is a conscious act, mirroring the wire-codec discipline.
+//! is a conscious act, mirroring the wire-codec discipline. A body that
+//! overruns its own complete payload is therefore
+//! [`RecordError::Malformed`]; only an incomplete length prefix or
+//! payload is [`RecordError::Truncated`].
 //!
 //! Record kinds:
 //!
@@ -35,6 +39,14 @@
 //! record belongs to so shed accounting can dedupe mid-file checkpoints
 //! from trailers. A v2 reader still parses v1 files: the epoch field is
 //! optional on decode and defaults to 0.
+//!
+//! # The byte layer
+//!
+//! Records and session snapshots are written with one set of writers
+//! ([`put_u16`], [`put_u32`], [`put_u64`], [`put_opt_u64`],
+//! [`put_bits`], [`put_blob`], [`put_kind`]) and read back with one
+//! bounds-checked [`Reader`], so both formats make the same decisions
+//! about every field shape they share.
 
 use rstp_sim::ProtocolKind;
 use std::fmt;
@@ -45,12 +57,13 @@ pub const RECORD_MAGIC: [u8; 8] = *b"RSTPREC\0";
 pub const RECORD_VERSION: u8 = 2;
 /// File header length: magic plus version byte.
 pub const HEADER_LEN: usize = RECORD_MAGIC.len() + 1;
-/// Hard ceiling on one record's payload — far above any real record
-/// (the largest carries one wire frame), so an oversized length prefix
+/// Hard ceiling on one record's payload. Real records stay far below
+/// it — a snapshot's state is at most `u16::MAX` bytes and a verdict
+/// packs eight messages to a byte — so an oversized length prefix
 /// means corruption, not load.
 pub const MAX_RECORD_LEN: u32 = 1 << 20;
 
-/// Decode failure for a recording header or record.
+/// Decode failure for a recording header, a record or a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecordError {
     /// Fewer bytes than the construct needs.
@@ -62,7 +75,7 @@ pub enum RecordError {
     },
     /// The file does not start with [`RECORD_MAGIC`].
     BadMagic,
-    /// The header version is newer than this reader.
+    /// The version byte is newer than this reader.
     FutureVersion {
         /// Version byte found.
         got: u8,
@@ -72,13 +85,17 @@ pub enum RecordError {
         /// Kind byte found.
         got: u8,
     },
-    /// A length prefix above [`MAX_RECORD_LEN`].
+    /// A length or element count above its cap ([`MAX_RECORD_LEN`] for
+    /// a record's length prefix), refused before anything is allocated.
     Oversized {
-        /// Declared payload length.
+        /// Declared length or count.
         len: u32,
+        /// The largest value accepted there.
+        cap: u32,
     },
-    /// A structurally invalid body (bad protocol tag, flag byte, or an
-    /// inner length that disagrees with the payload length).
+    /// A structurally invalid body (bad protocol tag, flag byte or
+    /// padding bits, an inner length that overruns the payload, or
+    /// trailing bytes).
     Malformed {
         /// What was wrong.
         what: &'static str,
@@ -98,13 +115,12 @@ impl fmt::Display for RecordError {
                 write!(f, "truncated record: need {need} bytes, got {got}")
             }
             RecordError::BadMagic => f.write_str("bad magic: not an rstp recording"),
-            RecordError::FutureVersion { got } => write!(
-                f,
-                "recording version {got} is newer than this reader (max {RECORD_VERSION})"
-            ),
+            RecordError::FutureVersion { got } => {
+                write!(f, "format version {got} is newer than this reader")
+            }
             RecordError::UnknownKind { got } => write!(f, "unknown record kind {got}"),
-            RecordError::Oversized { len } => {
-                write!(f, "record length {len} exceeds the {MAX_RECORD_LEN} cap")
+            RecordError::Oversized { len, cap } => {
+                write!(f, "length {len} exceeds the {cap} cap")
             }
             RecordError::Malformed { what } => write!(f, "malformed record: {what}"),
             RecordError::Io { what } => write!(f, "recording io: {what}"),
@@ -304,21 +320,51 @@ pub fn read_header(buf: &[u8]) -> Result<usize, RecordError> {
     Ok(HEADER_LEN)
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
+/// Appends `v` big-endian.
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends `v` big-endian.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Appends `v` big-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends a flag byte (1 when present), then the value (0 when absent).
+pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    out.push(u8::from(v.is_some()));
+    put_u64(out, v.unwrap_or(0));
+}
+
+/// Appends packed booleans: a `u32` count, then `ceil(count / 8)`
+/// bytes, LSB-first within each byte, with zero padding bits.
+pub fn put_bits(out: &mut Vec<u8>, bits: &[bool]) {
+    put_u32(out, u32::try_from(bits.len()).unwrap_or(u32::MAX));
+    for byte in bits.chunks(8) {
+        out.push(
+            byte.iter()
+                .enumerate()
+                .fold(0, |acc, (i, &bit)| acc | u8::from(bit) << i),
+        );
+    }
+}
+
+/// Appends a `u16` length, then that many bytes: all of `bytes`, or the
+/// first `u16::MAX` of a longer slice.
+pub fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+    let len = u16::try_from(bytes.len()).unwrap_or(u16::MAX);
+    put_u16(out, len);
+    out.extend_from_slice(bytes.get(..usize::from(len)).unwrap_or_default());
 }
 
 /// Appends `kind` in the layout `Admit` records and session snapshots
 /// share: tag u8, k u64, window u64, timeout flag u8 + u64.
-/// [`kind_from_tag`] reads the tag back.
+/// [`Reader::kind`] reads it back.
 pub fn put_kind(out: &mut Vec<u8>, kind: ProtocolKind) {
     let (tag, k, window, timeout) = match kind {
         ProtocolKind::Alpha => (TAG_ALPHA, 0, 0, None),
@@ -335,8 +381,158 @@ pub fn put_kind(out: &mut Vec<u8>, kind: ProtocolKind) {
     out.push(tag);
     put_u64(out, k);
     put_u64(out, window);
-    out.push(u8::from(timeout.is_some()));
-    put_u64(out, timeout.unwrap_or(0));
+    put_opt_u64(out, timeout);
+}
+
+/// The bounds-checked reader of everything the `put_*` writers write.
+///
+/// # Errors
+///
+/// Every read fails the same three ways, and no input can make one
+/// panic: [`RecordError::Truncated`] when the input ends early;
+/// [`RecordError::Oversized`] when a count exceeds the cap its caller
+/// passes, refused before anything is allocated; and
+/// [`RecordError::Malformed`] for bytes no writer produces (a flag other
+/// than 0 or 1, a set padding bit, an unknown protocol tag, bytes left
+/// at [`Reader::finish`]).
+#[derive(Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Starts reading at the beginning of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], RecordError> {
+        let end = self.pos.saturating_add(n);
+        let bytes = self.buf.get(self.pos..end).ok_or(RecordError::Truncated {
+            need: end,
+            got: self.buf.len(),
+        })?;
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], RecordError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, RecordError> {
+        self.array().map(u8::from_be_bytes)
+    }
+
+    /// A big-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, RecordError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    /// A big-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, RecordError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    /// A big-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, RecordError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    /// A strict boolean byte, 0 or 1; `what` names it when it is not.
+    pub fn flag(&mut self, what: &'static str) -> Result<bool, RecordError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(RecordError::Malformed { what }),
+        }
+    }
+
+    /// What [`put_opt_u64`] wrote; `what` names its flag.
+    pub fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, RecordError> {
+        let some = self.flag(what)?;
+        let v = self.u64()?;
+        Ok(some.then_some(v))
+    }
+
+    /// A `u32` element count of at most `cap`.
+    pub fn count(&mut self, cap: u32) -> Result<usize, RecordError> {
+        match self.u32()? {
+            len if len > cap => Err(RecordError::Oversized { len, cap }),
+            len => Ok(usize::try_from(len).unwrap_or(usize::MAX)),
+        }
+    }
+
+    /// What [`put_bits`] wrote, at most `cap` bits. Padding bits must be
+    /// zero, so each value has exactly one encoding.
+    pub fn bits(&mut self, cap: u32) -> Result<Vec<bool>, RecordError> {
+        let n = self.count(cap)?;
+        let packed = self.take(n.div_ceil(8))?;
+        if n % 8 != 0 && packed.last().is_some_and(|&b| b >> (n % 8) != 0) {
+            return Err(RecordError::Malformed {
+                what: "nonzero padding bits",
+            });
+        }
+        Ok(packed
+            .iter()
+            .flat_map(|&byte| (0..8).map(move |i| byte >> i & 1 == 1))
+            .take(n)
+            .collect())
+    }
+
+    /// What [`put_blob`] wrote.
+    pub fn blob(&mut self) -> Result<&'a [u8], RecordError> {
+        let len = self.u16()?;
+        self.take(usize::from(len))
+    }
+
+    /// What [`put_kind`] wrote.
+    pub fn kind(&mut self) -> Result<ProtocolKind, RecordError> {
+        let tag = self.u8()?;
+        let k = self.u64()?;
+        let window = self.u64()?;
+        let timeout_steps = self.opt_u64("protocol timeout flag")?;
+        Ok(match tag {
+            TAG_ALPHA => ProtocolKind::Alpha,
+            TAG_BETA => ProtocolKind::Beta { k },
+            TAG_GAMMA => ProtocolKind::Gamma { k },
+            TAG_ALTBIT => ProtocolKind::AltBit { timeout_steps },
+            TAG_FRAMED => ProtocolKind::Framed { k },
+            TAG_BETA_WINDOW => ProtocolKind::BetaWindow { k },
+            TAG_STENNING => ProtocolKind::Stenning { timeout_steps },
+            TAG_PIPELINED => ProtocolKind::Pipelined { k, window },
+            TAG_STAB_STENNING => ProtocolKind::StabStenning { timeout_steps },
+            TAG_STAB_BETA => ProtocolKind::StabBeta { k },
+            _ => {
+                return Err(RecordError::Malformed {
+                    what: "unknown protocol tag",
+                })
+            }
+        })
+    }
+
+    /// Succeeds when every byte was read.
+    pub fn finish(&self) -> Result<(), RecordError> {
+        if self.remaining() == 0 {
+            Ok(())
+        } else {
+            Err(RecordError::Malformed {
+                what: "trailing bytes after body",
+            })
+        }
+    }
 }
 
 /// Appends one length-prefixed record.
@@ -350,8 +546,7 @@ pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
             put_u64(&mut payload, m.c2);
             put_u64(&mut payload, m.d);
             put_u64(&mut payload, m.tick_micros);
-            payload.push(u8::from(m.seed.is_some()));
-            put_u64(&mut payload, m.seed.unwrap_or(0));
+            put_opt_u64(&mut payload, m.seed);
         }
         Record::Event(ev) => encode_event(ev, &mut payload),
         Record::Stats(s) => {
@@ -396,8 +591,7 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             });
             put_u64(payload, *at_micros);
             put_u32(payload, *session);
-            put_u16(payload, u16::try_from(wire.len()).unwrap_or(u16::MAX));
-            payload.extend_from_slice(&wire[..wire.len().min(usize::from(u16::MAX))]);
+            put_blob(payload, wire);
         }
         Event::WheelPop {
             at_micros,
@@ -429,8 +623,7 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             payload.push(KIND_SNAPSHOT);
             put_u64(payload, *at_micros);
             put_u32(payload, *session);
-            put_u16(payload, u16::try_from(state.len()).unwrap_or(u16::MAX));
-            payload.extend_from_slice(&state[..state.len().min(usize::from(u16::MAX))]);
+            put_blob(payload, state);
         }
         Event::Write {
             at_micros,
@@ -454,121 +647,9 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             put_u64(payload, *at_micros);
             put_u32(payload, *session);
             payload.push(u8::from(*completed));
-            put_u32(payload, u32::try_from(written.len()).unwrap_or(u32::MAX));
-            let mut byte = 0u8;
-            for (i, bit) in written.iter().enumerate() {
-                if *bit {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    payload.push(byte);
-                    byte = 0;
-                }
-            }
-            if written.len() % 8 != 0 {
-                payload.push(byte);
-            }
+            put_bits(payload, written);
         }
     }
-}
-
-/// A cursor over one record's body.
-struct Body<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Body<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RecordError> {
-        let end = self.pos.checked_add(n).ok_or(RecordError::Malformed {
-            what: "body length overflow",
-        })?;
-        let s = self.buf.get(self.pos..end).ok_or(RecordError::Truncated {
-            need: end,
-            got: self.buf.len(),
-        })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, RecordError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, RecordError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, RecordError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, RecordError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_be_bytes(a))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn flag(&mut self, what: &'static str) -> Result<bool, RecordError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(RecordError::Malformed { what }),
-        }
-    }
-
-    fn finish(&self) -> Result<(), RecordError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(RecordError::Malformed {
-                what: "trailing bytes after body",
-            })
-        }
-    }
-}
-
-/// The protocol a [`put_kind`] tag names, given the fields read after
-/// it; `None` for an unknown tag.
-#[must_use]
-pub fn kind_from_tag(
-    tag: u8,
-    k: u64,
-    window: u64,
-    timeout_steps: Option<u64>,
-) -> Option<ProtocolKind> {
-    Some(match tag {
-        TAG_ALPHA => ProtocolKind::Alpha,
-        TAG_BETA => ProtocolKind::Beta { k },
-        TAG_GAMMA => ProtocolKind::Gamma { k },
-        TAG_ALTBIT => ProtocolKind::AltBit { timeout_steps },
-        TAG_FRAMED => ProtocolKind::Framed { k },
-        TAG_BETA_WINDOW => ProtocolKind::BetaWindow { k },
-        TAG_STENNING => ProtocolKind::Stenning { timeout_steps },
-        TAG_PIPELINED => ProtocolKind::Pipelined { k, window },
-        TAG_STAB_STENNING => ProtocolKind::StabStenning { timeout_steps },
-        TAG_STAB_BETA => ProtocolKind::StabBeta { k },
-        _ => return None,
-    })
-}
-
-fn take_kind(b: &mut Body<'_>) -> Result<ProtocolKind, RecordError> {
-    let tag = b.u8()?;
-    let k = b.u64()?;
-    let window = b.u64()?;
-    let has_timeout = b.flag("protocol timeout flag")?;
-    let timeout_raw = b.u64()?;
-    let timeout_steps = has_timeout.then_some(timeout_raw);
-    kind_from_tag(tag, k, window, timeout_steps).ok_or(RecordError::Malformed {
-        what: "unknown protocol tag",
-    })
 }
 
 /// Decodes one length-prefixed record from the start of `buf`.
@@ -576,82 +657,56 @@ fn take_kind(b: &mut Body<'_>) -> Result<ProtocolKind, RecordError> {
 ///
 /// # Errors
 ///
-/// [`RecordError`] on truncation, an oversized or unknown record, or a
-/// malformed body.
+/// [`RecordError::Truncated`] when the length prefix or the payload is
+/// incomplete, [`RecordError::Oversized`] for a length prefix above
+/// [`MAX_RECORD_LEN`], [`RecordError::UnknownKind`], or
+/// [`RecordError::Malformed`] for a body that does not fill its complete
+/// payload exactly.
 pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), RecordError> {
-    if buf.len() < 4 {
-        return Err(RecordError::Truncated {
-            need: 4,
-            got: buf.len(),
-        });
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len > MAX_RECORD_LEN {
-        return Err(RecordError::Oversized { len });
-    }
-    let len = len as usize;
-    let total = 4 + len;
-    if buf.len() < total {
-        return Err(RecordError::Truncated {
-            need: total,
-            got: buf.len(),
-        });
-    }
-    let Some((&kind_byte, body)) = buf.get(4..total).and_then(<[u8]>::split_first) else {
+    let mut r = Reader::new(buf);
+    let len = r.count(MAX_RECORD_LEN)?;
+    let Some((&kind, body)) = r.take(len)?.split_first() else {
         return Err(RecordError::Malformed {
             what: "empty payload",
         });
     };
-    let mut b = Body { buf: body, pos: 0 };
-    let rec = match kind_byte {
-        KIND_META => {
-            let shard = b.u32()?;
-            let c1 = b.u64()?;
-            let c2 = b.u64()?;
-            let d = b.u64()?;
-            let tick_micros = b.u64()?;
-            let has_seed = b.flag("meta seed flag")?;
-            let seed_raw = b.u64()?;
-            Record::Meta(RunMeta {
-                shard,
-                c1,
-                c2,
-                d,
-                tick_micros,
-                seed: has_seed.then_some(seed_raw),
-            })
-        }
-        KIND_ADMIT => {
-            let at_micros = b.u64()?;
-            let session = b.u32()?;
-            let kind = take_kind(&mut b)?;
-            let n = b.u32()?;
-            Record::Event(Event::Admit {
-                at_micros,
-                session,
-                kind,
-                n,
-            })
-        }
-        kind @ (KIND_RX | KIND_TX) => {
-            let at_micros = b.u64()?;
-            let session = b.u32()?;
-            let wire_len = usize::from(b.u16()?);
-            let wire = b.take(wire_len)?.to_vec();
-            Record::Event(if kind == KIND_RX {
-                Event::Rx {
-                    at_micros,
-                    session,
-                    wire,
-                }
-            } else {
-                Event::Tx {
-                    at_micros,
-                    session,
-                    wire,
-                }
-            })
-        }
+    // The payload is complete, so a body that runs past it is corrupt,
+    // not the cut-off tail of a file.
+    let rec = decode_body(kind, &mut Reader::new(body)).map_err(|e| match e {
+        RecordError::Truncated { .. } => RecordError::Malformed {
+            what: "body overruns its record",
+        },
+        e => e,
+    })?;
+    Ok((rec, buf.len() - r.remaining()))
+}
+
+fn decode_body(kind: u8, b: &mut Reader<'_>) -> Result<Record, RecordError> {
+    let rec = match kind {
+        KIND_META => Record::Meta(RunMeta {
+            shard: b.u32()?,
+            c1: b.u64()?,
+            c2: b.u64()?,
+            d: b.u64()?,
+            tick_micros: b.u64()?,
+            seed: b.opt_u64("meta seed flag")?,
+        }),
+        KIND_ADMIT => Record::Event(Event::Admit {
+            at_micros: b.u64()?,
+            session: b.u32()?,
+            kind: b.kind()?,
+            n: b.u32()?,
+        }),
+        KIND_RX => Record::Event(Event::Rx {
+            at_micros: b.u64()?,
+            session: b.u32()?,
+            wire: b.blob()?.to_vec(),
+        }),
+        KIND_TX => Record::Event(Event::Tx {
+            at_micros: b.u64()?,
+            session: b.u32()?,
+            wire: b.blob()?.to_vec(),
+        }),
         KIND_POP => Record::Event(Event::WheelPop {
             at_micros: b.u64()?,
             session: b.u32()?,
@@ -663,45 +718,26 @@ pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), RecordError> {
             session: b.u32()?,
             due_tick: b.u64()?,
         }),
-        KIND_VERDICT => {
-            let at_micros = b.u64()?;
-            let session = b.u32()?;
-            let completed = b.flag("verdict completed flag")?;
-            let n = b.u32()? as usize;
-            let packed = b.take(n.div_ceil(8))?;
-            let written = (0..n)
-                .map(|i| packed.get(i / 8).copied().unwrap_or(0) >> (i % 8) & 1 == 1)
-                .collect();
-            Record::Event(Event::Verdict {
-                at_micros,
-                session,
-                completed,
-                written,
-            })
-        }
-        KIND_STATS => {
-            let recorded = b.u64()?;
-            let dropped = b.u64()?;
+        KIND_VERDICT => Record::Event(Event::Verdict {
+            at_micros: b.u64()?,
+            session: b.u32()?,
+            completed: b.flag("verdict completed flag")?,
+            // No cap of its own: the payload, at most MAX_RECORD_LEN
+            // bytes, bounds the bit count.
+            written: b.bits(u32::MAX)?,
+        }),
+        KIND_STATS => Record::Stats(RecStats {
+            recorded: b.u64()?,
+            dropped: b.u64()?,
             // The epoch field arrived in format v2; v1 stats bodies end
             // after the counters and decode with epoch 0.
-            let epoch = if b.remaining() >= 4 { b.u32()? } else { 0 };
-            Record::Stats(RecStats {
-                recorded,
-                dropped,
-                epoch,
-            })
-        }
-        KIND_SNAPSHOT => {
-            let at_micros = b.u64()?;
-            let session = b.u32()?;
-            let state_len = usize::from(b.u16()?);
-            let state = b.take(state_len)?.to_vec();
-            Record::Event(Event::Snapshot {
-                at_micros,
-                session,
-                state,
-            })
-        }
+            epoch: if b.remaining() >= 4 { b.u32()? } else { 0 },
+        }),
+        KIND_SNAPSHOT => Record::Event(Event::Snapshot {
+            at_micros: b.u64()?,
+            session: b.u32()?,
+            state: b.blob()?.to_vec(),
+        }),
         KIND_WRITE => Record::Event(Event::Write {
             at_micros: b.u64()?,
             session: b.u32()?,
@@ -711,7 +747,7 @@ pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), RecordError> {
         got => return Err(RecordError::UnknownKind { got }),
     };
     b.finish()?;
-    Ok((rec, total))
+    Ok(rec)
 }
 
 #[cfg(test)]
@@ -923,6 +959,95 @@ mod tests {
         assert_eq!(buf, expected);
     }
 
+    /// Golden bytes for the event kinds the test above leaves out: the
+    /// protocol header with a timeout, the three length-prefixed blobs
+    /// and a verdict whose last bit byte is partial.
+    #[test]
+    fn golden_bytes_pin_the_other_event_kinds() {
+        let mut buf = Vec::new();
+        for ev in [
+            Event::Admit {
+                at_micros: 0x0102,
+                session: 3,
+                kind: ProtocolKind::Stenning {
+                    timeout_steps: Some(7),
+                },
+                n: 16,
+            },
+            Event::Rx {
+                at_micros: 1,
+                session: 2,
+                wire: vec![0xAA, 0xBB],
+            },
+            Event::Tx {
+                at_micros: 4,
+                session: 5,
+                wire: vec![0x52],
+            },
+            Event::DeadlineMiss {
+                at_micros: 6,
+                session: 7,
+                due_tick: 8,
+            },
+            Event::Snapshot {
+                at_micros: 9,
+                session: 10,
+                state: vec![1, 2, 3],
+            },
+            Event::Verdict {
+                at_micros: 11,
+                session: 12,
+                completed: true,
+                written: vec![
+                    true, false, true, true, false, false, false, false, true, true,
+                ],
+            },
+        ] {
+            encode_record(&Record::Event(ev), &mut buf);
+        }
+        #[rustfmt::skip]
+        let expected: Vec<u8> = vec![
+            // Admit: len 43, kind 2, at 0x0102, session 3,
+            // tag 7 (stenning), k 0, window 0, timeout flag 1 + 7, n 16
+            0, 0, 0, 43, 2,
+            0, 0, 0, 0, 0, 0, 1, 2,
+            0, 0, 0, 3,
+            7,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0, 7,
+            0, 0, 0, 16,
+            // Rx: len 17, kind 3, at 1, session 2, wire len 2 + bytes
+            0, 0, 0, 17, 3,
+            0, 0, 0, 0, 0, 0, 0, 1,
+            0, 0, 0, 2,
+            0, 2, 0xAA, 0xBB,
+            // Tx: len 16, kind 4, at 4, session 5, wire len 1 + byte
+            0, 0, 0, 16, 4,
+            0, 0, 0, 0, 0, 0, 0, 4,
+            0, 0, 0, 5,
+            0, 1, 0x52,
+            // DeadlineMiss: len 21, kind 6, at 6, session 7, due 8
+            0, 0, 0, 21, 6,
+            0, 0, 0, 0, 0, 0, 0, 6,
+            0, 0, 0, 7,
+            0, 0, 0, 0, 0, 0, 0, 8,
+            // Snapshot: len 18, kind 9, at 9, session 10, state len 3 + bytes
+            0, 0, 0, 18, 9,
+            0, 0, 0, 0, 0, 0, 0, 9,
+            0, 0, 0, 10,
+            0, 3, 1, 2, 3,
+            // Verdict: len 20, kind 7, at 11, session 12, completed 1,
+            // 10 bits LSB-first: 1011_0000 then 11 + six zero pad bits
+            0, 0, 0, 20, 7,
+            0, 0, 0, 0, 0, 0, 0, 11,
+            0, 0, 0, 12,
+            1,
+            0, 0, 0, 10, 0b0000_1101, 0b0000_0011,
+        ];
+        assert_eq!(buf, expected);
+    }
+
     #[test]
     fn header_errors_are_exhaustive() {
         // Truncated header.
@@ -984,7 +1109,8 @@ mod tests {
         assert_eq!(
             decode_record(&big),
             Err(RecordError::Oversized {
-                len: MAX_RECORD_LEN + 1
+                len: MAX_RECORD_LEN + 1,
+                cap: MAX_RECORD_LEN
             })
         );
         // Zero-length payload.
@@ -1024,7 +1150,8 @@ mod tests {
                 what: "pop late flag"
             })
         );
-        // A snapshot whose inner length overruns the payload.
+        // A snapshot whose inner length overruns its complete payload:
+        // corruption, not a truncated file.
         let mut snap = Vec::new();
         encode_record(
             &Record::Event(Event::Snapshot {
@@ -1036,9 +1163,28 @@ mod tests {
         );
         // Inner state length sits after len(4)+kind(1)+at(8)+session(4).
         snap[4 + 1 + 8 + 4 + 1] = 0xFF;
-        assert!(matches!(
+        assert_eq!(
             decode_record(&snap),
-            Err(RecordError::Truncated { .. })
+            Err(RecordError::Malformed {
+                what: "body overruns its record"
+            })
+        );
+        // Nonzero padding bits after a verdict's last bit: each verdict
+        // has exactly one encoding.
+        let mut verdict = Vec::new();
+        encode_record(
+            &Record::Event(Event::Verdict {
+                at_micros: 1,
+                session: 2,
+                completed: true,
+                written: vec![true, false, true],
+            }),
+            &mut verdict,
+        );
+        *verdict.last_mut().unwrap() |= 0b1000_0000;
+        assert!(matches!(
+            decode_record(&verdict),
+            Err(RecordError::Malformed { .. })
         ));
         // A non-boolean write bit.
         let mut wr = Vec::new();
@@ -1086,7 +1232,13 @@ mod tests {
             (RecordError::BadMagic, "magic"),
             (RecordError::FutureVersion { got: 9 }, "version 9"),
             (RecordError::UnknownKind { got: 99 }, "kind 99"),
-            (RecordError::Oversized { len: 1 << 21 }, "cap"),
+            (
+                RecordError::Oversized {
+                    len: 1 << 21,
+                    cap: MAX_RECORD_LEN,
+                },
+                "cap",
+            ),
             (RecordError::Malformed { what: "x" }, "malformed"),
             (
                 RecordError::Io {

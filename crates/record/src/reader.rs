@@ -156,6 +156,42 @@ mod tests {
         assert!(rec.truncated);
     }
 
+    /// A record whose body overruns its own complete payload is
+    /// corruption in the middle of the file, not its tail: the records
+    /// after it must not be dropped as if the file had ended there.
+    #[test]
+    fn corrupt_body_mid_file_is_fatal_not_a_truncated_tail() {
+        let mut buf = Vec::new();
+        write_header(&mut buf);
+        encode_record(
+            &Record::Event(Event::Snapshot {
+                at_micros: 1,
+                session: 2,
+                state: vec![0xAA, 0xBB],
+            }),
+            &mut buf,
+        );
+        // The inner state length follows header(9), len(4), kind(1),
+        // at(8) and session(4).
+        buf[9 + 4 + 1 + 8 + 4..][..2].copy_from_slice(&0xFFFFu16.to_be_bytes());
+        for at_micros in 0..5 {
+            encode_record(
+                &Record::Event(Event::WheelPop {
+                    at_micros,
+                    session: 2,
+                    due_tick: at_micros,
+                    late: false,
+                }),
+                &mut buf,
+            );
+        }
+        assert!(
+            matches!(Recording::parse(&buf), Err(RecordError::Malformed { .. })),
+            "{:?}",
+            Recording::parse(&buf)
+        );
+    }
+
     #[test]
     fn bad_header_and_bad_records_are_fatal() {
         assert_eq!(

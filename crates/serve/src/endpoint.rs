@@ -59,8 +59,8 @@ where
     A: Automaton<Action = RstpAction> + Send + 'static,
     A::State: Send + StateCodec,
 {
-    let state = state_from_bytes::<A::State>(state_bytes).ok_or_else(|| NetError::Automaton {
-        what: "session snapshot state failed to decode".into(),
+    let state = state_from_bytes::<A::State>(state_bytes).map_err(|e| NetError::Automaton {
+        what: format!("session snapshot state failed to decode: {e}"),
     })?;
     Ok(Box::new(Driven::resume(automaton, state, written)))
 }

@@ -1,7 +1,7 @@
 //! The loopback transport: many clients, one server, zero sockets.
 //!
 //! A [`MemHub`] is a shared mailbox fabric. Every client pushes encoded
-//! v2 frames into one central server inbox; the server drains that inbox
+//! frames into one central server inbox; the server drains that inbox
 //! in whole batches (one lock acquisition per batch, the in-process
 //! analogue of `recvmmsg`), and shard egress pushes reply frames into
 //! per-client inboxes keyed by session id. [`HubClientTransport`] adapts
@@ -59,9 +59,9 @@ impl MemHub {
     }
 
     /// Registers a client for `session` and returns its [`Transport`]
-    /// endpoint. Frames the client sends carry `session` in the wire v2
-    /// extension; frames the server addresses to `session` land in this
-    /// client's inbox.
+    /// endpoint. Frames the client sends carry `session` as their session
+    /// id; frames the server addresses to `session` land in this client's
+    /// inbox.
     #[must_use]
     pub fn client_transport(&self, session: SessionId, codec: WireCodec) -> HubClientTransport {
         let inbox: Inbox = Arc::default();
@@ -182,7 +182,7 @@ impl Transport for HubClientTransport {
                 }
             };
             match decode_any(&bytes) {
-                Ok(frame) if frame.session == Some(self.session) => {
+                Ok(frame) if frame.session == self.session => {
                     self.stats.frames_received += 1;
                     return Ok(Some(frame));
                 }
@@ -223,8 +223,8 @@ mod tests {
         assert_eq!(got, 2);
         let f0 = decode_any(&batch[0]).expect("frame");
         let f1 = decode_any(&batch[1]).expect("frame");
-        assert_eq!(f0.session, Some(SessionId::new(7)));
-        assert_eq!(f1.session, Some(SessionId::new(9)));
+        assert_eq!(f0.session, SessionId::new(7));
+        assert_eq!(f1.session, SessionId::new(9));
         assert_eq!(f0.packet, Packet::Data(1));
     }
 

@@ -22,13 +22,13 @@
 //! * [`hub`] — the loopback transport: a server inbox and per-client
 //!   inboxes, drained whole batches at a time.
 //! * [`udp`] — the same server loop over one UDP socket, demultiplexing
-//!   by the frame-v2 session id.
+//!   by each frame's session id.
 //! * [`server`] — session admission, frame routing, shard lifecycle.
 //! * [`swarm`] — the M-client loopback load harness behind `rstp swarm`,
 //!   including the simulator-oracle cross-check.
 //!
-//! Frames carry their session in the wire v2 extension
-//! ([`rstp_net::FLAG_SESSION`]); single-session v1 traffic is untouched.
+//! Every frame carries its session id (see [`rstp_net::wire`]); the
+//! pump routes each one to the shard that owns its session.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ pub use faults::{FaultEvent, FaultPlan};
 pub use hub::{HubClientTransport, MemHub};
 pub use metrics::{ServeReport, SessionStats, ShardReport};
 pub use server::{run_server, EgressSink, ServeConfig, ServeTransport, SessionSpec};
-pub use snapshot::{SessionSnapshot, SnapshotError, StateCodec, SNAPSHOT_VERSION};
+pub use snapshot::{SessionSnapshot, StateCodec, SNAPSHOT_VERSION};
 pub use swarm::{run_swarm, run_swarm_sessions, SwarmConfig, SwarmReport, SwarmTransport};
 pub use udp::{UdpServerTransport, UdpSessionClient};
 pub use wheel::TimerWheel;

@@ -1,7 +1,7 @@
 //! Session admission, frame routing, and shard lifecycle.
 //!
 //! [`run_server`] is the pump: it drains the transport in batches of up
-//! to `B` datagrams per call, peels each frame's wire v2 session id, and
+//! to `B` datagrams per call, routes each frame by its session id, and
 //! hands each shard its share of the batch, in arrival order, as one
 //! message on that shard's bounded queue. Admission is strict — a
 //! session beyond `max_sessions`, with a duplicate id, or arriving while
@@ -278,8 +278,10 @@ fn route(
     orphan_frames: &mut u64,
     frame: Frame,
 ) {
-    let shard = frame.session.and_then(|id| owner.get(&id.raw()));
-    match shard.and_then(|&shard| routed.get_mut(shard)) {
+    match owner
+        .get(&frame.session.raw())
+        .and_then(|&shard| routed.get_mut(shard))
+    {
         Some(share) => share.push(frame),
         None => *orphan_frames += 1,
     }
@@ -797,9 +799,7 @@ pub fn run_server<T: ServeTransport>(
         for bytes in &batch {
             // Full strict decode before routing: the frame crosses a
             // thread boundary, so the checksum is verified exactly once,
-            // here, rather than trusting the cheap peek. A v1
-            // single-session frame has no session id, so no place in a
-            // multi-session table: it routes nowhere, as an orphan.
+            // here, rather than trusting the cheap peek.
             match decode_any(bytes) {
                 Ok(frame) => route(&owner, &mut routed, &mut orphan_frames, frame),
                 Err(_) => decode_errors += 1,

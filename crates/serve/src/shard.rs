@@ -283,10 +283,7 @@ pub(crate) fn run_shard(
                 ShardMsg::Frames(frames) => {
                     let mut forward = Vec::new();
                     for frame in frames {
-                        let Some(id) = frame.session.map(SessionId::raw) else {
-                            report.orphan_frames += 1;
-                            continue;
-                        };
+                        let id = frame.session.raw();
                         if let Some(live) = by_id
                             .get(&id)
                             .and_then(|&idx| sessions.get_mut(idx))

@@ -12,12 +12,14 @@
 //!
 //! The per-protocol receiver state is serialized through [`StateCodec`],
 //! implemented here for every receiver state type the server can host.
-//! Decoding is strict: every count is bounds-checked against the
-//! remaining input *before* allocation, multiset symbols are validated
-//! against their declared universe (a corrupted snapshot must surface as
-//! a decode error, never as a panic inside `Multiset::insert`), and
-//! padding bits in packed booleans must be zero so each value has
-//! exactly one encoding.
+//! Every field goes through the flight-record format's byte layer
+//! (`rstp_record::format`), and decoding fails with its
+//! [`RecordError`]. Decoding is strict: every count is checked against
+//! its cap and the remaining input *before* allocation, multiset symbols
+//! are validated against their declared universe (a corrupted snapshot
+//! must surface as a decode error, never as a panic inside
+//! `Multiset::insert`), and padding bits in packed booleans must be zero
+//! so each value has exactly one encoding.
 
 use rstp_codec::Multiset;
 use rstp_core::protocols::{
@@ -26,17 +28,17 @@ use rstp_core::protocols::{
     StenningReceiverState,
 };
 use rstp_core::Message;
-use rstp_record::format::{kind_from_tag, put_kind};
+use rstp_record::format::{put_bits, put_blob, put_kind, put_opt_u64, put_u32, put_u64, Reader};
+use rstp_record::RecordError;
 use rstp_sim::ProtocolKind;
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Snapshot layout version written by this build.
 pub const SNAPSHOT_VERSION: u8 = 1;
 
 /// Upper bound on any element count inside a snapshot (messages,
 /// multiset symbols, queue entries). Checked before allocating.
-pub const MAX_SNAPSHOT_ELEMS: usize = 1 << 20;
+pub const MAX_SNAPSHOT_ELEMS: u32 = 1 << 20;
 
 /// Upper bound on a multiset universe `k` inside a snapshot; matches
 /// the wire's `MAX_WIRE_K` so nothing decodable off the wire is
@@ -44,165 +46,14 @@ pub const MAX_SNAPSHOT_ELEMS: usize = 1 << 20;
 /// allocation.
 const MAX_SNAPSHOT_K: u64 = u16::MAX as u64;
 
-/// Why a snapshot failed to decode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The input ended before the declared structure did.
-    Truncated,
-    /// Structurally invalid content (bad flag byte, out-of-range symbol,
-    /// nonzero padding, unknown protocol tag, …).
-    Malformed(&'static str),
-    /// A version byte newer than [`SNAPSHOT_VERSION`].
-    FutureVersion {
-        /// The version byte found.
-        got: u8,
-    },
-    /// Bytes remained after a complete snapshot.
-    TrailingBytes {
-        /// How many bytes were left over.
-        extra: usize,
-    },
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-            SnapshotError::FutureVersion { got } => {
-                write!(
-                    f,
-                    "snapshot version {got} is newer than supported {SNAPSHOT_VERSION}"
-                )
-            }
-            SnapshotError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after snapshot")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// A bounds-checked read cursor over snapshot bytes.
-pub struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    /// Starts a cursor at the beginning of `bytes`.
-    #[must_use]
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Cur { bytes, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_be_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_be_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    /// A strict boolean byte: `0` or `1`, anything else is an error.
-    fn flag(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Succeeds only when the cursor consumed every byte.
-    #[must_use]
-    pub fn finish(self) -> Option<()> {
-        (self.remaining() == 0).then_some(())
-    }
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
 fn put_usize(out: &mut Vec<u8>, v: usize) {
     put_u64(out, v as u64);
 }
 
-fn take_usize(cur: &mut Cur<'_>) -> Option<usize> {
-    usize::try_from(cur.u64()?).ok()
-}
-
-/// Packed booleans: a `u32` count, then `ceil(count / 8)` bytes,
-/// LSB-first within each byte; padding bits must be zero.
-fn put_bits(out: &mut Vec<u8>, bits: &[bool]) {
-    put_u32(out, bits.len() as u32);
-    let mut byte = 0u8;
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if bits.len() % 8 != 0 {
-        out.push(byte);
-    }
-}
-
-fn take_bits(cur: &mut Cur<'_>) -> Option<Vec<bool>> {
-    let n = cur.u32()? as usize;
-    if n > MAX_SNAPSHOT_ELEMS {
-        return None;
-    }
-    let raw = cur.take(n.div_ceil(8))?;
-    let mut bits = Vec::with_capacity(n);
-    'bytes: for (i, &byte) in raw.iter().enumerate() {
-        for bit in 0..8 {
-            if i * 8 + bit >= n {
-                break 'bytes;
-            }
-            bits.push(byte >> bit & 1 == 1);
-        }
-    }
-    // One encoding per value: padding bits past the count must be zero.
-    if n % 8 != 0 && raw.last().is_some_and(|&b| b >> (n % 8) != 0) {
-        return None;
-    }
-    Some(bits)
+fn take_usize(r: &mut Reader<'_>) -> Result<usize, RecordError> {
+    usize::try_from(r.u64()?).map_err(|_| RecordError::Malformed {
+        what: "count exceeds usize",
+    })
 }
 
 /// A `u32` count of `u64` values.
@@ -213,12 +64,12 @@ fn put_u64s(out: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u64>) {
     }
 }
 
-fn take_u64s(cur: &mut Cur<'_>) -> Option<Vec<u64>> {
-    let n = cur.u32()? as usize;
-    if n > MAX_SNAPSHOT_ELEMS || n.checked_mul(8)? > cur.remaining() {
-        return None;
-    }
-    (0..n).map(|_| cur.u64()).collect()
+fn take_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, RecordError> {
+    let n = r.count(MAX_SNAPSHOT_ELEMS)?;
+    // Take all the values' bytes first: a count the input cannot back
+    // fails here, before the vector exists.
+    let mut vals = Reader::new(r.take(n.saturating_mul(8))?);
+    (0..n).map(|_| vals.u64()).collect()
 }
 
 /// A multiset as `universe: u64`, then its sorted symbol sequence.
@@ -227,29 +78,22 @@ fn put_multiset(out: &mut Vec<u8>, m: &Multiset) {
     put_u64s(out, m.to_sorted_vec().into_iter());
 }
 
-fn take_multiset(cur: &mut Cur<'_>) -> Option<Multiset> {
-    let k = cur.u64()?;
+fn take_multiset(r: &mut Reader<'_>) -> Result<Multiset, RecordError> {
+    let k = r.u64()?;
     if k == 0 || k > MAX_SNAPSHOT_K {
-        return None;
+        return Err(RecordError::Malformed {
+            what: "multiset universe",
+        });
     }
-    let symbols = take_u64s(cur)?;
+    let symbols = take_u64s(r)?;
     // `Multiset::insert` panics on an out-of-universe symbol; a snapshot
     // from a corrupted file must decode-fail instead.
     if symbols.iter().any(|&s| s >= k) {
-        return None;
+        return Err(RecordError::Malformed {
+            what: "multiset symbol outside its universe",
+        });
     }
-    Some(Multiset::from_symbols(k, &symbols))
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    out.push(u8::from(v.is_some()));
-    put_u64(out, v.unwrap_or(0));
-}
-
-fn take_opt_u64(cur: &mut Cur<'_>) -> Option<Option<u64>> {
-    let has = cur.flag()?;
-    let v = cur.u64()?;
-    Some(has.then_some(v))
+    Ok(Multiset::from_symbols(k, &symbols))
 }
 
 /// Serialization of one protocol's receiver state, used to move a live
@@ -259,9 +103,13 @@ pub trait StateCodec: Sized {
     /// Appends this state's encoding to `out`.
     fn encode_state(&self, out: &mut Vec<u8>);
 
-    /// Decodes one state from the cursor; `None` on truncated or
-    /// structurally invalid input. Callers check [`Cur::finish`] after.
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self>;
+    /// Decodes one state from `r`. Callers check [`Reader::finish`]
+    /// after.
+    ///
+    /// # Errors
+    ///
+    /// [`RecordError`] on truncated or structurally invalid input.
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError>;
 }
 
 impl StateCodec for AlphaReceiverState {
@@ -270,10 +118,10 @@ impl StateCodec for AlphaReceiverState {
         put_usize(out, self.written);
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(AlphaReceiverState {
-            received: take_bits(cur)?,
-            written: take_usize(cur)?,
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(AlphaReceiverState {
+            received: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
         })
     }
 }
@@ -286,12 +134,12 @@ impl StateCodec for BetaReceiverState {
         put_u32(out, self.decode_failures);
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(BetaReceiverState {
-            burst: take_multiset(cur)?,
-            decoded: take_bits(cur)?,
-            written: take_usize(cur)?,
-            decode_failures: cur.u32()?,
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(BetaReceiverState {
+            burst: take_multiset(r)?,
+            decoded: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            decode_failures: r.u32()?,
         })
     }
 }
@@ -305,13 +153,13 @@ impl StateCodec for GammaReceiverState {
         put_u32(out, self.decode_failures);
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(GammaReceiverState {
-            burst: take_multiset(cur)?,
-            pending_acks: cur.u64()?,
-            decoded: take_bits(cur)?,
-            written: take_usize(cur)?,
-            decode_failures: cur.u32()?,
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(GammaReceiverState {
+            burst: take_multiset(r)?,
+            pending_acks: r.u64()?,
+            decoded: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            decode_failures: r.u32()?,
         })
     }
 }
@@ -324,12 +172,12 @@ impl StateCodec for FramedReceiverState {
         put_u32(out, self.decode_failures);
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(FramedReceiverState {
-            burst: take_multiset(cur)?,
-            decoded: take_bits(cur)?,
-            written: take_usize(cur)?,
-            decode_failures: cur.u32()?,
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(FramedReceiverState {
+            burst: take_multiset(r)?,
+            decoded: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            decode_failures: r.u32()?,
         })
     }
 }
@@ -354,34 +202,29 @@ impl StateCodec for PipelinedReceiverState {
         put_u32(out, self.decode_failures);
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        let n_bursts = cur.u32()? as usize;
-        if n_bursts > MAX_SNAPSHOT_ELEMS {
-            return None;
-        }
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        let n_bursts = r.count(MAX_SNAPSHOT_ELEMS)?;
         let bursts = (0..n_bursts)
-            .map(|_| take_multiset(cur))
-            .collect::<Option<Vec<_>>>()?;
-        let n_staged = cur.u32()? as usize;
-        if n_staged > MAX_SNAPSHOT_ELEMS {
-            return None;
-        }
-        let mut staged = Vec::with_capacity(n_staged.min(64));
-        for _ in 0..n_staged {
-            staged.push(if cur.flag()? {
-                Some(take_bits(cur)?)
-            } else {
-                None
-            });
-        }
-        Some(PipelinedReceiverState {
+            .map(|_| take_multiset(r))
+            .collect::<Result<_, _>>()?;
+        let n_staged = r.count(MAX_SNAPSHOT_ELEMS)?;
+        let staged = (0..n_staged)
+            .map(|_| {
+                Ok(if r.flag("staged block flag")? {
+                    Some(r.bits(MAX_SNAPSHOT_ELEMS)?)
+                } else {
+                    None
+                })
+            })
+            .collect::<Result<_, RecordError>>()?;
+        Ok(PipelinedReceiverState {
             bursts,
             staged,
-            commit_tag: cur.u64()?,
-            decoded: take_bits(cur)?,
-            written: take_usize(cur)?,
-            ack_queue: VecDeque::from(take_u64s(cur)?),
-            decode_failures: cur.u32()?,
+            commit_tag: r.u64()?,
+            decoded: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            ack_queue: VecDeque::from(take_u64s(r)?),
+            decode_failures: r.u32()?,
         })
     }
 }
@@ -394,12 +237,12 @@ impl StateCodec for StenningReceiverState {
         put_u64s(out, self.ack_queue.iter().copied());
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(StenningReceiverState {
-            expected_seq: cur.u64()?,
-            received: take_bits(cur)?,
-            written: take_usize(cur)?,
-            ack_queue: VecDeque::from(take_u64s(cur)?),
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(StenningReceiverState {
+            expected_seq: r.u64()?,
+            received: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            ack_queue: VecDeque::from(take_u64s(r)?),
         })
     }
 }
@@ -412,12 +255,12 @@ impl StateCodec for AltBitReceiverState {
         put_u64s(out, self.ack_queue.iter().copied());
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(AltBitReceiverState {
-            expected_tag: cur.u64()?,
-            received: take_bits(cur)?,
-            written: take_usize(cur)?,
-            ack_queue: VecDeque::from(take_u64s(cur)?),
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(AltBitReceiverState {
+            expected_tag: r.u64()?,
+            received: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            ack_queue: VecDeque::from(take_u64s(r)?),
         })
     }
 }
@@ -431,13 +274,13 @@ impl StateCodec for StabStenningReceiverState {
         out.push(u8::from(self.synced));
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(StabStenningReceiverState {
-            expected: cur.u64()?,
-            received: take_bits(cur)?,
-            written: take_usize(cur)?,
-            pending_ack: take_opt_u64(cur)?,
-            synced: cur.flag()?,
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(StabStenningReceiverState {
+            expected: r.u64()?,
+            received: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            pending_ack: r.opt_u64("pending ack flag")?,
+            synced: r.flag("synced flag")?,
         })
     }
 }
@@ -452,33 +295,23 @@ impl StateCodec for StabBetaReceiverState {
         put_u32(out, self.decode_failures);
     }
 
-    fn decode_state(cur: &mut Cur<'_>) -> Option<Self> {
-        Some(StabBetaReceiverState {
-            burst: take_multiset(cur)?,
-            decoded: take_bits(cur)?,
-            written: take_usize(cur)?,
-            silent_steps: cur.u64()?,
-            resets: cur.u32()?,
-            decode_failures: cur.u32()?,
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, RecordError> {
+        Ok(StabBetaReceiverState {
+            burst: take_multiset(r)?,
+            decoded: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            written: take_usize(r)?,
+            silent_steps: r.u64()?,
+            resets: r.u32()?,
+            decode_failures: r.u32()?,
         })
     }
-}
-
-/// The protocol header, in the flight-record format's layout and tag
-/// space, so a postmortem names a snapshot's protocol with one table.
-fn take_kind(cur: &mut Cur<'_>) -> Option<ProtocolKind> {
-    let tag = cur.u8()?;
-    let k = cur.u64()?;
-    let window = cur.u64()?;
-    let timeout_steps = take_opt_u64(cur)?;
-    kind_from_tag(tag, k, window, timeout_steps)
 }
 
 /// Everything needed to re-create one live receiver session: identity,
 /// protocol, progress, and the protocol automaton's serialized state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionSnapshot {
-    /// The session id (wire-v2 demux key).
+    /// The session id (the wire frame's demux key).
     pub session: u32,
     /// The protocol this session runs.
     pub kind: ProtocolKind,
@@ -513,11 +346,7 @@ impl SessionSnapshot {
         put_u32(&mut out, self.n);
         put_u64(&mut out, self.seq);
         put_bits(&mut out, &self.written);
-        put_u16(
-            &mut out,
-            u16::try_from(self.state.len()).unwrap_or(u16::MAX),
-        );
-        out.extend(self.state.iter().take(usize::from(u16::MAX)));
+        put_blob(&mut out, &self.state);
         out
     }
 
@@ -526,37 +355,30 @@ impl SessionSnapshot {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on truncation, structural corruption, a future
-    /// version byte, or trailing bytes.
-    pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
-        let mut cur = Cur::new(bytes);
-        let version = cur.u8().ok_or(SnapshotError::Truncated)?;
-        if version > SNAPSHOT_VERSION {
-            return Err(SnapshotError::FutureVersion { got: version });
+    /// [`RecordError::FutureVersion`] for a version byte newer than
+    /// [`SNAPSHOT_VERSION`]; otherwise [`RecordError`] on truncation,
+    /// an oversized count, structural corruption or trailing bytes.
+    pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, RecordError> {
+        let mut r = Reader::new(bytes);
+        match r.u8()? {
+            SNAPSHOT_VERSION => {}
+            got if got > SNAPSHOT_VERSION => return Err(RecordError::FutureVersion { got }),
+            _ => {
+                return Err(RecordError::Malformed {
+                    what: "unknown snapshot version 0",
+                })
+            }
         }
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Malformed("unknown snapshot version 0"));
-        }
-        let session = cur.u32().ok_or(SnapshotError::Truncated)?;
-        let kind = take_kind(&mut cur).ok_or(SnapshotError::Malformed("protocol kind"))?;
-        let n = cur.u32().ok_or(SnapshotError::Truncated)?;
-        let seq = cur.u64().ok_or(SnapshotError::Truncated)?;
-        let written = take_bits(&mut cur).ok_or(SnapshotError::Malformed("written bits"))?;
-        let state_len = usize::from(cur.u16().ok_or(SnapshotError::Truncated)?);
-        let state = cur
-            .take(state_len)
-            .ok_or(SnapshotError::Truncated)?
-            .to_vec();
-        let extra = cur.remaining();
-        cur.finish().ok_or(SnapshotError::TrailingBytes { extra })?;
-        Ok(SessionSnapshot {
-            session,
-            kind,
-            n,
-            seq,
-            written,
-            state,
-        })
+        let snap = SessionSnapshot {
+            session: r.u32()?,
+            kind: r.kind()?,
+            n: r.u32()?,
+            seq: r.u64()?,
+            written: r.bits(MAX_SNAPSHOT_ELEMS)?,
+            state: r.blob()?.to_vec(),
+        };
+        r.finish()?;
+        Ok(snap)
     }
 }
 
@@ -570,12 +392,15 @@ pub fn state_to_bytes<S: StateCodec>(state: &S) -> Vec<u8> {
 
 /// Decodes one state value from standalone bytes, requiring full
 /// consumption.
-#[must_use]
-pub fn state_from_bytes<S: StateCodec>(bytes: &[u8]) -> Option<S> {
-    let mut cur = Cur::new(bytes);
-    let state = S::decode_state(&mut cur)?;
-    cur.finish()?;
-    Some(state)
+///
+/// # Errors
+///
+/// [`RecordError`] as [`StateCodec::decode_state`], or trailing bytes.
+pub fn state_from_bytes<S: StateCodec>(bytes: &[u8]) -> Result<S, RecordError> {
+    let mut r = Reader::new(bytes);
+    let state = S::decode_state(&mut r)?;
+    r.finish()?;
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -682,7 +507,9 @@ mod tests {
         trailing.push(0);
         assert_eq!(
             SessionSnapshot::decode(&trailing),
-            Err(SnapshotError::TrailingBytes { extra: 1 })
+            Err(RecordError::Malformed {
+                what: "trailing bytes after body"
+            })
         );
     }
 
@@ -719,6 +546,129 @@ mod tests {
             0, 0, 0, 0, 0, 0, 0, 3,             // state.written
         ];
         assert_eq!(bytes, expected);
+    }
+
+    /// Golden bytes for every receiver-state codec: a layout change on
+    /// both the encode and the decode side passes the round trips above,
+    /// but not these. Integers are big-endian; `bits` is a u32 count
+    /// then LSB-first bytes; a multiset is its universe u64, then a u32
+    /// count of sorted u64 symbols.
+    #[test]
+    #[rustfmt::skip]
+    fn golden_bytes_pin_every_state_codec() {
+        const Z7: [u8; 7] = [0; 7];
+        fn u64s(vals: &[u64]) -> Vec<u8> {
+            vals.iter().flat_map(|v| v.to_be_bytes()).collect()
+        }
+        fn check(got: Vec<u8>, parts: &[&[u8]]) {
+            assert_eq!(got, parts.concat());
+        }
+        check(
+            state_to_bytes(&AlphaReceiverState { received: vec![true, false, true], written: 2 }),
+            &[&[0, 0, 0, 3, 0b101], &u64s(&[2])],
+        );
+        check(
+            state_to_bytes(&BetaReceiverState {
+                burst: Multiset::from_symbols(4, &[1, 1, 3]),
+                decoded: vec![false, true],
+                written: 1,
+                decode_failures: 0,
+            }),
+            &[
+                &u64s(&[4]), &[0, 0, 0, 3], &u64s(&[1, 1, 3]), // burst
+                &[0, 0, 0, 2, 0b10],                             // decoded
+                &u64s(&[1]), &[0, 0, 0, 0],                      // written, failures
+            ],
+        );
+        check(
+            state_to_bytes(&GammaReceiverState {
+                burst: Multiset::from_symbols(8, &[7]),
+                pending_acks: 3,
+                decoded: vec![true; 9],
+                written: 9,
+                decode_failures: 1,
+            }),
+            &[
+                &u64s(&[8]), &[0, 0, 0, 1], &u64s(&[7]), // burst
+                &u64s(&[3]),                             // pending_acks
+                &[0, 0, 0, 9, 0xFF, 0x01],               // decoded
+                &u64s(&[9]), &[0, 0, 0, 1],              // written, failures
+            ],
+        );
+        check(
+            state_to_bytes(&FramedReceiverState {
+                burst: Multiset::empty(4),
+                decoded: Vec::new(),
+                written: 0,
+                decode_failures: 0,
+            }),
+            &[&u64s(&[4]), &[0, 0, 0, 0], &[0, 0, 0, 0], &u64s(&[0]), &[0, 0, 0, 0]],
+        );
+        check(
+            state_to_bytes(&PipelinedReceiverState {
+                bursts: vec![Multiset::from_symbols(4, &[0, 2]), Multiset::empty(4)],
+                staged: vec![Some(vec![true, true, false]), None],
+                commit_tag: 1,
+                decoded: vec![true],
+                written: 1,
+                ack_queue: VecDeque::from(vec![4]),
+                decode_failures: 2,
+            }),
+            &[
+                &[0, 0, 0, 2],                                        // bursts
+                &u64s(&[4]), &[0, 0, 0, 2], &u64s(&[0, 2]),
+                &u64s(&[4]), &[0, 0, 0, 0],
+                &[0, 0, 0, 2], &[1, 0, 0, 0, 3, 0b011], &[0],         // staged
+                &u64s(&[1]),                                          // commit_tag
+                &[0, 0, 0, 1, 0b1],                                   // decoded
+                &u64s(&[1]),                                          // written
+                &[0, 0, 0, 1], &u64s(&[4]),                           // ack_queue
+                &[0, 0, 0, 2],                                        // failures
+            ],
+        );
+        check(
+            state_to_bytes(&StenningReceiverState {
+                expected_seq: 12,
+                received: vec![true, false],
+                written: 2,
+                ack_queue: VecDeque::from(vec![10, 11]),
+            }),
+            &[&u64s(&[12]), &[0, 0, 0, 2, 0b01], &u64s(&[2]), &[0, 0, 0, 2], &u64s(&[10, 11])],
+        );
+        check(
+            state_to_bytes(&AltBitReceiverState {
+                expected_tag: 1,
+                received: vec![false],
+                written: 1,
+                ack_queue: VecDeque::new(),
+            }),
+            &[&u64s(&[1]), &[0, 0, 0, 1, 0], &u64s(&[1]), &[0, 0, 0, 0]],
+        );
+        check(
+            state_to_bytes(&StabStenningReceiverState {
+                expected: 3,
+                received: vec![true, true, true],
+                written: 3,
+                pending_ack: Some(2),
+                synced: false,
+            }),
+            &[&u64s(&[3]), &[0, 0, 0, 3, 0b111], &u64s(&[3]), &[1], &Z7, &[2], &[0]],
+        );
+        check(
+            state_to_bytes(&StabBetaReceiverState {
+                burst: Multiset::from_symbols(4, &[3, 3]),
+                decoded: vec![true],
+                written: 1,
+                silent_steps: 4,
+                resets: 1,
+                decode_failures: 0,
+            }),
+            &[
+                &u64s(&[4]), &[0, 0, 0, 2], &u64s(&[3, 3]), // burst
+                &[0, 0, 0, 1, 0b1],                         // decoded
+                &u64s(&[1, 4]), &[0, 0, 0, 1], &[0, 0, 0, 0],
+            ],
+        );
     }
 
     #[test]
@@ -767,27 +717,57 @@ mod tests {
         put_bits(&mut bad_burst, &[]);
         put_usize(&mut bad_burst, 0);
         put_u32(&mut bad_burst, 0);
-        assert!(state_from_bytes::<BetaReceiverState>(&bad_burst).is_none());
+        assert_eq!(
+            state_from_bytes::<BetaReceiverState>(&bad_burst),
+            Err(RecordError::Malformed {
+                what: "multiset symbol outside its universe"
+            })
+        );
 
         // Zero universe is rejected before Multiset::empty can assert.
         let mut zero_k = Vec::new();
         put_u64(&mut zero_k, 0);
         put_u64s(&mut zero_k, [].into_iter());
-        assert!(state_from_bytes::<BetaReceiverState>(&zero_k).is_none());
+        assert_eq!(
+            state_from_bytes::<BetaReceiverState>(&zero_k),
+            Err(RecordError::Malformed {
+                what: "multiset universe"
+            })
+        );
 
-        // Absurd declared element count larger than the input: no
-        // allocation, clean failure.
+        // Absurd declared element count: refused against its cap before
+        // any allocation.
         let mut huge = Vec::new();
         put_u64(&mut huge, 4);
         put_u32(&mut huge, u32::MAX); // claims 4 billion symbols
-        assert!(state_from_bytes::<BetaReceiverState>(&huge).is_none());
+        assert_eq!(
+            state_from_bytes::<BetaReceiverState>(&huge),
+            Err(RecordError::Oversized {
+                len: u32::MAX,
+                cap: MAX_SNAPSHOT_ELEMS
+            })
+        );
+        // A count within the cap that the input cannot back fails as
+        // truncated, also before allocating.
+        let mut short = Vec::new();
+        put_u64(&mut short, 4);
+        put_u32(&mut short, MAX_SNAPSHOT_ELEMS);
+        assert!(matches!(
+            state_from_bytes::<BetaReceiverState>(&short),
+            Err(RecordError::Truncated { .. })
+        ));
 
         // Nonzero padding bits break the one-encoding rule.
         let mut padded = Vec::new();
         put_bits(&mut padded, &[true]);
         *padded.last_mut().expect("bit byte") |= 0b1000_0000;
         put_usize(&mut padded, 1);
-        assert!(state_from_bytes::<AlphaReceiverState>(&padded).is_none());
+        assert_eq!(
+            state_from_bytes::<AlphaReceiverState>(&padded),
+            Err(RecordError::Malformed {
+                what: "nonzero padding bits"
+            })
+        );
 
         // Bad flag byte in an Option<u64>.
         let mut bad_flag = Vec::new();
@@ -797,7 +777,12 @@ mod tests {
         bad_flag.push(7); // pending_ack flag must be 0 or 1
         put_u64(&mut bad_flag, 0);
         bad_flag.push(0);
-        assert!(state_from_bytes::<StabStenningReceiverState>(&bad_flag).is_none());
+        assert_eq!(
+            state_from_bytes::<StabStenningReceiverState>(&bad_flag),
+            Err(RecordError::Malformed {
+                what: "pending ack flag"
+            })
+        );
     }
 
     #[test]
@@ -814,7 +799,7 @@ mod tests {
         bytes[0] = SNAPSHOT_VERSION + 1;
         assert_eq!(
             SessionSnapshot::decode(&bytes),
-            Err(SnapshotError::FutureVersion {
+            Err(RecordError::FutureVersion {
                 got: SNAPSHOT_VERSION + 1
             })
         );

@@ -1,9 +1,9 @@
 //! The multi-session server loop over one UDP socket.
 //!
 //! One bound socket carries every session; datagrams are demultiplexed
-//! by the wire v2 session id. The server learns each session's return
-//! address from the first datagram it sees (the cheap [`peek_session`]
-//! probe — full validation happens in the owning shard), and shard
+//! by each frame's session id. The server learns each session's return
+//! address from the datagrams it sees (the cheap [`peek_session`]
+//! probe — the pump's full decode validates every frame), and shard
 //! egress replies through a cloned handle of the same socket, so the
 //! data path never funnels through a shared lock beyond the address map.
 
@@ -140,9 +140,9 @@ impl EgressSink for UdpEgress {
     }
 }
 
-/// One session's client endpoint: an ephemeral socket speaking wire v2
-/// frames to the server, implementing the single-session [`Transport`]
-/// so the ordinary real-time driver runs unchanged.
+/// One session's client endpoint: an ephemeral socket sending its
+/// session's frames to the server, implementing the single-session
+/// [`Transport`] so the ordinary real-time driver runs unchanged.
 pub struct UdpSessionClient {
     socket: UdpSocket,
     server: SocketAddr,
@@ -211,7 +211,7 @@ impl Transport for UdpSessionClient {
                         continue;
                     }
                     match decode_any(&buf[..len]) {
-                        Ok(frame) if frame.session == Some(self.session) => {
+                        Ok(frame) if frame.session == self.session => {
                             self.stats.frames_received += 1;
                             return Ok(Some(frame));
                         }

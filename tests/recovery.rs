@@ -1,0 +1,52 @@
+//! A session recovers from a snapshot that carries real progress.
+//!
+//! Crash recovery decodes the session's latest snapshot from the flight
+//! recording and replays the events after it. The first kill below can
+//! only find admission snapshots, whose bit vectors are empty. A shard
+//! that resumes a session writes a fresh snapshot of the recovered
+//! state, so the second kill must decode an anchor that already holds
+//! written messages.
+
+use rstp::core::{SessionId, TimingParams};
+use rstp::serve::{run_swarm_sessions, FaultPlan, ServeConfig, SessionSpec, SwarmTransport};
+use rstp::sim::harness::random_input;
+use rstp::sim::ProtocolKind;
+use std::time::Duration;
+
+#[test]
+fn sessions_survive_two_crashes_of_one_shard() {
+    let dir = std::env::temp_dir().join(format!("rstp-recovery-{}", std::process::id()));
+    let plan = FaultPlan::parse("kill=1@20;restart=1@60;kill=1@90;restart=1@130").unwrap();
+    let serve = ServeConfig::new(
+        TimingParams::from_ticks(1, 2, 4).unwrap(),
+        Duration::from_micros(200),
+    )
+    .with_shards(2)
+    .with_max_sessions(8)
+    .with_queue_cap(512)
+    .with_max_wall(Duration::from_secs(30))
+    .with_record(&dir)
+    .with_record_seed(7)
+    .with_faults(plan);
+    let sessions: Vec<_> = (1..=8u32)
+        .map(|i| {
+            let spec = SessionSpec {
+                id: SessionId::new(i),
+                kind: ProtocolKind::Stenning {
+                    timeout_steps: None,
+                },
+                n: 32,
+            };
+            (spec, random_input(32, 7 + u64::from(i)))
+        })
+        .collect();
+
+    let report = run_swarm_sessions(&sessions, &serve, SwarmTransport::Mem).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let summary = report.summary();
+    assert!(report.all_good(), "{summary}");
+    assert_eq!(report.serve.crashes, 2, "{summary}");
+    assert_eq!(report.serve.restarts, 2, "{summary}");
+    assert_eq!(report.serve.unrecoverable_sessions, 0, "{summary}");
+    assert!(report.serve.recovered_sessions >= 1, "{summary}");
+}
