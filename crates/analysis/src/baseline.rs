@@ -178,10 +178,10 @@ mod tests {
     const GOOD: &str = "\
 # comment\n\
 [[allow]]\n\
-rule = \"panic-in-protocol-path\"\n\
-path = \"crates/sim/src/runner.rs\"\n\
+rule = \"panic-reachable\"\n\
+path = \"crates/combinatorics/src/multiset.rs\"\n\
 count = 2\n\
-reason = \"schedule indices validated by construction\"\n\
+reason = \"documented # Panics contracts\"\n\
 \n\
 [[allow]]\n\
 rule = \"sleep-outside-pacer\"\n\
@@ -230,9 +230,9 @@ reason = \"idle nap bounded by tick/4\"\n";
     fn apply_suppresses_up_to_count_and_reports_stale() {
         let entries = parse(GOOD).expect("parses");
         let findings = vec![
-            finding("panic-in-protocol-path", "crates/sim/src/runner.rs"),
-            finding("panic-in-protocol-path", "crates/sim/src/runner.rs"),
-            finding("panic-in-protocol-path", "crates/sim/src/runner.rs"),
+            finding("panic-reachable", "crates/combinatorics/src/multiset.rs"),
+            finding("panic-reachable", "crates/combinatorics/src/multiset.rs"),
+            finding("panic-reachable", "crates/combinatorics/src/multiset.rs"),
         ];
         let (survive, hygiene) = apply(findings, &entries);
         // Two suppressed, one survives; the sleep entry matched nothing.

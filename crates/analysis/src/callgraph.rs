@@ -896,8 +896,7 @@ fn scan_sinks(file: &SourceFile, body: (usize, usize), attrs: &[bool]) -> Vec<Si
 /// index ends in a `checked_*` arithmetic call: the checked-guard idiom
 /// (`a.checked_add(b).expect("overflow")`) is a machine-verified
 /// overflow guard, not an unvalidated panic.
-#[must_use]
-pub fn checked_guard_before(toks: &[Token], dot: usize) -> bool {
+fn checked_guard_before(toks: &[Token], dot: usize) -> bool {
     if dot == 0 || !toks[dot - 1].is_punct(')') {
         return false;
     }

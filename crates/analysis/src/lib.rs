@@ -9,10 +9,11 @@
 //! source itself:
 //!
 //! * a **lint engine** ([`rules`]) that scans a lightweight token stream
-//!   ([`lexer`], [`source`]) for invariant violations — wall-clock reads
-//!   outside the driver clock, unbounded channels, panics on the
-//!   protocol path, stray sleeps, frame-size prose drifting from the
-//!   wire constants;
+//!   ([`lexer`], [`source`]) for invariant violations — stray sleeps,
+//!   frame-size prose drifting from the wire constants;
+//! * **reachability passes** ([`callgraph`], [`reach`]) that trace
+//!   panics, blocking calls and allocations from the protocol entry
+//!   points across files and crates;
 //! * a **lock-order detector** ([`lockorder`]) that extracts the static
 //!   Mutex/RwLock acquisition graph of `crates/serve` and
 //!   `crates/record` and fails on
@@ -20,6 +21,11 @@
 //!   regressions surface as diffs;
 //! * a **baseline** ([`baseline`]) that is the only way to suppress a
 //!   finding, one justification per entry, checked for staleness.
+//!
+//! Bans that a name resolver checks better — wall-clock reads outside
+//! the tick clock, unbounded channels, panics in the protocol crates —
+//! are clippy's: see the root `clippy.toml` and the
+//! `[workspace.lints.clippy]` table.
 //!
 //! Everything is std-only: the analyzer must never be the reason the
 //! workspace grows a dependency.
@@ -112,10 +118,7 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
         .collect();
 
     // Token lints.
-    let mut findings: Vec<Finding> = Vec::new();
-    for f in &files {
-        findings.extend(rules::run_token_rules(f));
-    }
+    let mut findings: Vec<Finding> = files.iter().flat_map(rules::sleep_rule).collect();
 
     // Wire-const drift: the wire-adjacent sources plus prose (README +
     // docs). Scoped to net/serve because the rule scans raw lines —

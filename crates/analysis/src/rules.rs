@@ -1,9 +1,12 @@
 //! The invariant lint rules: repo-specific, deny-by-default.
 //!
 //! Each rule protects a paper-level guarantee (see `docs/ANALYSIS.md`
-//! for the catalog). Rules scan the token stream of non-test code; a
-//! match is a [`Finding`], suppressible only through the checked-in
-//! baseline file with a per-entry justification.
+//! for the catalog). The bans a name resolver checks better (wall-clock
+//! reads, unbounded channels, panics in the protocol crates) live in
+//! clippy's configuration; what stays here is the stray-sleep token rule
+//! and the workspace-level wire-const rule. A match is a [`Finding`],
+//! suppressible only through the checked-in baseline file with a
+//! per-entry justification.
 
 use crate::source::{matches_seq, Pat, SourceFile};
 
@@ -20,264 +23,23 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Catalog metadata for one rule.
-pub struct RuleInfo {
-    /// Stable identifier.
-    pub id: &'static str,
-    /// The paper-level invariant the rule protects.
-    pub invariant: &'static str,
-    /// What the rule matches.
-    pub description: &'static str,
-}
-
-/// The full rule catalog (token lints, the workspace-level wire-const
-/// rule, and the engine-level lock-order / baseline hygiene rules).
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "wall-clock-outside-driver",
-        invariant: "pacing within [c1,c2]: time flows only through the driver/timer-wheel clock",
-        description: "Instant::now / SystemTime::now outside net's TickClock, the one \
-                      wall-clock reader",
-    },
-    RuleInfo {
-        id: "unbounded-channel",
-        invariant: "bounded queues absorb load as backpressure, never as unbounded memory",
-        description: "std::sync::mpsc::channel() in net/serve; bounded sync_channel only",
-    },
-    RuleInfo {
-        id: "panic-in-protocol-path",
-        invariant: "Y is always a prefix of X: protocol crates never panic mid-transfer",
-        description: "unwrap/expect/panic!/unreachable!/todo!/unimplemented! in non-test code \
-                      of core/automata/codec/sim",
-    },
-    RuleInfo {
-        id: "sleep-outside-pacer",
-        invariant: "delivery within d: blocking sleeps live only in the pacer clock",
-        description: "thread::sleep outside net's TickClock in net/serve/cli non-test code",
-    },
-    RuleInfo {
-        id: "wire-const-drift",
-        invariant: "wire compatibility: frame-size prose matches the declared frame length",
-        description: "a `N-byte` frame mention in code docs or markdown disagrees with \
-                      FRAME_LEN_V2",
-    },
-    RuleInfo {
-        id: "lock-order-cycle",
-        invariant: "progress under load: the serve lock acquisition graph stays acyclic",
-        description: "a cycle in the static Mutex/RwLock acquisition graph of crates/serve",
-    },
-    RuleInfo {
-        id: "lock-order-drift",
-        invariant: "lock-order regressions diff loudly",
-        description: "analysis/lock-order.toml no longer matches the extracted graph",
-    },
-    RuleInfo {
-        id: "panic-reachable",
-        invariant: "Y is always a prefix of X: no protocol entry point reaches a panic",
-        description: "an unwrap/expect/panic!/variable-index sink reachable from \
-                      Automaton::step/output, codec encode/decode, the serve shard tick, \
-                      the record append path, or the recording and snapshot decoders — \
-                      reported with the full call chain",
-    },
-    RuleInfo {
-        id: "blocking-in-nonblocking",
-        invariant: "the record ring and serve per-frame loops are strictly nonblocking",
-        description: "a lock()/recv()/bounded send()/sleep/join sink reachable from \
-                      RingProducer::push, ShardRecorder::record, EgressSink::send_batch, \
-                      ServeTransport::recv_batch, or SessionEndpoint::step/apply_recv",
-    },
-    RuleInfo {
-        id: "alloc-in-steady-state",
-        invariant: "allocation-free steady state (ROADMAP 1/4): the per-frame path never \
-                    allocates",
-        description: "a to_vec/to_owned/format!/vec!/Box::new/container-ctor sink reachable \
-                      from the per-frame entry points",
-    },
-    RuleInfo {
-        id: "stale-baseline",
-        invariant: "the baseline shrinks monotonically: fixed findings leave the baseline",
-        description: "a baseline entry that no current finding matches",
-    },
-    RuleInfo {
-        id: "baseline-parse",
-        invariant: "every suppression carries a justification",
-        description: "analysis/baseline.toml is malformed or missing a reason",
-    },
-];
-
-/// Paths (workspace-relative prefixes) where wall-clock reads are the
-/// point: the tick clock, the one reader. The driver loop and the shard
-/// step loop take their one reading per step through it.
-const WALL_CLOCK_ALLOWED: &[&str] = &["crates/net/src/clock.rs"];
-
 /// The one blocking-sleep site that *is* the pacer.
 const SLEEP_ALLOWED: &[&str] = &["crates/net/src/clock.rs"];
 
-/// Crates whose non-test code must never panic (the protocol path).
-const PANIC_SCOPE: &[&str] = &[
-    "crates/core/src/",
-    "crates/automata/src/",
-    "crates/codec/src/",
-    "crates/sim/src/",
-    "crates/record/src/",
-];
-
-/// Crates where channels must be bounded and sleeps scrutinised.
-const CHANNEL_SCOPE: &[&str] = &["crates/net/src/", "crates/serve/src/", "crates/record/src/"];
+/// Crates where sleeps are scrutinised.
 const SLEEP_SCOPE: &[&str] = &["crates/net/src/", "crates/serve/src/", "crates/cli/src/"];
-
-/// Everything the wall-clock rule patrols: all first-party crate
-/// sources plus the facade crate.
-const WALL_CLOCK_SCOPE: &[&str] = &["crates/", "src/"];
 
 fn in_scope(path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|p| path.starts_with(p))
 }
 
-/// Runs every token-level rule against one file.
+/// The `sleep-outside-pacer` token rule: `thread::sleep` in net, serve
+/// or cli non-test code outside the pacer clock.
 #[must_use]
-pub fn run_token_rules(file: &SourceFile) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    wall_clock_rule(file, &mut findings);
-    unbounded_channel_rule(file, &mut findings);
-    panic_rule(file, &mut findings);
-    sleep_rule(file, &mut findings);
-    findings
-}
-
-fn wall_clock_rule(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(&file.path, WALL_CLOCK_SCOPE) || in_scope(&file.path, WALL_CLOCK_ALLOWED) {
-        return;
-    }
-    use Pat::{Id, P};
-    for (i, t) in file.code_tokens() {
-        for src in ["Instant", "SystemTime"] {
-            if matches_seq(&file.tokens, i, &[Id(src), P(':'), P(':'), Id("now")]) {
-                out.push(Finding {
-                    rule: "wall-clock-outside-driver",
-                    path: file.path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "{src}::now() outside the driver clock — route timing through \
-                         TickClock so [c1,c2] accounting sees every read"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-fn unbounded_channel_rule(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(&file.path, CHANNEL_SCOPE) {
-        return;
-    }
-    use Pat::{Id, P};
-    // `use ...::mpsc::channel;` and `use ...::mpsc::{channel, ...};`
-    // imports make later bare `channel(...)` calls unbounded too.
-    let toks = &file.tokens;
-    let imported_bare = (0..toks.len()).any(|i| {
-        if matches_seq(toks, i, &[Id("mpsc"), P(':'), P(':'), Id("channel")]) {
-            return !matches_seq(toks, i + 4, &[P('(')]);
-        }
-        matches_seq(toks, i, &[Id("mpsc"), P(':'), P(':'), P('{')])
-            && toks
-                .iter()
-                .skip(i + 4)
-                .take_while(|t| !t.is_punct('}'))
-                .any(|t| t.is_ident("channel"))
-    });
-    // True when token `i` opens a call: `(` directly, or a turbofish
-    // `::<...>` followed by `(`.
-    let calls_at = |i: usize| {
-        if matches_seq(&file.tokens, i, &[P('(')]) {
-            return true;
-        }
-        if !matches_seq(&file.tokens, i, &[P(':'), P(':'), P('<')]) {
-            return false;
-        }
-        let mut depth = 0usize;
-        let mut j = i + 2;
-        while let Some(t) = file.tokens.get(j) {
-            if t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('>') {
-                depth -= 1;
-                if depth == 0 {
-                    return matches_seq(&file.tokens, j + 1, &[P('(')]);
-                }
-            }
-            j += 1;
-        }
-        false
-    };
-    for (i, t) in file.code_tokens() {
-        let qualified = matches_seq(
-            &file.tokens,
-            i,
-            &[Id("mpsc"), P(':'), P(':'), Id("channel")],
-        ) && calls_at(i + 4);
-        let bare = imported_bare
-            && t.is_ident("channel")
-            && calls_at(i + 1)
-            && !file
-                .tokens
-                .get(i.wrapping_sub(1))
-                .is_some_and(|p| p.is_punct(':') || p.is_punct('.') || p.is_ident("fn"));
-        if qualified || bare {
-            out.push(Finding {
-                rule: "unbounded-channel",
-                path: file.path.clone(),
-                line: t.line,
-                message: "mpsc::channel() is unbounded — use sync_channel(cap) so overload \
-                          becomes backpressure, not memory growth"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-fn panic_rule(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(&file.path, PANIC_SCOPE) {
-        return;
-    }
-    use Pat::{Id, P};
-    for (i, t) in file.code_tokens() {
-        for method in ["unwrap", "expect"] {
-            if matches_seq(&file.tokens, i, &[P('.'), Id(method), P('(')]) {
-                // The checked-guard idiom (`a.checked_add(b).expect(...)`)
-                // is machine-verified safe intent, not an unvalidated
-                // panic; the call graph's sink scanner shares the check.
-                if crate::callgraph::checked_guard_before(&file.tokens, i) {
-                    continue;
-                }
-                let line = file.tokens[i + 1].line;
-                out.push(Finding {
-                    rule: "panic-in-protocol-path",
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        ".{method}() can panic mid-transfer — return a typed error or make \
-                         the invariant unrepresentable"
-                    ),
-                });
-            }
-        }
-        for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-            if t.is_ident(mac) && matches_seq(&file.tokens, i + 1, &[P('!')]) {
-                out.push(Finding {
-                    rule: "panic-in-protocol-path",
-                    path: file.path.clone(),
-                    line: t.line,
-                    message: format!("{mac}! aborts the protocol path"),
-                });
-            }
-        }
-    }
-}
-
-fn sleep_rule(file: &SourceFile, out: &mut Vec<Finding>) {
+pub fn sleep_rule(file: &SourceFile) -> Vec<Finding> {
+    let mut out = Vec::new();
     if !in_scope(&file.path, SLEEP_SCOPE) || in_scope(&file.path, SLEEP_ALLOWED) {
-        return;
+        return out;
     }
     use Pat::{Id, P};
     for (i, t) in file.code_tokens() {
@@ -296,6 +58,7 @@ fn sleep_rule(file: &SourceFile, out: &mut Vec<Finding>) {
             });
         }
     }
+    out
 }
 
 /// The workspace-level wire-const rule: extracts `FRAME_LEN_V2` from
@@ -418,94 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_outside_allowed_modules() {
-        // The paced loops read time only through the tick clock.
-        for path in [
-            "crates/serve/src/swarm.rs",
-            "crates/net/src/driver.rs",
-            "crates/serve/src/shard.rs",
-        ] {
-            let f = file(path, "fn f() { let t = Instant::now(); }");
-            let got = run_token_rules(&f);
-            assert_eq!(got.len(), 1, "{path}");
-            assert_eq!(got[0].rule, "wall-clock-outside-driver");
-        }
-    }
-
-    #[test]
-    fn wall_clock_allowed_in_the_clock_and_test_code() {
-        let clock = file(
-            "crates/net/src/clock.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
-        assert!(run_token_rules(&clock).is_empty());
-        let test = file(
-            "crates/serve/src/swarm.rs",
-            "#[cfg(test)] mod t { fn f() { let t = Instant::now(); } }",
-        );
-        assert!(run_token_rules(&test).is_empty());
-    }
-
-    #[test]
-    fn unbounded_channel_flagged_qualified_and_bare() {
-        let f = file(
-            "crates/net/src/mem.rs",
-            "use std::sync::mpsc::channel;\nfn f() { let (tx, rx) = channel(); }",
-        );
-        let got = run_token_rules(&f);
-        assert_eq!(got.len(), 1, "{got:?}");
-        let f = file(
-            "crates/net/src/mem.rs",
-            "fn f() { let (tx, rx) = mpsc::channel(); }",
-        );
-        assert_eq!(run_token_rules(&f).len(), 1);
-        // A turbofish does not hide the call.
-        let f = file(
-            "crates/net/src/mem.rs",
-            "fn f() { let (tx, rx) = mpsc::channel::<(Instant, Vec<u8>)>(); }",
-        );
-        assert_eq!(run_token_rules(&f).len(), 1);
-        // Nor does a grouped import.
-        let f = file(
-            "crates/serve/src/server.rs",
-            "use std::sync::mpsc::{channel, sync_channel, Sender};\n\
-             fn f() { let (tx, rx) = channel::<u8>(); }",
-        );
-        assert_eq!(run_token_rules(&f).len(), 1);
-        let ok = file(
-            "crates/net/src/mem.rs",
-            "fn f() { let (tx, rx) = mpsc::sync_channel(64); }",
-        );
-        assert!(run_token_rules(&ok).is_empty());
-    }
-
-    #[test]
-    fn panic_rule_catches_all_forms_in_scope_only() {
-        let f = file(
-            "crates/core/src/protocols/beta.rs",
-            "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"n\"); unreachable!(); }",
-        );
-        assert_eq!(run_token_rules(&f).len(), 4);
-        // Same text outside the protocol scope: quiet.
-        let f = file(
-            "crates/cli/src/commands.rs",
-            "fn f() { x.unwrap(); panic!(\"n\"); }",
-        );
-        assert!(run_token_rules(&f).is_empty());
-        // unwrap_or_else is not unwrap.
-        let f = file(
-            "crates/core/src/lib.rs",
-            "fn f() { x.unwrap_or_else(|| 3); }",
-        );
-        assert!(run_token_rules(&f).is_empty());
-    }
-
-    #[test]
     fn sleep_rule_spares_the_pacer() {
         let f = file("crates/serve/src/server.rs", "fn f() { thread::sleep(d); }");
-        assert_eq!(run_token_rules(&f).len(), 1);
+        assert_eq!(sleep_rule(&f).len(), 1);
         let pacer = file("crates/net/src/clock.rs", "fn f() { thread::sleep(d); }");
-        assert!(run_token_rules(&pacer).is_empty());
+        assert!(sleep_rule(&pacer).is_empty());
     }
 
     #[test]

@@ -140,6 +140,7 @@ where
 
         let mut successors: Vec<M::State> = Vec::new();
         for action in automaton.enabled(&state) {
+            #[expect(clippy::expect_used, reason = "check_enabled_consistent passed above")]
             let next = automaton
                 .step(&state, &action)
                 .expect("consistency was checked");

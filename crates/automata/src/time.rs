@@ -53,6 +53,7 @@ impl Time {
     ///
     /// Panics if `earlier` is after `self`.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "documented # Panics contract")]
     pub fn since(self, earlier: Time) -> TimeDelta {
         TimeDelta(
             self.0
@@ -159,6 +160,7 @@ impl fmt::Display for TimeDelta {
 impl Add<TimeDelta> for Time {
     type Output = Time;
 
+    #[expect(clippy::expect_used, reason = "checked_* overflow guard")]
     fn add(self, rhs: TimeDelta) -> Time {
         Time(
             self.0
@@ -177,6 +179,7 @@ impl AddAssign<TimeDelta> for Time {
 impl Sub<TimeDelta> for Time {
     type Output = Time;
 
+    #[expect(clippy::expect_used, reason = "checked_* overflow guard")]
     fn sub(self, rhs: TimeDelta) -> Time {
         Time(
             self.0
@@ -197,6 +200,7 @@ impl Sub<Time> for Time {
 impl Add for TimeDelta {
     type Output = TimeDelta;
 
+    #[expect(clippy::expect_used, reason = "checked_* overflow guard")]
     fn add(self, rhs: TimeDelta) -> TimeDelta {
         TimeDelta(self.0.checked_add(rhs.0).expect("TimeDelta + overflowed"))
     }
@@ -211,6 +215,7 @@ impl AddAssign for TimeDelta {
 impl Sub for TimeDelta {
     type Output = TimeDelta;
 
+    #[expect(clippy::expect_used, reason = "checked_* overflow guard")]
     fn sub(self, rhs: TimeDelta) -> TimeDelta {
         TimeDelta(self.0.checked_sub(rhs.0).expect("TimeDelta - underflowed"))
     }
@@ -225,6 +230,7 @@ impl SubAssign for TimeDelta {
 impl Mul<u64> for TimeDelta {
     type Output = TimeDelta;
 
+    #[expect(clippy::expect_used, reason = "checked_* overflow guard")]
     fn mul(self, rhs: u64) -> TimeDelta {
         TimeDelta(self.0.checked_mul(rhs).expect("TimeDelta * overflowed"))
     }

@@ -9,7 +9,7 @@
 
 use crate::args::{parse_bits, ArgError, Args};
 use core::fmt::Write as _;
-use rstp_core::{bounds, Message, TimingParams};
+use rstp_core::{bounds, Message, SessionId, TimingParams};
 use rstp_net::{
     run_receiver, run_transfer_mem, ChannelConfig, DriverConfig, DriverReport, Pace, TickClock,
     TransferConfig, UdpTransport,
@@ -258,8 +258,8 @@ fn cmd_send(args: &Args) -> Result<String, ArgError> {
     let max_wall = Duration::from_secs(args.get_u64("max-wall-s", 60)?);
 
     let codec = rstp_net::codec_for(kind).map_err(|e| ArgError(e.to_string()))?;
-    let mut transport =
-        UdpTransport::bind(codec, local, peer).map_err(|e| ArgError(e.to_string()))?;
+    let mut transport = UdpTransport::bind(codec, SessionId::new(0), local, peer)
+        .map_err(|e| ArgError(e.to_string()))?;
     let clock = TickClock::start(tick);
     let cfg = DriverConfig::new(params, tick)
         .with_pace(pace(args)?)
@@ -306,8 +306,8 @@ fn cmd_recv(args: &Args) -> Result<String, ArgError> {
     let max_wall = Duration::from_secs(args.get_u64("max-wall-s", 60)?);
 
     let codec = rstp_net::codec_for(kind).map_err(|e| ArgError(e.to_string()))?;
-    let mut transport =
-        UdpTransport::bind(codec, local, peer).map_err(|e| ArgError(e.to_string()))?;
+    let mut transport = UdpTransport::bind(codec, SessionId::new(0), local, peer)
+        .map_err(|e| ArgError(e.to_string()))?;
     let clock = TickClock::start(tick);
     let cfg = DriverConfig::new(params, tick)
         .with_pace(pace(args)?)

@@ -17,8 +17,9 @@
 //! rejection, or timed-out client) surfaces through the exit code.
 //!
 //! `serve` runs just the server half over UDP: it admits `--sessions`
-//! session ids `1..=M` of one protocol and waits for v2-framed clients
-//! (for example [`rstp_serve::UdpSessionClient`]) to drive them.
+//! session ids `1..=M` of one protocol and waits for clients (for
+//! example an [`rstp_net::UdpTransport`] bound to its session id) to
+//! drive them.
 
 use crate::args::{ArgError, Args};
 use crate::commands::{protocol, timing};
@@ -268,8 +269,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, ArgError> {
 mod tests {
     use super::*;
     use rstp_core::TimingParams;
-    use rstp_net::{codec_for, run_transmitter, DriverConfig};
-    use rstp_serve::UdpSessionClient;
+    use rstp_net::{codec_for, run_transmitter, DriverConfig, UdpTransport};
     use rstp_sim::harness::random_input;
     use rstp_sim::ProtocolKind;
     use std::thread;
@@ -459,8 +459,12 @@ mod tests {
             .map(|id| {
                 thread::spawn(move || {
                     let input = random_input(8, u64::from(id));
-                    let mut end =
-                        UdpSessionClient::connect(addr, SessionId::new(id), codec_for(kind)?)?;
+                    let mut end = UdpTransport::bind(
+                        codec_for(kind)?,
+                        SessionId::new(id),
+                        ("127.0.0.1", 0),
+                        addr,
+                    )?;
                     let clock = TickClock::start(Duration::from_micros(500));
                     let cfg = DriverConfig::new(params, Duration::from_micros(500));
                     run_transmitter(kind, params, &input, &mut end, clock, &cfg)

@@ -36,6 +36,10 @@ impl MultisetIter {
     ///
     /// If `k == 0` and `n > 0`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "n elements are allocated, so n fits usize"
+    )]
     pub fn new(k: u64, n: u64) -> Self {
         assert!(
             k > 0 || n == 0,

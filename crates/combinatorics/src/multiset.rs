@@ -39,6 +39,10 @@ impl Multiset {
     /// universe admits no multisets but the empty one, which would make
     /// every downstream computation degenerate.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "k counts are allocated, so k fits usize"
+    )]
     pub fn empty(k: u64) -> Self {
         assert!(k >= 1, "Multiset universe must have at least one symbol");
         Multiset {
@@ -97,6 +101,10 @@ impl Multiset {
     /// # Panics
     ///
     /// Panics if `symbol >= k`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract: symbol < k"
+    )]
     pub fn insert(&mut self, symbol: u64) {
         let i = usize::try_from(symbol).expect("symbol fits usize");
         assert!(

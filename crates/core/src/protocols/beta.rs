@@ -553,7 +553,7 @@ mod tests {
         // wrong symbol.
         let expected = match t.enabled(&s0)[0] {
             RstpAction::Send(Packet::Data(s)) => s,
-            _ => unreachable!(),
+            other => panic!("a fresh burst starts with a data send, got {other:?}"),
         };
         assert!(matches!(
             t.step(&s0, &RstpAction::Send(Packet::Data(expected + 1))),

@@ -10,6 +10,11 @@
 //! wake instant) and derives every time in that step from it, as the
 //! paper's process steps at one instant.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "TickClock is the one wall-clock reader"
+)]
+
 use std::time::{Duration, Instant};
 
 /// A wall clock anchored at an epoch, graduated in fixed-length ticks.
@@ -39,7 +44,7 @@ impl TickClock {
     /// participant handed a copy can finish setup before tick 0 fires.
     /// This is the sanctioned way to anchor a transfer start; reading
     /// `Instant::now()` at call sites would scatter unaccounted
-    /// wall-clock reads across the workspace (see `rstp analyze`).
+    /// wall-clock reads across the workspace (`clippy.toml` bans them).
     pub fn start_after(headroom: Duration, tick: Duration) -> Self {
         TickClock {
             epoch: Instant::now() + headroom,

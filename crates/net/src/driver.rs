@@ -707,6 +707,7 @@ pub fn run_sessions<T: Transport>(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the tests time real threads and sockets
 mod tests {
     use super::*;
     use crate::chan::ChannelConfig;

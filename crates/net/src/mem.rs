@@ -138,6 +138,10 @@ fn direction(verdicts: VerdictSource, stream: u64) -> (Ingress, Inbox, Arc<Fault
 
 /// The delivery thread: schedules each frame at `send_instant + delay`
 /// and releases due frames into the inbox, draining in deadline order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the delivery thread is the channel delay model; its reads define release instants"
+)]
 fn delivery_loop(
     ingress: mpsc::Receiver<(Instant, Vec<u8>)>,
     inbox: Arc<Mutex<VecDeque<Vec<u8>>>>,
@@ -216,6 +220,10 @@ fn delivery_loop(
 }
 
 impl Transport for MemTransport {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stamps the send instant the delay model releases from"
+    )]
     fn send(&mut self, packet: Packet, sent_at_micros: u64) -> Result<(), NetError> {
         let buf =
             self.codec
@@ -272,6 +280,7 @@ impl Transport for MemTransport {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the tests time real threads and sockets
 mod tests {
     use super::*;
     use crate::wire::ProtocolId;

@@ -5,8 +5,11 @@
 //! delays are far below any practical delay bound `d`, so the channel
 //! axioms hold trivially; across hosts the operator must pick `d` (and the
 //! tick duration) large enough to cover the actual network. Datagrams that
-//! fail strict decoding are counted and skipped rather than surfaced,
-//! because an open socket can legitimately receive foreign traffic.
+//! fail strict decoding, come from another address or carry another
+//! session's frame are counted and skipped rather than surfaced, because
+//! an open socket can legitimately receive foreign traffic. The same
+//! endpoint, given its session id, is a client of the multi-session
+//! server.
 
 use crate::error::NetError;
 use crate::transport::{Transport, TransportStats};
@@ -15,24 +18,27 @@ use rstp_core::{Packet, SessionId};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 
-/// A protocol endpoint bound to a UDP socket.
+/// A protocol endpoint bound to a UDP socket: it sends one session's
+/// frames to one peer and accepts only that peer's frames for that
+/// session.
 #[derive(Debug)]
 pub struct UdpTransport {
     codec: WireCodec,
+    session: SessionId,
     socket: UdpSocket,
     peer: SocketAddr,
     seq: u64,
-    frames_sent: u64,
-    frames_received: u64,
-    decode_errors: u64,
+    stats: TransportStats,
 }
 
 impl UdpTransport {
     /// Binds `local` and fixes `peer` as the only accepted correspondent.
-    /// The socket is non-blocking so [`Transport::poll_recv`] never stalls
-    /// the real-time driver.
+    /// Every frame sent carries `session`, and only frames for `session`
+    /// are accepted. The socket is non-blocking so
+    /// [`Transport::poll_recv`] never stalls the real-time driver.
     pub fn bind(
         codec: WireCodec,
+        session: SessionId,
         local: impl ToSocketAddrs,
         peer: impl ToSocketAddrs,
     ) -> Result<Self, NetError> {
@@ -41,45 +47,37 @@ impl UdpTransport {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "empty peer address"))?;
+        UdpTransport::new(codec, session, socket, peer)
+    }
+
+    /// A loopback pair of session-0 endpoints on ephemeral ports, for
+    /// tests and benchmarks.
+    pub fn loopback_pair(codec: WireCodec) -> Result<(UdpTransport, UdpTransport), NetError> {
+        let a = UdpSocket::bind("127.0.0.1:0")?;
+        let b = UdpSocket::bind("127.0.0.1:0")?;
+        let (a_addr, b_addr) = (a.local_addr()?, b.local_addr()?);
+        let session = SessionId::new(0);
+        Ok((
+            UdpTransport::new(codec, session, a, b_addr)?,
+            UdpTransport::new(codec, session, b, a_addr)?,
+        ))
+    }
+
+    fn new(
+        codec: WireCodec,
+        session: SessionId,
+        socket: UdpSocket,
+        peer: SocketAddr,
+    ) -> Result<Self, NetError> {
         socket.set_nonblocking(true)?;
         Ok(UdpTransport {
             codec,
+            session,
             socket,
             peer,
             seq: 0,
-            frames_sent: 0,
-            frames_received: 0,
-            decode_errors: 0,
+            stats: TransportStats::default(),
         })
-    }
-
-    /// A loopback pair on ephemeral ports, for tests and benchmarks.
-    pub fn loopback_pair(codec: WireCodec) -> Result<(UdpTransport, UdpTransport), NetError> {
-        let a_sock = UdpSocket::bind("127.0.0.1:0")?;
-        let b_sock = UdpSocket::bind("127.0.0.1:0")?;
-        let a_addr = a_sock.local_addr()?;
-        let b_addr = b_sock.local_addr()?;
-        a_sock.set_nonblocking(true)?;
-        b_sock.set_nonblocking(true)?;
-        let a = UdpTransport {
-            codec,
-            socket: a_sock,
-            peer: b_addr,
-            seq: 0,
-            frames_sent: 0,
-            frames_received: 0,
-            decode_errors: 0,
-        };
-        let b = UdpTransport {
-            codec,
-            socket: b_sock,
-            peer: a_addr,
-            seq: 0,
-            frames_sent: 0,
-            frames_received: 0,
-            decode_errors: 0,
-        };
-        Ok((a, b))
     }
 
     /// The address this endpoint is bound to.
@@ -95,12 +93,17 @@ impl UdpTransport {
 
 impl Transport for UdpTransport {
     fn send(&mut self, packet: Packet, sent_at_micros: u64) -> Result<(), NetError> {
-        let buf =
-            self.codec
-                .encode_with_session(packet, self.seq, sent_at_micros, SessionId::new(0));
+        let buf = self
+            .codec
+            .encode_with_session(packet, self.seq, sent_at_micros, self.session);
         self.seq += 1;
-        self.socket.send_to(&buf, self.peer)?;
-        self.frames_sent += 1;
+        match self.socket.send_to(&buf, self.peer) {
+            Ok(_) => self.stats.frames_sent += 1,
+            // A full socket buffer under load: the datagram is lost, which
+            // the protocols already tolerate (UDP drops are channel drops).
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e.into()),
+        }
         Ok(())
     }
 
@@ -110,23 +113,16 @@ impl Transport for UdpTransport {
         let mut buf = [0u8; FRAME_BUF_CAP];
         loop {
             match self.socket.recv_from(&mut buf) {
-                Ok((n, from)) => {
-                    if from != self.peer {
-                        // Foreign traffic on an open socket: not ours.
-                        self.decode_errors += 1;
-                        continue;
+                Ok((n, from)) => match self.codec.decode(&buf[..n]) {
+                    Ok(frame) if from == self.peer && frame.session == self.session => {
+                        self.stats.frames_received += 1;
+                        return Ok(Some(frame));
                     }
-                    match self.codec.decode(&buf[..n]) {
-                        Ok(frame) => {
-                            self.frames_received += 1;
-                            return Ok(Some(frame));
-                        }
-                        Err(_) => {
-                            self.decode_errors += 1;
-                            continue;
-                        }
-                    }
-                }
+                    // Foreign traffic on an open socket, a datagram that
+                    // fails strict decoding, or a frame for another
+                    // session: not ours.
+                    _ => self.stats.decode_errors += 1,
+                },
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
                 Err(e) => return Err(e.into()),
             }
@@ -134,17 +130,12 @@ impl Transport for UdpTransport {
     }
 
     fn local_stats(&self) -> TransportStats {
-        TransportStats {
-            frames_sent: self.frames_sent,
-            frames_received: self.frames_received,
-            decode_errors: self.decode_errors,
-            injected_losses: 0,
-            injected_duplicates: 0,
-        }
+        self.stats
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the tests time real threads and sockets
 mod tests {
     use super::*;
     use crate::wire::{ProtocolId, FRAME_LEN_V2};
@@ -206,15 +197,20 @@ mod tests {
             a.local_addr().expect("addr").to_string(),
         )
         .expect("send foreign");
+        // So is a well-formed frame from the peer for another session.
+        let other = codec().encode_with_session(Packet::Data(3), 0, 0, SessionId::new(7));
+        b.socket
+            .send_to(&other, a.local_addr().expect("addr"))
+            .expect("send other session");
         let deadline = Instant::now() + Duration::from_secs(1);
-        while a.local_stats().decode_errors < 2 && Instant::now() < deadline {
+        while a.local_stats().decode_errors < 3 && Instant::now() < deadline {
             assert!(a
                 .poll_recv()
                 .expect("poll never fails on garbage")
                 .is_none());
             thread::sleep(Duration::from_micros(200));
         }
-        assert_eq!(a.local_stats().decode_errors, 2);
+        assert_eq!(a.local_stats().decode_errors, 3);
         assert_eq!(a.local_stats().frames_received, 0);
     }
 }

@@ -12,6 +12,8 @@
 //! not depend on timing and run unconditionally in `crates/net/src/udp.rs`
 //! and `udp_logic` below.
 
+#![allow(clippy::disallowed_methods)] // the tests time real sockets
+
 use rstp_core::protocols::{AlphaReceiver, AlphaTransmitter};
 use rstp_core::{Message, Packet, TimingParams};
 use rstp_net::{

@@ -21,7 +21,7 @@
 //!
 //! Timestamps are `TickClock` readings supplied by the shard, one per
 //! step — this crate never reads the wall clock to stamp an event, so
-//! the `wall-clock-outside-driver` lint holds by construction.
+//! clippy's wall-clock ban holds by construction.
 //!
 //! See `docs/REPLAY.md` for the format specification and the full
 //! record → replay → shrink walkthrough.

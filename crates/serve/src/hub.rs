@@ -31,7 +31,7 @@ const LOCK_ATTEMPTS: u32 = 1 << 16;
 /// Takes `lock` without parking: retries a contended lock, yielding the
 /// CPU in between, up to [`LOCK_ATTEMPTS`] times. A poisoned lock still
 /// guards plain bytes, so its data is recovered.
-fn lock_without_parking<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+pub(crate) fn lock_without_parking<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     for _ in 0..LOCK_ATTEMPTS {
         match lock.try_lock() {
             Ok(guard) => return Some(guard),
@@ -202,6 +202,7 @@ impl Transport for HubClientTransport {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the tests time real threads and sockets
 mod tests {
     use super::*;
     use rstp_net::ProtocolId;

@@ -51,7 +51,7 @@ pub use metrics::{ServeReport, SessionStats, ShardReport};
 pub use server::{run_server, EgressSink, ServeConfig, ServeTransport, SessionSpec};
 pub use snapshot::{SessionSnapshot, StateCodec, SNAPSHOT_VERSION};
 pub use swarm::{run_swarm, run_swarm_sessions, SwarmConfig, SwarmReport, SwarmTransport};
-pub use udp::{UdpServerTransport, UdpSessionClient};
+pub use udp::UdpServerTransport;
 pub use wheel::TimerWheel;
 
 /// The effect of one endpoint step, as the shard and `rstp-net`'s driver

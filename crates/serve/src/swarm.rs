@@ -14,11 +14,11 @@
 use crate::hub::MemHub;
 use crate::metrics::ServeReport;
 use crate::server::{run_server, ServeConfig, SessionSpec};
-use crate::udp::{UdpServerTransport, UdpSessionClient};
+use crate::udp::UdpServerTransport;
 use rstp_core::{Message, SessionId, TimingParams};
 use rstp_net::{
     codec_for, run_sessions, transmitter_endpoint, DriverConfig, DriverOutcome, DriverReport,
-    NetError, Session, TickClock, Transport,
+    NetError, Session, TickClock, Transport, UdpTransport,
 };
 use rstp_sim::harness::{expected_output, random_input};
 use rstp_sim::ProtocolKind;
@@ -345,10 +345,11 @@ pub fn run_swarm_sessions(
             let addr = server.local_addr()?;
             let mut ends = Vec::with_capacity(sessions.len());
             for (spec, _) in sessions {
-                ends.push(UdpSessionClient::connect(
-                    addr,
-                    spec.id,
+                ends.push(UdpTransport::bind(
                     codec_for(spec.kind)?,
+                    spec.id,
+                    ("127.0.0.1", 0),
+                    addr,
                 )?);
             }
             with_clients(sessions, ends, serve, clock, || {

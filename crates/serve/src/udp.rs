@@ -7,16 +7,13 @@
 //! egress replies through a cloned handle of the same socket, so the
 //! data path never funnels through a shared lock beyond the address map.
 
+use crate::hub::lock_without_parking;
 use crate::server::{EgressSink, ServeTransport};
-use rstp_core::{Packet, SessionId};
-use rstp_net::{
-    decode_any, peek_session, Frame, FrameBuf, NetError, Transport, TransportStats, WireCodec,
-    FRAME_BUF_CAP,
-};
+use rstp_net::{peek_session, FrameBuf, NetError, FRAME_BUF_CAP};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex};
 
 /// Headroom over the largest legal frame so oversized datagrams surface
 /// as [`rstp_net::WireError::TrailingBytes`] instead of silent truncation.
@@ -74,21 +71,13 @@ impl ServeTransport for UdpServerTransport {
                     // act — the full decode there still checks everything
                     // — but it could redirect replies, which is exactly
                     // UDP's trust model for unauthenticated datagrams.
+                    // An egress thread may hold the map for a lookup:
+                    // wait it out without parking. Skipping the refresh
+                    // would lose every reply to a session that has sent
+                    // only this datagram.
                     if let Some(session) = peek_session(&bytes) {
-                        match self.addrs.try_lock() {
-                            Ok(mut map) => {
-                                map.insert(session.raw(), from);
-                            }
-                            // The map holds plain socket addresses:
-                            // recover from poisoning rather than cascading
-                            // a panic into the server pump.
-                            Err(TryLockError::Poisoned(p)) => {
-                                p.into_inner().insert(session.raw(), from);
-                            }
-                            // An egress thread holds the map: skip the
-                            // refresh rather than blocking the pump; the
-                            // session's next datagram re-learns it.
-                            Err(TryLockError::WouldBlock) => {}
+                        if let Some(mut map) = lock_without_parking(&self.addrs) {
+                            map.insert(session.raw(), from);
                         }
                     }
                     out.push(bytes);
@@ -119,14 +108,10 @@ impl EgressSink for UdpEgress {
     fn send_batch(&mut self, frames: &[(u32, FrameBuf)]) -> Result<usize, NetError> {
         let mut sent = 0;
         for (session, bytes) in frames {
-            let addr = match self.addrs.try_lock() {
-                Ok(map) => map.get(session).copied(),
-                Err(TryLockError::Poisoned(p)) => p.into_inner().get(session).copied(),
-                // The pump holds the map mid-refresh: drop the frame
-                // (a channel loss the protocol tolerates) rather than
-                // blocking the shard's egress flush.
-                Err(TryLockError::WouldBlock) => None,
-            };
+            // The pump may hold the map mid-refresh: wait it out without
+            // parking. Dropping the frame instead would lose an ack that
+            // γ never resends (§6.2 assumes a lossless channel).
+            let addr = lock_without_parking(&self.addrs).and_then(|map| map.get(session).copied());
             // No return address yet (the session has not sent anything):
             // drop, like any unroutable datagram.
             let Some(addr) = addr else { continue };
@@ -140,105 +125,36 @@ impl EgressSink for UdpEgress {
     }
 }
 
-/// One session's client endpoint: an ephemeral socket sending its
-/// session's frames to the server, implementing the single-session
-/// [`Transport`] so the ordinary real-time driver runs unchanged.
-pub struct UdpSessionClient {
-    socket: UdpSocket,
-    server: SocketAddr,
-    session: SessionId,
-    codec: WireCodec,
-    seq: u64,
-    stats: TransportStats,
-}
-
-impl UdpSessionClient {
-    /// Binds an ephemeral loopback socket for `session` talking to
-    /// `server`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] if binding fails or the server address does not
-    /// resolve.
-    pub fn connect(
-        server: impl ToSocketAddrs,
-        session: SessionId,
-        codec: WireCodec,
-    ) -> Result<Self, NetError> {
-        let server = server
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "empty server address"))?;
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        socket.set_nonblocking(true)?;
-        Ok(UdpSessionClient {
-            socket,
-            server,
-            session,
-            codec,
-            seq: 0,
-            stats: TransportStats::default(),
-        })
-    }
-}
-
-impl Transport for UdpSessionClient {
-    fn send(&mut self, packet: Packet, sent_at_micros: u64) -> Result<(), NetError> {
-        let bytes = self
-            .codec
-            .encode_with_session(packet, self.seq, sent_at_micros, self.session);
-        self.seq += 1;
-        match self.socket.send_to(&bytes, self.server) {
-            Ok(_) => {
-                self.stats.frames_sent += 1;
-                Ok(())
-            }
-            // A full socket buffer under load: the datagram is lost, which
-            // the protocols already tolerate (UDP drops are channel drops).
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(()),
-            Err(e) => Err(NetError::Io(e)),
-        }
-    }
-
-    fn poll_recv(&mut self) -> Result<Option<Frame>, NetError> {
-        let mut buf = [0u8; RECV_BUF];
-        loop {
-            match self.socket.recv_from(&mut buf) {
-                Ok((len, from)) => {
-                    if from != self.server {
-                        // Not our correspondent; ignore like rstp-net's
-                        // single-session UDP transport does.
-                        continue;
-                    }
-                    match decode_any(&buf[..len]) {
-                        Ok(frame) if frame.session == self.session => {
-                            self.stats.frames_received += 1;
-                            return Ok(Some(frame));
-                        }
-                        Ok(_) | Err(_) => {
-                            self.stats.decode_errors += 1;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
-    }
-
-    fn local_stats(&self) -> TransportStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rstp_net::ProtocolId;
+    use rstp_core::{Packet, SessionId};
+    use rstp_net::{decode_any, Frame, ProtocolId, Transport, UdpTransport, WireCodec};
+    use std::sync::mpsc::sync_channel;
+    use std::thread;
     use std::time::Duration;
 
     fn codec() -> WireCodec {
         WireCodec::new(ProtocolId::Beta, 4).expect("codec")
+    }
+
+    fn client(server: SocketAddr, session: u32) -> UdpTransport {
+        UdpTransport::bind(codec(), SessionId::new(session), ("127.0.0.1", 0), server)
+            .expect("client")
+    }
+
+    fn reply(session: u32, packet: Packet) -> (u32, FrameBuf) {
+        let bytes = codec().encode_with_session(packet, 0, 300, SessionId::new(session));
+        (session, FrameBuf::from(bytes))
+    }
+
+    fn poll_until_frame(end: &mut UdpTransport) -> Frame {
+        loop {
+            if let Some(frame) = end.poll_recv().expect("recv") {
+                return frame;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
     }
 
     fn recv_all(server: &mut UdpServerTransport, want: usize) -> Vec<FrameBuf> {
@@ -248,7 +164,7 @@ mod tests {
             if out.len() >= want {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            thread::sleep(Duration::from_millis(1));
         }
         out
     }
@@ -257,8 +173,8 @@ mod tests {
     fn datagrams_demux_by_session_and_replies_route_back() {
         let mut server = UdpServerTransport::bind(("127.0.0.1", 0)).expect("bind");
         let addr = server.local_addr().expect("addr");
-        let mut a = UdpSessionClient::connect(addr, SessionId::new(1), codec()).expect("client");
-        let mut b = UdpSessionClient::connect(addr, SessionId::new(2), codec()).expect("client");
+        let mut a = client(addr, 1);
+        let mut b = client(addr, 2);
         a.send(Packet::Data(10), 100).expect("send");
         b.send(Packet::Data(20), 200).expect("send");
 
@@ -270,26 +186,48 @@ mod tests {
 
         // Reply to session 2 only; only client b sees it.
         let mut sink = server.egress().expect("egress");
-        let reply =
-            FrameBuf::from(codec().encode_with_session(Packet::Ack(20), 0, 300, SessionId::new(2)));
-        assert_eq!(sink.send_batch(&[(2, reply)]).expect("send"), 1);
-        let got = loop {
-            if let Some(frame) = b.poll_recv().expect("recv") {
-                break frame;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(got.packet, Packet::Ack(20));
+        assert_eq!(
+            sink.send_batch(&[reply(2, Packet::Ack(20))]).expect("send"),
+            1
+        );
+        assert_eq!(poll_until_frame(&mut b).packet, Packet::Ack(20));
         assert_eq!(a.poll_recv().expect("recv"), None);
+    }
+
+    #[test]
+    fn a_reply_waits_out_a_held_address_map() {
+        let mut server = UdpServerTransport::bind(("127.0.0.1", 0)).expect("bind");
+        let mut end = client(server.local_addr().expect("addr"), 1);
+        end.send(Packet::Data(10), 100).expect("send");
+        assert_eq!(recv_all(&mut server, 1).len(), 1);
+        let mut sink = server.egress().expect("egress");
+
+        // Another thread holds the address map for about a millisecond
+        // while egress sends an ack, which gamma never resends.
+        let addrs = Arc::clone(&server.addrs);
+        let (held_tx, held_rx) = sync_channel(0);
+        let holder = thread::spawn(move || {
+            let _map = addrs.lock().expect("lock");
+            held_tx.send(()).expect("signal");
+            thread::sleep(Duration::from_millis(1));
+        });
+        held_rx.recv().expect("map held");
+        assert_eq!(
+            sink.send_batch(&[reply(1, Packet::Ack(10))]).expect("send"),
+            1
+        );
+        holder.join().expect("holder");
+        assert_eq!(poll_until_frame(&mut end).packet, Packet::Ack(10));
     }
 
     #[test]
     fn egress_without_a_learned_address_drops() {
         let server = UdpServerTransport::bind(("127.0.0.1", 0)).expect("bind");
         let mut sink = server.egress().expect("egress");
-        let orphan =
-            FrameBuf::from(codec().encode_with_session(Packet::Ack(1), 0, 0, SessionId::new(42)));
-        assert_eq!(sink.send_batch(&[(42, orphan)]).expect("send"), 0);
+        assert_eq!(
+            sink.send_batch(&[reply(42, Packet::Ack(1))]).expect("send"),
+            0
+        );
     }
 
     #[test]

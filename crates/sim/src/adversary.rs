@@ -150,7 +150,7 @@ struct Alternating {
 
 impl StepAdversary for Alternating {
     fn next_gap(&mut self, _owner: Owner, step_index: u64) -> TimeDelta {
-        if step_index.is_multiple_of(2) {
+        if step_index % 2 == 0 {
             self.c1
         } else {
             self.c2

@@ -145,6 +145,10 @@ pub struct CheckConfig {
 impl CheckConfig {
     /// The classical configuration for a validated parameter triple.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "TimingParams holds c1 <= c2, so ProcessTiming::new cannot fail"
+    )]
     pub fn from_params(params: rstp_core::TimingParams) -> Self {
         let bounds = rstp_core::ProcessTiming::new(params.c1(), params.c2())
             .expect("TimingParams invariants imply valid process bounds");

@@ -88,6 +88,7 @@ impl fmt::Display for DistinguishResult {
 ///
 /// Panics if the transmitter is nondeterministic or exceeds 10^7 steps.
 #[must_use]
+#[expect(clippy::expect_used, reason = "each action comes from enabled()")]
 pub fn signature_of<T>(transmitter: &T, delta1: u64, k: u64) -> Vec<Multiset>
 where
     T: Automaton<Action = RstpAction>,
@@ -180,6 +181,10 @@ where
 /// # Errors
 ///
 /// [`ProtocolError`] if the `(k, δ1)` pair is unusable.
+#[expect(
+    clippy::expect_used,
+    reason = "the closure's parameters are validated above"
+)]
 pub fn check_beta(
     params: TimingParams,
     k: u64,
@@ -223,6 +228,7 @@ pub fn active_signature(params: TimingParams, k: u64, input: &[Message]) -> Vec<
     use crate::adversary::{DeliveryPolicy, StepPolicy};
     use crate::harness::{run_configured, ProtocolKind, RunConfig};
 
+    #[expect(clippy::expect_used, reason = "documented # Panics contract")]
     let out = run_configured(
         &RunConfig {
             kind: ProtocolKind::Gamma { k },

@@ -132,6 +132,7 @@ pub struct RunConfig {
 }
 
 impl Default for RunConfig {
+    #[expect(clippy::expect_used, reason = "hardcoded valid parameters")]
     fn default() -> Self {
         RunConfig {
             kind: ProtocolKind::Alpha,
@@ -368,6 +369,7 @@ pub fn run_configured(cfg: &RunConfig, input: &[Message]) -> Result<RunOutput, H
     })
 }
 
+#[expect(clippy::expect_used, reason = "RunConfig users validate d_lo <= d")]
 fn window_params(cfg: &RunConfig) -> TimingParamsExt {
     let mut ext = TimingParamsExt::from_classic(cfg.params);
     if cfg.d_lo_ticks > 0 {
@@ -441,6 +443,7 @@ pub struct EffortSample {
 /// checker-verified and a violation is reported as a
 /// [`SimError::Channel`]-style harness failure would be — callers can rely
 /// on returned samples coming from `good(A)` traces.
+#[expect(clippy::expect_used, reason = "the sweep is nonempty, so best is set")]
 pub fn worst_case_effort(
     kind: ProtocolKind,
     params: TimingParams,
@@ -462,7 +465,7 @@ pub fn worst_case_effort(
             debug_assert!(out.report.all_good(), "{}: {}", kind.name(), out.report);
             let effort = out.metrics.effort(input.len()).unwrap_or(0.0);
             let learn = out.metrics.learn_effort(input.len()).unwrap_or(0.0);
-            if best.is_none_or(|b| effort > b.effort) {
+            if best.map_or(true, |b| effort > b.effort) {
                 best = Some(EffortSample {
                     effort,
                     learn_effort: learn,

@@ -62,6 +62,10 @@ pub struct SimSettings {
 impl SimSettings {
     /// Settings for the classical model from a validated parameter triple.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "TimingParams holds c1 <= c2, so ProcessTiming::new cannot fail"
+    )]
     pub fn from_params(params: rstp_core::TimingParams) -> Self {
         let bounds = rstp_core::ProcessTiming::new(params.c1(), params.c2())
             .expect("TimingParams invariants imply valid process bounds");
@@ -370,6 +374,7 @@ where
                         scheduled[1] = true;
                     }
                 }
+                #[expect(clippy::unreachable, reason = "only the two processes are scheduled")]
                 EventKind::Step(Owner::Channel) => {
                     unreachable!("the channel is never scheduled as a stepping process")
                 }
@@ -625,6 +630,10 @@ impl Engine {
             | RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 self.metrics.idle_steps += 1;
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "perform sees locally controlled actions only"
+            )]
             RstpAction::Recv(_) => unreachable!("recv is not a locally controlled action"),
         }
         self.record(now, action);

@@ -52,6 +52,7 @@ pub fn render_timeline(trace: &SimTrace, max_columns: usize) -> String {
         if columns.last().map(|(ct, _)| *ct) != Some(t) {
             columns.push((t, [String::new(), String::new(), String::new()]));
         }
+        #[expect(clippy::expect_used, reason = "last_mut() directly follows a push")]
         let cells = &mut columns.last_mut().expect("just pushed").1;
         cells[lane(e.action)].push(glyph(e.action));
     }
