@@ -97,6 +97,14 @@ const PANIC_ENTRIES: &[Matcher] = &[
         type_name: "ShardRecorder",
         name: "record",
     },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "record_frame",
+    },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "hand_off",
+    },
     // The decoders of bytes read back from disk: a corrupt recording
     // must fail to parse, never abort the replay or the recovery.
     Matcher::FileFn {
@@ -113,8 +121,9 @@ const PANIC_ENTRIES: &[Matcher] = &[
     },
 ];
 
-/// Entry points for the blocking and allocation passes: the record
-/// ring's append path and serve's per-frame ingress/egress loops.
+/// Entry points for the blocking and allocation passes: the recorder's
+/// per-event encoding and once-per-iteration hand-off, the ring's
+/// single-record push, and serve's per-frame ingress/egress loops.
 /// `run_shard` itself is *not* here — its single `recv_timeout` park is
 /// the designed blocking point, and its admission work (session setup)
 /// may allocate; the per-frame work it dispatches to is what must stay
@@ -129,6 +138,14 @@ const STEADY_STATE_ENTRIES: &[Matcher] = &[
     Matcher::TypeMethod {
         type_name: "ShardRecorder",
         name: "record",
+    },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "record_frame",
+    },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "hand_off",
     },
     Matcher::TraitImpl {
         trait_name: "EgressSink",

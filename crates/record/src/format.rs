@@ -258,6 +258,19 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// Whether crash recovery depends on this event: an `Admit`, a
+    /// `Snapshot` or a `Verdict`. A full ring never sheds a batch that
+    /// holds one (see [`ring`](mod@crate::ring)).
+    #[must_use]
+    pub fn is_durable(&self) -> bool {
+        matches!(
+            self,
+            Event::Admit { .. } | Event::Snapshot { .. } | Event::Verdict { .. }
+        )
+    }
+}
+
 /// Any record a shard file can contain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
@@ -537,30 +550,83 @@ impl<'a> Reader<'a> {
 
 /// Appends one length-prefixed record.
 pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(64);
+    let start = begin_record(out);
     match rec {
         Record::Meta(m) => {
-            payload.push(KIND_META);
-            put_u32(&mut payload, m.shard);
-            put_u64(&mut payload, m.c1);
-            put_u64(&mut payload, m.c2);
-            put_u64(&mut payload, m.d);
-            put_u64(&mut payload, m.tick_micros);
-            put_opt_u64(&mut payload, m.seed);
+            out.push(KIND_META);
+            put_u32(out, m.shard);
+            put_u64(out, m.c1);
+            put_u64(out, m.c2);
+            put_u64(out, m.d);
+            put_u64(out, m.tick_micros);
+            put_opt_u64(out, m.seed);
         }
-        Record::Event(ev) => encode_event(ev, &mut payload),
+        Record::Event(ev) => encode_event(ev, out),
         Record::Stats(s) => {
-            payload.push(KIND_STATS);
-            put_u64(&mut payload, s.recorded);
-            put_u64(&mut payload, s.dropped);
-            put_u32(&mut payload, s.epoch);
+            out.push(KIND_STATS);
+            put_u64(out, s.recorded);
+            put_u64(out, s.dropped);
+            put_u32(out, s.epoch);
         }
     }
-    put_u32(out, u32::try_from(payload.len()).unwrap_or(u32::MAX));
-    out.extend_from_slice(&payload);
+    end_record(out, start);
 }
 
-fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
+/// Which way a recorded frame went: `Rx` and `Tx` records share one
+/// layout and differ only in their kind byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameDir {
+    /// Applied as a `recv` input ([`Event::Rx`]).
+    Rx,
+    /// Produced by a local step ([`Event::Tx`]).
+    Tx,
+}
+
+/// Appends one length-prefixed `Rx` or `Tx` record straight from the
+/// frame's bytes: the same encoding as [`encode_record`] of the
+/// matching [`Event`], without building one.
+pub(crate) fn encode_frame(
+    dir: FrameDir,
+    at_micros: u64,
+    session: u32,
+    wire: &[u8],
+    out: &mut Vec<u8>,
+) {
+    let start = begin_record(out);
+    put_frame_body(dir, at_micros, session, wire, out);
+    end_record(out, start);
+}
+
+/// Reserves a record's length prefix; [`end_record`] fills it in once
+/// the payload after it is written.
+fn begin_record(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    put_u32(out, 0);
+    start
+}
+
+/// Back-patches the length prefix reserved at `start` with the length
+/// of everything appended after it.
+fn end_record(out: &mut [u8], start: usize) {
+    let payload = out.len().saturating_sub(start + 4);
+    let len = u32::try_from(payload).unwrap_or(u32::MAX).to_be_bytes();
+    if let Some(prefix) = out.get_mut(start..start + 4) {
+        prefix.copy_from_slice(&len);
+    }
+}
+
+/// The payload `Rx` and `Tx` records share.
+fn put_frame_body(dir: FrameDir, at_micros: u64, session: u32, wire: &[u8], out: &mut Vec<u8>) {
+    out.push(match dir {
+        FrameDir::Rx => KIND_RX,
+        FrameDir::Tx => KIND_TX,
+    });
+    put_u64(out, at_micros);
+    put_u32(out, session);
+    put_blob(out, wire);
+}
+
+fn encode_event(ev: &Event, out: &mut Vec<u8>) {
     match ev {
         Event::Admit {
             at_micros,
@@ -568,62 +634,53 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             kind,
             n,
         } => {
-            payload.push(KIND_ADMIT);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_kind(payload, *kind);
-            put_u32(payload, *n);
+            out.push(KIND_ADMIT);
+            put_u64(out, *at_micros);
+            put_u32(out, *session);
+            put_kind(out, *kind);
+            put_u32(out, *n);
         }
         Event::Rx {
             at_micros,
             session,
             wire,
-        }
-        | Event::Tx {
+        } => put_frame_body(FrameDir::Rx, *at_micros, *session, wire, out),
+        Event::Tx {
             at_micros,
             session,
             wire,
-        } => {
-            payload.push(if matches!(ev, Event::Rx { .. }) {
-                KIND_RX
-            } else {
-                KIND_TX
-            });
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_blob(payload, wire);
-        }
+        } => put_frame_body(FrameDir::Tx, *at_micros, *session, wire, out),
         Event::WheelPop {
             at_micros,
             session,
             due_tick,
             late,
         } => {
-            payload.push(KIND_POP);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u64(payload, *due_tick);
-            payload.push(u8::from(*late));
+            out.push(KIND_POP);
+            put_u64(out, *at_micros);
+            put_u32(out, *session);
+            put_u64(out, *due_tick);
+            out.push(u8::from(*late));
         }
         Event::DeadlineMiss {
             at_micros,
             session,
             due_tick,
         } => {
-            payload.push(KIND_MISS);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u64(payload, *due_tick);
+            out.push(KIND_MISS);
+            put_u64(out, *at_micros);
+            put_u32(out, *session);
+            put_u64(out, *due_tick);
         }
         Event::Snapshot {
             at_micros,
             session,
             state,
         } => {
-            payload.push(KIND_SNAPSHOT);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_blob(payload, state);
+            out.push(KIND_SNAPSHOT);
+            put_u64(out, *at_micros);
+            put_u32(out, *session);
+            put_blob(out, state);
         }
         Event::Write {
             at_micros,
@@ -631,11 +688,11 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             written,
             bit,
         } => {
-            payload.push(KIND_WRITE);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u64(payload, *written);
-            payload.push(u8::from(*bit));
+            out.push(KIND_WRITE);
+            put_u64(out, *at_micros);
+            put_u32(out, *session);
+            put_u64(out, *written);
+            out.push(u8::from(*bit));
         }
         Event::Verdict {
             at_micros,
@@ -643,11 +700,11 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             completed,
             written,
         } => {
-            payload.push(KIND_VERDICT);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            payload.push(u8::from(*completed));
-            put_bits(payload, written);
+            out.push(KIND_VERDICT);
+            put_u64(out, *at_micros);
+            put_u32(out, *session);
+            out.push(u8::from(*completed));
+            put_bits(out, written);
         }
     }
 }
@@ -1223,6 +1280,44 @@ mod tests {
                 what: "unknown protocol tag"
             })
         );
+    }
+
+    /// A frame record written straight from the wire bytes is the
+    /// record an `Rx`/`Tx` event encodes to, and its length prefix is
+    /// back-patched in place behind bytes already in the buffer.
+    #[test]
+    fn encode_frame_matches_the_event_encoding() {
+        let wire: Vec<u8> = (0..40).collect();
+        for (dir, ev) in [
+            (
+                FrameDir::Rx,
+                Event::Rx {
+                    at_micros: 7,
+                    session: 3,
+                    wire: wire.clone(),
+                },
+            ),
+            (
+                FrameDir::Tx,
+                Event::Tx {
+                    at_micros: 7,
+                    session: 3,
+                    wire: wire.clone(),
+                },
+            ),
+        ] {
+            let mut want = vec![0xEE];
+            encode_record(&Record::Event(ev), &mut want);
+            let mut got = vec![0xEE];
+            encode_frame(dir, 7, 3, &wire, &mut got);
+            assert_eq!(got, want);
+            let (rec, used) = decode_record(&got[1..]).unwrap();
+            assert_eq!(used, got.len() - 1);
+            assert!(matches!(
+                rec,
+                Record::Event(Event::Rx { .. } | Event::Tx { .. })
+            ));
+        }
     }
 
     #[test]

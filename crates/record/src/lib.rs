@@ -10,14 +10,15 @@
 //! `rstp-check` bridge).
 //!
 //! The cardinal rule is *load independence*: recording must never pace
-//! the data path. The producer side is strictly nonblocking — a bounded
-//! ring accepts events with a single `try_lock`, and saturation or
-//! contention drops the event and counts it, loudly, rather than
-//! stalling a shard past its `c2` window (see [`ring`](mod@ring)). A writer
-//! thread per shard drains the ring to disk ([`writer`]) in a
-//! versioned, length-prefixed format with pinned golden bytes
-//! ([`format`](mod@format)); [`reader`] and [`index`] turn the files back into
-//! per-session histories.
+//! the data path. A shard encodes its events into its own byte batch and
+//! hands the batch to a bounded ring once per loop iteration, with a
+//! single bounded `try_lock`; a busy lock keeps the batch for the next
+//! iteration, and a batch that would overfill the ring is shed whole and
+//! counted, loudly, rather than stalling a shard past its `c2` window
+//! (see [`ring`](mod@ring)). A writer thread per shard writes the ring's
+//! bytes to disk ([`writer`]) in a versioned, length-prefixed format
+//! with pinned golden bytes ([`format`](mod@format)); [`reader`] and
+//! [`index`] turn the files back into per-session histories.
 //!
 //! Timestamps are `TickClock` readings supplied by the shard, one per
 //! step — this crate never reads the wall clock to stamp an event, so
@@ -36,8 +37,8 @@ pub mod ring;
 pub mod writer;
 
 pub use format::{
-    Event, RecStats, Record, RecordError, RunMeta, HEADER_LEN, MAX_RECORD_LEN, RECORD_MAGIC,
-    RECORD_VERSION,
+    Event, FrameDir, RecStats, Record, RecordError, RunMeta, HEADER_LEN, MAX_RECORD_LEN,
+    RECORD_MAGIC, RECORD_VERSION,
 };
 pub use index::{SessionHistory, SessionIndex};
 pub use reader::Recording;

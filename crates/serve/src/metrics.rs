@@ -72,12 +72,16 @@ pub struct ShardReport {
     pub orphan_frames: u64,
     /// Per-packet delivery latency across the shard's sessions.
     pub latency: LatencyHistogram,
-    /// Flight-recorder events this shard's ring accepted (0 when
-    /// recording is off).
+    /// Flight-recorder events this shard epoch's own recorder handle
+    /// handed to the ring (0 when recording is off). A restarted shard's
+    /// new epoch starts again from 0, so a shard's epochs add up to the
+    /// events in its file.
     pub events_recorded: u64,
-    /// Flight-recorder events shed because the ring was full or
-    /// contended — recording is strictly nonblocking, so saturation
-    /// drops events rather than pacing the data path.
+    /// Flight-recorder events this epoch's handle shed because its batch
+    /// would have passed the ring's byte cap — recording is strictly
+    /// nonblocking, so saturation drops events rather than pacing the
+    /// data path. A busy ring sheds nothing: the batch waits for the
+    /// next hand-off.
     pub events_dropped: u64,
     /// Sessions this shard adopted from a peer (handover) or from a
     /// crash-recovery resume.
@@ -202,13 +206,15 @@ impl ServeReport {
         self.shards.iter().map(|s| s.ingress_overflow).sum()
     }
 
-    /// Total flight-recorder events accepted.
+    /// Total flight-recorder events accepted, over every shard epoch:
+    /// the events in the recording.
     #[must_use]
     pub fn events_recorded(&self) -> u64 {
         self.shards.iter().map(|s| s.events_recorded).sum()
     }
 
-    /// Total flight-recorder events shed under saturation.
+    /// Total flight-recorder events shed under saturation, over every
+    /// shard epoch.
     #[must_use]
     pub fn events_dropped(&self) -> u64 {
         self.shards.iter().map(|s| s.events_dropped).sum()

@@ -18,9 +18,7 @@ use crate::shard::{run_shard, Handover, ResumeSession, ShardMsg, ShardParams};
 use crate::snapshot::SessionSnapshot;
 use rstp_core::{SessionId, TimingParams};
 use rstp_net::{decode_any, Frame, FrameBuf, NetError, Pace, TickClock};
-use rstp_record::{
-    shard_file_name, Event, RecStats, RecorderSet, Recording, RunMeta, ShardRecorder,
-};
+use rstp_record::{shard_file_name, Event, RecorderSet, Recording, RunMeta, ShardRecorder};
 use rstp_sim::ProtocolKind;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -664,12 +662,8 @@ pub fn run_server<T: ServeTransport>(
                     let mut resumed: Vec<Box<ResumeSession>> = Vec::new();
                     let recording = match (&recorder_set, &config.record_dir) {
                         (Some(set), Some(dir)) => {
-                            if let Some(r) = set.recorder(shard) {
-                                r.push_stats(RecStats {
-                                    recorded: r.recorded(),
-                                    dropped: r.dropped(),
-                                    epoch: 0,
-                                });
+                            if let Some(mut r) = set.recorder(shard) {
+                                r.push_stats();
                                 let _ = r.flush_barrier(Duration::from_secs(2));
                             }
                             let path =

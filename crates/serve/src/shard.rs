@@ -28,7 +28,7 @@ use rstp_net::{
     codec_for, Cadence, Frame, FrameBuf, NetError, Pace, Pacer, StepEffect, TickClock, Wake,
     WireCodec,
 };
-use rstp_record::{Event, ShardRecorder};
+use rstp_record::{Event, FrameDir, ShardRecorder};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -214,7 +214,7 @@ pub(crate) fn run_shard(
     rx: Receiver<ShardMsg>,
     mut egress: Box<dyn EgressSink>,
     completed_total: Arc<AtomicU64>,
-    recorder: Option<ShardRecorder>,
+    mut recorder: Option<ShardRecorder>,
     pump: Sender<PumpMsg>,
 ) -> Result<ShardReport, NetError> {
     #[cfg(rstp_check_inject_ack_bug)]
@@ -271,7 +271,7 @@ pub(crate) fn run_shard(
                 ShardMsg::Admit(spec) => {
                     let endpoint = receiver_endpoint(spec.kind, sp.params, spec.n)?;
                     let live = Live::new(spec, endpoint, 0, false)?;
-                    record_anchor(recorder.as_ref(), &live, at);
+                    record_anchor(recorder.as_mut(), &live, at);
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(spec.id.raw(), idx);
                     // First step strictly in the future, like the
@@ -313,7 +313,7 @@ pub(crate) fn run_shard(
                         &sp,
                         at,
                         &pump,
-                        &recorder,
+                        recorder.as_mut(),
                         &mut report,
                         &mut sessions,
                         &mut by_id,
@@ -330,7 +330,7 @@ pub(crate) fn run_shard(
                     let live = Live::new(rs.spec, rs.endpoint, rs.seq, false)?;
                     // A fresh anchor, so a *second* crash can recover
                     // without replaying the first life.
-                    record_anchor(recorder.as_ref(), &live, at);
+                    record_anchor(recorder.as_mut(), &live, at);
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(rs.spec.id.raw(), idx);
                     wheel.schedule(now_tick + 1, idx);
@@ -398,7 +398,7 @@ pub(crate) fn run_shard(
                 Wake::Punctual => {}
             }
             let late = booked == Wake::Late;
-            if let Some(r) = &recorder {
+            if let Some(r) = recorder.as_mut() {
                 r.record(Event::WheelPop {
                     at_micros: at,
                     session: live.spec.id.raw(),
@@ -421,7 +421,7 @@ pub(crate) fn run_shard(
             // step (inputs are channel outputs, not clocked).
             let received_any = !live.pending.is_empty();
             while let Some(frame) = live.pending.pop_front() {
-                if let Some(r) = &recorder {
+                if let Some(r) = recorder.as_mut() {
                     // Re-encode canonically: byte-identical to the wire,
                     // so the recording carries full frames, not summaries.
                     let wire = live.codec.encode_with_session(
@@ -430,11 +430,7 @@ pub(crate) fn run_shard(
                         frame.sent_at_micros,
                         live.spec.id,
                     );
-                    r.record(Event::Rx {
-                        at_micros: at,
-                        session: live.spec.id.raw(),
-                        wire: wire.to_vec(),
-                    });
+                    r.record_frame(FrameDir::Rx, at, live.spec.id.raw(), &wire);
                 }
                 live.endpoint.apply_recv(frame.packet)?;
                 report
@@ -456,12 +452,8 @@ pub(crate) fn run_shard(
                     let bytes = live
                         .codec
                         .encode_with_session(p, live.seq, at, live.spec.id);
-                    if let Some(r) = &recorder {
-                        r.record(Event::Tx {
-                            at_micros: at,
-                            session: live.spec.id.raw(),
-                            wire: bytes.to_vec(),
-                        });
+                    if let Some(r) = recorder.as_mut() {
+                        r.record_frame(FrameDir::Tx, at, live.spec.id.raw(), &bytes);
                     }
                     live.seq += 1;
                     out_buf.push((live.spec.id.raw(), bytes.into()));
@@ -470,7 +462,7 @@ pub(crate) fn run_shard(
                 }
                 StepEffect::Wrote(m) => {
                     live.last_write_tick = Some(due_tick);
-                    if let Some(r) = &recorder {
+                    if let Some(r) = recorder.as_mut() {
                         // The acknowledged-output ledger: cumulative
                         // count plus the bit, so the no-acknowledged-
                         // loss oracle can check Y's *content* prefix
@@ -499,8 +491,8 @@ pub(crate) fn run_shard(
                 by_id.remove(&done.spec.id.raw());
                 report.completed += 1;
                 let stats = done.stats(true);
-                if let Some(r) = &recorder {
-                    r.record_durable(Event::Verdict {
+                if let Some(r) = recorder.as_mut() {
+                    r.record(Event::Verdict {
                         at_micros: at,
                         session: stats.id.raw(),
                         completed: true,
@@ -528,6 +520,12 @@ pub(crate) fn run_shard(
             report.frames_sent += egress.send_batch(chunk)? as u64;
         }
         out_buf.clear();
+
+        // The iteration's one recorder hand-off. A busy ring keeps the
+        // batch for the next iteration; the shard never waits on it.
+        if let Some(r) = recorder.as_mut() {
+            r.hand_off();
+        }
     }
 
     // Account whatever is still open.
@@ -535,8 +533,8 @@ pub(crate) fn run_shard(
     for slot in sessions.into_iter().flatten() {
         report.unfinished += 1;
         let stats = slot.stats(false);
-        if let Some(r) = &recorder {
-            r.record_durable(Event::Verdict {
+        if let Some(r) = recorder.as_mut() {
+            r.record(Event::Verdict {
                 at_micros: at,
                 session: stats.id.raw(),
                 completed: false,
@@ -545,7 +543,10 @@ pub(crate) fn run_shard(
         }
         report.sessions.push(stats);
     }
-    if let Some(r) = &recorder {
+    if let Some(r) = recorder.as_mut() {
+        // The shard is exiting: waiting out the writer's swap costs no
+        // session a deadline.
+        r.hand_off_blocking();
         report.events_recorded = r.recorded();
         report.events_dropped = r.dropped();
     }
@@ -601,16 +602,16 @@ fn insert_live(sessions: &mut Vec<Option<Live>>, live: Live) -> usize {
 
 /// Writes `live`'s durable recovery anchor, stamped `at`: an `Admit`,
 /// then the `Snapshot` a restarted shard replays forward from.
-fn record_anchor(recorder: Option<&ShardRecorder>, live: &Live, at: u64) {
+fn record_anchor(recorder: Option<&mut ShardRecorder>, live: &Live, at: u64) {
     let Some(r) = recorder else { return };
     let snap = live.snapshot();
-    r.record_durable(Event::Admit {
+    r.record(Event::Admit {
         at_micros: at,
         session: snap.session,
         kind: snap.kind,
         n: snap.n,
     });
-    r.record_durable(Event::Snapshot {
+    r.record(Event::Snapshot {
         at_micros: at,
         session: snap.session,
         state: snap.encode(),
@@ -641,7 +642,7 @@ fn handle_control(
     sp: &ShardParams,
     at: u64,
     pump: &Sender<PumpMsg>,
-    recorder: &Option<ShardRecorder>,
+    recorder: Option<&mut ShardRecorder>,
     report: &mut ShardReport,
     sessions: &mut Vec<Option<Live>>,
     by_id: &mut HashMap<u32, usize>,
@@ -702,7 +703,7 @@ fn handle_control(
             };
             // Anchor the adopted session in *this* shard's recording, so
             // a later crash here recovers it.
-            record_anchor(recorder.as_ref(), &live, at);
+            record_anchor(recorder, &live, at);
             let idx = insert_live(sessions, live);
             by_id.insert(snap.session, idx);
             handed_off.remove(&snap.session);

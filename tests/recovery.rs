@@ -6,8 +6,12 @@
 //! that resumes a session writes a fresh snapshot of the recovered
 //! state, so the second kill must decode an anchor that already holds
 //! written messages.
+//!
+//! The recording's own accounting must survive the same crashes: every
+//! event the shards' epochs report as recorded is in a file, once.
 
 use rstp::core::{SessionId, TimingParams};
+use rstp::record::{shard_file_name, RecStats, Recording};
 use rstp::serve::{run_swarm_sessions, FaultPlan, ServeConfig, SessionSpec, SwarmTransport};
 use rstp::sim::harness::random_input;
 use rstp::sim::ProtocolKind;
@@ -42,8 +46,25 @@ fn sessions_survive_two_crashes_of_one_shard() {
         .collect();
 
     let report = run_swarm_sessions(&sessions, &serve, SwarmTransport::Mem).unwrap();
+    // Per file: the events that parse, and the trailer's counters.
+    let files: Vec<(usize, RecStats)> = (0..2u32)
+        .map(|shard| {
+            let rec = Recording::load(&dir.join(shard_file_name(shard))).unwrap();
+            (rec.events.len(), rec.stats.unwrap_or_default())
+        })
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
     let summary = report.summary();
+    // The recorder's accounting across two crashes: each trailer counts
+    // exactly the events in its file (a recovery checkpoint is not an
+    // event), nothing was shed, and the shard epochs' own counts add up
+    // to the files instead of each repeating the file's running total.
+    for (shard, (events, stats)) in files.iter().enumerate() {
+        assert_eq!(*events as u64, stats.recorded, "shard {shard}: {stats:?}");
+        assert_eq!(stats.dropped, 0, "shard {shard}: {stats:?}");
+    }
+    let in_files: u64 = files.iter().map(|(_, stats)| stats.recorded).sum();
+    assert_eq!(in_files, report.serve.events_recorded(), "{summary}");
     assert!(report.all_good(), "{summary}");
     assert_eq!(report.serve.crashes, 2, "{summary}");
     assert_eq!(report.serve.restarts, 2, "{summary}");

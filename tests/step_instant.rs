@@ -37,31 +37,22 @@ fn every_event_of_a_step_carries_its_wheel_pop_instant() {
             (spec, random_input(N, 900 + i as u64))
         })
         .collect();
-    // The recorder sheds an event rather than wait for a writer thread
-    // descheduled while it holds the ring (docs/REPLAY.md), and a shed
-    // event can leave a step's events without their pop. The property
-    // needs a complete recording, so a run that shed any is made again.
-    let recording = (0..3)
-        .find_map(|attempt| {
-            let dir = std::env::temp_dir().join(format!(
-                "rstp-step-instant-{}-{attempt}",
-                std::process::id()
-            ));
-            let serve = ServeConfig::new(params, Duration::from_micros(200))
-                .with_shards(1)
-                .with_max_sessions(SESSIONS)
-                .with_queue_cap(SESSIONS * 32)
-                .with_max_wall(Duration::from_secs(30))
-                .with_record(&dir);
-            let report = run_swarm_sessions(&sessions, &serve, SwarmTransport::Mem).expect("swarm");
-            assert!(report.all_good(), "{}", report.summary());
-            let complete = report.serve.events_dropped() == 0;
-            let recording = complete
-                .then(|| Recording::load(&dir.join(shard_file_name(0))).expect("recording"));
-            let _ = std::fs::remove_dir_all(&dir);
-            recording
-        })
-        .expect("three runs in a row shed recorder events");
+    // A busy ring keeps the shard's batch for its next hand-off instead
+    // of shedding it (docs/REPLAY.md), so one run records every event;
+    // a shed event could leave a step's events without their pop.
+    let dir = std::env::temp_dir().join(format!("rstp-step-instant-{}", std::process::id()));
+    let serve = ServeConfig::new(params, Duration::from_micros(200))
+        .with_shards(1)
+        .with_max_sessions(SESSIONS)
+        .with_queue_cap(SESSIONS * 32)
+        .with_max_wall(Duration::from_secs(30))
+        .with_record(&dir);
+    let report = run_swarm_sessions(&sessions, &serve, SwarmTransport::Mem).expect("swarm");
+    let recording = Recording::load(&dir.join(shard_file_name(0)));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(report.all_good(), "{}", report.summary());
+    assert_eq!(report.serve.events_dropped(), 0, "{}", report.summary());
+    let recording = recording.expect("recording");
 
     let mut step_at: HashMap<u32, u64> = HashMap::new();
     let mut checked: HashMap<&str, usize> = HashMap::new();
