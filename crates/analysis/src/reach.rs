@@ -124,12 +124,13 @@ const PANIC_ENTRIES: &[Matcher] = &[
 /// Entry points for the blocking and allocation passes: the recorder's
 /// per-event encoding and once-per-iteration hand-off, the ring's
 /// single-record push, and serve's per-frame ingress/egress loops.
-/// `run_shard` itself is *not* here — its single `recv_timeout` park is
-/// the designed blocking point, and its admission work (session setup)
-/// may allocate; the per-frame work it dispatches to is what must stay
-/// nonblocking and allocation-free. Protocol automata (`apply`) are the
-/// *panic* pass's concern: their error paths may format messages, which
-/// is cold-path allocation, not steady state.
+/// `run_shard` itself is *not* here — its single `sleep_until` to the
+/// wheel's next deadline is the designed blocking point, and its
+/// admission work (session setup) may allocate; the per-frame work it
+/// dispatches to is what must stay nonblocking and allocation-free.
+/// Protocol automata (`apply`) are the *panic* pass's concern: their
+/// error paths may format messages, which is cold-path allocation, not
+/// steady state.
 const STEADY_STATE_ENTRIES: &[Matcher] = &[
     Matcher::TypeMethod {
         type_name: "RingProducer",

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A shard-side egress sink: ships encoded frames, addressed by raw
 /// session id, back toward their clients in batches.
@@ -93,7 +93,8 @@ pub struct ServeConfig {
     pub batch: usize,
     /// Bound of each shard's ingress queue, in messages: an admission, a
     /// handover message, or one pump batch's frames for that shard (up to
-    /// `batch` frames).
+    /// `batch` frames). A shard drains its queue only when it wakes for
+    /// a deadline, so the queue holds up to one gap of pump passes.
     pub queue_cap: usize,
     /// Admission ceiling across all shards.
     pub max_sessions: usize,
@@ -305,6 +306,27 @@ fn send_routed(
         }
         share.clear();
     }
+}
+
+/// Longest idle nap of the pump: a kernel UDP receive buffer holds only a
+/// few hundred datagrams, so a coarse tick must not leave it unread for a
+/// whole tick.
+const MAX_NAP: Duration = Duration::from_micros(500);
+
+/// When the pump passes next while ingress is dry: the first instant
+/// after `now` that lies `slack` before a tick boundary of the clock
+/// starting at `epoch`, and at most [`MAX_NAP`] after `now`. Before the
+/// epoch, `now` counts as the epoch.
+///
+/// Shard deadlines are whole ticks, so one pass per tick lands just
+/// before every step that can apply what it routes. A slack of a tick or
+/// more counts modulo the tick.
+fn next_pass(now: Instant, epoch: Instant, tick: Duration, slack: Duration) -> Instant {
+    let tick = tick.as_nanos().max(1);
+    let phase = (now.saturating_duration_since(epoch).as_nanos() + slack.as_nanos()) % tick;
+    // In (0, tick]: a pass exactly on `boundary − slack` aims at the next.
+    let wait = u64::try_from(tick - phase).unwrap_or(u64::MAX);
+    now + Duration::from_nanos(wait).min(MAX_NAP)
 }
 
 /// Delivers a must-arrive message (Crash/Panic/Resume) to a shard,
@@ -601,10 +623,12 @@ pub fn run_server<T: ServeTransport>(
     let mut recovered_sessions: u64 = 0;
     let mut unrecoverable_sessions: u64 = 0;
     let mut hub_dropped_frames: u64 = 0;
-    // Nap briefly when the socket is dry — but never so long that a
-    // kernel receive buffer (a few hundred datagrams on most systems)
-    // could fill behind our back at coarse ticks.
-    let idle_nap = (config.tick / 2).clamp(Duration::from_micros(50), Duration::from_micros(500));
+    // When ingress is dry, nap to the next pass: `slack` before the next
+    // tick boundary, so the frames it routes are queued just before the
+    // shards wake for that tick's steps, and never more than `MAX_NAP`.
+    let idle_nap = |now: Instant| {
+        clock.sleep_until(next_pass(now, clock.epoch(), config.tick, config.slack));
+    };
     // Lame-duck linger: once every session has completed, keep pumping
     // until ingress has been dry for a grace period rather than exiting
     // on the spot. A client the scheduler stalled past its session's
@@ -648,12 +672,22 @@ pub fn run_server<T: ServeTransport>(
                     crashes += 1;
                 }
                 FaultEvent::Restart { shard, .. } if shard < shard_count && dead[shard] => {
-                    // Recovery: barrier-flush the shard's recording so
-                    // everything its last life pushed is on disk, read
-                    // it back (a torn tail is tolerated), and re-create
-                    // each still-owned session from its latest snapshot
-                    // plus replay. Sessions that cannot reach their
+                    // Recovery: wait for the killed epoch to return, so
+                    // the batch its recorder still held is in the ring
+                    // (bounded like `send_shard`: at most 200 ms). Then
+                    // barrier-flush the shard's recording so everything
+                    // its last life pushed is on disk, read it back (a
+                    // torn tail is tolerated), and re-create each
+                    // still-owned session from its latest snapshot plus
+                    // replay. Sessions that cannot reach their
                     // acknowledged floor are dropped from the run.
+                    if let Some((_, killed)) = handles.iter().rev().find(|(i, _)| *i == shard) {
+                        let give_up = now + Duration::from_millis(200);
+                        let mut at = now;
+                        while !killed.is_finished() && at < give_up {
+                            at = clock.sleep_until(at + Duration::from_micros(100));
+                        }
+                    }
                     let mine: Vec<u32> = owner
                         .iter()
                         .filter(|&(_, &sh)| sh == shard)
@@ -774,7 +808,7 @@ pub fn run_server<T: ServeTransport>(
 
         // A scripted socket stall: the pump does not touch ingress.
         if now_tick < stall_end {
-            thread::sleep(idle_nap);
+            idle_nap(now);
             continue;
         }
         batch.clear();
@@ -789,12 +823,12 @@ pub fn run_server<T: ServeTransport>(
         if now_tick < drop_end {
             hub_dropped_frames += got as u64;
             if got == 0 {
-                thread::sleep(idle_nap);
+                idle_nap(now);
             }
             continue;
         }
         if got == 0 {
-            thread::sleep(idle_nap);
+            idle_nap(now);
             continue;
         }
         for bytes in &batch {
@@ -877,7 +911,33 @@ pub fn run_server<T: ServeTransport>(
 mod tests {
     use super::*;
     use crate::hub::MemHub;
-    use std::time::Instant;
+
+    #[test]
+    fn the_pump_passes_once_per_tick_one_slack_before_the_boundary() {
+        let epoch = Instant::now();
+        for tick_us in [50u64, 200, 500, 2_000, 10_000] {
+            let tick = Duration::from_micros(tick_us);
+            // Every microsecond of two ticks; a 10-ms tick every 7 µs.
+            let step = if tick_us > 2_000 { 7 } else { 1 };
+            for slack in [Duration::ZERO, tick / 4, tick / 2] {
+                for offset in (0..2 * tick_us).step_by(step) {
+                    let now = epoch + Duration::from_micros(offset);
+                    let pass = next_pass(now, epoch, tick, slack);
+                    let why = format!("tick {tick:?}, slack {slack:?}, {offset} µs in");
+                    assert!(pass > now, "{why}");
+                    assert!(pass - now <= MAX_NAP, "{why}");
+                    // The first `boundary − slack` after `now`, by search.
+                    let aim = (0..)
+                        .map(|n: u32| epoch + tick * n - slack)
+                        .find(|&p| p > now)
+                        .unwrap();
+                    if aim - now <= MAX_NAP {
+                        assert_eq!(pass, aim, "{why}");
+                    }
+                }
+            }
+        }
+    }
 
     fn params() -> TimingParams {
         TimingParams::from_ticks(1, 2, 4).expect("valid")

@@ -31,7 +31,7 @@ use rstp_net::{
 use rstp_record::{Event, FrameDir, ShardRecorder};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -246,27 +246,30 @@ pub(crate) fn run_shard(
     // owner table) follows the session through the pump.
     let mut handed_off: HashSet<u32> = HashSet::new();
     // The latest clock reading: one when the loop wakes, then one per
-    // wheel pop. The next sleep is sized from whichever came last.
+    // wheel pop. An idle sleep is sized from whichever came last.
     let mut now = clock.now();
 
     'run: loop {
-        // Sleep until the next deadline (or new work arrives). The
-        // channel doubles as the wake-up: one blocking point serves both
-        // ingress and pacing.
-        let timeout = match wheel.next_due() {
-            Some(t) => clock.instant_of_tick(t).saturating_duration_since(now),
-            None => idle_timeout,
+        // Sleep until the next deadline, or one gap while the wheel is
+        // empty. The wheel is the only wake-up: a queued message waits
+        // for the next wake (at most one gap), since a frame only takes
+        // effect at its session's next step anyway. The instant the
+        // sleep woke is the iteration's reading, for everything outside
+        // a step.
+        let wake = match wheel.next_due() {
+            Some(t) => clock.instant_of_tick(t),
+            None => now + idle_timeout,
         };
-        let mut first = match rx.recv_timeout(timeout) {
-            Ok(msg) => Some(msg),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break 'run,
-        };
-        // The iteration's own reading, for everything outside a step.
-        now = clock.now();
+        now = clock.sleep_until(wake);
         let now_tick = clock.tick_at(now);
         let at = clock.micros_at(now);
-        while let Some(msg) = first.take() {
+        // Drain the queue before firing what is due.
+        loop {
+            let msg = match rx.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => break 'run,
+            };
             match msg {
                 ShardMsg::Admit(spec) => {
                     let endpoint = receiver_endpoint(spec.kind, sp.params, spec.n)?;
@@ -351,7 +354,6 @@ pub(crate) fn run_shard(
                 }
                 ShardMsg::Shutdown => break 'run,
             }
-            first = rx.try_recv().ok();
         }
 
         // Handover housekeeping: resend unacked snapshots (capped
