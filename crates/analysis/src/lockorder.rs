@@ -460,24 +460,24 @@ fn toposort(nodes: &[String], edges: &[LockEdge]) -> (Vec<String>, Vec<Vec<Strin
         }
     }
     let mut order = Vec::new();
-    let mut ready: Vec<&str> = indeg
+    // The smallest ready name goes first, so the order is deterministic
+    // and one node's arrival or departure moves no unrelated pair.
+    let mut ready: BTreeSet<&str> = indeg
         .iter()
         .filter(|(_, d)| **d == 0)
         .map(|(n, _)| *n)
         .collect();
     let mut indeg = indeg.clone();
-    while let Some(n) = ready.pop() {
+    while let Some(n) = ready.pop_first() {
         order.push(n.to_string());
         for m in out.get(n).into_iter().flatten() {
             if let Some(d) = indeg.get_mut(m) {
                 *d -= 1;
                 if *d == 0 {
-                    ready.push(m);
+                    ready.insert(m);
                 }
             }
         }
-        ready.sort_unstable();
-        ready.reverse(); // pop smallest first for determinism
     }
     if order.len() == nodes.len() {
         return (order, Vec::new());
@@ -660,6 +660,31 @@ mod tests {
         // Without RwLock in the file, .read()/.write() are plain I/O.
         let g = graph_of("fn f(&self) { let n = self.sock.read().unwrap(); }");
         assert!(g.nodes.is_empty());
+    }
+
+    #[test]
+    fn toposort_takes_the_smallest_ready_node_first() {
+        let names = |v: &[&str]| v.iter().map(|n| (*n).to_string()).collect::<Vec<_>>();
+        let nodes = names(&["a", "c", "e", "g"]);
+        // No edges: the order is the sorted node list.
+        assert_eq!(toposort(&nodes, &[]).0, nodes);
+        // An edge orders its pair; ties still go smallest first.
+        let edges = [LockEdge {
+            from: "g".into(),
+            to: "a".into(),
+            site: String::new(),
+        }];
+        let base = toposort(&nodes, &edges).0;
+        assert_eq!(base, names(&["c", "e", "g", "a"]));
+        // Adding a node, wherever its name sorts, moves no other pair.
+        for extra in ["0", "b", "f", "z"] {
+            let mut grown = nodes.clone();
+            grown.push(extra.to_string());
+            grown.sort();
+            let order = toposort(&grown, &edges).0;
+            let others: Vec<String> = order.into_iter().filter(|n| n != extra).collect();
+            assert_eq!(others, base, "adding {extra:?}");
+        }
     }
 
     #[test]

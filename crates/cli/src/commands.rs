@@ -28,9 +28,9 @@ COMMANDS:
   dist          effort distribution        --protocol --k --c1 --c2 --d --n --runs
   net           real-time wire transfers   net <send|recv|bench> (run `rstp net help`)
   serve         sharded multi-session UDP server  --local --sessions --protocol --n
-                                           --shards --batch --queue-cap --tick-us
+                                           --shards --queue-cap --tick-us
   swarm         M-client loopback load test --sessions --protocol --k --n --seed
-                                           --transport mem|udp --shards --batch
+                                           --transport mem|udp --shards
                                            --queue-cap --tick-us --oracle-sample
   replay        postmortem replay of a --record dir  --dir DIR [--session ID]
                                            [--input BITS] [--shrink FILE]
@@ -124,7 +124,7 @@ fn delivery_policy(
     }
 }
 
-fn input_of(args: &Args) -> Result<Vec<bool>, ArgError> {
+pub(crate) fn input_of(args: &Args) -> Result<Vec<bool>, ArgError> {
     if let Some(bits) = args.get("input") {
         parse_bits(bits)
     } else {

@@ -7,9 +7,10 @@
 //! * `net send` / `net recv` — one endpoint each over UDP, for
 //!   two-terminal transfers (see `docs/NET.md` for a walkthrough).
 
-use crate::args::{parse_bits, ArgError, Args};
+use crate::args::{ArgError, Args};
+use crate::commands::{input_of, protocol, timing};
 use core::fmt::Write as _;
-use rstp_core::{bounds, Message, SessionId, TimingParams};
+use rstp_core::{bounds, SessionId, TimingParams};
 use rstp_net::{
     run_receiver, run_transfer_mem, ChannelConfig, DriverConfig, DriverReport, Pace, TickClock,
     TransferConfig, UdpTransport,
@@ -35,38 +36,6 @@ USAGE: rstp net <send|recv|bench> [--flag value ...]
 Defaults: send binds 127.0.0.1:9000 -> 127.0.0.1:9001, recv the reverse;
 UDP tick 1000 us, bench tick 100 us. Start `recv` before `send`.
 ";
-
-fn timing(args: &Args) -> Result<TimingParams, ArgError> {
-    let c1 = args.get_u64("c1", 1)?;
-    let c2 = args.get_u64("c2", 2)?;
-    let d = args.get_u64("d", 8)?;
-    TimingParams::from_ticks(c1, c2, d).map_err(|e| ArgError(e.to_string()))
-}
-
-fn protocol(args: &Args) -> Result<ProtocolKind, ArgError> {
-    let k = args.get_u64("k", 4)?;
-    let window = args.get_u64("window", 2)?.max(1);
-    match args.get("protocol").unwrap_or("beta") {
-        "alpha" => Ok(ProtocolKind::Alpha),
-        "beta" => Ok(ProtocolKind::Beta { k }),
-        "gamma" => Ok(ProtocolKind::Gamma { k }),
-        "altbit" => Ok(ProtocolKind::AltBit {
-            timeout_steps: None,
-        }),
-        "framed" => Ok(ProtocolKind::Framed { k }),
-        "stenning" => Ok(ProtocolKind::Stenning {
-            timeout_steps: None,
-        }),
-        "pipelined" => Ok(ProtocolKind::Pipelined { k, window }),
-        "stab-stenning" => Ok(ProtocolKind::StabStenning {
-            timeout_steps: None,
-        }),
-        "stab-beta" => Ok(ProtocolKind::StabBeta { k }),
-        other => Err(ArgError(format!(
-            "unknown protocol {other:?} (alpha|beta|gamma|altbit|stenning|framed|pipelined|stab-stenning|stab-beta)"
-        ))),
-    }
-}
 
 pub(crate) fn pace(args: &Args) -> Result<Pace, ArgError> {
     match args.get("pace").unwrap_or("slow") {
@@ -96,16 +65,6 @@ fn rate_of(args: &Args, name: &str) -> Result<f64, ArgError> {
             }
             Ok(p)
         }
-    }
-}
-
-fn input_of(args: &Args) -> Result<Vec<Message>, ArgError> {
-    if let Some(bits) = args.get("input") {
-        parse_bits(bits)
-    } else {
-        let n = args.get_usize("n", 64)?;
-        let seed = args.get_u64("seed", 0)?;
-        Ok(random_input(n, seed))
     }
 }
 

@@ -46,7 +46,6 @@ const SWARM_FLAGS: &[&str] = &[
     "tick-us",
     "pace",
     "shards",
-    "batch",
     "queue-cap",
     "transport",
     "max-wall-s",
@@ -68,7 +67,6 @@ const SERVE_FLAGS: &[&str] = &[
     "tick-us",
     "pace",
     "shards",
-    "batch",
     "queue-cap",
     "max-wall-s",
     "record",
@@ -85,10 +83,9 @@ fn transport_of(args: &Args) -> Result<SwarmTransport, ArgError> {
 
 /// Applies the shared server-shape flags on top of `serve`.
 fn configure(args: &Args, mut serve: ServeConfig) -> Result<ServeConfig, ArgError> {
-    let (shards, batch) = (serve.shards, serve.batch);
+    let shards = serve.shards;
     serve = serve
         .with_shards(args.get_usize("shards", shards)?)
-        .with_batch(args.get_usize("batch", batch)?)
         .with_pace(pace(args)?)
         .with_max_wall(Duration::from_secs(args.get_u64("max-wall-s", 60)?));
     if args.get("queue-cap").is_some() {
@@ -354,6 +351,8 @@ mod tests {
         assert!(run(&["swarm", "--bogus", "1"]).is_err());
         assert!(run(&["serve", "--bogus", "1"]).is_err());
         assert!(run(&["serve", "--transport", "udp"]).is_err()); // serve is udp-only
+        assert!(run(&["swarm", "--batch", "32"]).is_err()); // B is a constant
+        assert!(run(&["serve", "--batch", "32"]).is_err());
         let err = run(&["swarm", "--faults", "explode=all"]).expect_err("bad fault grammar");
         assert!(err.to_string().contains("--faults"), "{err}");
     }

@@ -26,9 +26,10 @@
 //!
 //! An operating system cannot honour the paper's idealized timing axioms
 //! exactly, so the [`Pacer`] *measures* misses rather than pretending:
-//! every wake-up later than the deadline by more than the configured
-//! slack counts a `deadline_miss`, and every observed step gap outside
-//! `[c1·tick − slack, c2·tick + slack]` counts a `timing_violation`.
+//! every wake-up later than the deadline by more than its slack (a
+//! quarter tick) counts a `deadline_miss`, and every observed step gap
+//! outside `[c1·tick − slack, c2·tick + slack]` counts a
+//! `timing_violation`.
 //! Runs at [`Pace::Slow`] sit exactly on the upper boundary, which is why
 //! the tolerance exists; `docs/NET.md` discusses the deviation. The same
 //! [`Pacer`] paces every session of an `rstp-serve` shard.
@@ -50,9 +51,9 @@
 //! simulator uses (peer quiescent and channel empty), so it infers
 //! completion locally: once its own work is done — `expected_writes`
 //! reached on a receiver, no enabled action left on a transmitter — it
-//! keeps stepping through a grace period of `grace_ticks` (default
-//! `2·(d + c2)`, long enough for any in-flight packet to land and be
-//! answered) and stops only if nothing arrived meanwhile. A transmitter
+//! keeps stepping through the [`Pacer`]'s grace period of `2·(d + c2)`
+//! ticks (long enough for any in-flight packet to land and be answered)
+//! and stops only if nothing arrived meanwhile. A transmitter
 //! idling while it awaits acknowledgements is not done. A hard
 //! wall-clock cap (`max_wall`, measured from the clock's epoch) guards
 //! against a peer that never shows up.
@@ -94,11 +95,6 @@ pub struct DriverConfig {
     pub tick: Duration,
     /// Step pace within `[c1, c2]`.
     pub pace: Pace,
-    /// Timing tolerance for miss/violation accounting.
-    pub slack: Duration,
-    /// How long (in ticks) the endpoint keeps stepping after it looks
-    /// locally done, to let in-flight traffic land.
-    pub grace_ticks: u64,
     /// Hard wall-clock cap on the whole run, from the clock's epoch.
     pub max_wall: Duration,
     /// Most sessions one [`run_sessions`] call runs at once.
@@ -107,17 +103,12 @@ pub struct DriverConfig {
 
 impl DriverConfig {
     /// A sensible default configuration: slow pace (the bounds' regime),
-    /// slack of a quarter tick, grace of `2·(d + c2)` ticks (a full
-    /// request/ack round trip with a step on each side — an ack-clocked
-    /// transmitter idles that long legitimately), a generous wall cap,
-    /// and no cap on live sessions.
+    /// a generous wall cap, and no cap on live sessions.
     pub fn new(params: TimingParams, tick: Duration) -> Self {
         DriverConfig {
             params,
             tick,
             pace: Pace::Slow,
-            slack: tick / 4,
-            grace_ticks: 2 * (params.d().ticks() + params.c2().ticks()),
             max_wall: Duration::from_secs(60),
             max_live: usize::MAX,
         }
@@ -143,13 +134,7 @@ impl DriverConfig {
 
     /// The pacing rules this configuration describes.
     pub fn pacer(&self) -> Pacer {
-        Pacer::new(
-            self.params,
-            self.tick,
-            self.pace,
-            self.slack,
-            self.grace_ticks,
-        )
+        Pacer::new(self.params, self.tick, self.pace)
     }
 }
 
@@ -160,12 +145,17 @@ impl DriverConfig {
 /// misses and timing violations, re-anchors the schedule after a stall,
 /// and decides grace-period completion. Each session keeps its own
 /// history in a [`Cadence`].
+///
+/// The pacer derives both of its tolerances from `(params, tick)`: the
+/// [`slack`](Pacer::slack) and the completion
+/// [`grace`](Pacer::grace_ticks). Nothing else computes them.
 #[derive(Clone, Copy, Debug)]
 pub struct Pacer {
     gap: Duration,
     lo: Duration,
     hi: Duration,
     slack: Duration,
+    grace_ticks: u64,
     quiet_steps: u64,
 }
 
@@ -199,15 +189,13 @@ pub enum Wake {
 
 impl Pacer {
     /// The rules for stepping at `pace` under `params`, with `tick` per
-    /// tick, `slack` of timing tolerance, and a grace period of
-    /// `grace_ticks` before a locally done session completes.
-    pub fn new(
-        params: TimingParams,
-        tick: Duration,
-        pace: Pace,
-        slack: Duration,
-        grace_ticks: u64,
-    ) -> Self {
+    /// tick: a slack of a quarter tick, and a grace of `2·(d + c2)`
+    /// ticks before a locally done session completes (a full
+    /// request/ack round trip with a step on each side — an ack-clocked
+    /// transmitter idles that long legitimately).
+    pub fn new(params: TimingParams, tick: Duration, pace: Pace) -> Self {
+        let slack = tick / 4;
+        let grace_ticks = 2 * (params.d().ticks() + params.c2().ticks());
         let gap_ticks = pace.gap_ticks(params).max(1);
         let ticks = |n: u64| tick * u32::try_from(n).unwrap_or(u32::MAX);
         Pacer {
@@ -215,8 +203,21 @@ impl Pacer {
             lo: ticks(params.c1().ticks()).saturating_sub(slack),
             hi: ticks(params.c2().ticks()) + slack,
             slack,
+            grace_ticks,
             quiet_steps: grace_ticks.div_ceil(gap_ticks).max(1),
         }
+    }
+
+    /// The timing tolerance of the miss/violation accounting: a wake
+    /// more than this past its deadline is late.
+    pub fn slack(&self) -> Duration {
+        self.slack
+    }
+
+    /// The grace period, in ticks, a locally done session keeps
+    /// stepping with nothing arriving before it completes.
+    pub fn grace_ticks(&self) -> u64 {
+        self.grace_ticks
     }
 
     /// Books a wake at `wake` for the step due at `due`.
@@ -408,16 +409,18 @@ where
 }
 
 /// How a driven run ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DriverOutcome {
     /// The endpoint finished its work and the grace period drained quietly.
     Completed,
     /// The wall-clock cap expired first.
+    #[default]
     TimedOut,
 }
 
-/// Everything one endpoint observed during a driven run.
-#[derive(Clone, Debug)]
+/// Everything one endpoint observed during a driven run. The default is
+/// a run that timed out before its first step.
+#[derive(Clone, Debug, Default)]
 pub struct DriverReport {
     /// How the run ended.
     pub outcome: DriverOutcome,
@@ -455,26 +458,6 @@ pub struct DriverReport {
 }
 
 impl DriverReport {
-    fn empty() -> Self {
-        DriverReport {
-            outcome: DriverOutcome::TimedOut,
-            steps: 0,
-            written: Vec::new(),
-            data_sends: 0,
-            ack_sends: 0,
-            recvs: 0,
-            wait_steps: 0,
-            idle_steps: 0,
-            last_data_send_micros: None,
-            last_write_micros: None,
-            deadline_misses: 0,
-            timing_violations: 0,
-            latency: LatencyHistogram::new(),
-            wall_elapsed: Duration::ZERO,
-            transport: TransportStats::default(),
-        }
-    }
-
     /// Wall-clock effort in ticks per message: time of the last data send
     /// divided by `n` and the tick length — the real-time analogue of the
     /// simulator's `t(last-send)/n`.
@@ -546,7 +529,7 @@ impl<T: Transport> Running<T> {
             session,
             due,
             cadence,
-            report: DriverReport::empty(),
+            report: DriverReport::default(),
         }
     }
 
@@ -700,10 +683,7 @@ pub fn run_sessions<T: Transport>(
         let (index, report) = running.finish(DriverOutcome::TimedOut, &clock, now);
         reports[index] = Some(report);
     }
-    Ok(reports
-        .into_iter()
-        .map(|r| r.unwrap_or_else(DriverReport::empty))
-        .collect())
+    Ok(reports.into_iter().map(Option::unwrap_or_default).collect())
 }
 
 #[cfg(test)]
@@ -1028,7 +1008,7 @@ mod tests {
             last_data_send_micros: Some(4_000),
             last_write_micros: Some(4_400),
             wall_elapsed: Duration::from_millis(5),
-            ..DriverReport::empty()
+            ..DriverReport::default()
         };
         // 4000 µs / 100 µs-per-tick / 4 messages = 10 ticks per message.
         assert_eq!(report.effort_ticks(4, tick), Some(10.0));

@@ -7,7 +7,7 @@ use core::fmt;
 const BUCKETS: usize = 32;
 
 /// A fixed-size log₂-bucketed histogram of microsecond latencies.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: [u64; BUCKETS],
     total: u64,
@@ -55,38 +55,12 @@ impl LatencyHistogram {
         (self.total > 0).then_some(self.max_micros)
     }
 
-    /// Mean observation in microseconds, or `None` when empty.
-    pub fn mean_micros(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum_micros as f64 / self.total as f64)
-    }
-
-    /// Approximate quantile: upper edge of the bucket holding the `q`-th
-    /// observation (`0.0 ≤ q ≤ 1.0`), or `None` when empty. Accuracy is
-    /// one power of two — sufficient for the driver's order-of-magnitude
-    /// latency reporting.
-    pub fn quantile_micros(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (bucket, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_upper_edge(bucket));
-            }
-        }
-        Some(self.max_micros)
-    }
-
     /// Interpolated quantile: linearly interpolates the rank position
     /// within the bucket that holds the `q`-th observation, clamped to
-    /// the observed `[min, max]` range. Smoother than
-    /// [`quantile_micros`](Self::quantile_micros) (which reports a bucket
-    /// upper edge, one power of two of slack) while costing the same one
-    /// pass over the 32 buckets — the resolution aggregated swarm metrics
-    /// need without keeping every sample.
+    /// the observed `[min, max]` range. Smoother than a bucket edge (one
+    /// power of two of slack) at the cost of one pass over the 32
+    /// buckets — the resolution aggregated swarm metrics need without
+    /// keeping every sample.
     pub fn quantile_interp_micros(&self, q: f64) -> Option<f64> {
         if self.total == 0 {
             return None;
@@ -122,16 +96,6 @@ impl LatencyHistogram {
         Some(self.max_micros as f64)
     }
 
-    /// Non-empty buckets as `(upper_edge_micros, count)` pairs.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(b, &n)| (bucket_upper_edge(b), n))
-            .collect()
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -143,6 +107,15 @@ impl LatencyHistogram {
             self.min_micros = self.min_micros.min(other.min_micros);
             self.max_micros = self.max_micros.max(other.max_micros);
         }
+    }
+}
+
+/// `new()`: a derived default would start `min` at 0, and the
+/// quantiles' `[min, max]` clamp and `merge`'s smaller-min rule would
+/// then never see the real minimum.
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram::new()
     }
 }
 
@@ -168,14 +141,18 @@ fn bucket_upper_edge(b: usize) -> u64 {
 
 impl fmt::Display for LatencyHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.min_micros(), self.mean_micros(), self.max_micros()) {
-            (Some(min), Some(mean), Some(max)) => write!(
+        match (
+            self.min_micros(),
+            self.quantile_interp_micros(0.99),
+            self.max_micros(),
+        ) {
+            (Some(min), Some(p99), Some(max)) => write!(
                 f,
-                "n={} min={}us mean={:.1}us p99<={}us max={}us",
+                "n={} min={}us mean={:.1}us p99={:.0}us max={}us",
                 self.total,
                 min,
-                mean,
-                self.quantile_micros(0.99).unwrap_or(max),
+                self.sum_micros as f64 / self.total as f64,
+                p99,
                 max
             ),
             _ => f.write_str("n=0"),
@@ -196,20 +173,7 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.min_micros(), Some(1));
         assert_eq!(h.max_micros(), Some(1000));
-        let mean = h.mean_micros().expect("non-empty");
-        assert!((mean - 221.4).abs() < 0.1);
-    }
-
-    #[test]
-    fn quantiles_bracket_observations() {
-        let mut h = LatencyHistogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        let p50 = h.quantile_micros(0.5).expect("non-empty");
-        assert!((256..=1023).contains(&p50), "p50={p50}");
-        let p100 = h.quantile_micros(1.0).expect("non-empty");
-        assert!(p100 >= 999);
+        assert!(h.to_string().contains(" mean=221.4us "), "{h}");
     }
 
     #[test]
@@ -217,9 +181,26 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.min_micros(), None);
-        assert_eq!(h.mean_micros(), None);
-        assert_eq!(h.quantile_micros(0.5), None);
         assert_eq!(h.to_string(), "n=0");
+    }
+
+    #[test]
+    fn default_is_new_after_the_same_records_and_a_merge() {
+        // A zero `min` would pull the [min, max] clamp down: samples
+        // {900, 950, 1000} would read p10 682 µs instead of 900.
+        let (mut defaulted, mut fresh) = (LatencyHistogram::default(), LatencyHistogram::new());
+        assert_eq!(defaulted, fresh);
+        for v in [900u64, 950, 1000] {
+            defaulted.record(v);
+            fresh.record(v);
+        }
+        assert_eq!(defaulted, fresh);
+        assert_eq!(defaulted.min_micros(), Some(900));
+        assert_eq!(defaulted.quantile_interp_micros(0.1), Some(900.0));
+        let mut merged = LatencyHistogram::default();
+        merged.merge(&fresh);
+        assert_eq!(merged, fresh);
+        assert_eq!(merged.quantile_interp_micros(0.1), Some(900.0));
     }
 
     #[test]
@@ -232,13 +213,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min_micros(), Some(5));
         assert_eq!(a.max_micros(), Some(500));
-    }
-
-    #[test]
-    fn zero_latency_lands_in_the_bottom_bucket() {
-        let mut h = LatencyHistogram::new();
-        h.record(0);
-        assert_eq!(h.buckets(), vec![(0, 1)]);
     }
 
     #[test]

@@ -326,20 +326,29 @@ mod tests {
 
     #[test]
     fn uniform_delays_reorder_packets() {
-        // A wide delay window over many sends overtakes with overwhelming
-        // probability; the seed makes the run reproducible.
+        // Whether a frame overtakes is decided where `pair` samples the
+        // a → b direction: stream 0 of the channel's seed. A wide delay
+        // window over many sends draws some later frame a shorter delay
+        // than an earlier one, and the seed makes the draw reproducible.
+        // The arrival order itself is not asserted: a delivery thread
+        // descheduled past the whole window finds every frame due and
+        // releases them in send order, a schedule the channel allows.
         let tick = Duration::from_micros(400);
         let cfg = ChannelConfig::reliable(params(), tick, 3);
-        let (mut a, mut b) = MemTransport::pair(codec(), cfg);
-        for i in 0..48u64 {
-            a.send(Packet::Data(i), i).expect("send");
-        }
-        let frames = drain(&mut b, 48, Duration::from_secs(4));
-        assert_eq!(frames.len(), 48);
-        let arrived: Vec<u64> = frames.iter().map(|f| f.seq).collect();
-        let mut sorted = arrived.clone();
-        sorted.sort_unstable();
-        assert_ne!(arrived, sorted, "expected at least one overtake");
+        let mut a_to_b = ChannelSampler::new(cfg, 0);
+        let delays: Vec<Duration> = (0..48)
+            .map(|_| match a_to_b.next_verdict() {
+                Verdict::Deliver(delay) => delay,
+                other => panic!("a reliable channel delivers once: {other:?}"),
+            })
+            .collect();
+        let window = tick * u32::try_from(params().d().ticks()).expect("small d");
+        assert!(delays.iter().all(|&delay| delay <= window), "{delays:?}");
+        let overtakes = (0..delays.len())
+            .flat_map(|i| (i + 1..delays.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| delays[j] < delays[i])
+            .count();
+        assert!(overtakes > 0, "expected at least one overtake: {delays:?}");
     }
 
     #[test]

@@ -295,11 +295,17 @@ impl WireCodec {
         buf
     }
 
+    /// Whether `frame` belongs to this codec's protocol and `k`: the
+    /// agreement [`decode`](Self::decode) enforces.
+    pub fn accepts(&self, frame: &Frame) -> bool {
+        frame.protocol == self.protocol && frame.k == self.k
+    }
+
     /// Decodes one frame, enforcing structure, checksum, and protocol
     /// agreement. Never panics on any input.
     pub fn decode(&self, bytes: &[u8]) -> Result<Frame, WireError> {
         let frame = decode_any(bytes)?;
-        if frame.protocol != self.protocol || frame.k != self.k {
+        if !self.accepts(&frame) {
             return Err(WireError::ProtocolMismatch {
                 got: frame.protocol,
                 want: self.protocol,

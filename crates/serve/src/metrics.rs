@@ -9,6 +9,7 @@
 
 use rstp_core::{Message, SessionId};
 use rstp_net::LatencyHistogram;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Outcome and accounting of one completed (or failed) session.
@@ -45,7 +46,7 @@ impl SessionStats {
 }
 
 /// Everything one shard observed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
@@ -116,33 +117,14 @@ impl ShardReport {
     pub fn new(shard: usize) -> Self {
         ShardReport {
             shard,
-            admitted: 0,
-            completed: 0,
-            unfinished: 0,
-            deadline_misses: 0,
-            timing_violations: 0,
-            ingress_overflow: 0,
-            steps: 0,
-            frames_sent: 0,
-            frames_received: 0,
-            orphan_frames: 0,
-            latency: LatencyHistogram::new(),
-            events_recorded: 0,
-            events_dropped: 0,
-            adopted: 0,
-            handed_off: 0,
-            handover_failed: 0,
-            handover_aborted: 0,
-            deadlines_migrated: 0,
-            reacked: 0,
-            crashed: false,
-            sessions: Vec::new(),
+            ..Default::default()
         }
     }
 }
 
-/// The server-wide aggregate over all shards.
-#[derive(Clone, Debug)]
+/// The server-wide aggregate over all shards: the pump's own counters,
+/// filled as it runs, plus every shard's report once it joins.
+#[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     /// Per-shard reports, in shard order.
     pub shards: Vec<ShardReport>,
@@ -156,7 +138,9 @@ pub struct ServeReport {
     /// Frames that arrived for no admitted session and were dropped, at
     /// the pump or at a shard.
     pub orphan_frames: u64,
-    /// Frames that failed strict decoding at the socket and were dropped.
+    /// Frames the pump dropped as undecodable: those that failed strict
+    /// decoding, and well-formed ones their session cannot take (another
+    /// protocol or `k`, or an ack for a receiver).
     pub decode_errors: u64,
     /// Shard threads restarted by the fault plan.
     pub restarts: u64,
@@ -256,6 +240,22 @@ impl ServeReport {
         self.shards.iter().map(|s| s.reacked).sum()
     }
 
+    /// Each session's outcome, by raw id: one entry per id that any
+    /// shard reported, the completed entry when there is one. Fault and
+    /// handover runs can report an id more than once (a crashed epoch's
+    /// unfinished entry next to the epoch that completed it).
+    #[must_use]
+    pub fn outcomes(&self) -> HashMap<u32, &SessionStats> {
+        let mut outcomes: HashMap<u32, &SessionStats> = HashMap::new();
+        for stats in self.shards.iter().flat_map(|s| &s.sessions) {
+            let entry = outcomes.entry(stats.id.raw()).or_insert(stats);
+            if stats.completed && !entry.completed {
+                *entry = stats;
+            }
+        }
+        outcomes
+    }
+
     /// All shards' latency histograms merged.
     #[must_use]
     pub fn latency(&self) -> LatencyHistogram {
@@ -326,14 +326,8 @@ mod tests {
             shards: vec![a, b],
             rejected_sessions: 4,
             rejected_ids: vec![6, 7, 8, 9],
-            orphan_frames: 0,
-            decode_errors: 0,
-            restarts: 0,
-            crashes: 0,
-            recovered_sessions: 0,
-            unrecoverable_sessions: 0,
-            hub_dropped_frames: 0,
             wall_elapsed: Duration::from_secs(1),
+            ..Default::default()
         };
         assert_eq!(report.admitted(), 5);
         assert_eq!(report.completed(), 4);
@@ -343,5 +337,30 @@ mod tests {
         assert_eq!(report.latency().max_micros(), Some(1000));
         // 2 + 3 messages written over one second.
         assert!((report.throughput_msgs_per_sec() - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn outcomes_keep_one_entry_per_id_and_the_completed_one_wins() {
+        let entry = |id: u32, completed: bool| SessionStats {
+            id: SessionId::new(id),
+            completed,
+            ..stats(2, None)
+        };
+        // Id 1: a crashed epoch's unfinished entry, then the completed
+        // one; id 2: completed, then a stale unfinished copy; id 3 never
+        // completed anywhere.
+        let mut a = ShardReport::new(0);
+        a.sessions = vec![entry(1, false), entry(2, true), entry(3, false)];
+        let mut b = ShardReport::new(1);
+        b.sessions = vec![entry(1, true), entry(2, false), entry(3, false)];
+        let report = ServeReport {
+            shards: vec![a, b],
+            ..Default::default()
+        };
+        let outcomes = report.outcomes();
+        assert_eq!(outcomes.len(), 3);
+        assert!(outcomes[&1].completed);
+        assert!(outcomes[&2].completed);
+        assert!(!outcomes[&3].completed);
     }
 }

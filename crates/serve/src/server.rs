@@ -1,8 +1,8 @@
 //! Session admission, frame routing, and shard lifecycle.
 //!
 //! [`run_server`] is the pump: it drains the transport in batches of up
-//! to `B` datagrams per call, routes each frame by its session id, and
-//! hands each shard its share of the batch, in arrival order, as one
+//! to `BATCH` datagrams per call, routes each frame by its session id,
+//! and hands each shard its share of the batch, in arrival order, as one
 //! message on that shard's bounded queue. Admission is strict — a
 //! session beyond `max_sessions`, with a duplicate id, or arriving while
 //! its shard's queue is full is *rejected*, because the alternative
@@ -16,8 +16,10 @@ use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::{ServeReport, ShardReport};
 use crate::shard::{run_shard, Handover, ResumeSession, ShardMsg, ShardParams};
 use crate::snapshot::SessionSnapshot;
-use rstp_core::{SessionId, TimingParams};
-use rstp_net::{decode_any, Frame, FrameBuf, NetError, Pace, TickClock};
+use rstp_core::{Packet, SessionId, TimingParams};
+use rstp_net::{
+    codec_for, decode_any, Frame, FrameBuf, NetError, Pace, Pacer, TickClock, WireCodec,
+};
 use rstp_record::{shard_file_name, Event, RecorderSet, Recording, RunMeta, ShardRecorder};
 use rstp_sim::ProtocolKind;
 use std::collections::{HashMap, VecDeque};
@@ -27,6 +29,11 @@ use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// The batch bound `B`: datagrams the pump drains per ingress call,
+/// frames per shard queue message, and frames a shard flushes per
+/// egress call.
+pub(crate) const BATCH: usize = 32;
 
 /// A shard-side egress sink: ships encoded frames, addressed by raw
 /// session id, back toward their clients in batches.
@@ -88,21 +95,13 @@ pub struct ServeConfig {
     pub pace: Pace,
     /// Worker shard count; sessions are hashed by `id % shards`.
     pub shards: usize,
-    /// Batch bound `B`: datagrams drained per ingress call, frames per
-    /// shard queue message, and frames flushed per egress call.
-    pub batch: usize,
     /// Bound of each shard's ingress queue, in messages: an admission, a
     /// handover message, or one pump batch's frames for that shard (up to
-    /// `batch` frames). A shard drains its queue only when it wakes for
-    /// a deadline, so the queue holds up to one gap of pump passes.
+    /// `BATCH` = 32 frames). A shard drains its queue only when it wakes
+    /// for a deadline, so the queue holds up to one gap of pump passes.
     pub queue_cap: usize,
     /// Admission ceiling across all shards.
     pub max_sessions: usize,
-    /// Timing tolerance for miss/violation accounting (driver-identical).
-    pub slack: Duration,
-    /// Quiet ticks a session must drain after its last write to count
-    /// as completed.
-    pub grace_ticks: u64,
     /// Hard wall-clock cap on the whole run.
     pub max_wall: Duration,
     /// Directory for the flight recording (one `shard-NN.rec` per
@@ -118,9 +117,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults mirroring `rstp-net`'s driver where the knobs overlap:
-    /// slow pace, slack of a quarter tick, grace of `2·(d + c2)` ticks;
-    /// plus 4 shards, batches of 32, queues of 256, and room for 1024
-    /// sessions.
+    /// slow pace (the slack and grace come from the same [`Pacer`]);
+    /// plus 4 shards, queues of 256, and room for 1024 sessions.
     #[must_use]
     pub fn new(params: TimingParams, tick: Duration) -> Self {
         ServeConfig {
@@ -128,11 +126,8 @@ impl ServeConfig {
             tick,
             pace: Pace::Slow,
             shards: 4,
-            batch: 32,
             queue_cap: 256,
             max_sessions: 1024,
-            slack: tick / 4,
-            grace_ticks: 2 * (params.d().ticks() + params.c2().ticks()),
             max_wall: Duration::from_secs(60),
             record_dir: None,
             record_seed: None,
@@ -144,13 +139,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the I/O batch bound.
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
         self
     }
 
@@ -224,6 +212,8 @@ pub(crate) enum PumpMsg {
         session: u32,
         /// Its new owner.
         target: usize,
+        /// The session's codec, for the pump's frame check.
+        codec: WireCodec,
         /// Frames the source received for the session but never applied,
         /// in arrival order.
         held: Vec<Frame>,
@@ -269,37 +259,38 @@ fn deliver_ctl(
     }
 }
 
-/// Queues `frame` on its owning shard's share of the current batch, or
-/// counts it as an orphan when no shard owns its session.
+/// Queues `frame` on its owning shard's share of the current batch. A
+/// frame for a session no shard owns counts as an orphan. One its
+/// session cannot take counts as a decode error and never reaches the
+/// automaton: another protocol or `k` (the rule of `WireCodec::decode`),
+/// or an ack, since every server session is a receiver.
 fn route(
-    owner: &HashMap<u32, usize>,
+    owner: &HashMap<u32, (usize, WireCodec)>,
     routed: &mut [Vec<Frame>],
-    orphan_frames: &mut u64,
+    report: &mut ServeReport,
     frame: Frame,
 ) {
-    match owner
-        .get(&frame.session.raw())
-        .and_then(|&shard| routed.get_mut(shard))
-    {
-        Some(share) => share.push(frame),
-        None => *orphan_frames += 1,
+    let Some(&(shard, codec)) = owner.get(&frame.session.raw()) else {
+        report.orphan_frames += 1;
+        return;
+    };
+    let fits = codec.accepts(&frame) && matches!(frame.packet, Packet::Data(_));
+    match routed.get_mut(shard) {
+        Some(share) if fits => share.push(frame),
+        Some(_) => report.decode_errors += 1,
+        None => report.orphan_frames += 1,
     }
 }
 
 /// Sends each shard its routed frames, in arrival order, as messages of
-/// at most `batch` frames: one message per shard for an ingress batch.
+/// at most `BATCH` frames: one message per shard for an ingress batch.
 /// Backpressure: a full queue refuses a whole message and each of its
 /// frames counts as `ingress_overflow` (a channel loss the protocol
 /// tolerates) instead of stalling the pump. A shard that died drops its
 /// share; its error surfaces at join.
-fn send_routed(
-    txs: &[SyncSender<ShardMsg>],
-    routed: &mut [Vec<Frame>],
-    overflow: &mut [u64],
-    batch: usize,
-) {
+fn send_routed(txs: &[SyncSender<ShardMsg>], routed: &mut [Vec<Frame>], overflow: &mut [u64]) {
     for ((tx, share), dropped) in txs.iter().zip(routed.iter_mut()).zip(overflow) {
-        for frames in share.chunks(batch) {
+        for frames in share.chunks(BATCH) {
             if let Err(TrySendError::Full(_)) = tx.try_send(ShardMsg::Frames(frames.to_vec())) {
                 *dropped += frames.len() as u64;
             }
@@ -368,9 +359,6 @@ fn spawn_shard(
         params: config.params,
         tick: config.tick,
         pace: config.pace,
-        slack: config.slack,
-        grace_ticks: config.grace_ticks,
-        batch: config.batch.max(1),
     };
     let handle = thread::Builder::new()
         .name(format!("rstp-serve-shard-{index}"))
@@ -519,6 +507,13 @@ pub fn run_server<T: ServeTransport>(
     config: &ServeConfig,
 ) -> Result<ServeReport, NetError> {
     let shard_count = config.shards.max(1);
+    // Each planned session's codec, which the owner table checks every
+    // frame against. A protocol with no codec fails the run here, before
+    // any thread starts.
+    let codecs = specs
+        .iter()
+        .map(|spec| codec_for(spec.kind))
+        .collect::<Result<Vec<_>, _>>()?;
     let completed = Arc::new(AtomicU64::new(0));
     // Shard → pump control channel (handover frames and redirects).
     #[expect(
@@ -571,27 +566,27 @@ pub fn run_server<T: ServeTransport>(
     }
 
     // Admission: strict, non-blocking. Duplicates, table overflow, and a
-    // full shard queue all reject.
-    let mut owner: HashMap<u32, usize> = HashMap::new();
-    let mut rejected: u64 = 0;
-    let mut rejected_ids: Vec<u32> = Vec::new();
+    // full shard queue all reject. The owner table keeps each admitted
+    // session's codec beside its shard, for the frame check in `route`.
+    let mut report = ServeReport::default();
+    let mut owner: HashMap<u32, (usize, WireCodec)> = HashMap::new();
     let mut admitted: u64 = 0;
-    for spec in specs {
+    for (spec, codec) in specs.iter().zip(codecs) {
         let raw = spec.id.raw();
         if owner.contains_key(&raw) || owner.len() >= config.max_sessions {
-            rejected += 1;
-            rejected_ids.push(raw);
+            report.rejected_sessions += 1;
+            report.rejected_ids.push(raw);
             continue;
         }
         let shard = raw as usize % shard_count;
         match txs[shard].try_send(ShardMsg::Admit(*spec)) {
             Ok(()) => {
-                owner.insert(raw, shard);
+                owner.insert(raw, (shard, codec));
                 admitted += 1;
             }
             Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                rejected += 1;
-                rejected_ids.push(raw);
+                report.rejected_sessions += 1;
+                report.rejected_ids.push(raw);
             }
         }
     }
@@ -599,14 +594,12 @@ pub fn run_server<T: ServeTransport>(
     // The pump: drain → demux → route, B datagrams at a time, with the
     // scripted fault schedule and the handover control plane threaded
     // through the same loop.
-    let mut orphan_frames: u64 = 0;
-    let mut decode_errors: u64 = 0;
+    let pacer = Pacer::new(config.params, config.tick, config.pace);
     let mut overflow = vec![0u64; shard_count];
-    let batch_cap = config.batch.max(1);
-    let mut batch: Vec<FrameBuf> = Vec::with_capacity(batch_cap);
+    let mut batch: Vec<FrameBuf> = Vec::with_capacity(BATCH);
     // Each shard's share of the frames routed in this iteration.
     let mut routed: Vec<Vec<Frame>> = (0..shard_count)
-        .map(|_| Vec::with_capacity(batch_cap))
+        .map(|_| Vec::with_capacity(BATCH))
         .collect();
     let schedule: Vec<FaultEvent> = config
         .faults
@@ -618,16 +611,12 @@ pub fn run_server<T: ServeTransport>(
     let mut stall_end: u64 = 0;
     let mut drop_end: u64 = 0;
     let mut pending_ctl: VecDeque<(usize, Handover)> = VecDeque::new();
-    let mut restarts: u64 = 0;
-    let mut crashes: u64 = 0;
-    let mut recovered_sessions: u64 = 0;
-    let mut unrecoverable_sessions: u64 = 0;
-    let mut hub_dropped_frames: u64 = 0;
-    // When ingress is dry, nap to the next pass: `slack` before the next
-    // tick boundary, so the frames it routes are queued just before the
-    // shards wake for that tick's steps, and never more than `MAX_NAP`.
+    // When ingress is dry, nap to the next pass: the pacer's slack before
+    // the next tick boundary, so the frames it routes are queued just
+    // before the shards wake for that tick's steps, and never more than
+    // `MAX_NAP`.
     let idle_nap = |now: Instant| {
-        clock.sleep_until(next_pass(now, clock.epoch(), config.tick, config.slack));
+        clock.sleep_until(next_pass(now, clock.epoch(), config.tick, pacer.slack()));
     };
     // Lame-duck linger: once every session has completed, keep pumping
     // until ingress has been dry for a grace period rather than exiting
@@ -636,7 +625,7 @@ pub fn run_server<T: ServeTransport>(
     // retransmission must reach the shard's retired-ghost re-acker, not
     // a torn-down hub. Every arriving frame re-arms the window, so the
     // pump stays up exactly as long as someone is still talking to it.
-    let linger_ticks = config.grace_ticks.max(1);
+    let linger_ticks = pacer.grace_ticks().max(1);
     let mut last_ingress_tick: u64 = 0;
     let mut all_done_tick: Option<u64> = None;
     let pump_result = 'pump: loop {
@@ -664,12 +653,12 @@ pub fn run_server<T: ServeTransport>(
                 FaultEvent::Kill { shard, .. } if shard < shard_count && !dead[shard] => {
                     let _ = send_shard(&txs[shard], ShardMsg::Crash);
                     dead[shard] = true;
-                    crashes += 1;
+                    report.crashes += 1;
                 }
                 FaultEvent::Panic { shard, .. } if shard < shard_count && !dead[shard] => {
                     let _ = send_shard(&txs[shard], ShardMsg::Panic);
                     dead[shard] = true;
-                    crashes += 1;
+                    report.crashes += 1;
                 }
                 FaultEvent::Restart { shard, .. } if shard < shard_count && dead[shard] => {
                     // Recovery: wait for the killed epoch to return, so
@@ -690,7 +679,7 @@ pub fn run_server<T: ServeTransport>(
                     }
                     let mine: Vec<u32> = owner
                         .iter()
-                        .filter(|&(_, &sh)| sh == shard)
+                        .filter(|&(_, &(sh, _))| sh == shard)
                         .map(|(&id, _)| id)
                         .collect();
                     let mut resumed: Vec<Box<ResumeSession>> = Vec::new();
@@ -721,7 +710,7 @@ pub fn run_server<T: ServeTransport>(
                             Recovered::Lost => {
                                 owner.remove(&id);
                                 admitted = admitted.saturating_sub(1);
-                                unrecoverable_sessions += 1;
+                                report.unrecoverable_sessions += 1;
                             }
                         }
                     }
@@ -745,15 +734,15 @@ pub fn run_server<T: ServeTransport>(
                     txs[shard] = tx;
                     handles.push((shard, handle));
                     dead[shard] = false;
-                    restarts += 1;
+                    report.restarts += 1;
                     for rs in resumed {
                         let id = rs.spec.id.raw();
                         if send_shard(&txs[shard], ShardMsg::Resume(rs)) {
-                            recovered_sessions += 1;
+                            report.recovered_sessions += 1;
                         } else {
                             owner.remove(&id);
                             admitted = admitted.saturating_sub(1);
-                            unrecoverable_sessions += 1;
+                            report.unrecoverable_sessions += 1;
                         }
                     }
                 }
@@ -778,27 +767,28 @@ pub fn run_server<T: ServeTransport>(
                 }
                 PumpMsg::Forward(frames) => {
                     for frame in frames {
-                        route(&owner, &mut routed, &mut orphan_frames, frame);
+                        route(&owner, &mut routed, &mut report, frame);
                     }
                 }
                 PumpMsg::Redirect {
                     session,
                     target,
+                    codec,
                     held,
                 } => {
                     // Ownership flips here, in the pump, so no frame
                     // routed after this point can reach the source's
                     // retired copy.
-                    owner.insert(session, target);
+                    owner.insert(session, (target, codec));
                     let msg = Handover::Redirect { session };
                     deliver_ctl(&txs, &dead, &mut pending_ctl, target, msg);
                     for frame in held {
-                        route(&owner, &mut routed, &mut orphan_frames, frame);
+                        route(&owner, &mut routed, &mut report, frame);
                     }
                 }
             }
         }
-        send_routed(&txs, &mut routed, &mut overflow, batch_cap);
+        send_routed(&txs, &mut routed, &mut overflow);
         // Retry handover messages parked on a full queue.
         for _ in 0..pending_ctl.len() {
             if let Some((shard, msg)) = pending_ctl.pop_front() {
@@ -812,7 +802,7 @@ pub fn run_server<T: ServeTransport>(
             continue;
         }
         batch.clear();
-        let got = match transport.recv_batch(&mut batch, batch_cap) {
+        let got = match transport.recv_batch(&mut batch, BATCH) {
             Ok(got) => got,
             Err(e) => break Err(e),
         };
@@ -821,7 +811,7 @@ pub fn run_server<T: ServeTransport>(
         }
         // A scripted hub drop: read and discard, mid-transfer loss.
         if now_tick < drop_end {
-            hub_dropped_frames += got as u64;
+            report.hub_dropped_frames += got as u64;
             if got == 0 {
                 idle_nap(now);
             }
@@ -836,11 +826,11 @@ pub fn run_server<T: ServeTransport>(
             // thread boundary, so the checksum is verified exactly once,
             // here, rather than trusting the cheap peek.
             match decode_any(bytes) {
-                Ok(frame) => route(&owner, &mut routed, &mut orphan_frames, frame),
-                Err(_) => decode_errors += 1,
+                Ok(frame) => route(&owner, &mut routed, &mut report, frame),
+                Err(_) => report.decode_errors += 1,
             }
         }
-        send_routed(&txs, &mut routed, &mut overflow, batch_cap);
+        send_routed(&txs, &mut routed, &mut overflow);
     };
 
     // Shutdown: best-effort message, then close the queues — a shard
@@ -856,20 +846,19 @@ pub fn run_server<T: ServeTransport>(
     // Join *every* epoch of every shard — including threads that
     // crashed or panicked long before shutdown. A panic anywhere is a
     // run failure, never a silent exit-0.
-    let mut shards: Vec<ShardReport> = Vec::with_capacity(handles.len());
     let mut overflow_applied = vec![false; shard_count];
     let mut first_err: Option<NetError> = pump_result.err();
     for (index, handle) in handles {
         match handle.join() {
-            Ok(Ok(mut report)) => {
-                orphan_frames += report.orphan_frames;
+            Ok(Ok(mut shard)) => {
+                report.orphan_frames += shard.orphan_frames;
                 // Pump-side overflow is per shard index, not per epoch;
                 // book it once, against the index's first-joined epoch.
                 if !overflow_applied[index] {
-                    report.ingress_overflow = overflow[index];
+                    shard.ingress_overflow = overflow[index];
                     overflow_applied[index] = true;
                 }
-                shards.push(report);
+                report.shards.push(shard);
             }
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
@@ -879,7 +868,7 @@ pub fn run_server<T: ServeTransport>(
             }
         }
     }
-    shards.sort_by_key(|s| s.shard);
+    report.shards.sort_by_key(|s| s.shard);
     // Seal the recording even on a failing run — a postmortem of the
     // failure is exactly when the files matter.
     if let Some(set) = recorder_set {
@@ -891,19 +880,8 @@ pub fn run_server<T: ServeTransport>(
         return Err(e);
     }
 
-    Ok(ServeReport {
-        shards,
-        rejected_sessions: rejected,
-        rejected_ids,
-        orphan_frames,
-        decode_errors,
-        restarts,
-        crashes,
-        recovered_sessions,
-        unrecoverable_sessions,
-        hub_dropped_frames,
-        wall_elapsed: clock.now().saturating_duration_since(clock.epoch()),
-    })
+    report.wall_elapsed = clock.now().saturating_duration_since(clock.epoch());
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 
 use crate::endpoint::{receiver_endpoint, restore_receiver_endpoint, SnapshotEndpoint};
 use crate::metrics::{SessionStats, ShardReport};
-use crate::server::{EgressSink, PumpMsg, SessionSpec};
+use crate::server::{EgressSink, PumpMsg, SessionSpec, BATCH};
 use crate::snapshot::SessionSnapshot;
 use crate::wheel::TimerWheel;
 use rstp_core::{SessionId, TimingParams};
@@ -113,6 +113,7 @@ const PROVISIONAL_TTL_GAPS: u64 = 512;
 struct PendingHandover {
     idx: usize,
     session: u32,
+    codec: WireCodec,
     target: usize,
     attempts: u32,
     backoff_gaps: u64,
@@ -127,9 +128,6 @@ pub(crate) struct ShardParams {
     pub params: TimingParams,
     pub tick: Duration,
     pub pace: Pace,
-    pub slack: Duration,
-    pub grace_ticks: u64,
-    pub batch: usize,
 }
 
 /// One live session owned by a shard.
@@ -221,7 +219,7 @@ pub(crate) fn run_shard(
     let inject_delta2 = sp.params.delta2();
     let gap_ticks = sp.pace.gap_ticks(sp.params).max(1);
     let idle_timeout = sp.tick * u32::try_from(gap_ticks).unwrap_or(u32::MAX);
-    let pacer = Pacer::new(sp.params, sp.tick, sp.pace, sp.slack, sp.grace_ticks);
+    let pacer = Pacer::new(sp.params, sp.tick, sp.pace);
 
     let mut report = ShardReport::new(sp.index);
     let mut wheel: TimerWheel<usize> = TimerWheel::new();
@@ -518,7 +516,7 @@ pub(crate) fn run_shard(
         }
 
         // Flush egress in batches of B frames per call.
-        for chunk in out_buf.chunks(sp.batch.max(1)) {
+        for chunk in out_buf.chunks(BATCH) {
             report.frames_sent += egress.send_batch(chunk)? as u64;
         }
         out_buf.clear();
@@ -673,6 +671,7 @@ fn handle_control(
                 pending_handover.push(PendingHandover {
                     idx,
                     session: live.spec.id.raw(),
+                    codec: live.codec,
                     target,
                     attempts: 1,
                     backoff_gaps: HANDOVER_BASE_BACKOFF_GAPS,
@@ -740,6 +739,7 @@ fn handle_control(
             let _ = pump.send(PumpMsg::Redirect {
                 session: p.session,
                 target: p.target,
+                codec: p.codec,
                 held,
             });
         }

@@ -22,7 +22,6 @@ use rstp_net::{
 };
 use rstp_sim::harness::{expected_output, random_input};
 use rstp_sim::ProtocolKind;
-use std::collections::HashMap;
 use std::thread;
 use std::time::Duration;
 
@@ -72,9 +71,10 @@ impl SwarmConfig {
         // drop kills an open-loop session (β sends each symbol exactly
         // k times — lose all k and the receiver stalls forever). The
         // bound counts messages, and a frame message carries up to
-        // `batch` frames. The bound still exists; the load harness just
-        // provisions it, as a deployment would. The dedicated
-        // backpressure tests shrink it on purpose.
+        // `BATCH` frames. The bound still exists; the load harness just
+        // provisions it, as a deployment would. No test shrinks it: the
+        // backpressure test (`backpressure_rejects_rather_than_stalls`)
+        // shrinks `max_sessions` to watch admission reject the surplus.
         let queue_cap = (sessions.saturating_mul(32)).max(256);
         SwarmConfig {
             serve: ServeConfig::new(params, tick)
@@ -286,18 +286,8 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
     let mut report = run_swarm_sessions(&sessions, &config.serve, config.transport)?;
 
     // Independent oracle: the simulator (with its checker enabled) must
-    // produce the same output the wall-clock stack did. Fault runs can
-    // leave duplicate stats per id (a handover or crash epoch next to
-    // the completing one); the completed entry is the outcome.
-    let mut written: HashMap<u32, (bool, &[Message])> = HashMap::new();
-    for s in report.serve.shards.iter().flat_map(|s| s.sessions.iter()) {
-        let e = written
-            .entry(s.id.raw())
-            .or_insert((s.completed, s.written.as_slice()));
-        if s.completed && !e.0 {
-            *e = (true, s.written.as_slice());
-        }
-    }
+    // produce the same output the wall-clock stack did.
+    let outcomes = report.serve.outcomes();
     for (spec, input) in sessions.iter().take(config.oracle_sample) {
         let expected = expected_output(config.kind, config.serve.params, input).map_err(|e| {
             NetError::Automaton {
@@ -305,7 +295,8 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
             }
         })?;
         report.oracle_checked += 1;
-        if written.get(&spec.id.raw()).map(|&(_, w)| w) != Some(expected.as_slice()) {
+        let written = outcomes.get(&spec.id.raw()).map(|s| s.written.as_slice());
+        if written != Some(expected.as_slice()) {
             report.oracle_mismatched.push(spec.id.raw());
         }
     }
@@ -358,26 +349,9 @@ pub fn run_swarm_sessions(
         }
     };
 
-    // Verify the safety obligation per session: Y == X exactly. Fault
-    // and handover runs can emit more than one stats entry per id (a
-    // crash epoch's unfinished entry next to the epoch that completed
-    // it); the completed entry is the session's outcome. A planned
-    // session with no stats at all — lost in an unrecovered crash, or
-    // never admitted — is incomplete.
-    let mut outcomes: HashMap<u32, &crate::metrics::SessionStats> = HashMap::new();
-    for stats in serve_report.shards.iter().flat_map(|s| s.sessions.iter()) {
-        use std::collections::hash_map::Entry;
-        match outcomes.entry(stats.id.raw()) {
-            Entry::Occupied(mut e) => {
-                if stats.completed && !e.get().completed {
-                    e.insert(stats);
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(stats);
-            }
-        }
-    }
+    // Verify the safety obligation per session: Y == X exactly, on each
+    // session's one outcome.
+    let outcomes = serve_report.outcomes();
     let mut mismatched = Vec::new();
     let mut incomplete = Vec::new();
     for (spec, input) in sessions {

@@ -43,7 +43,7 @@ fn mem_swarm_is_exact_and_paced_within_the_window() {
         params(),
         Duration::from_micros(200),
     );
-    config.serve = config.serve.with_shards(4).with_batch(32);
+    config.serve = config.serve.with_shards(4);
     config.seed = 7;
     let report = run_swarm(&config).expect("swarm");
 

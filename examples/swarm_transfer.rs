@@ -49,7 +49,6 @@ fn main() {
     // wedge a session rather than slow it down.
     let serve = ServeConfig::new(params, tick)
         .with_shards(4)
-        .with_batch(32)
         .with_max_sessions(sessions.len())
         .with_queue_cap(sessions.len() * 32);
 

@@ -1,0 +1,77 @@
+//! A frame its session cannot take never reaches the automaton.
+//!
+//! The pump checks every frame's structure and checksum, then that the
+//! session it names can take it: the session's protocol and `k`, and a
+//! data packet, since every server session is a receiver and no
+//! receiver's input signature holds `recv(ack)`. A well-formed ack, or a
+//! frame of another protocol, for an admitted session counts as a decode
+//! error, so anyone who can reach the socket cannot take a shard down
+//! with one datagram.
+
+use rstp::core::{Packet, SessionId, TimingParams};
+use rstp::net::{
+    codec_for, run_sessions, transmitter_endpoint, DriverConfig, DriverOutcome, Session, TickClock,
+    Transport,
+};
+use rstp::serve::{run_server, MemHub, ServeConfig, SessionSpec};
+use rstp::sim::harness::random_input;
+use rstp::sim::ProtocolKind;
+use std::thread;
+use std::time::Duration;
+
+#[test]
+fn forged_frames_for_an_admitted_session_count_as_decode_errors() {
+    let params = TimingParams::from_ticks(1, 2, 4).unwrap();
+    let tick = Duration::from_micros(200);
+    let cap = Duration::from_secs(5);
+    let beta = ProtocolKind::Beta { k: 4 };
+    let stenning = ProtocolKind::Stenning {
+        timeout_steps: None,
+    };
+    let id = SessionId::new(1);
+    let input = random_input(16, 7);
+
+    // Two forgers speak for session 1 before its client starts: one sends
+    // an ack in the session's own protocol, the other a Stenning data
+    // frame. Both are well-formed and correctly checksummed. The client
+    // registers last, so the hub's replies for session 1 reach it.
+    let mut hub = MemHub::new();
+    let mut forged_ack = hub.client_transport(id, codec_for(beta).unwrap());
+    let mut foreign = hub.client_transport(id, codec_for(stenning).unwrap());
+    forged_ack.send(Packet::Ack(0), 0).unwrap();
+    foreign.send(Packet::Data(0), 0).unwrap();
+    let client = hub.client_transport(id, codec_for(beta).unwrap());
+
+    let clock = TickClock::start_after(Duration::from_millis(20), tick);
+    let driver = DriverConfig::new(params, tick).with_max_wall(cap);
+    let transmitter = transmitter_endpoint(beta, params, &input).unwrap();
+    let sender = thread::spawn(move || {
+        run_sessions(
+            vec![Session::transmitter(transmitter, client)],
+            clock,
+            &driver,
+        )
+    });
+    let spec = SessionSpec {
+        id,
+        kind: beta,
+        n: input.len(),
+    };
+    let serve = ServeConfig::new(params, tick)
+        .with_shards(1)
+        .with_max_wall(cap);
+    let report = run_server(&mut hub, clock, &[spec], &serve);
+    let client = sender.join().unwrap().unwrap().remove(0);
+    let report = report.expect("a forged frame must not fail the run");
+
+    assert_eq!(report.decode_errors, 2);
+    assert_eq!(report.completed(), 1);
+    assert_eq!(report.outcomes()[&1].written, input);
+    assert_eq!(client.outcome, DriverOutcome::Completed);
+    // Frame conservation still holds, the forged frames included.
+    let received: u64 = report.shards.iter().map(|s| s.frames_received).sum();
+    assert_eq!(
+        received + report.ingress_overflow() + report.orphan_frames + report.decode_errors,
+        client.transport.frames_sent + 2
+    );
+}
