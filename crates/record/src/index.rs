@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-/// Everything one session did, in event order.
+/// Everything one session did, in time order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionHistory {
     /// Raw session id.
@@ -38,7 +38,8 @@ pub struct SessionHistory {
     pub writes: Vec<(u64, u64, bool)>,
     /// Session-state snapshots as `(at_micros, snapshot bytes)`.
     pub snapshots: Vec<(u64, Vec<u8>)>,
-    /// Final verdict as `(at_micros, completed, written)`.
+    /// Final verdict as `(at_micros, completed, written)`: the latest by
+    /// time when several shards wrote one.
     pub verdict: Option<(u64, bool, Vec<bool>)>,
 }
 
@@ -109,6 +110,17 @@ impl SessionIndex {
                 ix.apply(shard, ev);
             }
         }
+        // A drained session's history spans two files, read in shard
+        // order, not time order: put each history back in time order.
+        // The sorts are stable, so events of one instant keep file order.
+        for h in ix.sessions.values_mut() {
+            h.rx.sort_by_key(|&(at, _)| at);
+            h.tx.sort_by_key(|&(at, _)| at);
+            h.pops.sort_by_key(|&(at, ..)| at);
+            h.misses.sort_by_key(|&(at, _)| at);
+            h.writes.sort_by_key(|&(at, ..)| at);
+            h.snapshots.sort_by_key(|&(at, _)| at);
+        }
         ix
     }
 
@@ -167,7 +179,15 @@ impl SessionIndex {
                 completed,
                 written,
                 ..
-            } => h.verdict = Some((*at_micros, *completed, written.clone())),
+            } => {
+                // The latest verdict by time, whichever file it is in.
+                if h.verdict
+                    .as_ref()
+                    .map_or(true, |&(at, ..)| at <= *at_micros)
+                {
+                    h.verdict = Some((*at_micros, *completed, written.clone()));
+                }
+            }
         }
     }
 
@@ -308,6 +328,38 @@ mod tests {
         assert!(ix.get(9).is_none());
         let ids: Vec<u32> = ix.sessions().map(|h| h.session).collect();
         assert_eq!(ids, vec![2, 3]);
+    }
+
+    #[test]
+    fn a_history_spanning_two_files_reads_in_time_order() {
+        // A session drained from shard 1 to shard 0: its later events
+        // sit in the file read first.
+        let write = |at_micros, written| Event::Write {
+            at_micros,
+            session: 4,
+            written,
+            bit: true,
+        };
+        let verdict = |at_micros, completed| Event::Verdict {
+            at_micros,
+            session: 4,
+            completed,
+            written: vec![true; 3],
+        };
+        let file = |shard, events| Recording {
+            meta: Some(meta(shard)),
+            events,
+            stats: None,
+            stats_records: Vec::new(),
+            truncated: false,
+        };
+        let target = file(0, vec![write(50, 3), verdict(90, true)]);
+        let source = file(1, vec![write(10, 1), write(30, 2), verdict(20, false)]);
+        let ix = SessionIndex::build(&[target, source]);
+        let h = ix.get(4).unwrap();
+        let counts: Vec<u64> = h.writes.iter().map(|&(_, c, _)| c).collect();
+        assert_eq!(counts, vec![1, 2, 3]);
+        assert_eq!(h.verdict.as_ref().map(|v| (v.0, v.1)), Some((90, true)));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! `rstp-net` owns the object-safe [`SessionEndpoint`] every paced
 //! session runs behind, and its [`Driven`] wrapper pairs a concrete
-//! automaton with its state. A shard also has to snapshot a receiver for
-//! handover and crash recovery, which needs the state codec of this
-//! crate, so [`SnapshotEndpoint`] adds that one method on top.
+//! automaton with its state. A shard also has to snapshot a receiver into
+//! its flight recording for crash recovery, which needs the state codec
+//! of this crate, so [`SnapshotEndpoint`] adds that one method on top.
 
 use crate::snapshot::{state_from_bytes, state_to_bytes, StateCodec};
 use rstp_automata::Automaton;
@@ -13,14 +13,14 @@ use rstp_core::protocols::{
     StabBetaReceiver, StabStenningReceiver, StenningReceiver,
 };
 use rstp_core::{Message, RstpAction, TimingParams};
-use rstp_net::{Driven, NetError, SessionEndpoint};
+use rstp_net::{wire_identity, Driven, NetError, SessionEndpoint};
 use rstp_sim::ProtocolKind;
 
 /// A session endpoint whose automaton state can be serialized.
 pub trait SnapshotEndpoint: SessionEndpoint {
     /// The automaton state serialized via the session snapshot codec —
-    /// the payload a handover `SNAPSHOT` frame or a crash-recovery
-    /// record carries. Paired with [`restore_receiver_endpoint`].
+    /// the payload of a crash-recovery record. Paired with
+    /// [`restore_receiver_endpoint`].
     fn state_bytes(&self) -> Vec<u8>;
 }
 
@@ -32,37 +32,6 @@ where
     fn state_bytes(&self) -> Vec<u8> {
         state_to_bytes(self.state())
     }
-}
-
-fn beta_window_unsupported() -> NetError {
-    NetError::Unsupported {
-        what: "beta-window needs an out-of-band d_lo agreement; \
-               run it in the simulator instead"
-            .into(),
-    }
-}
-
-fn boxed<A>(automaton: A) -> Box<dyn SnapshotEndpoint>
-where
-    A: Automaton<Action = RstpAction> + Send + 'static,
-    A::State: Send + StateCodec,
-{
-    Box::new(Driven::new(automaton))
-}
-
-fn unboxed<A>(
-    automaton: A,
-    state_bytes: &[u8],
-    written: Vec<Message>,
-) -> Result<Box<dyn SnapshotEndpoint>, NetError>
-where
-    A: Automaton<Action = RstpAction> + Send + 'static,
-    A::State: Send + StateCodec,
-{
-    let state = state_from_bytes::<A::State>(state_bytes).map_err(|e| NetError::Automaton {
-        what: format!("session snapshot state failed to decode: {e}"),
-    })?;
-    Ok(Box::new(Driven::resume(automaton, state, written)))
 }
 
 /// Builds the *receiver* endpoint of `kind` expecting `n` messages — the
@@ -79,27 +48,13 @@ pub fn receiver_endpoint(
     params: TimingParams,
     n: usize,
 ) -> Result<Box<dyn SnapshotEndpoint>, NetError> {
-    Ok(match kind {
-        ProtocolKind::Alpha => boxed(AlphaReceiver::new()),
-        ProtocolKind::Beta { k } => boxed(BetaReceiver::new(params, k, n)?),
-        ProtocolKind::Gamma { k } => boxed(GammaReceiver::new(params, k, n)?),
-        ProtocolKind::AltBit { .. } => boxed(AltBitReceiver::new()),
-        ProtocolKind::Framed { k } => boxed(FramedReceiver::new(params, k)?),
-        ProtocolKind::Stenning { .. } => boxed(StenningReceiver::new()),
-        ProtocolKind::StabStenning { .. } => boxed(StabStenningReceiver::new()),
-        ProtocolKind::StabBeta { k } => boxed(StabBetaReceiver::new(params, k, n)?),
-        ProtocolKind::Pipelined { k, window } => {
-            boxed(PipelinedReceiver::with_window(params, k, window, n)?)
-        }
-        ProtocolKind::BetaWindow { .. } => return Err(beta_window_unsupported()),
-    })
+    receiver(kind, params, n, None)
 }
 
 /// Re-creates a *live* receiver endpoint from serialized automaton
 /// state (as produced by [`SnapshotEndpoint::state_bytes`]) plus the
 /// output prefix `written` already committed for the session. This is
-/// the adopting side of a handover and the replay anchor of crash
-/// recovery.
+/// the replay anchor of crash recovery.
 ///
 /// # Errors
 ///
@@ -114,24 +69,51 @@ pub fn restore_receiver_endpoint(
     state: &[u8],
     written: Vec<Message>,
 ) -> Result<Box<dyn SnapshotEndpoint>, NetError> {
+    receiver(kind, params, n, Some((state, written)))
+}
+
+/// The one receiver table: `kind`'s receiver, fresh, or resumed from
+/// `(state, written)` when `resume` holds them.
+fn receiver(
+    kind: ProtocolKind,
+    params: TimingParams,
+    n: usize,
+    resume: Option<(&[u8], Vec<Message>)>,
+) -> Result<Box<dyn SnapshotEndpoint>, NetError> {
     match kind {
-        ProtocolKind::Alpha => unboxed(AlphaReceiver::new(), state, written),
-        ProtocolKind::Beta { k } => unboxed(BetaReceiver::new(params, k, n)?, state, written),
-        ProtocolKind::Gamma { k } => unboxed(GammaReceiver::new(params, k, n)?, state, written),
-        ProtocolKind::AltBit { .. } => unboxed(AltBitReceiver::new(), state, written),
-        ProtocolKind::Framed { k } => unboxed(FramedReceiver::new(params, k)?, state, written),
-        ProtocolKind::Stenning { .. } => unboxed(StenningReceiver::new(), state, written),
-        ProtocolKind::StabStenning { .. } => unboxed(StabStenningReceiver::new(), state, written),
-        ProtocolKind::StabBeta { k } => {
-            unboxed(StabBetaReceiver::new(params, k, n)?, state, written)
-        }
-        ProtocolKind::Pipelined { k, window } => unboxed(
+        ProtocolKind::Alpha => boxed(AlphaReceiver::new(), resume),
+        ProtocolKind::Beta { k } => boxed(BetaReceiver::new(params, k, n)?, resume),
+        ProtocolKind::Gamma { k } => boxed(GammaReceiver::new(params, k, n)?, resume),
+        ProtocolKind::AltBit { .. } => boxed(AltBitReceiver::new(), resume),
+        ProtocolKind::Framed { k } => boxed(FramedReceiver::new(params, k)?, resume),
+        ProtocolKind::Stenning { .. } => boxed(StenningReceiver::new(), resume),
+        ProtocolKind::StabStenning { .. } => boxed(StabStenningReceiver::new(), resume),
+        ProtocolKind::StabBeta { k } => boxed(StabBetaReceiver::new(params, k, n)?, resume),
+        ProtocolKind::Pipelined { k, window } => boxed(
             PipelinedReceiver::with_window(params, k, window, n)?,
-            state,
-            written,
+            resume,
         ),
-        ProtocolKind::BetaWindow { .. } => Err(beta_window_unsupported()),
+        ProtocolKind::BetaWindow { .. } => {
+            Err(wire_identity(kind).expect_err("the wire refuses beta-window"))
+        }
     }
+}
+
+fn boxed<A>(
+    automaton: A,
+    resume: Option<(&[u8], Vec<Message>)>,
+) -> Result<Box<dyn SnapshotEndpoint>, NetError>
+where
+    A: Automaton<Action = RstpAction> + Send + 'static,
+    A::State: Send + StateCodec,
+{
+    let Some((state, written)) = resume else {
+        return Ok(Box::new(Driven::new(automaton)));
+    };
+    let state = state_from_bytes::<A::State>(state).map_err(|e| NetError::Automaton {
+        what: format!("session snapshot state failed to decode: {e}"),
+    })?;
+    Ok(Box::new(Driven::resume(automaton, state, written)))
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //!
 //! A [`FaultPlan`] is a scripted sequence of faults the server pump
 //! executes at fixed tick offsets: shard kills and restarts, injected
-//! panics, pair-wise session drains (handover), ingress stalls, and
-//! hub drops. Plans are parsed from a compact grammar so CI jobs and
+//! panics, session drains from one shard to another, ingress stalls,
+//! and hub drops. Plans are parsed from a compact grammar so CI jobs and
 //! shrunk repro commands can carry one on the command line:
 //!
 //! ```text
@@ -20,10 +20,11 @@
 //!   recovered from the shard's recording (snapshot + replay).
 //! * `panic=S@T` — like `kill`, but the shard thread *panics*, testing
 //!   that the server and `rstp swarm` report a nonzero verdict instead
-//!   of unwinding silently.
-//! * `drain=A->B@T` — at tick `T`, shard `A` hands every live session
-//!   over to shard `B` via the DRAIN → SNAPSHOT → SNAPSHOT_ACK →
-//!   REDIRECT handover protocol.
+//!   of unwinding silently. The run ends as soon as the thread has.
+//! * `drain=A->B@T` — at tick `T`, shard `A` moves every live session
+//!   to shard `B`: each leaves whole through the pump and resumes on
+//!   `B` (or back on `A` if `B` cannot take it). A drain from or into a
+//!   dead shard does nothing.
 //! * `stall=T1..T2` — the pump stops reading ingress for ticks
 //!   `[T1, T2)`: a socket stall. Frames queue in the transport.
 //! * `hubdrop=T1..T2` — the pump reads and *discards* ingress for

@@ -84,22 +84,12 @@ pub struct ShardReport {
     /// data path. A busy ring sheds nothing: the batch waits for the
     /// next hand-off.
     pub events_dropped: u64,
-    /// Sessions this shard adopted from a peer (handover) or from a
-    /// crash-recovery resume.
+    /// Sessions this shard took through a `Resume`: recovered from the
+    /// flight recording after a crash, or moved here by a drain (a
+    /// session that comes home counts here too).
     pub adopted: u64,
-    /// Sessions this shard handed over to a peer (drained, snapshot
-    /// acknowledged, redirected).
+    /// Sessions this shard gave up to a drain.
     pub handed_off: u64,
-    /// Handovers that exhausted their retries and fell back to local
-    /// resume — the session kept running here.
-    pub handover_failed: u64,
-    /// Provisional adoptions dropped because no REDIRECT arrived before
-    /// the TTL (the source resumed locally; dropping prevents a
-    /// dual-active session).
-    pub handover_aborted: u64,
-    /// Timer-wheel deadlines that fired for a paused (mid-handover)
-    /// session and were reported as migrated rather than stepped.
-    pub deadlines_migrated: u64,
     /// Duplicate frames re-acknowledged for already-completed sessions
     /// (the retired-ghost path — a lost final ack or a scheduler-stalled
     /// client retransmitting past the session's grace).
@@ -204,34 +194,16 @@ impl ServeReport {
         self.shards.iter().map(|s| s.events_dropped).sum()
     }
 
-    /// Total sessions adopted across shards (handover + resume).
+    /// Total sessions adopted across shards (moved or recovered).
     #[must_use]
     pub fn adopted(&self) -> u64 {
         self.shards.iter().map(|s| s.adopted).sum()
     }
 
-    /// Total sessions handed over between shards.
+    /// Total sessions drains moved off their shards.
     #[must_use]
     pub fn handed_off(&self) -> u64 {
         self.shards.iter().map(|s| s.handed_off).sum()
-    }
-
-    /// Total handovers that fell back to local resume.
-    #[must_use]
-    pub fn handovers_failed(&self) -> u64 {
-        self.shards.iter().map(|s| s.handover_failed).sum()
-    }
-
-    /// Total provisional adoptions dropped at TTL.
-    #[must_use]
-    pub fn handovers_aborted(&self) -> u64 {
-        self.shards.iter().map(|s| s.handover_aborted).sum()
-    }
-
-    /// Total deadlines reported as migrated across a handover.
-    #[must_use]
-    pub fn deadlines_migrated(&self) -> u64 {
-        self.shards.iter().map(|s| s.deadlines_migrated).sum()
     }
 
     /// Total duplicate frames re-acknowledged after completion.
@@ -242,7 +214,7 @@ impl ServeReport {
 
     /// Each session's outcome, by raw id: one entry per id that any
     /// shard reported, the completed entry when there is one. Fault and
-    /// handover runs can report an id more than once (a crashed epoch's
+    /// drain runs can report an id more than once (a crashed epoch's
     /// unfinished entry next to the epoch that completed it).
     #[must_use]
     pub fn outcomes(&self) -> HashMap<u32, &SessionStats> {

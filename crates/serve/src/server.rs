@@ -14,7 +14,7 @@
 use crate::endpoint::restore_receiver_endpoint;
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::{ServeReport, ShardReport};
-use crate::shard::{run_shard, Handover, ResumeSession, ShardMsg, ShardParams};
+use crate::shard::{run_shard, ResumeSession, ShardMsg, ShardParams};
 use crate::snapshot::SessionSnapshot;
 use rstp_core::{Packet, SessionId, TimingParams};
 use rstp_net::{
@@ -22,10 +22,10 @@ use rstp_net::{
 };
 use rstp_record::{shard_file_name, Event, RecorderSet, Recording, RunMeta, ShardRecorder};
 use rstp_sim::ProtocolKind;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -96,8 +96,8 @@ pub struct ServeConfig {
     /// Worker shard count; sessions are hashed by `id % shards`.
     pub shards: usize,
     /// Bound of each shard's ingress queue, in messages: an admission, a
-    /// handover message, or one pump batch's frames for that shard (up to
-    /// `BATCH` = 32 frames). A shard drains its queue only when it wakes
+    /// drain, a resumed session, or one pump batch's frames for that shard
+    /// (up to `BATCH` = 32 frames). A shard drains its queue only when it wakes
     /// for a deadline, so the queue holds up to one gap of pump passes.
     pub queue_cap: usize,
     /// Admission ceiling across all shards.
@@ -192,34 +192,27 @@ impl ServeConfig {
     }
 }
 
-/// Shard → pump messages: the handover control plane. Handover
-/// messages ride through the pump rather than shard-to-shard channels so
-/// a routing flip (REDIRECT) lands in the owner table atomically with the
-/// frame's delivery order.
+/// Shard → pump messages. A drained session travels through the pump
+/// rather than a shard-to-shard channel, so its owner-table entry moves
+/// in the same place, and at the same point of the frame order, as its
+/// `Resume` is queued.
 pub(crate) enum PumpMsg {
-    /// Deliver a handover message to a shard's queue.
-    ToShard {
-        /// Destination shard index.
-        shard: usize,
-        /// The message.
-        msg: Handover,
-    },
-    /// A REDIRECT: re-route the session's ownership to `target`, then
-    /// deliver the REDIRECT there for activation, followed by the frames
-    /// the source still held for the session.
-    Redirect {
-        /// The session handed over.
-        session: u32,
-        /// Its new owner.
-        target: usize,
-        /// The session's codec, for the pump's frame check.
-        codec: WireCodec,
+    /// A drained session leaving shard `from` for `to`, still live, with
+    /// the frames it held: resume it on `to`, move its owner-table entry,
+    /// then route the frames.
+    Moved {
+        /// The source shard, the session's home if `to` cannot take it.
+        from: usize,
+        /// The target shard.
+        to: usize,
+        /// The session, whole.
+        session: Box<ResumeSession>,
         /// Frames the source received for the session but never applied,
         /// in arrival order.
         held: Vec<Frame>,
     },
-    /// Frames that reached a shard after it handed their session off:
-    /// route them again, to the session's owner now.
+    /// Frames that reached a shard after a drain moved their session
+    /// away: route them again, to the session's owner now.
     Forward(Vec<Frame>),
 }
 
@@ -232,30 +225,6 @@ fn fault_tick(ev: &FaultEvent) -> u64 {
         | FaultEvent::Drain { tick, .. } => tick,
         FaultEvent::Stall { from_tick, .. } | FaultEvent::HubDrop { from_tick, .. } => from_tick,
         FaultEvent::Auto { .. } => 0,
-    }
-}
-
-/// Best-effort handover delivery: a full queue parks the message for
-/// retry on the next pump iteration (bounded — the handover protocol
-/// retries end-to-end anyway), a dead shard drops it.
-fn deliver_ctl(
-    txs: &[SyncSender<ShardMsg>],
-    dead: &[bool],
-    pending_ctl: &mut VecDeque<(usize, Handover)>,
-    shard: usize,
-    msg: Handover,
-) {
-    if shard >= txs.len() || dead.get(shard).copied().unwrap_or(true) {
-        return;
-    }
-    match txs[shard].try_send(ShardMsg::Control(msg)) {
-        Ok(()) => {}
-        Err(TrySendError::Full(ShardMsg::Control(m))) => {
-            if pending_ctl.len() < 1024 {
-                pending_ctl.push_back((shard, m));
-            }
-        }
-        Err(_) => {}
     }
 }
 
@@ -299,6 +268,59 @@ fn send_routed(txs: &[SyncSender<ShardMsg>], routed: &mut [Vec<Frame>], overflow
     }
 }
 
+/// Handles every message the shards have sent the pump so far. A moved
+/// session is queued as a `Resume` on its target, or back on its source
+/// when the target is dead or refuses it, and its owner-table entry moves
+/// to whichever took it; if neither did, it stays with the source, whose
+/// restart recovers the session from its recording. Held and forwarded
+/// frames are then routed into `routed` with the owner table as it
+/// stands, so each lands behind its session's `Resume` in a FIFO queue.
+fn handle_pump_msgs(
+    pump_rx: &Receiver<PumpMsg>,
+    txs: &[SyncSender<ShardMsg>],
+    dead: &[bool],
+    clock: TickClock,
+    owner: &mut HashMap<u32, (usize, WireCodec)>,
+    routed: &mut [Vec<Frame>],
+    report: &mut ServeReport,
+) {
+    while let Ok(msg) = pump_rx.try_recv() {
+        match msg {
+            PumpMsg::Moved {
+                from,
+                to,
+                session,
+                held,
+            } => {
+                let id = session.spec.id.raw();
+                let mut msg = ShardMsg::Resume(session);
+                for shard in [to, from] {
+                    if dead[shard] {
+                        continue;
+                    }
+                    match send_shard(&txs[shard], clock, msg) {
+                        Ok(()) => {
+                            if let Some(entry) = owner.get_mut(&id) {
+                                entry.0 = shard;
+                            }
+                            break;
+                        }
+                        Err(back) => msg = back,
+                    }
+                }
+                for frame in held {
+                    route(owner, routed, report, frame);
+                }
+            }
+            PumpMsg::Forward(frames) => {
+                for frame in frames {
+                    route(owner, routed, report, frame);
+                }
+            }
+        }
+    }
+}
+
 /// Longest idle nap of the pump: a kernel UDP receive buffer holds only a
 /// few hundred datagrams, so a coarse tick must not leave it unread for a
 /// whole tick.
@@ -320,27 +342,34 @@ fn next_pass(now: Instant, epoch: Instant, tick: Duration, slack: Duration) -> I
     now + Duration::from_nanos(wait).min(MAX_NAP)
 }
 
-/// Delivers a must-arrive message (Crash/Panic/Resume) to a shard,
-/// waiting out a full queue briefly. `false` if the shard is gone.
-fn send_shard(tx: &SyncSender<ShardMsg>, mut msg: ShardMsg) -> bool {
-    for _ in 0..2000 {
+/// Delivers a must-arrive message (drain, crash, panic, resume) to a
+/// shard, waiting out a full queue in 100 µs naps for at most 200 ms. The
+/// message comes back if the shard is gone or its queue stays full.
+fn send_shard(
+    tx: &SyncSender<ShardMsg>,
+    clock: TickClock,
+    mut msg: ShardMsg,
+) -> Result<(), ShardMsg> {
+    let mut at = clock.now();
+    let give_up = at + Duration::from_millis(200);
+    loop {
         match tx.try_send(msg) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(m)) => {
+            Ok(()) => return Ok(()),
+            Err(TrySendError::Full(m)) if at < give_up => {
                 msg = m;
-                thread::sleep(Duration::from_micros(100));
+                at = clock.sleep_until(at + Duration::from_micros(100));
             }
-            Err(TrySendError::Disconnected(_)) => return false,
+            Err(TrySendError::Full(m) | TrySendError::Disconnected(m)) => return Err(m),
         }
     }
-    false
 }
 
+/// One shard worker thread: the first of its index, or one a restart
+/// spawned.
+type Epoch = JoinHandle<Result<ShardReport, NetError>>;
+
 /// A live shard's command queue plus its worker's join handle.
-type ShardHandle = (
-    SyncSender<ShardMsg>,
-    JoinHandle<Result<ShardReport, NetError>>,
-);
+type ShardHandle = (SyncSender<ShardMsg>, Epoch);
 
 /// Spawns one shard worker thread (initial bring-up and crash restarts
 /// share this path).
@@ -515,13 +544,13 @@ pub fn run_server<T: ServeTransport>(
         .map(|spec| codec_for(spec.kind))
         .collect::<Result<Vec<_>, _>>()?;
     let completed = Arc::new(AtomicU64::new(0));
-    // Shard → pump control channel (handover frames and redirects).
+    // Shard → pump channel: moved sessions and forwarded frames.
     #[expect(
         clippy::disallowed_methods,
         reason = "a shard may neither block on this queue (c2 deadlines) nor drop from it \
                   (forwarded beta frames are never resent); each message answers one taken \
-                  from a bounded shard queue, or one handover step, and the pump drains the \
-                  queue completely every iteration"
+                  from a bounded shard queue, or moves one drained session, and the pump \
+                  drains the queue completely every iteration"
     )]
     let (pump_tx, pump_rx) = channel::<PumpMsg>();
 
@@ -546,11 +575,12 @@ pub fn run_server<T: ServeTransport>(
     };
     let mut shard_recorders = shard_recorders.into_iter();
 
-    // `handles` grows past `shard_count` when faults restart shards:
-    // every epoch of every shard is joined at the end, so a panicked
-    // thread is never silently forgotten.
+    // `handles` holds every epoch of every shard, with whether a
+    // scripted kill ended it. It grows past `shard_count` when faults
+    // restart shards, and every epoch is joined at the end, so a
+    // panicked thread is never silently forgotten.
     let mut txs: Vec<SyncSender<ShardMsg>> = Vec::with_capacity(shard_count);
-    let mut handles: Vec<(usize, JoinHandle<Result<ShardReport, NetError>>)> = Vec::new();
+    let mut handles: Vec<(usize, Epoch, bool)> = Vec::new();
     for index in 0..shard_count {
         let (tx, handle) = spawn_shard(
             index,
@@ -562,7 +592,7 @@ pub fn run_server<T: ServeTransport>(
             pump_tx.clone(),
         )?;
         txs.push(tx);
-        handles.push((index, handle));
+        handles.push((index, handle, false));
     }
 
     // Admission: strict, non-blocking. Duplicates, table overflow, and a
@@ -592,7 +622,7 @@ pub fn run_server<T: ServeTransport>(
     }
 
     // The pump: drain → demux → route, B datagrams at a time, with the
-    // scripted fault schedule and the handover control plane threaded
+    // scripted fault schedule and the shards' moved sessions threaded
     // through the same loop.
     let pacer = Pacer::new(config.params, config.tick, config.pace);
     let mut overflow = vec![0u64; shard_count];
@@ -610,7 +640,6 @@ pub fn run_server<T: ServeTransport>(
     let mut dead = vec![false; shard_count];
     let mut stall_end: u64 = 0;
     let mut drop_end: u64 = 0;
-    let mut pending_ctl: VecDeque<(usize, Handover)> = VecDeque::new();
     // When ingress is dry, nap to the next pass: the pacer's slack before
     // the next tick boundary, so the frames it routes are queued just
     // before the shards wake for that tick's steps, and never more than
@@ -644,6 +673,15 @@ pub fn run_server<T: ServeTransport>(
         if now.saturating_duration_since(clock.epoch()) > config.max_wall {
             break Ok(());
         }
+        // An epoch that ended without a scripted kill died of an error or
+        // a panic, scripted or not: its sessions can never complete, so
+        // the run ends now, and the join below reports why.
+        if handles
+            .iter()
+            .any(|(_, handle, killed)| !killed && handle.is_finished())
+        {
+            break Ok(());
+        }
 
         // Fire every scripted fault whose tick has arrived.
         while next_fault < schedule.len() && fault_tick(&schedule[next_fault]) <= now_tick {
@@ -651,32 +689,47 @@ pub fn run_server<T: ServeTransport>(
             next_fault += 1;
             match ev {
                 FaultEvent::Kill { shard, .. } if shard < shard_count && !dead[shard] => {
-                    let _ = send_shard(&txs[shard], ShardMsg::Crash);
+                    let _ = send_shard(&txs[shard], clock, ShardMsg::Crash);
+                    if let Some((.., killed)) = handles.iter_mut().rev().find(|(i, ..)| *i == shard)
+                    {
+                        *killed = true;
+                    }
                     dead[shard] = true;
                     report.crashes += 1;
                 }
                 FaultEvent::Panic { shard, .. } if shard < shard_count && !dead[shard] => {
-                    let _ = send_shard(&txs[shard], ShardMsg::Panic);
+                    let _ = send_shard(&txs[shard], clock, ShardMsg::Panic);
                     dead[shard] = true;
                     report.crashes += 1;
                 }
                 FaultEvent::Restart { shard, .. } if shard < shard_count && dead[shard] => {
                     // Recovery: wait for the killed epoch to return, so
                     // the batch its recorder still held is in the ring
-                    // (bounded like `send_shard`: at most 200 ms). Then
-                    // barrier-flush the shard's recording so everything
-                    // its last life pushed is on disk, read it back (a
-                    // torn tail is tolerated), and re-create each
+                    // (bounded like `send_shard`: at most 200 ms), and
+                    // settle the sessions it moved before it died, so
+                    // none is both resumed elsewhere and recovered here.
+                    // Then barrier-flush the shard's recording so
+                    // everything its last life pushed is on disk, read it
+                    // back (a torn tail is tolerated), and re-create each
                     // still-owned session from its latest snapshot plus
                     // replay. Sessions that cannot reach their
                     // acknowledged floor are dropped from the run.
-                    if let Some((_, killed)) = handles.iter().rev().find(|(i, _)| *i == shard) {
+                    if let Some((_, killed, _)) = handles.iter().rev().find(|(i, ..)| *i == shard) {
                         let give_up = now + Duration::from_millis(200);
                         let mut at = now;
                         while !killed.is_finished() && at < give_up {
                             at = clock.sleep_until(at + Duration::from_micros(100));
                         }
                     }
+                    handle_pump_msgs(
+                        &pump_rx,
+                        &txs,
+                        &dead,
+                        clock,
+                        &mut owner,
+                        &mut routed,
+                        &mut report,
+                    );
                     let mine: Vec<u32> = owner
                         .iter()
                         .filter(|&(_, &(sh, _))| sh == shard)
@@ -732,12 +785,12 @@ pub fn run_server<T: ServeTransport>(
                         Err(e) => break 'pump Err(e),
                     };
                     txs[shard] = tx;
-                    handles.push((shard, handle));
+                    handles.push((shard, handle, false));
                     dead[shard] = false;
                     report.restarts += 1;
                     for rs in resumed {
                         let id = rs.spec.id.raw();
-                        if send_shard(&txs[shard], ShardMsg::Resume(rs)) {
+                        if send_shard(&txs[shard], clock, ShardMsg::Resume(rs)).is_ok() {
                             report.recovered_sessions += 1;
                         } else {
                             owner.remove(&id);
@@ -747,54 +800,35 @@ pub fn run_server<T: ServeTransport>(
                     }
                 }
                 FaultEvent::Drain { from, to, .. }
-                    if from < shard_count && to < shard_count && from != to && !dead[from] =>
+                    if from < shard_count
+                        && to < shard_count
+                        && from != to
+                        && !dead[from]
+                        && !dead[to] =>
                 {
-                    deliver_ctl(&txs, &dead, &mut pending_ctl, from, Handover::Drain { to });
+                    let _ = send_shard(&txs[from], clock, ShardMsg::Drain { to });
                 }
                 FaultEvent::Stall { to_tick, .. } => stall_end = stall_end.max(to_tick),
                 FaultEvent::HubDrop { to_tick, .. } => drop_end = drop_end.max(to_tick),
                 // Out-of-range shard, kill of a dead shard, restart of a
-                // live one, `auto` (expanded by `schedule`): no-ops.
+                // live one, a drain from or into a dead shard, `auto`
+                // (expanded by `schedule`): no-ops.
                 _ => {}
             }
         }
 
-        // Drain the handover control plane.
-        while let Ok(msg) = pump_rx.try_recv() {
-            match msg {
-                PumpMsg::ToShard { shard, msg } => {
-                    deliver_ctl(&txs, &dead, &mut pending_ctl, shard, msg);
-                }
-                PumpMsg::Forward(frames) => {
-                    for frame in frames {
-                        route(&owner, &mut routed, &mut report, frame);
-                    }
-                }
-                PumpMsg::Redirect {
-                    session,
-                    target,
-                    codec,
-                    held,
-                } => {
-                    // Ownership flips here, in the pump, so no frame
-                    // routed after this point can reach the source's
-                    // retired copy.
-                    owner.insert(session, (target, codec));
-                    let msg = Handover::Redirect { session };
-                    deliver_ctl(&txs, &dead, &mut pending_ctl, target, msg);
-                    for frame in held {
-                        route(&owner, &mut routed, &mut report, frame);
-                    }
-                }
-            }
-        }
+        // Moved sessions and forwarded frames, before anything routed
+        // this pass: a `Resume` is queued ahead of its session's frames.
+        handle_pump_msgs(
+            &pump_rx,
+            &txs,
+            &dead,
+            clock,
+            &mut owner,
+            &mut routed,
+            &mut report,
+        );
         send_routed(&txs, &mut routed, &mut overflow);
-        // Retry handover messages parked on a full queue.
-        for _ in 0..pending_ctl.len() {
-            if let Some((shard, msg)) = pending_ctl.pop_front() {
-                deliver_ctl(&txs, &dead, &mut pending_ctl, shard, msg);
-            }
-        }
 
         // A scripted socket stall: the pump does not touch ingress.
         if now_tick < stall_end {
@@ -848,7 +882,7 @@ pub fn run_server<T: ServeTransport>(
     // run failure, never a silent exit-0.
     let mut overflow_applied = vec![false; shard_count];
     let mut first_err: Option<NetError> = pump_result.err();
-    for (index, handle) in handles {
+    for (index, handle, _) in handles {
         match handle.join() {
             Ok(Ok(mut shard)) => {
                 report.orphan_frames += shard.orphan_frames;

@@ -18,12 +18,12 @@
 //! samples, frame stamps, recorded events and next deadline of that step
 //! all derive from that reading.
 
-use crate::endpoint::{receiver_endpoint, restore_receiver_endpoint, SnapshotEndpoint};
+use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
 use crate::metrics::{SessionStats, ShardReport};
 use crate::server::{EgressSink, PumpMsg, SessionSpec, BATCH};
 use crate::snapshot::SessionSnapshot;
 use crate::wheel::TimerWheel;
-use rstp_core::{SessionId, TimingParams};
+use rstp_core::TimingParams;
 use rstp_net::{
     codec_for, Cadence, Frame, FrameBuf, NetError, Pace, Pacer, StepEffect, TickClock, Wake,
     WireCodec,
@@ -35,9 +35,10 @@ use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A recovered session the server hands a restarted shard: the spec, a
-/// restored endpoint (snapshot + event replay already applied), and the
-/// outgoing sequence number to continue from.
+/// A live session on its way into a shard: the spec, a live endpoint,
+/// and the outgoing sequence number to continue from. Crash recovery
+/// builds one from the flight recording; a drain takes one out of the
+/// source shard's table whole.
 pub(crate) struct ResumeSession {
     pub(crate) spec: SessionSpec,
     pub(crate) endpoint: Box<dyn SnapshotEndpoint>,
@@ -49,75 +50,26 @@ pub(crate) enum ShardMsg {
     /// Take ownership of a new session.
     Admit(SessionSpec),
     /// Decoded frames for sessions this shard owns, in arrival order: this
-    /// shard's share of one pump batch, or frames a peer held for a
-    /// session it handed over here.
+    /// shard's share of one pump batch, or frames a drained session's
+    /// source held for it.
     Frames(Vec<Frame>),
-    /// A message of the pair-wise handover protocol.
-    Control(Handover),
+    /// Move every live session to shard `to`, each as one
+    /// [`PumpMsg::Moved`] through the pump.
+    Drain {
+        /// The target shard.
+        to: usize,
+    },
     /// Injected fault: stop as if the shard's process segment died —
     /// live sessions are discarded (completed verdicts survive) and the
     /// thread returns its report with `crashed` set.
     Crash,
     /// Injected fault: panic the shard thread outright.
     Panic,
-    /// Crash recovery: adopt a session re-created from the flight
-    /// recording.
+    /// Adopt a live session: one re-created from the flight recording
+    /// after a crash, or one a drain moved here.
     Resume(Box<ResumeSession>),
     /// Finish up: account remaining sessions as unfinished and return.
     Shutdown,
-}
-
-/// The pair-wise handover conversation (DRAIN → SNAPSHOT → SNAPSHOT_ACK
-/// → REDIRECT). Every message travels through the pump, so a REDIRECT
-/// flips the owner table where frames are routed.
-pub(crate) enum Handover {
-    /// Pump → source shard: move every live session to shard `to`.
-    Drain {
-        /// The target shard.
-        to: usize,
-    },
-    /// Source → target: one live session's full state, offered by shard
-    /// `from`. Boxed so a queue message stays small.
-    Snapshot {
-        /// The source shard, where the acknowledgement goes.
-        from: usize,
-        /// The session's state.
-        snapshot: Box<SessionSnapshot>,
-    },
-    /// Target → source: `session` was restored and is held
-    /// provisionally.
-    SnapshotAck {
-        /// The session acknowledged.
-        session: u32,
-    },
-    /// Source → pump → target: ownership of `session` moves to the
-    /// target, which activates its provisional copy.
-    Redirect {
-        /// The session to activate.
-        session: u32,
-    },
-}
-
-/// First handover retry after this many step gaps without an ack.
-const HANDOVER_BASE_BACKOFF_GAPS: u64 = 8;
-/// Retry backoff doubles per attempt, capped at this many gaps.
-const HANDOVER_MAX_BACKOFF_GAPS: u64 = 64;
-/// Snapshot attempts before the source gives up and resumes locally.
-const HANDOVER_MAX_ATTEMPTS: u32 = 4;
-/// A provisionally adopted session is dropped if no REDIRECT activates
-/// it within this many step gaps (the source has resumed locally by
-/// then; keeping the copy would risk a dual-active session).
-const PROVISIONAL_TTL_GAPS: u64 = 512;
-
-/// An in-flight handover on the source side.
-struct PendingHandover {
-    idx: usize,
-    session: u32,
-    codec: WireCodec,
-    target: usize,
-    attempts: u32,
-    backoff_gaps: u64,
-    next_retry_tick: u64,
 }
 
 /// Static configuration a shard runs under (crate-internal; the public
@@ -140,8 +92,6 @@ struct Live {
     /// at the session's next paced step, mirroring the driver's
     /// drain-before-step ordering.
     pending: VecDeque<Frame>,
-    /// Mid-handover: deadlines are reported as migrated, not stepped.
-    paused: bool,
     cadence: Cadence,
     steps: u64,
     recvs: u64,
@@ -158,7 +108,6 @@ impl Live {
         spec: SessionSpec,
         endpoint: Box<dyn SnapshotEndpoint>,
         seq: u64,
-        paused: bool,
     ) -> Result<Live, NetError> {
         Ok(Live {
             spec,
@@ -166,7 +115,6 @@ impl Live {
             codec: codec_for(spec.kind)?,
             seq,
             pending: VecDeque::new(),
-            paused,
             cadence: Cadence::default(),
             steps: 0,
             recvs: 0,
@@ -177,7 +125,7 @@ impl Live {
         })
     }
 
-    /// The session's full state as a handover/recovery snapshot.
+    /// The session's full state as a recovery snapshot.
     fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             session: self.spec.id.raw(),
@@ -227,11 +175,6 @@ pub(crate) fn run_shard(
     let mut by_id: HashMap<u32, usize> = HashMap::new();
     let mut due: Vec<(u64, usize)> = Vec::new();
     let mut out_buf: Vec<(u32, FrameBuf)> = Vec::new();
-    // Handover bookkeeping, both directions. Source side: sessions
-    // paused awaiting a SNAPSHOT_ACK. Target side: provisionally adopted
-    // sessions awaiting their REDIRECT, with a drop deadline.
-    let mut pending_handover: Vec<PendingHandover> = Vec::new();
-    let mut provisional: Vec<(usize, u64)> = Vec::new();
     // Completed sessions, kept as ghost re-ackers: a late duplicate
     // still gets its acknowledgement (the paper's receiver never
     // terminates), so a client whose final ack was lost — or whose
@@ -239,9 +182,9 @@ pub(crate) fn run_shard(
     // still finish. Ghosts hold no wheel deadlines and cost nothing
     // until a frame actually arrives for them.
     let mut retired: HashMap<u32, Live> = HashMap::new();
-    // Sessions handed off to a peer. A frame for one that still reaches
-    // this shard (the pump routed it before the REDIRECT flipped the
-    // owner table) follows the session through the pump.
+    // Sessions a drain moved away. A frame for one that still reaches
+    // this shard (the pump routed it before its owner table moved the
+    // session) follows the session through the pump.
     let mut handed_off: HashSet<u32> = HashSet::new();
     // The latest clock reading: one when the loop wakes, then one per
     // wheel pop. An idle sleep is sized from whichever came last.
@@ -271,7 +214,7 @@ pub(crate) fn run_shard(
             match msg {
                 ShardMsg::Admit(spec) => {
                     let endpoint = receiver_endpoint(spec.kind, sp.params, spec.n)?;
-                    let live = Live::new(spec, endpoint, 0, false)?;
+                    let live = Live::new(spec, endpoint, 0)?;
                     record_anchor(recorder.as_mut(), &live, at);
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(spec.id.raw(), idx);
@@ -308,32 +251,40 @@ pub(crate) fn run_shard(
                         let _ = pump.send(PumpMsg::Forward(forward));
                     }
                 }
-                ShardMsg::Control(msg) => {
-                    handle_control(
-                        msg,
-                        &sp,
-                        at,
-                        &pump,
-                        recorder.as_mut(),
-                        &mut report,
-                        &mut sessions,
-                        &mut by_id,
-                        &mut handed_off,
-                        &mut wheel,
-                        &mut pending_handover,
-                        &mut provisional,
-                        now_tick,
-                        gap_ticks,
-                    );
+                ShardMsg::Drain { to } => {
+                    // Each live session leaves whole, still live, with
+                    // the frames it holds; the pump resumes it on `to`.
+                    // Its wheel entry stays behind and finds an empty
+                    // slot, since slots are never reused.
+                    for live in sessions.iter_mut().filter_map(Option::take) {
+                        let id = live.spec.id.raw();
+                        by_id.remove(&id);
+                        handed_off.insert(id);
+                        report.handed_off += 1;
+                        let _ = pump.send(PumpMsg::Moved {
+                            from: sp.index,
+                            to,
+                            session: Box::new(ResumeSession {
+                                spec: live.spec,
+                                endpoint: live.endpoint,
+                                seq: live.seq,
+                            }),
+                            held: live.pending.into(),
+                        });
+                    }
                 }
                 ShardMsg::Resume(resume) => {
                     let rs = *resume;
-                    let live = Live::new(rs.spec, rs.endpoint, rs.seq, false)?;
-                    // A fresh anchor, so a *second* crash can recover
-                    // without replaying the first life.
+                    let id = rs.spec.id.raw();
+                    let live = Live::new(rs.spec, rs.endpoint, rs.seq)?;
+                    // A fresh anchor in this shard's own file, so a
+                    // crash here recovers the session without replaying
+                    // its life before the resume.
                     record_anchor(recorder.as_mut(), &live, at);
                     let idx = insert_live(&mut sessions, live);
-                    by_id.insert(rs.spec.id.raw(), idx);
+                    by_id.insert(id, idx);
+                    // A session can come home after a drain.
+                    handed_off.remove(&id);
                     wheel.schedule(now_tick + 1, idx);
                     report.adopted += 1;
                 }
@@ -354,37 +305,13 @@ pub(crate) fn run_shard(
             }
         }
 
-        // Handover housekeeping: resend unacked snapshots (capped
-        // exponential backoff, then local resume) and drop provisional
-        // adoptions whose REDIRECT never came.
-        sweep_handover(
-            &sp,
-            &pump,
-            &mut report,
-            &mut sessions,
-            &mut by_id,
-            &mut wheel,
-            &mut pending_handover,
-            &mut provisional,
-            now_tick,
-            gap_ticks,
-        );
-
         // Fire every deadline up to now.
         wheel.advance(now_tick, &mut due);
         for (due_tick, idx) in due.drain(..) {
+            // An empty slot: the session completed, or a drain moved it.
             let Some(live) = sessions.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
-
-            // A deadline for a mid-handover session is *migrated*: the
-            // target re-anchors its own schedule on activation, so the
-            // deadline is accounted for, never silently dropped — and
-            // never stepped here, which would fork the automaton.
-            if live.paused {
-                report.deadlines_migrated += 1;
-                continue;
-            }
 
             // The step's one clock reading: everything it books, stamps
             // and records happens at this instant.
@@ -584,20 +511,12 @@ fn reack(
     }
 }
 
-/// Places `live` in the first free slot (or a new one) and returns its
-/// index.
+/// Places `live` in a new slot and returns its index. Slots are never
+/// reused: a session that left keeps one wheel entry here, and that entry
+/// must find its slot empty, not a newcomer.
 fn insert_live(sessions: &mut Vec<Option<Live>>, live: Live) -> usize {
-    let idx = match sessions.iter().position(Option::is_none) {
-        Some(free) => free,
-        None => {
-            sessions.push(None);
-            sessions.len() - 1
-        }
-    };
-    if let Some(slot) = sessions.get_mut(idx) {
-        *slot = Some(live);
-    }
-    idx
+    sessions.push(Some(live));
+    sessions.len() - 1
 }
 
 /// Writes `live`'s durable recovery anchor, stamped `at`: an `Admit`,
@@ -615,209 +534,6 @@ fn record_anchor(recorder: Option<&mut ShardRecorder>, live: &Live, at: u64) {
         at_micros: at,
         session: snap.session,
         state: snap.encode(),
-    });
-}
-
-/// Offers `live` to shard `target` through the pump.
-fn send_snapshot(pump: &Sender<PumpMsg>, src: usize, target: usize, live: &Live) {
-    let msg = Handover::Snapshot {
-        from: src,
-        snapshot: Box::new(live.snapshot()),
-    };
-    let _ = pump.send(PumpMsg::ToShard { shard: target, msg });
-}
-
-fn send_ack(pump: &Sender<PumpMsg>, src: usize, session: u32) {
-    let msg = Handover::SnapshotAck { session };
-    let _ = pump.send(PumpMsg::ToShard { shard: src, msg });
-}
-
-/// One incoming handover message, handled at `at` µs (tick `now`): the
-/// four corners of the protocol. Stale messages are ignored — the
-/// retry/TTL machinery recovers, and a shard must never die on peer
-/// input.
-#[allow(clippy::too_many_arguments)]
-fn handle_control(
-    msg: Handover,
-    sp: &ShardParams,
-    at: u64,
-    pump: &Sender<PumpMsg>,
-    recorder: Option<&mut ShardRecorder>,
-    report: &mut ShardReport,
-    sessions: &mut Vec<Option<Live>>,
-    by_id: &mut HashMap<u32, usize>,
-    handed_off: &mut HashSet<u32>,
-    wheel: &mut TimerWheel<usize>,
-    pending_handover: &mut Vec<PendingHandover>,
-    provisional: &mut Vec<(usize, u64)>,
-    now: u64,
-    gap_ticks: u64,
-) {
-    match msg {
-        Handover::Drain { to: target } => {
-            // Source side: pause every live session and offer each to
-            // the target. Paused sessions stop stepping immediately;
-            // their deadlines are reported as migrated.
-            if target == sp.index {
-                return;
-            }
-            for (idx, slot) in sessions.iter_mut().enumerate() {
-                let Some(live) = slot.as_mut() else { continue };
-                if live.paused {
-                    continue;
-                }
-                live.paused = true;
-                send_snapshot(pump, sp.index, target, live);
-                pending_handover.push(PendingHandover {
-                    idx,
-                    session: live.spec.id.raw(),
-                    codec: live.codec,
-                    target,
-                    attempts: 1,
-                    backoff_gaps: HANDOVER_BASE_BACKOFF_GAPS,
-                    next_retry_tick: now + HANDOVER_BASE_BACKOFF_GAPS * gap_ticks,
-                });
-            }
-        }
-        Handover::Snapshot { from, snapshot } => {
-            // Target side: restore a provisional copy and acknowledge.
-            // It stays paused (frames queue, deadlines don't fire) until
-            // the REDIRECT confirms the source has retired its copy.
-            let snap = *snapshot;
-            if by_id.contains_key(&snap.session) {
-                // A retry of a snapshot we already hold: re-ack.
-                send_ack(pump, from, snap.session);
-                return;
-            }
-            let spec = SessionSpec {
-                id: SessionId::new(snap.session),
-                kind: snap.kind,
-                n: snap.n as usize,
-            };
-            let Ok(endpoint) =
-                restore_receiver_endpoint(snap.kind, sp.params, spec.n, &snap.state, snap.written)
-            else {
-                return;
-            };
-            let Ok(live) = Live::new(spec, endpoint, snap.seq, true) else {
-                return;
-            };
-            // Anchor the adopted session in *this* shard's recording, so
-            // a later crash here recovers it.
-            record_anchor(recorder, &live, at);
-            let idx = insert_live(sessions, live);
-            by_id.insert(snap.session, idx);
-            handed_off.remove(&snap.session);
-            provisional.push((idx, now + PROVISIONAL_TTL_GAPS * gap_ticks));
-            send_ack(pump, from, snap.session);
-        }
-        Handover::SnapshotAck { session } => {
-            // Source side: the target holds the session. Retire our
-            // copy silently (its Y continues over there — no verdict,
-            // no stats) and publish the REDIRECT through the pump so
-            // routing flips atomically with the activation. The frames
-            // the paused copy still holds travel with the REDIRECT, and
-            // any that reach us later are forwarded: they follow the
-            // session, in arrival order.
-            let Some(pos) = pending_handover.iter().position(|p| p.session == session) else {
-                return; // stale ack (already resumed locally)
-            };
-            let p = pending_handover.swap_remove(pos);
-            let retire = sessions
-                .get(p.idx)
-                .and_then(Option::as_ref)
-                .is_some_and(|l| l.paused && l.spec.id.raw() == p.session);
-            let mut held = Vec::new();
-            if retire {
-                if let Some(live) = sessions.get_mut(p.idx).and_then(Option::take) {
-                    held = live.pending.into();
-                }
-                by_id.remove(&p.session);
-                handed_off.insert(p.session);
-                report.handed_off += 1;
-            }
-            let _ = pump.send(PumpMsg::Redirect {
-                session: p.session,
-                target: p.target,
-                codec: p.codec,
-                held,
-            });
-        }
-        Handover::Redirect { session } => {
-            // Target side: activation. Re-anchor pacing from now — the
-            // deadlines the source reported as migrated resume here.
-            let Some(&idx) = by_id.get(&session) else {
-                return;
-            };
-            if let Some(live) = sessions.get_mut(idx).and_then(Option::as_mut) {
-                if live.paused {
-                    live.paused = false;
-                    live.cadence.rebase();
-                    wheel.schedule(now + 1, idx);
-                    report.adopted += 1;
-                }
-            }
-            provisional.retain(|&(i, _)| i != idx);
-        }
-    }
-}
-
-/// Per-iteration handover housekeeping: source-side retries with capped
-/// exponential backoff falling back to local resume, and target-side
-/// TTL expiry of provisional adoptions.
-#[allow(clippy::too_many_arguments)]
-fn sweep_handover(
-    sp: &ShardParams,
-    pump: &Sender<PumpMsg>,
-    report: &mut ShardReport,
-    sessions: &mut [Option<Live>],
-    by_id: &mut HashMap<u32, usize>,
-    wheel: &mut TimerWheel<usize>,
-    pending_handover: &mut Vec<PendingHandover>,
-    provisional: &mut Vec<(usize, u64)>,
-    now: u64,
-    gap_ticks: u64,
-) {
-    pending_handover.retain_mut(|p| {
-        if now < p.next_retry_tick {
-            return true;
-        }
-        if p.attempts >= HANDOVER_MAX_ATTEMPTS {
-            // Out of retries: the session keeps running here.
-            if let Some(live) = sessions.get_mut(p.idx).and_then(Option::as_mut) {
-                if live.paused && live.spec.id.raw() == p.session {
-                    live.paused = false;
-                    live.cadence.rebase();
-                    wheel.schedule(now + 1, p.idx);
-                }
-            }
-            report.handover_failed += 1;
-            return false;
-        }
-        p.attempts += 1;
-        p.backoff_gaps = (p.backoff_gaps * 2).min(HANDOVER_MAX_BACKOFF_GAPS);
-        p.next_retry_tick = now + p.backoff_gaps * gap_ticks;
-        if let Some(live) = sessions.get(p.idx).and_then(Option::as_ref) {
-            send_snapshot(pump, sp.index, p.target, live);
-        }
-        true
-    });
-
-    provisional.retain(|&(idx, deadline)| {
-        if now < deadline {
-            return true;
-        }
-        // No REDIRECT before the TTL: the source has resumed locally by
-        // now. Drop the copy — a dual-active session would fork Y.
-        if let Some(slot) = sessions.get_mut(idx) {
-            if slot.as_ref().is_some_and(|l| l.paused) {
-                if let Some(live) = slot.take() {
-                    by_id.remove(&live.spec.id.raw());
-                    report.handover_aborted += 1;
-                }
-            }
-        }
-        false
     });
 }
 
@@ -863,9 +579,9 @@ mod tests {
 
     #[test]
     fn a_handover_message_costs_a_queue_slot_no_more_than_an_admission() {
-        // The snapshot travels boxed, so a handover message is no larger
-        // than an admission and a queue slot stays 40 bytes on x86-64.
-        assert!(std::mem::size_of::<Handover>() <= std::mem::size_of::<SessionSpec>());
+        // A drain names only its target and a moved session travels
+        // boxed, so neither is larger than an admission and a queue slot
+        // stays 40 bytes on x86-64.
         assert!(std::mem::size_of::<ShardMsg>() <= 40);
     }
 }

@@ -1,14 +1,13 @@
-//! Versioned session-state snapshots: what a handover moves between
-//! shards, and the recovery anchor in a flight recording.
+//! Versioned session-state snapshots: the recovery anchor in a flight
+//! recording.
 //!
 //! A [`SessionSnapshot`] captures everything a shard needs to re-create
-//! a live receiver session elsewhere — on a peer shard during a
-//! pair-wise handover, or on a restarted shard replaying its flight
-//! recording after a crash. A handover passes the snapshot in memory;
-//! only the recording stores it as bytes. That encoding is explicitly
-//! versioned and length-prefixed so a future layout can coexist with
-//! recordings produced by this one; golden-byte tests below pin the v1
-//! layout.
+//! a live receiver session on a restarted shard replaying its flight
+//! recording after a crash. A drain moves the live endpoint itself and
+//! encodes nothing; only the recording stores a snapshot, as bytes. That
+//! encoding is explicitly versioned and length-prefixed so a future
+//! layout can coexist with recordings produced by this one; golden-byte
+//! tests below pin the v1 layout.
 //!
 //! The per-protocol receiver state is serialized through [`StateCodec`],
 //! implemented here for every receiver state type the server can host.
@@ -96,9 +95,9 @@ fn take_multiset(r: &mut Reader<'_>) -> Result<Multiset, RecordError> {
     Ok(Multiset::from_symbols(k, &symbols))
 }
 
-/// Serialization of one protocol's receiver state, used to move a live
-/// session between shards (handover) and to re-create one from a flight
-/// recording (crash recovery).
+/// Serialization of one protocol's receiver state, used to anchor a live
+/// session in a flight recording and to re-create it from one (crash
+/// recovery).
 pub trait StateCodec: Sized {
     /// Appends this state's encoding to `out`.
     fn encode_state(&self, out: &mut Vec<u8>);

@@ -337,15 +337,12 @@ mod tests {
 
     #[test]
     fn occupancy_is_conserved_through_every_drain() {
-        // The wheel-level half of the handover invariant: a scheduled
-        // deadline is either returned by `advance` — where the shard
-        // steps it or, for a paused mid-handover session, reports it
-        // migrated — or still occupies the wheel. It is never silently
-        // dropped. Conservation (`scheduled == fired + len()`) is
-        // checked after every operation under pseudorandom load across
-        // cascade boundaries, with a "paused" subset standing in for
-        // sessions mid-handover so both accounting flavors are
-        // exercised at drain time.
+        // A scheduled deadline is either returned by `advance` — where
+        // the shard steps it, or skips it when its session completed or
+        // a drain moved it away — or still occupies the wheel. It is
+        // never silently dropped. Conservation (`scheduled == fired +
+        // len()`) is checked after every operation under pseudorandom
+        // load across cascade boundaries.
         let mut w = TimerWheel::new();
         let mut lcg: u64 = 0x000D_EFAC_EDFA_CADE;
         let mut next = move || {
@@ -355,8 +352,7 @@ mod tests {
             lcg >> 33
         };
         let mut scheduled: u64 = 0;
-        let mut stepped: u64 = 0;
-        let mut migrated: u64 = 0;
+        let mut fired: u64 = 0;
         let mut fired_once = Vec::new();
         let mut token = 0u32;
         let mut now = 0u64;
@@ -374,7 +370,7 @@ mod tests {
                 token += 1;
                 assert_eq!(
                     u64::try_from(w.len()).unwrap(),
-                    scheduled - stepped - migrated,
+                    scheduled - fired,
                     "occupancy drifted after schedule at now={now}"
                 );
             }
@@ -384,18 +380,11 @@ mod tests {
             for (d, t) in due {
                 assert!(d <= now, "future deadline fired: {d} > {now}");
                 fired_once[t as usize] += 1;
-                // Every third session is "paused" mid-handover: its
-                // deadline still fires here and is accounted as
-                // migrated, mirroring the shard's sweep.
-                if t % 3 == 0 {
-                    migrated += 1;
-                } else {
-                    stepped += 1;
-                }
+                fired += 1;
             }
             assert_eq!(
                 u64::try_from(w.len()).unwrap(),
-                scheduled - stepped - migrated,
+                scheduled - fired,
                 "occupancy drifted after drain at now={now}"
             );
         }
