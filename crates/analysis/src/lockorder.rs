@@ -15,7 +15,7 @@
 //! Locks are not the only way to wait. In files that mention `mpsc` /
 //! `sync_channel`, a blocking channel endpoint operation (`.recv()`,
 //! `.recv_timeout()`, `.send()` — but not `try_send`) becomes a
-//! **channel-wait node** (`net/mem::ingress.chan`). A channel wait
+//! **channel-wait node** (`serve/shard::pump.chan`). A channel wait
 //! holds nothing afterwards, so it only ever appears as the *target*
 //! of an edge; what it adds to the graph is the deadlock shape "parked
 //! on a channel while holding a lock".

@@ -110,19 +110,8 @@ impl ChannelConfig {
     }
 }
 
-/// What the channel decided to do with one packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// Deliver once after the given wall-clock delay.
-    Deliver(Duration),
-    /// Drop silently.
-    Drop,
-    /// Deliver twice, each copy after its own delay.
-    Duplicate(Duration, Duration),
-}
-
-/// Per-direction sampler turning a [`ChannelConfig`] into concrete
-/// wall-clock delays and fault decisions. Deterministic in the seed.
+/// Per-direction sampler turning a [`ChannelConfig`] into packet fates:
+/// tick delays and fault decisions. Deterministic in the seed.
 #[derive(Debug)]
 pub struct ChannelSampler {
     config: ChannelConfig,
@@ -143,80 +132,55 @@ impl ChannelSampler {
     }
 
     /// Decides the fate of the next packet.
-    pub fn next_verdict(&mut self) -> Verdict {
+    pub fn next_fate(&mut self) -> PacketFate {
         if self.config.loss > 0.0 && self.rng.gen_bool(self.config.loss) {
-            return Verdict::Drop;
+            return PacketFate::Drop;
         }
         let first = self.next_delay();
         if self.config.duplication > 0.0 && self.rng.gen_bool(self.config.duplication) {
             let second = self.next_delay();
-            return Verdict::Duplicate(first, second);
+            return PacketFate::Duplicate(first, second);
         }
-        Verdict::Deliver(first)
+        PacketFate::Deliver(first)
     }
 
-    fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> u64 {
         let DelayModel { lo, hi } = self.config.delay;
-        let ticks = if lo >= hi {
+        if lo >= hi {
             lo
         } else {
             self.rng.gen_range(lo..=hi)
-        };
-        self.config.tick * u32::try_from(ticks).unwrap_or(u32::MAX)
-    }
-}
-
-/// Per-direction verdict source realizing a [`ScriptedDelivery`] plan in
-/// wall-clock time: the `i`-th packet sent in this direction gets the
-/// plan's `i`-th fate, tick delays scaled by `tick`. This is how one
-/// `rstp-check` scenario drives the real transport and the simulator with
-/// the same delivery schedule.
-#[derive(Clone, Debug)]
-pub struct ScriptedVerdicts {
-    plan: ScriptedDelivery,
-    tick: Duration,
-    index: u64,
-}
-
-impl ScriptedVerdicts {
-    /// Creates the verdict source from a plan and the tick duration.
-    pub fn new(plan: ScriptedDelivery, tick: Duration) -> Self {
-        ScriptedVerdicts {
-            plan,
-            tick,
-            index: 0,
-        }
-    }
-
-    /// Decides the fate of the next packet in this direction.
-    pub fn next_verdict(&mut self) -> Verdict {
-        let fate = self.plan.fate(self.index);
-        self.index += 1;
-        let scale = |ticks: u64| self.tick * u32::try_from(ticks).unwrap_or(u32::MAX);
-        match fate {
-            PacketFate::Deliver(t) => Verdict::Deliver(scale(t)),
-            PacketFate::Drop => Verdict::Drop,
-            PacketFate::Duplicate(a, b) => Verdict::Duplicate(scale(a), scale(b)),
         }
     }
 }
 
-/// Either fate-decision backend of a channel direction: the seeded
-/// [`ChannelSampler`] or a [`ScriptedVerdicts`] plan.
+/// Where one channel direction's packet fates come from.
 #[derive(Debug)]
-pub enum VerdictSource {
+pub(crate) enum FateSource {
     /// Seeded pseudorandom fates from a [`ChannelConfig`].
     Sampled(ChannelSampler),
-    /// Replay of an explicit per-packet plan.
-    Scripted(ScriptedVerdicts),
+    /// An explicit plan: the `next`-th packet sent in this direction gets
+    /// the plan's `next`-th fate. This is how one `rstp-check` scenario
+    /// drives the real transport and the simulator with the same delivery
+    /// schedule.
+    Scripted {
+        /// The per-packet fates, then the fallback delay forever.
+        plan: ScriptedDelivery,
+        /// Index of the packet about to be sent.
+        next: u64,
+    },
 }
 
-impl VerdictSource {
+impl FateSource {
     /// Decides the fate of the next packet.
-    pub fn next_verdict(&mut self) -> Verdict {
+    pub(crate) fn next_fate(&mut self) -> PacketFate {
         match self {
-            VerdictSource::Sampled(s) => s.next_verdict(),
-            VerdictSource::Scripted(s) => s.next_verdict(),
+            FateSource::Sampled(s) => s.next_fate(),
+            FateSource::Scripted { plan, next } => {
+                let fate = plan.fate(*next);
+                *next += 1;
+                fate
+            }
         }
     }
 }
@@ -239,11 +203,10 @@ mod tests {
 
     #[test]
     fn max_delay_is_constant_at_d() {
-        let tick = Duration::from_micros(100);
-        let cfg = ChannelConfig::max_delay(params(), tick, 1);
+        let cfg = ChannelConfig::max_delay(params(), Duration::from_micros(100), 1);
         let mut s = ChannelSampler::new(cfg, 0);
         for _ in 0..16 {
-            assert_eq!(s.next_verdict(), Verdict::Deliver(tick * 8));
+            assert_eq!(s.next_fate(), PacketFate::Deliver(8));
         }
     }
 
@@ -252,35 +215,33 @@ mod tests {
         let cfg = ChannelConfig::reliable(params(), Duration::from_micros(50), 42);
         let mut a = ChannelSampler::new(cfg, 0);
         let mut b = ChannelSampler::new(cfg, 0);
-        let seq_a: Vec<Verdict> = (0..32).map(|_| a.next_verdict()).collect();
-        let seq_b: Vec<Verdict> = (0..32).map(|_| b.next_verdict()).collect();
+        let seq_a: Vec<PacketFate> = (0..32).map(|_| a.next_fate()).collect();
+        let seq_b: Vec<PacketFate> = (0..32).map(|_| b.next_fate()).collect();
         assert_eq!(seq_a, seq_b);
 
         let mut c = ChannelSampler::new(cfg, 1);
-        let seq_c: Vec<Verdict> = (0..32).map(|_| c.next_verdict()).collect();
+        let seq_c: Vec<PacketFate> = (0..32).map(|_| c.next_fate()).collect();
         assert_ne!(seq_a, seq_c, "streams must diverge");
     }
 
     #[test]
     fn delays_respect_the_bound() {
-        let tick = Duration::from_micros(100);
-        let cfg = ChannelConfig::reliable(params(), tick, 5);
-        let cap = tick * 8;
+        let cfg = ChannelConfig::reliable(params(), Duration::from_micros(100), 5);
+        let cap = params().d().ticks();
         let mut s = ChannelSampler::new(cfg, 0);
         for _ in 0..256 {
-            match s.next_verdict() {
-                Verdict::Deliver(dl) => assert!(dl <= cap),
-                Verdict::Duplicate(a, b) => {
+            match s.next_fate() {
+                PacketFate::Deliver(dl) => assert!(dl <= cap),
+                PacketFate::Duplicate(a, b) => {
                     assert!(a <= cap && b <= cap)
                 }
-                Verdict::Drop => panic!("reliable channel must not drop"),
+                PacketFate::Drop => panic!("reliable channel must not drop"),
             }
         }
     }
 
     #[test]
-    fn scripted_verdicts_replay_the_plan_in_wall_clock() {
-        let tick = Duration::from_micros(100);
+    fn scripted_fates_replay_the_plan_packet_by_packet() {
         let plan = ScriptedDelivery::new(
             vec![
                 PacketFate::Deliver(3),
@@ -289,16 +250,13 @@ mod tests {
             ],
             2, // fallback
         );
-        let mut s = ScriptedVerdicts::new(plan, tick);
-        assert_eq!(s.next_verdict(), Verdict::Deliver(tick * 3));
-        assert_eq!(s.next_verdict(), Verdict::Drop);
-        assert_eq!(
-            s.next_verdict(),
-            Verdict::Duplicate(Duration::ZERO, tick * 8)
-        );
+        let mut s = FateSource::Scripted { plan, next: 0 };
+        assert_eq!(s.next_fate(), PacketFate::Deliver(3));
+        assert_eq!(s.next_fate(), PacketFate::Drop);
+        assert_eq!(s.next_fate(), PacketFate::Duplicate(0, 8));
         // Fallback tail, forever.
-        assert_eq!(s.next_verdict(), Verdict::Deliver(tick * 2));
-        assert_eq!(s.next_verdict(), Verdict::Deliver(tick * 2));
+        assert_eq!(s.next_fate(), PacketFate::Deliver(2));
+        assert_eq!(s.next_fate(), PacketFate::Deliver(2));
     }
 
     #[test]
@@ -315,10 +273,10 @@ mod tests {
         let mut drops = 0;
         let mut dups = 0;
         for _ in 0..1000 {
-            match s.next_verdict() {
-                Verdict::Drop => drops += 1,
-                Verdict::Duplicate(..) => dups += 1,
-                Verdict::Deliver(_) => {}
+            match s.next_fate() {
+                PacketFate::Drop => drops += 1,
+                PacketFate::Duplicate(..) => dups += 1,
+                PacketFate::Deliver(_) => {}
             }
         }
         assert!((300..700).contains(&drops), "drops={drops}");

@@ -93,15 +93,6 @@ impl TickClock {
         self.micros_at(at) / tick.max(1)
     }
 
-    /// Converts a wall-clock duration into (possibly fractional, rounded
-    /// up) ticks — used to express measured effort in the paper's units.
-    pub fn duration_to_ticks(&self, d: Duration) -> f64 {
-        if self.tick.is_zero() {
-            return 0.0;
-        }
-        d.as_secs_f64() / self.tick.as_secs_f64()
-    }
-
     /// Sleeps until `deadline` and returns the instant the caller woke,
     /// never before `deadline`. A deadline already in the past sleeps
     /// nothing and returns the reading that found it past.
@@ -139,13 +130,6 @@ mod tests {
         let mid = clock.instant_of_tick(4) + Duration::from_micros(299);
         assert_eq!(clock.tick_at(mid), 4);
         assert_eq!(clock.tick_at(clock.epoch() - Duration::from_millis(1)), 0);
-    }
-
-    #[test]
-    fn duration_to_ticks_scales() {
-        let clock = TickClock::start(Duration::from_micros(200));
-        let ticks = clock.duration_to_ticks(Duration::from_millis(1));
-        assert!((ticks - 5.0).abs() < 1e-9);
     }
 
     #[test]

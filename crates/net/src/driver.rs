@@ -56,7 +56,8 @@
 //! and stops only if nothing arrived meanwhile. A transmitter
 //! idling while it awaits acknowledgements is not done. A hard
 //! wall-clock cap (`max_wall`, measured from the clock's epoch) guards
-//! against a peer that never shows up.
+//! against a peer that never shows up; [`run_sessions_until`] also stops
+//! at a flag its caller raises, for a peer known to be gone.
 
 use crate::clock::TickClock;
 use crate::error::NetError;
@@ -64,6 +65,7 @@ use crate::histogram::LatencyHistogram;
 use crate::transport::{Transport, TransportStats};
 use rstp_automata::Automaton;
 use rstp_core::{InternalKind, Message, Packet, RstpAction, TimingParams};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which point of the `[c1, c2]` window the driver paces at.
@@ -164,14 +166,6 @@ pub struct Pacer {
 pub struct Cadence {
     prev_wake: Option<Instant>,
     idle_streak: u64,
-}
-
-impl Cadence {
-    /// Forgets the previous wake, so the first gap after a pause (a
-    /// handover, a resumed session) goes unmeasured.
-    pub fn rebase(&mut self) {
-        self.prev_wake = None;
-    }
 }
 
 /// How a [`Pacer`] booked one wake-up.
@@ -634,6 +628,23 @@ pub fn run_sessions<T: Transport>(
     clock: TickClock,
     config: &DriverConfig,
 ) -> Result<Vec<DriverReport>, NetError> {
+    run_sessions_until(sessions, clock, config, &AtomicBool::new(false))
+}
+
+/// [`run_sessions`], which also ends once `stop` is set, as it ends at the
+/// wall cap: every unfinished session reports
+/// [`DriverOutcome::TimedOut`]. The flag is read before each step, where
+/// the wall cap is checked.
+///
+/// # Errors
+///
+/// As for [`run_sessions`].
+pub fn run_sessions_until<T: Transport>(
+    sessions: Vec<Session<T>>,
+    clock: TickClock,
+    config: &DriverConfig,
+    stop: &AtomicBool,
+) -> Result<Vec<DriverReport>, NetError> {
     let pacer = config.pacer();
     let total = sessions.len();
     let slots = config.max_live.clamp(1, total.max(1));
@@ -654,7 +665,9 @@ pub fn run_sessions<T: Transport>(
     // The loop's one clock reading per step: the instant it woke.
     let mut now = clock.now();
     while !live.is_empty() {
-        if now.saturating_duration_since(clock.epoch()) > config.max_wall {
+        if stop.load(Ordering::Relaxed)
+            || now.saturating_duration_since(clock.epoch()) > config.max_wall
+        {
             break;
         }
         let Some(next) = (0..live.len()).min_by_key(|&i| live[i].due) else {

@@ -10,10 +10,12 @@
 //!   decode errors ([`wire::WireCodec`], [`wire::Frame`]).
 //! * [`transport`] — the [`transport::Transport`] trait
 //!   (`send`/`poll_recv`/`local_stats`).
-//! * [`mem`] — an in-process endpoint pair whose delivery threads enforce
-//!   the bounded-delay-with-reorder channel `C(P)` in wall-clock time,
-//!   with optional seeded loss/duplication mirroring the simulator's
-//!   `Faulty` adversary.
+//! * [`mem`] — an in-process endpoint pair realising the
+//!   bounded-delay-with-reorder channel `C(P)` in wall-clock time: `send`
+//!   decides each frame's fate (with optional seeded loss/duplication
+//!   mirroring the simulator's `Faulty` adversary) and files its copies
+//!   in the peer's in-flight queue, and `poll_recv` takes those whose
+//!   release instant has come. No thread runs the channel.
 //! * [`udp`] — the same endpoints over `std::net::UdpSocket`.
 //! * [`clock`] / [`driver`] — a tick-to-`Instant` mapping and the
 //!   real-time driver that paces any number of sessions per thread
@@ -46,13 +48,11 @@ pub mod transport;
 pub mod udp;
 pub mod wire;
 
-pub use chan::{
-    ChannelConfig, ChannelSampler, DelayModel, ScriptedVerdicts, Verdict, VerdictSource,
-};
+pub use chan::{ChannelConfig, ChannelSampler, DelayModel};
 pub use clock::TickClock;
 pub use driver::{
-    run_sessions, Cadence, Driven, DriverConfig, DriverOutcome, DriverReport, Pace, Pacer, Session,
-    SessionEndpoint, StepEffect, Wake,
+    run_sessions, run_sessions_until, Cadence, Driven, DriverConfig, DriverOutcome, DriverReport,
+    Pace, Pacer, Session, SessionEndpoint, StepEffect, Wake,
 };
 pub use error::NetError;
 pub use histogram::LatencyHistogram;

@@ -1,49 +1,50 @@
-//! In-process transport pair whose delivery threads enforce the channel
-//! model `C(P)` in wall-clock time.
+//! In-process transport pair realising the channel model `C(P)` in
+//! wall-clock time.
 //!
-//! [`MemTransport::pair`] returns two connected endpoints. Each direction
-//! owns a background delivery thread: frames arrive with their send
-//! instant, the thread draws a [`Verdict`] from the seeded
-//! [`ChannelSampler`], and due frames are released into the peer's
-//! inbox at `send_instant + delay`. Because
+//! [`MemTransport::pair`] returns two connected endpoints. `send` draws
+//! the frame's [`PacketFate`] from the direction's seeded
+//! [`ChannelSampler`] (or its scripted plan) and files each copy in the
+//! peer's in-flight queue under its release instant, `send instant +
+//! delay`. The peer's `poll_recv` hands out the soonest frame once the
+//! wall clock has reached its release instant, never before. Because
 //! consecutive packets draw independent delays from overlapping windows,
 //! later packets can overtake earlier ones — the bounded-delay-with-
 //! reorder behaviour the paper's channel axioms permit, now realised in
-//! real time rather than simulated ticks.
+//! real time rather than simulated ticks. No thread runs the channel:
+//! the queue is data that its one reader reads when it polls.
 
-use crate::chan::{ChannelConfig, ChannelSampler, ScriptedVerdicts, Verdict, VerdictSource};
+use crate::chan::{ChannelConfig, ChannelSampler, FateSource};
 use crate::error::NetError;
 use crate::transport::{Transport, TransportStats};
 use crate::wire::{Frame, WireCodec};
 use rstp_core::{Packet, SessionId};
-use rstp_sim::ScriptedDelivery;
+use rstp_sim::{PacketFate, ScriptedDelivery};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread;
-use std::time::Duration;
-use std::time::Instant;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::time::{Duration, Instant};
 
-/// Fault counters a delivery thread shares with its sending endpoint.
-#[derive(Debug, Default)]
-struct FaultCounters {
-    losses: AtomicU64,
-    duplicates: AtomicU64,
-}
+/// Frames in flight to one endpoint, soonest release first: `(release
+/// instant, send order, frame bytes)`. The send order breaks ties, so
+/// copies released at one instant arrive in the order they were filed.
+type InFlight = Mutex<BinaryHeap<Reverse<(Instant, u64, Vec<u8>)>>>;
 
 /// One endpoint of an in-process channel pair.
 #[derive(Debug)]
 pub struct MemTransport {
     codec: WireCodec,
-    egress: mpsc::SyncSender<(Instant, Vec<u8>)>,
-    inbox: Arc<Mutex<VecDeque<Vec<u8>>>>,
-    faults: Arc<FaultCounters>,
+    /// Fates of the frames this endpoint sends.
+    fates: FateSource,
+    /// Wall-clock length of one tick of fate delay.
+    tick: Duration,
+    /// Frames in flight to this endpoint.
+    inbox: Arc<InFlight>,
+    /// The peer's in-flight queue, gone once the peer endpoint is.
+    peer: Weak<InFlight>,
     seq: u64,
-    frames_sent: u64,
-    frames_received: u64,
-    decode_errors: u64,
+    /// Copies filed with the peer so far: the send order of the next.
+    filed: u64,
+    stats: TransportStats,
 }
 
 impl MemTransport {
@@ -53,8 +54,9 @@ impl MemTransport {
     pub fn pair(codec: WireCodec, config: ChannelConfig) -> (MemTransport, MemTransport) {
         MemTransport::pair_with(
             codec,
-            VerdictSource::Sampled(ChannelSampler::new(config, 0)),
-            VerdictSource::Sampled(ChannelSampler::new(config, 1)),
+            config.tick,
+            FateSource::Sampled(ChannelSampler::new(config, 0)),
+            FateSource::Sampled(ChannelSampler::new(config, 1)),
         )
     }
 
@@ -71,211 +73,113 @@ impl MemTransport {
     ) -> (MemTransport, MemTransport) {
         MemTransport::pair_with(
             codec,
-            VerdictSource::Scripted(ScriptedVerdicts::new(a_to_b, tick)),
-            VerdictSource::Scripted(ScriptedVerdicts::new(b_to_a, tick)),
+            tick,
+            FateSource::Scripted {
+                plan: a_to_b,
+                next: 0,
+            },
+            FateSource::Scripted {
+                plan: b_to_a,
+                next: 0,
+            },
         )
     }
 
     fn pair_with(
         codec: WireCodec,
-        a_to_b_verdicts: VerdictSource,
-        b_to_a_verdicts: VerdictSource,
+        tick: Duration,
+        a_fates: FateSource,
+        b_fates: FateSource,
     ) -> (MemTransport, MemTransport) {
-        let (a_to_b, b_inbox, a_faults) = direction(a_to_b_verdicts, 0);
-        let (b_to_a, a_inbox, b_faults) = direction(b_to_a_verdicts, 1);
-        let a = MemTransport {
+        let a_inbox: Arc<InFlight> = Arc::default();
+        let b_inbox: Arc<InFlight> = Arc::default();
+        let a_to_b = Arc::downgrade(&b_inbox);
+        let b_to_a = Arc::downgrade(&a_inbox);
+        let end = |fates, inbox, peer| MemTransport {
             codec,
-            egress: a_to_b,
-            inbox: a_inbox,
-            faults: a_faults,
+            fates,
+            tick,
+            inbox,
+            peer,
             seq: 0,
-            frames_sent: 0,
-            frames_received: 0,
-            decode_errors: 0,
+            filed: 0,
+            stats: TransportStats::default(),
         };
-        let b = MemTransport {
-            codec,
-            egress: b_to_a,
-            inbox: b_inbox,
-            faults: b_faults,
-            seq: 0,
-            frames_sent: 0,
-            frames_received: 0,
-            decode_errors: 0,
-        };
-        (a, b)
+        (end(a_fates, a_inbox, a_to_b), end(b_fates, b_inbox, b_to_a))
     }
-}
 
-/// An endpoint's read side: delivered frames awaiting `poll_recv`.
-type Inbox = Arc<Mutex<VecDeque<Vec<u8>>>>;
-
-/// The write side of a direction: `(send_instant, frame bytes)` pairs
-/// handed to the delivery thread. Bounded: a stalled delivery thread
-/// becomes frame loss at the sender (the channel model already permits
-/// loss), never unbounded memory growth.
-type Ingress = mpsc::SyncSender<(Instant, Vec<u8>)>;
-
-/// In-flight frames one direction buffers before `send` starts dropping.
-/// Far above anything the paced driver produces within a `d` window; only
-/// a wedged delivery thread can fill it.
-const INGRESS_CAP: usize = 1024;
-
-/// Spawns one delivery direction: returns the ingress sender, the inbox
-/// the peer endpoint reads from, and the fault counters of this direction.
-fn direction(verdicts: VerdictSource, stream: u64) -> (Ingress, Inbox, Arc<FaultCounters>) {
-    let (tx, rx) = mpsc::sync_channel::<(Instant, Vec<u8>)>(INGRESS_CAP);
-    let inbox: Inbox = Arc::new(Mutex::new(VecDeque::new()));
-    let faults = Arc::new(FaultCounters::default());
-    let thread_inbox = Arc::clone(&inbox);
-    let thread_faults = Arc::clone(&faults);
-    thread::Builder::new()
-        .name(format!("rstp-net-chan-{stream}"))
-        .spawn(move || delivery_loop(rx, thread_inbox, verdicts, thread_faults))
-        .expect("spawn delivery thread");
-    (tx, inbox, faults)
-}
-
-/// The delivery thread: schedules each frame at `send_instant + delay`
-/// and releases due frames into the inbox, draining in deadline order.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the delivery thread is the channel delay model; its reads define release instants"
-)]
-fn delivery_loop(
-    ingress: mpsc::Receiver<(Instant, Vec<u8>)>,
-    inbox: Arc<Mutex<VecDeque<Vec<u8>>>>,
-    mut verdicts: VerdictSource,
-    faults: Arc<FaultCounters>,
-) {
-    // Min-heap on (deliver_at, arrival_index); the index breaks ties so
-    // equal deadlines release in send order.
-    let mut heap: BinaryHeap<Reverse<(Instant, u64, Vec<u8>)>> = BinaryHeap::new();
-    let mut arrival = 0u64;
-    let mut open = true;
-    loop {
-        // Only this thread and the receiving endpoint hold the inbox; a
-        // strong count of one means the peer endpoint is gone and nothing
-        // will ever read what we deliver. Exit so the sender's ingress
-        // channel closes and its next send reports the disconnect.
-        if Arc::strong_count(&inbox) == 1 {
-            return;
-        }
-        let now = Instant::now();
-        while heap.peek().is_some_and(|Reverse((at, _, _))| *at <= now) {
-            if let Some(Reverse((_, _, bytes))) = heap.pop() {
-                // A poisoned inbox means a reader panicked mid-pop; the
-                // queue itself is just bytes, so keep delivering.
-                inbox
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push_back(bytes);
-            }
-        }
-        if !open && heap.is_empty() {
-            return;
-        }
-        let incoming = match heap.peek() {
-            Some(Reverse((at, _, _))) if open => {
-                match ingress.recv_timeout(at.saturating_duration_since(Instant::now())) {
-                    Ok(item) => Some(item),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        open = false;
-                        None
-                    }
-                }
-            }
-            Some(Reverse((at, _, _))) => {
-                thread::sleep(at.saturating_duration_since(Instant::now()));
-                None
-            }
-            None => match ingress.recv() {
-                Ok(item) => Some(item),
-                Err(_) => {
-                    open = false;
-                    None
-                }
-            },
-        };
-        if let Some((sent_at, bytes)) = incoming {
-            match verdicts.next_verdict() {
-                Verdict::Drop => {
-                    faults.losses.fetch_add(1, Ordering::Relaxed);
-                }
-                Verdict::Deliver(delay) => {
-                    heap.push(Reverse((sent_at + delay, arrival, bytes)));
-                    arrival += 1;
-                }
-                Verdict::Duplicate(first, second) => {
-                    faults.duplicates.fetch_add(1, Ordering::Relaxed);
-                    heap.push(Reverse((sent_at + first, arrival, bytes.clone())));
-                    arrival += 1;
-                    heap.push(Reverse((sent_at + second, arrival, bytes)));
-                    arrival += 1;
-                }
-            }
-        }
+    /// Files one copy in the peer's queue, released `delay` ticks after
+    /// `sent`.
+    fn file(&mut self, inbox: &InFlight, sent: Instant, delay: u64, bytes: Vec<u8>) {
+        let release = sent + self.tick * u32::try_from(delay).unwrap_or(u32::MAX);
+        inbox
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Reverse((release, self.filed, bytes)));
+        self.filed += 1;
     }
 }
 
 impl Transport for MemTransport {
     #[expect(
         clippy::disallowed_methods,
-        reason = "stamps the send instant the delay model releases from"
+        reason = "stamps the send instant the channel releases each copy from"
     )]
     fn send(&mut self, packet: Packet, sent_at_micros: u64) -> Result<(), NetError> {
+        let Some(inbox) = self.peer.upgrade() else {
+            return Err(NetError::Disconnected);
+        };
+        let sent = Instant::now();
         let buf =
             self.codec
                 .encode_with_session(packet, self.seq, sent_at_micros, SessionId::new(0));
         self.seq += 1;
-        match self.egress.try_send((Instant::now(), buf.to_vec())) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // Backpressure surfaces as channel loss, which the
-                // protocols already tolerate; blocking here would stall
-                // the paced driver past its c2 deadline instead.
-                self.faults.losses.fetch_add(1, Ordering::Relaxed);
+        self.stats.frames_sent += 1;
+        match self.fates.next_fate() {
+            PacketFate::Drop => self.stats.injected_losses += 1,
+            PacketFate::Deliver(delay) => self.file(&inbox, sent, delay, buf.to_vec()),
+            PacketFate::Duplicate(first, second) => {
+                self.stats.injected_duplicates += 1;
+                self.file(&inbox, sent, first, buf.to_vec());
+                self.file(&inbox, sent, second, buf.to_vec());
             }
-            Err(TrySendError::Disconnected(_)) => return Err(NetError::Disconnected),
         }
-        self.frames_sent += 1;
         Ok(())
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a frame becomes visible at its release instant, read at the poll"
+    )]
     fn poll_recv(&mut self) -> Result<Option<Frame>, NetError> {
-        let bytes = match self
+        let now = Instant::now();
+        let released = self
             .inbox
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            Some(b) => b,
-            None => return Ok(None),
+            .peek_mut()
+            .filter(|next| next.0 .0 <= now)
+            .map(PeekMut::pop);
+        let Some(Reverse((_, _, bytes))) = released else {
+            return Ok(None);
         };
         // In-process frames cannot suffer bit-level corruption, so any
         // decode failure (including a protocol mismatch between the two
         // endpoints) is a setup bug and surfaces as a hard error.
         match self.codec.decode(&bytes) {
             Ok(frame) => {
-                self.frames_received += 1;
+                self.stats.frames_received += 1;
                 Ok(Some(frame))
             }
             Err(e) => {
-                self.decode_errors += 1;
+                self.stats.decode_errors += 1;
                 Err(e.into())
             }
         }
     }
 
     fn local_stats(&self) -> TransportStats {
-        TransportStats {
-            frames_sent: self.frames_sent,
-            frames_received: self.frames_received,
-            decode_errors: self.decode_errors,
-            injected_losses: self.faults.losses.load(Ordering::Relaxed),
-            injected_duplicates: self.faults.duplicates.load(Ordering::Relaxed),
-        }
+        self.stats
     }
 }
 
@@ -285,7 +189,7 @@ mod tests {
     use super::*;
     use crate::wire::ProtocolId;
     use rstp_core::TimingParams;
-    use std::time::Duration;
+    use std::thread;
 
     fn codec() -> WireCodec {
         WireCodec::new(ProtocolId::Beta, 4).expect("k fits")
@@ -330,19 +234,18 @@ mod tests {
         // a → b direction: stream 0 of the channel's seed. A wide delay
         // window over many sends draws some later frame a shorter delay
         // than an earlier one, and the seed makes the draw reproducible.
-        // The arrival order itself is not asserted: a delivery thread
-        // descheduled past the whole window finds every frame due and
-        // releases them in send order, a schedule the channel allows.
-        let tick = Duration::from_micros(400);
-        let cfg = ChannelConfig::reliable(params(), tick, 3);
+        // The arrival order itself is not asserted: a reader descheduled
+        // past the whole window finds every frame due and takes them in
+        // send order, a schedule the channel allows.
+        let cfg = ChannelConfig::reliable(params(), Duration::from_micros(400), 3);
         let mut a_to_b = ChannelSampler::new(cfg, 0);
-        let delays: Vec<Duration> = (0..48)
-            .map(|_| match a_to_b.next_verdict() {
-                Verdict::Deliver(delay) => delay,
+        let delays: Vec<u64> = (0..48)
+            .map(|_| match a_to_b.next_fate() {
+                PacketFate::Deliver(delay) => delay,
                 other => panic!("a reliable channel delivers once: {other:?}"),
             })
             .collect();
-        let window = tick * u32::try_from(params().d().ticks()).expect("small d");
+        let window = params().d().ticks();
         assert!(delays.iter().all(|&delay| delay <= window), "{delays:?}");
         let overtakes = (0..delays.len())
             .flat_map(|i| (i + 1..delays.len()).map(move |j| (i, j)))
@@ -387,8 +290,7 @@ mod tests {
         for i in 0..200u64 {
             a.send(Packet::Data(i), i).expect("send");
         }
-        // Give the delivery thread time to classify everything.
-        thread::sleep(Duration::from_millis(100));
+        // `send` decides each fate, so the counts are final at once.
         let stats = a.local_stats();
         assert!(stats.injected_losses > 0, "expected some losses");
         assert!(stats.injected_duplicates > 0, "expected some duplicates");
@@ -414,9 +316,7 @@ mod tests {
         let tick = Duration::from_millis(2);
         let d_ticks = params().d().ticks();
         let plan = ScriptedDelivery::new(
-            (0..8)
-                .map(|_| rstp_sim::PacketFate::Duplicate(0, d_ticks))
-                .collect(),
+            (0..8).map(|_| PacketFate::Duplicate(0, d_ticks)).collect(),
             0,
         );
         let (mut a, mut b) =
@@ -468,10 +368,10 @@ mod tests {
         let tick = Duration::from_micros(100);
         let plan = ScriptedDelivery::new(
             vec![
-                rstp_sim::PacketFate::Deliver(0),
-                rstp_sim::PacketFate::Drop,
-                rstp_sim::PacketFate::Deliver(0),
-                rstp_sim::PacketFate::Drop,
+                PacketFate::Deliver(0),
+                PacketFate::Drop,
+                PacketFate::Deliver(0),
+                PacketFate::Drop,
             ],
             0,
         );
@@ -481,8 +381,6 @@ mod tests {
             a.send(Packet::Data(i), i).expect("send");
         }
         let frames = drain(&mut b, 2, Duration::from_secs(1));
-        // Allow the thread a beat to classify the dropped frames too.
-        thread::sleep(Duration::from_millis(50));
         let symbols: Vec<u64> = frames.iter().map(|f| f.packet.symbol()).collect();
         assert_eq!(symbols, vec![0, 2]);
         let stats = a.local_stats();
@@ -496,17 +394,29 @@ mod tests {
         let cfg = ChannelConfig::eager(Duration::from_micros(10), 5);
         let (mut a, b) = MemTransport::pair(codec(), cfg);
         drop(b);
-        // The delivery thread drains and exits once the peer's inbox side
-        // is gone; the ingress sender then observes a closed channel.
-        thread::sleep(Duration::from_millis(50));
-        let mut saw_disconnect = false;
-        for i in 0..8 {
-            if a.send(Packet::Data(i), 0).is_err() {
-                saw_disconnect = true;
-                break;
-            }
-            thread::sleep(Duration::from_millis(20));
-        }
-        assert!(saw_disconnect);
+        assert!(matches!(
+            a.send(Packet::Data(0), 0),
+            Err(NetError::Disconnected)
+        ));
+        assert_eq!(a.local_stats().frames_sent, 0, "nothing was sent");
+    }
+
+    #[test]
+    fn a_delayed_frame_is_invisible_until_its_release() {
+        // Never early: a frame scripted to arrive d ticks after its send
+        // stays in flight until then. The coarse tick leaves the poll
+        // right after the send a full 200 ms before the release.
+        let tick = Duration::from_millis(50);
+        let d_ticks: u32 = 4;
+        let plan = ScriptedDelivery::new(vec![PacketFate::Deliver(d_ticks.into())], 0);
+        let (mut a, mut b) =
+            MemTransport::pair_scripted(codec(), tick, plan, ScriptedDelivery::deliver_all(&[], 0));
+        a.send(Packet::Data(7), 0).expect("send");
+        let sent = Instant::now();
+        assert!(b.poll_recv().expect("poll").is_none(), "released early");
+        thread::sleep((sent + tick * d_ticks).saturating_duration_since(Instant::now()));
+        let frame = b.poll_recv().expect("poll").expect("released by now");
+        assert_eq!(frame.packet, Packet::Data(7));
+        assert!(b.poll_recv().expect("poll").is_none(), "delivered once");
     }
 }

@@ -84,11 +84,6 @@ impl UdpTransport {
     pub fn local_addr(&self) -> Result<SocketAddr, NetError> {
         Ok(self.socket.local_addr()?)
     }
-
-    /// The peer this endpoint sends to and accepts datagrams from.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
 }
 
 impl Transport for UdpTransport {

@@ -98,6 +98,25 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// The pump tick the fault fires at. An `auto` clause has no tick of
+    /// its own ([`FaultPlan::schedule`] expands it) and reports
+    /// `u64::MAX`, so a leftover one would sort last and never fire.
+    #[must_use]
+    pub fn tick(&self) -> u64 {
+        match *self {
+            FaultEvent::Kill { tick, .. }
+            | FaultEvent::Restart { tick, .. }
+            | FaultEvent::Panic { tick, .. }
+            | FaultEvent::Drain { tick, .. } => tick,
+            FaultEvent::Stall { from_tick, .. } | FaultEvent::HubDrop { from_tick, .. } => {
+                from_tick
+            }
+            FaultEvent::Auto { .. } => u64::MAX,
+        }
+    }
+}
+
 impl fmt::Display for FaultEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -258,17 +277,7 @@ impl FaultPlan {
                 other => out.push(other),
             }
         }
-        out.sort_by_key(|ev| match *ev {
-            FaultEvent::Kill { tick, .. }
-            | FaultEvent::Restart { tick, .. }
-            | FaultEvent::Panic { tick, .. }
-            | FaultEvent::Drain { tick, .. } => tick,
-            FaultEvent::Stall { from_tick, .. } | FaultEvent::HubDrop { from_tick, .. } => {
-                from_tick
-            }
-            // Expanded above; an impossible leftover sorts last.
-            FaultEvent::Auto { .. } => u64::MAX,
-        });
+        out.sort_by_key(FaultEvent::tick);
         out
     }
 }
@@ -304,19 +313,11 @@ mod tests {
         let a = plan.schedule(4);
         let b = plan.schedule(4);
         assert_eq!(a, b, "same seed, same schedule");
-        let ticks: Vec<u64> = a
-            .iter()
-            .map(|ev| match *ev {
-                FaultEvent::Kill { tick, .. }
-                | FaultEvent::Restart { tick, .. }
-                | FaultEvent::Panic { tick, .. }
-                | FaultEvent::Drain { tick, .. } => tick,
-                FaultEvent::Stall { from_tick, .. } | FaultEvent::HubDrop { from_tick, .. } => {
-                    from_tick
-                }
-                FaultEvent::Auto { .. } => unreachable!(),
-            })
-            .collect();
+        assert!(
+            a.iter().all(|ev| !matches!(ev, FaultEvent::Auto { .. })),
+            "auto clauses are expanded: {a:?}"
+        );
+        let ticks: Vec<u64> = a.iter().map(FaultEvent::tick).collect();
         let mut sorted = ticks.clone();
         sorted.sort_unstable();
         assert_eq!(ticks, sorted);

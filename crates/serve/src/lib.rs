@@ -9,8 +9,9 @@
 //!
 //! The architecture (see `docs/SERVE.md` for the full discussion):
 //!
-//! * [`wheel`] — a hierarchical timer wheel: one thread paces thousands
-//!   of session deadlines without one sleeper per session.
+//! * [`wheel`] — the shard's session deadlines, one ordered map from
+//!   tick to the sessions due at it: one thread paces thousands of
+//!   sessions without one sleeper per session.
 //! * [`endpoint`] — snapshottable receivers over `rstp-net`'s object-safe
 //!   session endpoints, so a shard can own a heterogeneous session table
 //!   (α next to β(k) next to γ(k)) behind one trait.

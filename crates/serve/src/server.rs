@@ -216,18 +216,6 @@ pub(crate) enum PumpMsg {
     Forward(Vec<Frame>),
 }
 
-/// The pump tick a scheduled fault fires at.
-fn fault_tick(ev: &FaultEvent) -> u64 {
-    match *ev {
-        FaultEvent::Kill { tick, .. }
-        | FaultEvent::Restart { tick, .. }
-        | FaultEvent::Panic { tick, .. }
-        | FaultEvent::Drain { tick, .. } => tick,
-        FaultEvent::Stall { from_tick, .. } | FaultEvent::HubDrop { from_tick, .. } => from_tick,
-        FaultEvent::Auto { .. } => 0,
-    }
-}
-
 /// Queues `frame` on its owning shard's share of the current batch. A
 /// frame for a session no shard owns counts as an orphan. One its
 /// session cannot take counts as a decode error and never reaches the
@@ -684,7 +672,7 @@ pub fn run_server<T: ServeTransport>(
         }
 
         // Fire every scripted fault whose tick has arrived.
-        while next_fault < schedule.len() && fault_tick(&schedule[next_fault]) <= now_tick {
+        while next_fault < schedule.len() && schedule[next_fault].tick() <= now_tick {
             let ev = schedule[next_fault];
             next_fault += 1;
             match ev {

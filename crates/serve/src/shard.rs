@@ -6,7 +6,7 @@
 //! *bounded* channel, one message per pump batch (the server drops,
 //! never blocks, when it is full: an admitted session may lose frames,
 //! which the protocols already tolerate, but it is never stalled past its
-//! `c2` window by a slow neighbour). Pacing uses the hierarchical
+//! `c2` window by a slow neighbour). Pacing uses the
 //! [`TimerWheel`] instead of one sleeping thread per session; the
 //! miss/violation accounting, re-anchoring and grace completion are
 //! `rstp_net`'s [`Pacer`], the same rules its driver loop applies, so a

@@ -17,11 +17,12 @@ use crate::server::{run_server, ServeConfig, SessionSpec};
 use crate::udp::UdpServerTransport;
 use rstp_core::{Message, SessionId, TimingParams};
 use rstp_net::{
-    codec_for, run_sessions, transmitter_endpoint, DriverConfig, DriverOutcome, DriverReport,
+    codec_for, run_sessions_until, transmitter_endpoint, DriverConfig, DriverOutcome, DriverReport,
     NetError, Session, TickClock, Transport, UdpTransport,
 };
 use rstp_sim::harness::{expected_output, random_input};
 use rstp_sim::ProtocolKind;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::Duration;
 
@@ -422,7 +423,8 @@ const WAVE: usize = 64;
 /// Runs `server` on the calling thread while one client thread per shard
 /// drives the transmitter sessions — session `i` over `ends[i]` — under
 /// closed admission. Returns the server's report and one client report
-/// per session, in plan order.
+/// per session, in plan order. A failed server stops the clients at once
+/// (they could only wait out `max_wall`) and its error is the result.
 fn with_clients<T: Transport + Send>(
     sessions: &[(SessionSpec, Vec<Message>)],
     ends: Vec<T>,
@@ -446,21 +448,33 @@ fn with_clients<T: Transport + Send>(
         lane.push(Session::transmitter(endpoint, end));
     }
 
+    let stop = AtomicBool::new(false);
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for (ids, lane) in lanes {
+            let stop = &stop;
             let handle = thread::Builder::new()
                 .name("rstp-swarm-clients".into())
-                .spawn_scoped(scope, move || run_sessions(lane, clock, &config))
+                .spawn_scoped(scope, move || {
+                    run_sessions_until(lane, clock, &config, stop)
+                })
                 .map_err(|e| NetError::Thread {
                     what: format!("spawn client thread: {e}"),
                 })?;
             handles.push((ids, handle));
         }
         let report = server();
+        if report.is_err() {
+            stop.store(true, Ordering::Relaxed);
+        }
+        let joined: Vec<_> = handles
+            .into_iter()
+            .map(|(ids, h)| (ids, h.join()))
+            .collect();
+        let report = report?;
         let mut clients: Vec<Option<DriverReport>> = sessions.iter().map(|_| None).collect();
-        for (ids, handle) in handles {
-            let reports = handle.join().map_err(|_| NetError::Thread {
+        for (ids, joined) in joined {
+            let reports = joined.map_err(|_| NetError::Thread {
                 what: "swarm client thread panicked".into(),
             })??;
             for (i, r) in ids.into_iter().zip(reports) {
@@ -468,7 +482,7 @@ fn with_clients<T: Transport + Send>(
             }
         }
         let clients = clients.into_iter().flatten().collect();
-        Ok((report?, clients))
+        Ok((report, clients))
     })
 }
 

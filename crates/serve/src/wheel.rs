@@ -1,13 +1,14 @@
-//! Hierarchical timer wheel: thousands of session deadlines, one sleeper.
+//! The shard's step deadlines: one ordered map from tick to the tokens
+//! due at it, read by the one thread that sleeps on it.
 //!
 //! A per-session driver sleeps once per step; a server running `M`
-//! sessions cannot afford `M` sleeping threads, nor a `BinaryHeap` whose
-//! every reschedule costs `log M` comparisons on the hot path. The classic
-//! answer (Varghese & Lauck) is a hierarchy of wheels: level 0 holds the
-//! next [`SLOTS`] ticks at tick resolution, level `l` holds the next
-//! `SLOTS^(l+1)` ticks at `SLOTS^l`-tick resolution. Scheduling and
-//! per-tick advance are O(1) amortized; entries cascade one level down
-//! when their coarse slot comes due.
+//! sessions cannot afford `M` sleeping threads. A shard instead keeps
+//! every session's next deadline here and sleeps to the first one. A
+//! session's next deadline lies at most one gap after its last step, so
+//! however many sessions a shard paces, their deadlines fall on a handful
+//! of distinct ticks (one or two in measured swarms). The map therefore
+//! stays tiny: `schedule` appends to its tick's list, `advance` takes
+//! whole lists off the front, and `next_due` reads the first key.
 //!
 //! The wheel is deliberately *not* wall-clock-aware: it counts abstract
 //! ticks and the shard maps them through its `TickClock`, the same
@@ -15,62 +16,27 @@
 //! therefore stays where it already lives — in the shard's step loop —
 //! and the wheel only answers "whose deadline is ≤ now?".
 
-/// Slots per level. 64 keeps the cascade shallow (4 levels cover
-/// 64⁴ ≈ 16.7M ticks) and makes slot arithmetic a mask.
-pub const SLOTS: usize = 64;
+use std::collections::BTreeMap;
 
-/// Number of levels. Level 3 spans ~16.7M ticks; a session further out
-/// than that is parked in the overflow list and re-examined on cascade.
-pub const LEVELS: usize = 4;
-
-/// Span of one slot at `level`, in ticks.
-const fn slot_span(level: usize) -> u64 {
-    (SLOTS as u64).pow(level as u32)
-}
-
-/// Span of the whole wheel at `level`, in ticks.
-const fn level_span(level: usize) -> u64 {
-    slot_span(level) * SLOTS as u64
-}
-
-/// One scheduled entry: an opaque token due at an absolute tick.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Entry<T> {
-    due_tick: u64,
-    token: T,
-}
-
-/// A hierarchical timer wheel over abstract ticks.
+/// Session deadlines over abstract ticks.
 ///
 /// Tokens are opaque to the wheel (shards use session-table indices).
 /// `advance(now)` returns every token whose deadline is ≤ `now`, in
-/// deadline order within a tick.
+/// deadline order, and tokens sharing a deadline in scheduling order.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    /// `levels[l][s]` holds entries due in that slot's span.
-    levels: Vec<Vec<Vec<Entry<T>>>>,
-    /// Entries beyond the top level's horizon.
-    overflow: Vec<Entry<T>>,
-    /// Entries scheduled at or before `now` — returned by the next
-    /// `advance` without waiting a full lap.
-    overdue: Vec<Entry<T>>,
-    /// The last tick `advance` fully processed.
-    now: u64,
-    /// Live entry count.
+    /// Tokens by deadline tick, each list in scheduling order.
+    due: BTreeMap<u64, Vec<T>>,
+    /// Scheduled tokens, across all ticks.
     len: usize,
 }
 
-impl<T: Copy> TimerWheel<T> {
-    /// An empty wheel positioned at tick 0.
+impl<T> TimerWheel<T> {
+    /// An empty wheel.
     #[must_use]
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            overflow: Vec::new(),
-            overdue: Vec::new(),
-            now: 0,
+            due: BTreeMap::new(),
             len: 0,
         }
     }
@@ -87,140 +53,39 @@ impl<T: Copy> TimerWheel<T> {
         self.len == 0
     }
 
-    /// The tick `advance` has processed up to.
-    #[must_use]
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Schedules `token` at absolute tick `due_tick`. A deadline at or
-    /// before the current tick is delivered by the next [`advance`]
+    /// before the last [`advance`] is delivered by the next one
     /// (deadlines in the past are the server's miss-accounting problem,
     /// not a scheduling error).
     ///
     /// [`advance`]: Self::advance
     pub fn schedule(&mut self, due_tick: u64, token: T) {
+        self.due.entry(due_tick).or_default().push(token);
         self.len += 1;
-        let entry = Entry { due_tick, token };
-        if due_tick <= self.now {
-            self.overdue.push(entry);
-            return;
-        }
-        self.place(entry);
     }
 
-    /// Files an entry (strictly in the future) into the finest level
-    /// whose horizon reaches it.
-    fn place(&mut self, entry: Entry<T>) {
-        let delta = entry.due_tick - self.now;
-        for level in 0..LEVELS {
-            if delta < level_span(level) {
-                let slot = (entry.due_tick / slot_span(level)) as usize % SLOTS;
-                if let Some(entries) = self.slot_mut(level, slot) {
-                    entries.push(entry);
-                    return;
-                }
-            }
-        }
-        self.overflow.push(entry);
-    }
-
-    /// Advances the wheel to `to`, appending every token whose deadline
-    /// is ≤ `to` onto `due` in deadline order. Ticks are processed one at
-    /// a time so cascades land exactly on their boundaries; `advance` to
-    /// a tick already processed is a no-op.
+    /// Appends every token whose deadline is ≤ `to` onto `due`, in
+    /// deadline order. `to` never falls behind an earlier call's: the
+    /// shard advances to the tick of a monotonic clock reading.
     pub fn advance(&mut self, to: u64, due: &mut Vec<(u64, T)>) {
-        // Entries that were scheduled late: deliver first, oldest deadline
-        // first, so miss accounting sees them in order.
-        if !self.overdue.is_empty() {
-            self.overdue.sort_by_key(|e| e.due_tick);
-            for e in self.overdue.drain(..) {
-                self.len -= 1;
-                due.push((e.due_tick, e.token));
+        while let Some(first) = self.due.first_entry() {
+            if *first.key() > to {
+                break;
             }
-        }
-        while self.now < to {
-            self.now += 1;
-            let tick = self.now;
-            // Cascade coarser levels whose slot boundary this tick crosses.
-            for level in 1..LEVELS {
-                if tick % slot_span(level) == 0 {
-                    let slot = (tick / slot_span(level)) as usize % SLOTS;
-                    let entries = self
-                        .slot_mut(level, slot)
-                        .map(std::mem::take)
-                        .unwrap_or_default();
-                    for e in entries {
-                        if e.due_tick <= self.now {
-                            self.len -= 1;
-                            due.push((e.due_tick, e.token));
-                        } else {
-                            self.place(e);
-                        }
-                    }
-                }
-            }
-            if tick % level_span(LEVELS - 1) == 0 {
-                let entries = std::mem::take(&mut self.overflow);
-                for e in entries {
-                    if e.due_tick <= self.now {
-                        self.len -= 1;
-                        due.push((e.due_tick, e.token));
-                    } else {
-                        self.place(e);
-                    }
-                }
-            }
-            let slot = tick as usize % SLOTS;
-            let entries = self
-                .slot_mut(0, slot)
-                .map(std::mem::take)
-                .unwrap_or_default();
-            for e in entries {
-                // A level-0 slot only holds entries within one lap, and we
-                // visit every tick, so everything here is due exactly now.
-                debug_assert_eq!(e.due_tick, tick);
-                self.len -= 1;
-                due.push((e.due_tick, e.token));
-            }
+            let (tick, tokens) = first.remove_entry();
+            self.len -= tokens.len();
+            due.extend(tokens.into_iter().map(|token| (tick, token)));
         }
     }
 
-    /// Checked slot lookup. `level < LEVELS` and `slot < SLOTS` hold at
-    /// every call site by construction (the slot index is taken `% SLOTS`),
-    /// but the wheel sits on the shard's panic-free data path, so access
-    /// is bounds-checked rather than trusted.
-    fn slot_mut(&mut self, level: usize, slot: usize) -> Option<&mut Vec<Entry<T>>> {
-        self.levels.get_mut(level)?.get_mut(slot)
-    }
-
-    /// The earliest scheduled deadline, or `None` when empty. O(wheel)
-    /// scan — called once per shard loop to size the sleep, not per
-    /// session, so linearity in the slot count is fine.
+    /// The earliest scheduled deadline, or `None` when empty.
     #[must_use]
     pub fn next_due(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut consider = |d: u64| {
-            best = Some(best.map_or(d, |b: u64| b.min(d)));
-        };
-        for e in &self.overdue {
-            consider(e.due_tick);
-        }
-        for level in &self.levels {
-            for slot in level {
-                for e in slot {
-                    consider(e.due_tick);
-                }
-            }
-        }
-        for e in &self.overflow {
-            consider(e.due_tick);
-        }
-        best
+        self.due.keys().next().copied()
     }
 }
 
-impl<T: Copy> Default for TimerWheel<T> {
+impl<T> Default for TimerWheel<T> {
     fn default() -> Self {
         TimerWheel::new()
     }
@@ -259,8 +124,8 @@ mod tests {
 
     #[test]
     fn entries_cascade_across_level_boundaries() {
-        // Deadlines straddling the level-0 lap (64) and the level-1 lap
-        // (4096) — the classic off-by-one territory of wheel cascades.
+        // Deadlines straddling 64 and 4096 and far beyond — the
+        // off-by-one territory of a slotted wheel's cascades.
         let mut w = TimerWheel::new();
         for due in [63u64, 64, 65, 4095, 4096, 4097, 300_000] {
             w.schedule(due, due as u32);
@@ -277,9 +142,11 @@ mod tests {
     #[test]
     fn matches_a_reference_model_under_pseudorandom_load() {
         // Differential test against a BTreeMap priority queue: same
-        // deadlines in, same (sorted-by-deadline) tokens out at every
-        // advance, across cascade boundaries. A simple LCG provides
-        // deterministic "randomness" without a dependency.
+        // deadlines in, same tokens out at every advance — by deadline,
+        // then in scheduling order — and the same earliest deadline
+        // after every burst and every advance, since the shard sleeps on
+        // `next_due`. A simple LCG provides deterministic "randomness"
+        // without a dependency.
         let mut w = TimerWheel::new();
         let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let mut lcg: u64 = 0x1234_5678;
@@ -295,16 +162,21 @@ mod tests {
             // Schedule a burst at mixed horizons: near, mid, far.
             for _ in 0..8 {
                 let horizon = match next() % 3 {
-                    0 => 1 + next() % 60,         // level 0
-                    1 => 64 + next() % 4000,      // level 1
-                    _ => 4096 + next() % 250_000, // level 2+
+                    0 => 1 + next() % 60,
+                    1 => 64 + next() % 4000,
+                    _ => 4096 + next() % 250_000,
                 };
                 let due = now + horizon;
                 w.schedule(due, token);
                 model.entry(due).or_default().push(token);
                 token += 1;
             }
-            // Advance by an uneven stride, sometimes crossing boundaries.
+            assert_eq!(
+                w.next_due(),
+                model.keys().next().copied(),
+                "next_due after a burst at now={now}"
+            );
+            // Advance by an uneven stride, sometimes a long one.
             now += 1 + next() % (if round % 5 == 0 { 10_000 } else { 97 });
             let mut fired = Vec::new();
             w.advance(now, &mut fired);
@@ -315,17 +187,16 @@ mod tests {
                     expected.push((d, t));
                 }
             }
-            // The wheel guarantees deadline order across ticks; entries
-            // sharing a deadline may interleave differently than the
-            // model (cascade timing), so compare as a multiset.
             assert!(
                 fired.windows(2).all(|w| w[0].0 <= w[1].0),
                 "deadline order violated at now={now}: {fired:?}"
             );
-            let mut fired_sorted = fired.clone();
-            fired_sorted.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(fired_sorted, expected, "divergence at now={now}");
+            assert_eq!(fired, expected, "divergence at now={now}");
+            assert_eq!(
+                w.next_due(),
+                model.keys().next().copied(),
+                "next_due after advancing to {now}"
+            );
         }
         // Drain everything left and check emptiness agreement.
         let mut fired = Vec::new();
@@ -342,7 +213,7 @@ mod tests {
         // a drain moved it away — or still occupies the wheel. It is
         // never silently dropped. Conservation (`scheduled == fired +
         // len()`) is checked after every operation under pseudorandom
-        // load across cascade boundaries.
+        // load at near, mid and far horizons.
         let mut w = TimerWheel::new();
         let mut lcg: u64 = 0x000D_EFAC_EDFA_CADE;
         let mut next = move || {
@@ -359,10 +230,10 @@ mod tests {
         for round in 0..300 {
             for _ in 0..6 {
                 let horizon = match next() % 4 {
-                    0 => next() % 64,             // level 0, possibly overdue
-                    1 => 64 + next() % 4000,      // level 1
-                    2 => 4096 + next() % 250_000, // level 2+
-                    _ => 0,                       // due exactly now
+                    0 => next() % 64,
+                    1 => 64 + next() % 4000,
+                    2 => 4096 + next() % 250_000,
+                    _ => 0, // due exactly now
                 };
                 w.schedule(now + horizon, token);
                 fired_once.push(0u32);
