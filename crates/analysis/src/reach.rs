@@ -123,11 +123,12 @@ const PANIC_ENTRIES: &[Matcher] = &[
 
 /// Entry points for the blocking and allocation passes: the recorder's
 /// per-event encoding and once-per-iteration hand-off, the ring's
-/// single-record push, and serve's per-frame ingress/egress loops.
-/// `run_shard` itself is *not* here — its single `sleep_until` to the
-/// wheel's next deadline is the designed blocking point, and its
-/// admission work (session setup) may allocate; the per-frame work it
-/// dispatches to is what must stay nonblocking and allocation-free.
+/// single-record push, serve's per-frame ingress/egress loops, and the
+/// ingress pass a shard runs after every wake. `run_shard` itself is
+/// *not* here — its single `sleep_until` to the wheel's next deadline is
+/// the designed blocking point, and its admission work (session setup)
+/// may allocate; the per-frame work it dispatches to is what must stay
+/// nonblocking and allocation-free.
 /// Protocol automata (`apply`) are the *panic* pass's concern: their
 /// error paths may format messages, which is cold-path allocation, not
 /// steady state.
@@ -155,6 +156,10 @@ const STEADY_STATE_ENTRIES: &[Matcher] = &[
     Matcher::TraitImpl {
         trait_name: "ServeTransport",
         method: Some("recv_batch"),
+    },
+    Matcher::TypeMethod {
+        type_name: "Pump",
+        name: "pass",
     },
 ];
 

@@ -149,7 +149,7 @@ impl DriverConfig {
 /// history in a [`Cadence`].
 ///
 /// The pacer derives both of its tolerances from `(params, tick)`: the
-/// [`slack`](Pacer::slack) and the completion
+/// slack (a quarter tick) and the completion
 /// [`grace`](Pacer::grace_ticks). Nothing else computes them.
 #[derive(Clone, Copy, Debug)]
 pub struct Pacer {
@@ -200,12 +200,6 @@ impl Pacer {
             grace_ticks,
             quiet_steps: grace_ticks.div_ceil(gap_ticks).max(1),
         }
-    }
-
-    /// The timing tolerance of the miss/violation accounting: a wake
-    /// more than this past its deadline is late.
-    pub fn slack(&self) -> Duration {
-        self.slack
     }
 
     /// The grace period, in ticks, a locally done session keeps

@@ -383,8 +383,8 @@ pub fn decode_any(bytes: &[u8]) -> Result<Frame, WireError> {
 /// to locate it (length, magic, and the flags byte).
 ///
 /// The UDP server transport uses this to learn a session's return
-/// address as datagrams arrive; the pump still decodes every frame in
-/// full, checksum included, before routing it. Returns `None` for
+/// address as datagrams arrive; the server's ingress pass still decodes
+/// every frame in full, checksum included, before routing it. Returns `None` for
 /// anything that is not frame-shaped.
 #[must_use]
 pub fn peek_session(bytes: &[u8]) -> Option<SessionId> {

@@ -1,10 +1,10 @@
 //! Deterministic, seeded fault-injection plans for `rstp serve` and
 //! `rstp swarm`.
 //!
-//! A [`FaultPlan`] is a scripted sequence of faults the server pump
-//! executes at fixed tick offsets: shard kills and restarts, injected
-//! panics, session drains from one shard to another, ingress stalls,
-//! and hub drops. Plans are parsed from a compact grammar so CI jobs and
+//! A [`FaultPlan`] is a scripted sequence of faults the server executes
+//! at fixed tick offsets: shard kills and restarts, injected panics,
+//! session drains from one shard to another, ingress stalls, and hub
+//! drops. Plans are parsed from a compact grammar so CI jobs and
 //! shrunk repro commands can carry one on the command line:
 //!
 //! ```text
@@ -22,20 +22,24 @@
 //!   that the server and `rstp swarm` report a nonzero verdict instead
 //!   of unwinding silently. The run ends as soon as the thread has.
 //! * `drain=A->B@T` — at tick `T`, shard `A` moves every live session
-//!   to shard `B`: each leaves whole through the pump and resumes on
-//!   `B` (or back on `A` if `B` cannot take it). A drain from or into a
-//!   dead shard does nothing.
-//! * `stall=T1..T2` — the pump stops reading ingress for ticks
-//!   `[T1, T2)`: a socket stall. Frames queue in the transport.
-//! * `hubdrop=T1..T2` — the pump reads and *discards* ingress for
+//!   to shard `B`: each leaves whole through the supervisor and resumes
+//!   on `B` (or back on `A` if `B` cannot take it). A drain from or into
+//!   a dead shard does nothing.
+//! * `stall=T1..T2` — no pass reads ingress in ticks `[T1, T2)`: a
+//!   socket stall. Frames queue in the transport.
+//! * `hubdrop=T1..T2` — every pass reads and *discards* ingress in
 //!   ticks `[T1, T2)`: the hub dropping mid-transfer.
 //! * `auto=N@SEED` — expands to `N` kill+restart pairs at deterministic
 //!   ticks and shards derived from `SEED` (a splitmix-style LCG), so a
 //!   single seed reproduces an entire fault schedule.
 //!
-//! Ticks are the server pump's polling ticks (one `tick_micros` each),
-//! counted from pump start. [`FaultPlan::parse`] round-trips with its
-//! `Display` so a plan echoed in a failure report can be pasted back.
+//! Ticks are the server clock's ticks (one `tick_micros` each), counted
+//! from its epoch. The supervisor (the thread that calls
+//! [`run_server`](crate::run_server)) fires kills, restarts, panics and
+//! drains at their ticks; the ingress pass each shard runs as it wakes
+//! judges the `stall` and `hubdrop` windows by its own tick.
+//! [`FaultPlan::parse`] round-trips with its `Display` so a plan echoed
+//! in a failure report can be pasted back.
 
 use std::fmt;
 use std::str::FromStr;
@@ -48,7 +52,7 @@ pub enum FaultEvent {
     Kill {
         /// Target shard index.
         shard: usize,
-        /// Pump tick at which the fault fires.
+        /// Tick at which the fault fires.
         tick: u64,
     },
     /// Restart shard `shard` at `tick`, recovering live sessions from
@@ -56,14 +60,14 @@ pub enum FaultEvent {
     Restart {
         /// Target shard index.
         shard: usize,
-        /// Pump tick at which the fault fires.
+        /// Tick at which the fault fires.
         tick: u64,
     },
     /// Panic shard `shard`'s thread at `tick`.
     Panic {
         /// Target shard index.
         shard: usize,
-        /// Pump tick at which the fault fires.
+        /// Tick at which the fault fires.
         tick: u64,
     },
     /// Hand every live session on `from` over to `to` at `tick`.
@@ -72,7 +76,7 @@ pub enum FaultEvent {
         from: usize,
         /// Target shard (adopter).
         to: usize,
-        /// Pump tick at which the drain starts.
+        /// Tick at which the drain starts.
         tick: u64,
     },
     /// Stop reading ingress for ticks `[from_tick, to_tick)`.
@@ -99,7 +103,7 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
-    /// The pump tick the fault fires at. An `auto` clause has no tick of
+    /// The tick the fault fires at. An `auto` clause has no tick of
     /// its own ([`FaultPlan::schedule`] expands it) and reports
     /// `u64::MAX`, so a leftover one would sort last and never fire.
     #[must_use]

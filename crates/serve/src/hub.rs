@@ -83,8 +83,8 @@ impl MemHub {
 impl ServeTransport for MemHub {
     fn recv_batch(&mut self, out: &mut Vec<FrameBuf>, max: usize) -> Result<usize, NetError> {
         // Nonblocking, like a socket: a contended inbox yields an empty
-        // batch and the pump's next round retries, instead of parking the
-        // pump behind a client mid-push. A poisoned mutex means some peer
+        // batch and the next pass retries, instead of parking a shard
+        // behind a client mid-push. A poisoned mutex means some peer
         // thread panicked while holding it; the queue holds plain bytes,
         // so recover the data and keep serving the surviving sessions.
         let mut inbox = match self.server_inbox.try_lock() {

@@ -18,18 +18,19 @@
 //! * [`metrics`] — per-shard and aggregate counters: active/completed
 //!   sessions, per-session effort, latency percentiles, deadline misses.
 //! * [`shard`] — the worker: a session table slice, its timer wheel, a
-//!   bounded ingress queue, and batched egress. No global lock is taken
-//!   on the data path.
+//!   bounded ingress queue, and batched egress. After each wake it reads
+//!   ingress for every shard, under the one lock the shards share.
 //! * [`hub`] — the loopback transport: a server inbox and per-client
 //!   inboxes, drained whole batches at a time.
 //! * [`udp`] — the same server loop over one UDP socket, demultiplexing
 //!   by each frame's session id.
-//! * [`server`] — session admission, frame routing, shard lifecycle.
+//! * [`server`] — frame routing (the shards' ingress pass), and the
+//!   supervisor: session admission, faults, shard lifecycle.
 //! * [`swarm`] — the M-client loopback load harness behind `rstp swarm`,
 //!   including the simulator-oracle cross-check.
 //!
 //! Every frame carries its session id (see [`rstp_net::wire`]); the
-//! pump routes each one to the shard that owns its session.
+//! ingress pass routes each one to the shard that owns its session.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

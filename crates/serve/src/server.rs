@@ -1,20 +1,28 @@
 //! Session admission, frame routing, and shard lifecycle.
 //!
-//! [`run_server`] is the pump: it drains the transport in batches of up
-//! to `BATCH` datagrams per call, routes each frame by its session id,
-//! and hands each shard its share of the batch, in arrival order, as one
-//! message on that shard's bounded queue. Admission is strict — a
-//! session beyond `max_sessions`, with a duplicate id, or arriving while
-//! its shard's queue is full is *rejected*, because the alternative
-//! (blocking the pump) would stall every admitted session past its `c2`
-//! window. Frames for admitted sessions likewise drop rather than block
-//! when a queue is full; the protocols already tolerate channel loss,
-//! they do not tolerate a frozen clock.
+//! The shards read ingress themselves. Right after each wake, a shard
+//! runs one `Pump::pass`: it drains the transport in batches of up to
+//! `BATCH` datagrams per call, at most `PASS_READS` calls, routes each
+//! frame by its session id, and hands each shard its share of the
+//! batch, in arrival order, as one message on that shard's bounded
+//! queue. One `Pump`, behind one lock, serves every shard's passes. The
+//! thread that calls [`run_server`] supervises: it admits sessions, fires
+//! the scripted faults, resumes moved sessions, restarts killed shards,
+//! and ends the run. It holds the lock only to read or change the
+//! tables and queues, never while it waits for a shard.
+//!
+//! Admission is strict — a session beyond `max_sessions`, with a
+//! duplicate id, or arriving while its shard's queue is full is
+//! *rejected*, because the alternative (blocking a pass) would stall
+//! every admitted session past its `c2` window. Frames for admitted
+//! sessions likewise drop rather than block when a queue is full; the
+//! protocols already tolerate channel loss, they do not tolerate a
+//! frozen clock.
 
 use crate::endpoint::restore_receiver_endpoint;
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::{ServeReport, ShardReport};
-use crate::shard::{run_shard, ResumeSession, ShardMsg, ShardParams};
+use crate::shard::{run_shard, ResumeSession, ShardMsg};
 use crate::snapshot::SessionSnapshot;
 use rstp_core::{Packet, SessionId, TimingParams};
 use rstp_net::{
@@ -25,15 +33,20 @@ use rstp_sim::ProtocolKind;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Scope, ScopedJoinHandle};
+use std::time::Duration;
 
-/// The batch bound `B`: datagrams the pump drains per ingress call,
-/// frames per shard queue message, and frames a shard flushes per
-/// egress call.
+/// The batch bound `B`: datagrams a pass drains per ingress call, frames
+/// per shard queue message, and frames a shard flushes per egress call.
 pub(crate) const BATCH: usize = 32;
+
+/// Ingress calls per pass at most. A pass runs on a shard thread, ahead
+/// of its steps, so datagrams arriving faster than a pass can route them
+/// must not hold it off its sessions' `c2` windows: what is left waits
+/// in the transport for the next pass, a wake of any shard away.
+const PASS_READS: usize = 16;
 
 /// A shard-side egress sink: ships encoded frames, addressed by raw
 /// session id, back toward their clients in batches.
@@ -96,9 +109,10 @@ pub struct ServeConfig {
     /// Worker shard count; sessions are hashed by `id % shards`.
     pub shards: usize,
     /// Bound of each shard's ingress queue, in messages: an admission, a
-    /// drain, a resumed session, or one pump batch's frames for that shard
-    /// (up to `BATCH` = 32 frames). A shard drains its queue only when it wakes
-    /// for a deadline, so the queue holds up to one gap of pump passes.
+    /// drain, a resumed session, or one ingress batch's frames for that
+    /// shard (up to `BATCH` = 32 frames). A shard drains its queue right
+    /// after its own pass, so the queue holds what the other shards'
+    /// passes routed to it since its last wake, up to one gap of them.
     pub queue_cap: usize,
     /// Admission ceiling across all shards.
     pub max_sessions: usize,
@@ -110,7 +124,7 @@ pub struct ServeConfig {
     /// Input seed stamped into each recording's metadata so a
     /// postmortem can regenerate the swarm inputs (`rstp replay`).
     pub record_seed: Option<u64>,
-    /// Scripted fault-injection plan the pump executes (`None` runs
+    /// Scripted fault-injection plan the server executes (`None` runs
     /// fault-free). See [`crate::faults`] for the grammar.
     pub faults: Option<FaultPlan>,
 }
@@ -192,10 +206,10 @@ impl ServeConfig {
     }
 }
 
-/// Shard → pump messages. A drained session travels through the pump
-/// rather than a shard-to-shard channel, so its owner-table entry moves
-/// in the same place, and at the same point of the frame order, as its
-/// `Resume` is queued.
+/// Shard → supervisor messages. A drained session travels through the
+/// supervisor rather than a shard-to-shard channel, so its owner-table
+/// entry moves under the pump's lock, at the same point of the frame
+/// order as its `Resume` is queued.
 pub(crate) enum PumpMsg {
     /// A drained session leaving shard `from` for `to`, still live, with
     /// the frames it held: resume it on `to`, move its owner-table entry,
@@ -243,7 +257,7 @@ fn route(
 /// at most `BATCH` frames: one message per shard for an ingress batch.
 /// Backpressure: a full queue refuses a whole message and each of its
 /// frames counts as `ingress_overflow` (a channel loss the protocol
-/// tolerates) instead of stalling the pump. A shard that died drops its
+/// tolerates) instead of stalling the pass. A shard that died drops its
 /// share; its error surfaces at join.
 fn send_routed(txs: &[SyncSender<ShardMsg>], routed: &mut [Vec<Frame>], overflow: &mut [u64]) {
     for ((tx, share), dropped) in txs.iter().zip(routed.iter_mut()).zip(overflow) {
@@ -256,83 +270,219 @@ fn send_routed(txs: &[SyncSender<ShardMsg>], routed: &mut [Vec<Frame>], overflow
     }
 }
 
-/// Handles every message the shards have sent the pump so far. A moved
-/// session is queued as a `Resume` on its target, or back on its source
-/// when the target is dead or refuses it, and its owner-table entry moves
-/// to whichever took it; if neither did, it stays with the source, whose
-/// restart recovers the session from its recording. Held and forwarded
-/// frames are then routed into `routed` with the owner table as it
-/// stands, so each lands behind its session's `Resume` in a FIFO queue.
-fn handle_pump_msgs(
-    pump_rx: &Receiver<PumpMsg>,
-    txs: &[SyncSender<ShardMsg>],
-    dead: &[bool],
-    clock: TickClock,
-    owner: &mut HashMap<u32, (usize, WireCodec)>,
-    routed: &mut [Vec<Frame>],
-    report: &mut ServeReport,
-) {
-    while let Ok(msg) = pump_rx.try_recv() {
-        match msg {
-            PumpMsg::Moved {
-                from,
-                to,
-                session,
-                held,
-            } => {
-                let id = session.spec.id.raw();
-                let mut msg = ShardMsg::Resume(session);
-                for shard in [to, from] {
-                    if dead[shard] {
-                        continue;
-                    }
-                    match send_shard(&txs[shard], clock, msg) {
-                        Ok(()) => {
-                            if let Some(entry) = owner.get_mut(&id) {
-                                entry.0 = shard;
-                            }
-                            break;
-                        }
-                        Err(back) => msg = back,
-                    }
+/// Whether `tick` lies in one of the `[from, to)` tick windows.
+fn within(windows: &[(u64, u64)], tick: u64) -> bool {
+    windows.iter().any(|&(from, to)| from <= tick && tick < to)
+}
+
+/// The ingress state every shard's pass shares, behind one lock: the
+/// transport, the tables a frame is routed by, and what routing books.
+/// The supervisor takes the same lock to admit, move and recover sessions
+/// and to install a restarted shard's queue.
+pub(crate) struct Pump<'t, T> {
+    transport: &'t mut T,
+    /// Each admitted session's shard, with its codec for the frame check
+    /// in `route`.
+    owner: HashMap<u32, (usize, WireCodec)>,
+    /// Each shard's queue: its live epoch's, or a dead one's, closed.
+    txs: Vec<SyncSender<ShardMsg>>,
+    /// Each shard's share of the frames being routed.
+    routed: Vec<Vec<Frame>>,
+    /// Frames each shard's full queue refused, per shard index.
+    overflow: Vec<u64>,
+    report: ServeReport,
+    batch: Vec<FrameBuf>,
+    /// Scripted `stall` windows, in ticks: no pass reads.
+    stalls: Vec<(u64, u64)>,
+    /// Scripted `hubdrop` windows: a pass reads and discards.
+    hubdrops: Vec<(u64, u64)>,
+    /// The tick of the latest pass that read a datagram.
+    last_ingress_tick: u64,
+    /// The first transport error. It ends the run at the supervisor's
+    /// next wake; no pass reads after it.
+    error: Option<NetError>,
+}
+
+impl<'t, T> Pump<'t, T> {
+    /// The ingress state of a run over `shards` shards, before bring-up:
+    /// no session admitted and no shard queue yet.
+    fn new(
+        transport: &'t mut T,
+        shards: usize,
+        stalls: Vec<(u64, u64)>,
+        hubdrops: Vec<(u64, u64)>,
+    ) -> Self {
+        Pump {
+            transport,
+            owner: HashMap::new(),
+            txs: Vec::with_capacity(shards),
+            routed: (0..shards).map(|_| Vec::with_capacity(BATCH)).collect(),
+            overflow: vec![0; shards],
+            report: ServeReport::default(),
+            batch: Vec::with_capacity(BATCH),
+            stalls,
+            hubdrops,
+            last_ingress_tick: 0,
+            error: None,
+        }
+    }
+}
+
+impl<T: ServeTransport> Pump<'_, T> {
+    /// Drains the transport at `now_tick`: `BATCH`-sized reads until one
+    /// comes back short, or `PASS_READS` of them, each batch decoded,
+    /// routed and sent to the shards as it is read. Inside a `stall`
+    /// window it reads nothing; inside a `hubdrop` window it reads and
+    /// discards. The pass judges both windows by its own tick, so a
+    /// window opens for the first pass inside it, whichever shard runs
+    /// it.
+    pub(crate) fn pass(&mut self, now_tick: u64) {
+        if self.error.is_some() || within(&self.stalls, now_tick) {
+            return;
+        }
+        let dropping = within(&self.hubdrops, now_tick);
+        for _ in 0..PASS_READS {
+            self.batch.clear();
+            let got = match self.transport.recv_batch(&mut self.batch, BATCH) {
+                Ok(got) => got,
+                Err(e) => {
+                    self.error = Some(e);
+                    return;
                 }
-                for frame in held {
-                    route(owner, routed, report, frame);
-                }
+            };
+            if got > 0 {
+                self.last_ingress_tick = now_tick;
             }
-            PumpMsg::Forward(frames) => {
-                for frame in frames {
-                    route(owner, routed, report, frame);
+            if dropping {
+                // A scripted hub drop: mid-transfer loss.
+                self.report.hub_dropped_frames += got as u64;
+            } else {
+                for bytes in &self.batch {
+                    // Full strict decode before routing: the frame crosses
+                    // a thread boundary, so the checksum is verified
+                    // exactly once, here, rather than trusting the cheap
+                    // peek.
+                    match decode_any(bytes) {
+                        Ok(frame) => route(&self.owner, &mut self.routed, &mut self.report, frame),
+                        Err(_) => self.report.decode_errors += 1,
+                    }
                 }
+                send_routed(&self.txs, &mut self.routed, &mut self.overflow);
+            }
+            if got < BATCH {
+                return;
             }
         }
     }
 }
 
-/// Longest idle nap of the pump: a kernel UDP receive buffer holds only a
-/// few hundred datagrams, so a coarse tick must not leave it unread for a
-/// whole tick.
-const MAX_NAP: Duration = Duration::from_micros(500);
+/// What every shard epoch of one run borrows from it.
+pub(crate) struct Shared<'a, T> {
+    pub(crate) config: &'a ServeConfig,
+    pub(crate) clock: TickClock,
+    /// Sessions completed, over every shard and epoch.
+    pub(crate) completed: AtomicU64,
+    /// Moved sessions and forwarded frames, to the supervisor.
+    pub(crate) pump_tx: Sender<PumpMsg>,
+    pub(crate) pump: Mutex<Pump<'a, T>>,
+}
 
-/// When the pump passes next while ingress is dry: the first instant
-/// after `now` that lies `slack` before a tick boundary of the clock
-/// starting at `epoch`, and at most [`MAX_NAP`] after `now`. Before the
-/// epoch, `now` counts as the epoch.
-///
-/// Shard deadlines are whole ticks, so one pass per tick lands just
-/// before every step that can apply what it routes. A slack of a tick or
-/// more counts modulo the tick.
-fn next_pass(now: Instant, epoch: Instant, tick: Duration, slack: Duration) -> Instant {
-    let tick = tick.as_nanos().max(1);
-    let phase = (now.saturating_duration_since(epoch).as_nanos() + slack.as_nanos()) % tick;
-    // In (0, tick]: a pass exactly on `boundary − slack` aims at the next.
-    let wait = u64::try_from(tick - phase).unwrap_or(u64::MAX);
-    now + Duration::from_nanos(wait).min(MAX_NAP)
+impl<'a, T> Shared<'a, T> {
+    /// Handles messages the shards sent the supervisor: each moved
+    /// session is resumed, then its held frames, or a shard's forwarded
+    /// ones, are routed with the owner table as it stands, so each lands
+    /// behind its session's `Resume` in a FIFO queue. Frames owned by
+    /// shard `restarting`, whose new queue is not installed yet, come back
+    /// instead of dropping at its closed queue.
+    fn handle(
+        &self,
+        msgs: impl Iterator<Item = PumpMsg>,
+        dead: &[bool],
+        restarting: Option<usize>,
+    ) -> Vec<Frame> {
+        let mut aside = Vec::new();
+        for msg in msgs {
+            let (mut pump, frames) = match msg {
+                PumpMsg::Moved {
+                    from,
+                    to,
+                    session,
+                    held,
+                } => (self.resume(from, to, session, dead), held),
+                PumpMsg::Forward(frames) => (
+                    self.pump.lock().unwrap_or_else(PoisonError::into_inner),
+                    frames,
+                ),
+            };
+            let pump = &mut *pump;
+            for frame in frames {
+                route(&pump.owner, &mut pump.routed, &mut pump.report, frame);
+            }
+            if let Some(share) = restarting.and_then(|shard| pump.routed.get_mut(shard)) {
+                aside.append(share);
+            }
+            send_routed(&pump.txs, &mut pump.routed, &mut pump.overflow);
+        }
+        aside
+    }
+
+    /// Queues a moved session's `Resume` on its target `to`, or back on
+    /// its source `from` when the target is dead or its queue stays full,
+    /// and moves its owner-table entry to whichever took it; if neither
+    /// did, the entry stays with the source, whose restart recovers the
+    /// session from its recording. Returns the lock, held since the entry
+    /// moved, so the session's held frames are routed behind its
+    /// `Resume`.
+    ///
+    /// The lock is held only to try a send. A full queue is waited out
+    /// in 100 µs naps, for at most 200 ms per shard, with the lock
+    /// released: the shard that owns the queue runs a pass, which takes
+    /// the lock, before it drains the queue. Meanwhile the source forwards
+    /// the frames it is routed for the session.
+    fn resume(
+        &self,
+        from: usize,
+        to: usize,
+        session: Box<ResumeSession>,
+        dead: &[bool],
+    ) -> MutexGuard<'_, Pump<'a, T>> {
+        let id = session.spec.id.raw();
+        let mut msg = ShardMsg::Resume(session);
+        for shard in [to, from] {
+            if dead[shard] {
+                continue;
+            }
+            let mut at = self.clock.now();
+            let give_up = at + Duration::from_millis(200);
+            loop {
+                {
+                    let mut pump = self.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                    match pump.txs[shard].try_send(msg) {
+                        Ok(()) => {
+                            if let Some(entry) = pump.owner.get_mut(&id) {
+                                entry.0 = shard;
+                            }
+                            return pump;
+                        }
+                        Err(TrySendError::Full(back)) if at < give_up => msg = back,
+                        Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => {
+                            msg = back;
+                            break;
+                        }
+                    }
+                }
+                at = self.clock.sleep_until(at + Duration::from_micros(100));
+            }
+        }
+        self.pump.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Delivers a must-arrive message (drain, crash, panic, resume) to a
 /// shard, waiting out a full queue in 100 µs naps for at most 200 ms. The
-/// message comes back if the shard is gone or its queue stays full.
+/// message comes back if the shard is gone or its queue stays full. The
+/// caller must not hold the pump's lock: the shard runs a pass, which
+/// takes it, before it drains its queue.
 fn send_shard(
     tx: &SyncSender<ShardMsg>,
     clock: TickClock,
@@ -354,32 +504,23 @@ fn send_shard(
 
 /// One shard worker thread: the first of its index, or one a restart
 /// spawned.
-type Epoch = JoinHandle<Result<ShardReport, NetError>>;
-
-/// A live shard's command queue plus its worker's join handle.
-type ShardHandle = (SyncSender<ShardMsg>, Epoch);
+type Epoch<'scope> = ScopedJoinHandle<'scope, Result<ShardReport, NetError>>;
 
 /// Spawns one shard worker thread (initial bring-up and crash restarts
-/// share this path).
-fn spawn_shard(
+/// share this path) and returns its queue with its join handle.
+fn spawn_shard<'scope, T: ServeTransport + Send>(
+    scope: &'scope Scope<'scope, '_>,
+    shared: &'scope Shared<'_, T>,
     index: usize,
-    config: &ServeConfig,
-    clock: TickClock,
     egress: Box<dyn EgressSink>,
-    completed: Arc<AtomicU64>,
     recorder: Option<ShardRecorder>,
-    pump: Sender<PumpMsg>,
-) -> Result<ShardHandle, NetError> {
-    let (tx, rx) = sync_channel::<ShardMsg>(config.queue_cap.max(1));
-    let sp = ShardParams {
-        index,
-        params: config.params,
-        tick: config.tick,
-        pace: config.pace,
-    };
+) -> Result<(SyncSender<ShardMsg>, Epoch<'scope>), NetError> {
+    let (tx, rx) = sync_channel::<ShardMsg>(shared.config.queue_cap.max(1));
     let handle = thread::Builder::new()
         .name(format!("rstp-serve-shard-{index}"))
-        .spawn(move || run_shard(sp, clock, rx, egress, completed, recorder, pump))
+        .spawn_scoped(scope, move || {
+            run_shard(index, shared, rx, egress, recorder)
+        })
         .map_err(|e| NetError::Thread {
             what: format!("spawn shard {index}: {e}"),
         })?;
@@ -510,6 +651,10 @@ fn record_err(e: &rstp_record::RecordError) -> NetError {
 /// Runs the receiver side of every admitted session in `specs` over
 /// `transport` until they all complete or `max_wall` expires.
 ///
+/// The shards read `transport`, each in a pass right after it wakes. The
+/// calling thread supervises: it wakes for a fault's tick, a moved
+/// session, or once per grace period.
+///
 /// The caller owns the clock so client endpoints can share its epoch
 /// (latency stamps are only comparable on one epoch).
 ///
@@ -517,7 +662,7 @@ fn record_err(e: &rstp_record::RecordError) -> NetError {
 ///
 /// [`NetError`] on transport failure, a shard hitting a model violation
 /// (determinism, automaton rejection), or a panicked shard thread.
-pub fn run_server<T: ServeTransport>(
+pub fn run_server<T: ServeTransport + Send>(
     transport: &mut T,
     clock: TickClock,
     specs: &[SessionSpec],
@@ -531,14 +676,13 @@ pub fn run_server<T: ServeTransport>(
         .iter()
         .map(|spec| codec_for(spec.kind))
         .collect::<Result<Vec<_>, _>>()?;
-    let completed = Arc::new(AtomicU64::new(0));
-    // Shard → pump channel: moved sessions and forwarded frames.
+    // Shard → supervisor channel: moved sessions and forwarded frames.
     #[expect(
         clippy::disallowed_methods,
         reason = "a shard may neither block on this queue (c2 deadlines) nor drop from it \
                   (forwarded beta frames are never resent); each message answers one taken \
-                  from a bounded shard queue, or moves one drained session, and the pump \
-                  drains the queue completely every iteration"
+                  from a bounded shard queue, or moves one drained session, and the \
+                  supervisor drains the queue completely whenever it wakes"
     )]
     let (pump_tx, pump_rx) = channel::<PumpMsg>();
 
@@ -562,333 +706,344 @@ pub fn run_server<T: ServeTransport>(
         None => (None, Vec::new()),
     };
     let mut shard_recorders = shard_recorders.into_iter();
+    let egress = (0..shard_count)
+        .map(|_| transport.egress())
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // `handles` holds every epoch of every shard, with whether a
-    // scripted kill ended it. It grows past `shard_count` when faults
-    // restart shards, and every epoch is joined at the end, so a
-    // panicked thread is never silently forgotten.
-    let mut txs: Vec<SyncSender<ShardMsg>> = Vec::with_capacity(shard_count);
-    let mut handles: Vec<(usize, Epoch, bool)> = Vec::new();
-    for index in 0..shard_count {
-        let (tx, handle) = spawn_shard(
-            index,
-            config,
-            clock,
-            transport.egress()?,
-            completed.clone(),
-            shard_recorders.next(),
-            pump_tx.clone(),
-        )?;
-        txs.push(tx);
-        handles.push((index, handle, false));
-    }
-
-    // Admission: strict, non-blocking. Duplicates, table overflow, and a
-    // full shard queue all reject. The owner table keeps each admitted
-    // session's codec beside its shard, for the frame check in `route`.
-    let mut report = ServeReport::default();
-    let mut owner: HashMap<u32, (usize, WireCodec)> = HashMap::new();
-    let mut admitted: u64 = 0;
-    for (spec, codec) in specs.iter().zip(codecs) {
-        let raw = spec.id.raw();
-        if owner.contains_key(&raw) || owner.len() >= config.max_sessions {
-            report.rejected_sessions += 1;
-            report.rejected_ids.push(raw);
-            continue;
-        }
-        let shard = raw as usize % shard_count;
-        match txs[shard].try_send(ShardMsg::Admit(*spec)) {
-            Ok(()) => {
-                owner.insert(raw, (shard, codec));
-                admitted += 1;
-            }
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                report.rejected_sessions += 1;
-                report.rejected_ids.push(raw);
-            }
-        }
-    }
-
-    // The pump: drain → demux → route, B datagrams at a time, with the
-    // scripted fault schedule and the shards' moved sessions threaded
-    // through the same loop.
-    let pacer = Pacer::new(config.params, config.tick, config.pace);
-    let mut overflow = vec![0u64; shard_count];
-    let mut batch: Vec<FrameBuf> = Vec::with_capacity(BATCH);
-    // Each shard's share of the frames routed in this iteration.
-    let mut routed: Vec<Vec<Frame>> = (0..shard_count)
-        .map(|_| Vec::with_capacity(BATCH))
-        .collect();
-    let schedule: Vec<FaultEvent> = config
+    // The passes judge the `stall` and `hubdrop` windows by their own
+    // ticks; the supervisor fires the rest of the schedule.
+    let mut faults = Vec::new();
+    let (mut stalls, mut hubdrops) = (Vec::new(), Vec::new());
+    for ev in config
         .faults
         .as_ref()
         .map(|p| p.schedule(shard_count))
-        .unwrap_or_default();
-    let mut next_fault = 0usize;
-    let mut dead = vec![false; shard_count];
-    let mut stall_end: u64 = 0;
-    let mut drop_end: u64 = 0;
-    // When ingress is dry, nap to the next pass: the pacer's slack before
-    // the next tick boundary, so the frames it routes are queued just
-    // before the shards wake for that tick's steps, and never more than
-    // `MAX_NAP`.
-    let idle_nap = |now: Instant| {
-        clock.sleep_until(next_pass(now, clock.epoch(), config.tick, pacer.slack()));
-    };
-    // Lame-duck linger: once every session has completed, keep pumping
-    // until ingress has been dry for a grace period rather than exiting
-    // on the spot. A client the scheduler stalled past its session's
-    // quiet grace may still be owed its final acknowledgement — its
-    // retransmission must reach the shard's retired-ghost re-acker, not
-    // a torn-down hub. Every arriving frame re-arms the window, so the
-    // pump stays up exactly as long as someone is still talking to it.
-    let linger_ticks = pacer.grace_ticks().max(1);
-    let mut last_ingress_tick: u64 = 0;
-    let mut all_done_tick: Option<u64> = None;
-    let pump_result = 'pump: loop {
-        // The iteration's one clock reading.
-        let now = clock.now();
-        let now_tick = clock.tick_at(now);
-        if completed.load(Ordering::Relaxed) >= admitted {
-            let done_at = *all_done_tick.get_or_insert(now_tick);
-            let quiet_since = last_ingress_tick.max(done_at);
-            if now_tick.saturating_sub(quiet_since) >= linger_ticks {
-                break Ok(());
-            }
-        } else {
-            all_done_tick = None;
-        }
-        if now.saturating_duration_since(clock.epoch()) > config.max_wall {
-            break Ok(());
-        }
-        // An epoch that ended without a scripted kill died of an error or
-        // a panic, scripted or not: its sessions can never complete, so
-        // the run ends now, and the join below reports why.
-        if handles
-            .iter()
-            .any(|(_, handle, killed)| !killed && handle.is_finished())
-        {
-            break Ok(());
-        }
-
-        // Fire every scripted fault whose tick has arrived.
-        while next_fault < schedule.len() && schedule[next_fault].tick() <= now_tick {
-            let ev = schedule[next_fault];
-            next_fault += 1;
-            match ev {
-                FaultEvent::Kill { shard, .. } if shard < shard_count && !dead[shard] => {
-                    let _ = send_shard(&txs[shard], clock, ShardMsg::Crash);
-                    if let Some((.., killed)) = handles.iter_mut().rev().find(|(i, ..)| *i == shard)
-                    {
-                        *killed = true;
-                    }
-                    dead[shard] = true;
-                    report.crashes += 1;
-                }
-                FaultEvent::Panic { shard, .. } if shard < shard_count && !dead[shard] => {
-                    let _ = send_shard(&txs[shard], clock, ShardMsg::Panic);
-                    dead[shard] = true;
-                    report.crashes += 1;
-                }
-                FaultEvent::Restart { shard, .. } if shard < shard_count && dead[shard] => {
-                    // Recovery: wait for the killed epoch to return, so
-                    // the batch its recorder still held is in the ring
-                    // (bounded like `send_shard`: at most 200 ms), and
-                    // settle the sessions it moved before it died, so
-                    // none is both resumed elsewhere and recovered here.
-                    // Then barrier-flush the shard's recording so
-                    // everything its last life pushed is on disk, read it
-                    // back (a torn tail is tolerated), and re-create each
-                    // still-owned session from its latest snapshot plus
-                    // replay. Sessions that cannot reach their
-                    // acknowledged floor are dropped from the run.
-                    if let Some((_, killed, _)) = handles.iter().rev().find(|(i, ..)| *i == shard) {
-                        let give_up = now + Duration::from_millis(200);
-                        let mut at = now;
-                        while !killed.is_finished() && at < give_up {
-                            at = clock.sleep_until(at + Duration::from_micros(100));
-                        }
-                    }
-                    handle_pump_msgs(
-                        &pump_rx,
-                        &txs,
-                        &dead,
-                        clock,
-                        &mut owner,
-                        &mut routed,
-                        &mut report,
-                    );
-                    let mine: Vec<u32> = owner
-                        .iter()
-                        .filter(|&(_, &(sh, _))| sh == shard)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    let mut resumed: Vec<Box<ResumeSession>> = Vec::new();
-                    let recording = match (&recorder_set, &config.record_dir) {
-                        (Some(set), Some(dir)) => {
-                            if let Some(mut r) = set.recorder(shard) {
-                                r.push_stats();
-                                let _ = r.flush_barrier(Duration::from_secs(2));
-                            }
-                            let path =
-                                dir.join(shard_file_name(u32::try_from(shard).unwrap_or(u32::MAX)));
-                            Recording::load(&path).ok()
-                        }
-                        _ => None,
-                    };
-                    for id in mine {
-                        let outcome = match &recording {
-                            Some(rec) => recover_session(rec, id, config.params),
-                            None => Recovered::Lost,
-                        };
-                        match outcome {
-                            Recovered::Resumed(rs) => resumed.push(rs),
-                            Recovered::AlreadyComplete => {
-                                // Counted at completion; late client
-                                // traffic orphans at the pump.
-                                owner.remove(&id);
-                            }
-                            Recovered::Lost => {
-                                owner.remove(&id);
-                                admitted = admitted.saturating_sub(1);
-                                report.unrecoverable_sessions += 1;
-                            }
-                        }
-                    }
-                    let recorder = recorder_set.as_ref().and_then(|set| set.recorder(shard));
-                    let egress = match transport.egress() {
-                        Ok(e) => e,
-                        Err(e) => break 'pump Err(e),
-                    };
-                    let (tx, handle) = match spawn_shard(
-                        shard,
-                        config,
-                        clock,
-                        egress,
-                        completed.clone(),
-                        recorder,
-                        pump_tx.clone(),
-                    ) {
-                        Ok(pair) => pair,
-                        Err(e) => break 'pump Err(e),
-                    };
-                    txs[shard] = tx;
-                    handles.push((shard, handle, false));
-                    dead[shard] = false;
-                    report.restarts += 1;
-                    for rs in resumed {
-                        let id = rs.spec.id.raw();
-                        if send_shard(&txs[shard], clock, ShardMsg::Resume(rs)).is_ok() {
-                            report.recovered_sessions += 1;
-                        } else {
-                            owner.remove(&id);
-                            admitted = admitted.saturating_sub(1);
-                            report.unrecoverable_sessions += 1;
-                        }
-                    }
-                }
-                FaultEvent::Drain { from, to, .. }
-                    if from < shard_count
-                        && to < shard_count
-                        && from != to
-                        && !dead[from]
-                        && !dead[to] =>
-                {
-                    let _ = send_shard(&txs[from], clock, ShardMsg::Drain { to });
-                }
-                FaultEvent::Stall { to_tick, .. } => stall_end = stall_end.max(to_tick),
-                FaultEvent::HubDrop { to_tick, .. } => drop_end = drop_end.max(to_tick),
-                // Out-of-range shard, kill of a dead shard, restart of a
-                // live one, a drain from or into a dead shard, `auto`
-                // (expanded by `schedule`): no-ops.
-                _ => {}
-            }
-        }
-
-        // Moved sessions and forwarded frames, before anything routed
-        // this pass: a `Resume` is queued ahead of its session's frames.
-        handle_pump_msgs(
-            &pump_rx,
-            &txs,
-            &dead,
-            clock,
-            &mut owner,
-            &mut routed,
-            &mut report,
-        );
-        send_routed(&txs, &mut routed, &mut overflow);
-
-        // A scripted socket stall: the pump does not touch ingress.
-        if now_tick < stall_end {
-            idle_nap(now);
-            continue;
-        }
-        batch.clear();
-        let got = match transport.recv_batch(&mut batch, BATCH) {
-            Ok(got) => got,
-            Err(e) => break Err(e),
-        };
-        if got > 0 {
-            last_ingress_tick = now_tick;
-        }
-        // A scripted hub drop: read and discard, mid-transfer loss.
-        if now_tick < drop_end {
-            report.hub_dropped_frames += got as u64;
-            if got == 0 {
-                idle_nap(now);
-            }
-            continue;
-        }
-        if got == 0 {
-            idle_nap(now);
-            continue;
-        }
-        for bytes in &batch {
-            // Full strict decode before routing: the frame crosses a
-            // thread boundary, so the checksum is verified exactly once,
-            // here, rather than trusting the cheap peek.
-            match decode_any(bytes) {
-                Ok(frame) => route(&owner, &mut routed, &mut report, frame),
-                Err(_) => report.decode_errors += 1,
-            }
-        }
-        send_routed(&txs, &mut routed, &mut overflow);
-    };
-
-    // Shutdown: best-effort message, then close the queues — a shard
-    // whose queue was full still sees the hangup.
-    for (index, tx) in txs.iter().enumerate() {
-        if !dead[index] {
-            let _ = tx.try_send(ShardMsg::Shutdown);
+        .unwrap_or_default()
+    {
+        match ev {
+            FaultEvent::Stall { from_tick, to_tick } => stalls.push((from_tick, to_tick)),
+            FaultEvent::HubDrop { from_tick, to_tick } => hubdrops.push((from_tick, to_tick)),
+            ev => faults.push(ev),
         }
     }
-    drop(txs);
-    drop(pump_tx);
+    let shared = Shared {
+        config,
+        clock,
+        completed: AtomicU64::new(0),
+        pump_tx,
+        pump: Mutex::new(Pump::new(transport, shard_count, stalls, hubdrops)),
+    };
 
-    // Join *every* epoch of every shard — including threads that
-    // crashed or panicked long before shutdown. A panic anywhere is a
-    // run failure, never a silent exit-0.
-    let mut overflow_applied = vec![false; shard_count];
-    let mut first_err: Option<NetError> = pump_result.err();
-    for (index, handle, _) in handles {
-        match handle.join() {
-            Ok(Ok(mut shard)) => {
-                report.orphan_frames += shard.orphan_frames;
-                // Pump-side overflow is per shard index, not per epoch;
-                // book it once, against the index's first-joined epoch.
-                if !overflow_applied[index] {
-                    shard.ingress_overflow = overflow[index];
-                    overflow_applied[index] = true;
+    // The shards borrow `shared`, so they are scoped threads. The
+    // supervisor runs on the calling thread, inside the scope.
+    let (mut first_err, shards) = thread::scope(|scope| {
+        // `handles` holds every epoch of every shard, with whether a
+        // scripted kill ended it. It grows past `shard_count` when faults
+        // restart shards, and every epoch is joined at the end, so a
+        // panicked thread is never silently forgotten.
+        let mut handles: Vec<(usize, Epoch<'_>, bool)> = Vec::new();
+        let run: Result<(), NetError> = 'run: {
+            // Bring-up and admission under one hold of the lock, so no
+            // pass runs before every session has its owner. Admission is
+            // strict and non-blocking: duplicates, table overflow, and a
+            // full shard queue all reject. The owner table keeps each
+            // admitted session's codec beside its shard, for the frame
+            // check in `route`.
+            let mut admitted: u64 = 0;
+            {
+                let mut pump = shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                for (index, egress) in egress.into_iter().enumerate() {
+                    match spawn_shard(scope, &shared, index, egress, shard_recorders.next()) {
+                        Ok((tx, handle)) => {
+                            pump.txs.push(tx);
+                            handles.push((index, handle, false));
+                        }
+                        Err(e) => break 'run Err(e),
+                    }
                 }
-                report.shards.push(shard);
+                for (spec, &codec) in specs.iter().zip(&codecs) {
+                    let raw = spec.id.raw();
+                    let shard = raw as usize % shard_count;
+                    let fits = !pump.owner.contains_key(&raw)
+                        && pump.owner.len() < config.max_sessions
+                        && pump.txs[shard].try_send(ShardMsg::Admit(*spec)).is_ok();
+                    if fits {
+                        pump.owner.insert(raw, (shard, codec));
+                        admitted += 1;
+                    } else {
+                        pump.report.rejected_sessions += 1;
+                        pump.report.rejected_ids.push(raw);
+                    }
+                }
             }
-            Ok(Err(e)) => first_err = first_err.or(Some(e)),
-            Err(_) => {
-                first_err = first_err.or(Some(NetError::Thread {
-                    what: format!("shard {index} panicked"),
-                }))
+
+            let mut next_fault = 0usize;
+            let mut dead = vec![false; shard_count];
+            // Lame-duck linger: once every session has completed, keep
+            // serving until ingress has been dry for a grace period
+            // rather than exiting on the spot. A client the scheduler
+            // stalled past its session's quiet grace may still be owed its
+            // final acknowledgement — its retransmission must reach the
+            // shard's retired-ghost re-acker, not a torn-down hub. Every
+            // pass that reads a datagram re-arms the window, so the server
+            // stays up exactly as long as someone is still talking to it.
+            let linger_ticks = Pacer::new(config.params, config.tick, config.pace)
+                .grace_ticks()
+                .max(1);
+            let grace = config.tick * u32::try_from(linger_ticks).unwrap_or(u32::MAX);
+            let mut all_done_tick: Option<u64> = None;
+            loop {
+                // The wake's one clock reading.
+                let now = clock.now();
+                let now_tick = clock.tick_at(now);
+                let (last_ingress_tick, error) = {
+                    let mut pump = shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                    (pump.last_ingress_tick, pump.error.take())
+                };
+                if let Some(e) = error {
+                    break 'run Err(e);
+                }
+                if shared.completed.load(Ordering::Relaxed) >= admitted {
+                    let done_at = *all_done_tick.get_or_insert(now_tick);
+                    let quiet_since = last_ingress_tick.max(done_at);
+                    if now_tick.saturating_sub(quiet_since) >= linger_ticks {
+                        break 'run Ok(());
+                    }
+                } else {
+                    all_done_tick = None;
+                }
+                if now.saturating_duration_since(clock.epoch()) > config.max_wall {
+                    break 'run Ok(());
+                }
+                // An epoch that ended without a scripted kill died of an
+                // error or a panic, scripted or not: its sessions can
+                // never complete, so the run ends now, and the join below
+                // reports why.
+                if handles
+                    .iter()
+                    .any(|(_, handle, killed)| !killed && handle.is_finished())
+                {
+                    break 'run Ok(());
+                }
+
+                // Fire every scripted fault whose tick has arrived.
+                while let Some(&ev) = faults.get(next_fault).filter(|ev| ev.tick() <= now_tick) {
+                    next_fault += 1;
+                    match ev {
+                        FaultEvent::Kill { shard, .. } | FaultEvent::Panic { shard, .. }
+                            if shard < shard_count && !dead[shard] =>
+                        {
+                            let kill = matches!(ev, FaultEvent::Kill { .. });
+                            let tx = {
+                                let mut pump =
+                                    shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                                pump.report.crashes += 1;
+                                pump.txs[shard].clone()
+                            };
+                            let msg = if kill {
+                                ShardMsg::Crash
+                            } else {
+                                ShardMsg::Panic
+                            };
+                            let _ = send_shard(&tx, clock, msg);
+                            // A panicked epoch stays unmarked: its end
+                            // ends the run.
+                            if let Some((.., killed)) =
+                                handles.iter_mut().rev().find(|(i, ..)| kill && *i == shard)
+                            {
+                                *killed = true;
+                            }
+                            dead[shard] = true;
+                        }
+                        FaultEvent::Restart { shard, .. } if shard < shard_count && dead[shard] => {
+                            // Recovery: wait for the killed epoch to
+                            // return, so the batch its recorder still held
+                            // is in the ring (bounded like `send_shard`: at
+                            // most 200 ms), and settle the sessions it
+                            // moved before it died, so none is both
+                            // resumed elsewhere and recovered here; the
+                            // frames they held for this shard wait for its
+                            // new queue. Then barrier-flush the shard's
+                            // recording so everything its last life pushed
+                            // is on disk, read it back (a torn tail is
+                            // tolerated), and re-create each still-owned
+                            // session from its latest snapshot plus
+                            // replay. Sessions that cannot reach their
+                            // acknowledged floor are dropped from the run.
+                            // None of this holds the lock: meanwhile,
+                            // passes route the shard's frames to its
+                            // closed queue, where they drop, as between
+                            // any kill and restart.
+                            if let Some((_, killed, _)) =
+                                handles.iter().rev().find(|(i, ..)| *i == shard)
+                            {
+                                let give_up = now + Duration::from_millis(200);
+                                let mut at = now;
+                                while !killed.is_finished() && at < give_up {
+                                    at = clock.sleep_until(at + Duration::from_micros(100));
+                                }
+                            }
+                            let held = shared.handle(pump_rx.try_iter(), &dead, Some(shard));
+                            let (mine, egress): (Vec<u32>, _) = {
+                                let pump =
+                                    shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                                let mine = pump
+                                    .owner
+                                    .iter()
+                                    .filter(|&(_, &(sh, _))| sh == shard)
+                                    .map(|(&id, _)| id)
+                                    .collect();
+                                (mine, pump.transport.egress())
+                            };
+                            let recording = match (&recorder_set, &config.record_dir) {
+                                (Some(set), Some(dir)) => {
+                                    if let Some(mut r) = set.recorder(shard) {
+                                        r.push_stats();
+                                        let _ = r.flush_barrier(Duration::from_secs(2));
+                                    }
+                                    let path = dir.join(shard_file_name(
+                                        u32::try_from(shard).unwrap_or(u32::MAX),
+                                    ));
+                                    Recording::load(&path).ok()
+                                }
+                                _ => None,
+                            };
+
+                            // The new epoch's queue stays the supervisor's
+                            // until every recovered session is queued on
+                            // it, so no pass routes a frame to the new
+                            // epoch ahead of its session's `Resume`.
+                            let recorder =
+                                recorder_set.as_ref().and_then(|set| set.recorder(shard));
+                            let spawned = egress.and_then(|egress| {
+                                spawn_shard(scope, &shared, shard, egress, recorder)
+                            });
+                            let (tx, handle) = match spawned {
+                                Ok(pair) => pair,
+                                Err(e) => break 'run Err(e),
+                            };
+                            handles.push((shard, handle, false));
+                            let mut gone = Vec::new();
+                            let mut recovered_sessions = 0;
+                            for id in mine {
+                                let outcome = match &recording {
+                                    Some(rec) => recover_session(rec, id, config.params),
+                                    None => Recovered::Lost,
+                                };
+                                match outcome {
+                                    Recovered::Resumed(rs) => {
+                                        if send_shard(&tx, clock, ShardMsg::Resume(rs)).is_ok() {
+                                            recovered_sessions += 1;
+                                        } else {
+                                            gone.push((id, true));
+                                        }
+                                    }
+                                    // Counted at completion; late client
+                                    // traffic orphans at the pass.
+                                    Recovered::AlreadyComplete => gone.push((id, false)),
+                                    Recovered::Lost => gone.push((id, true)),
+                                }
+                            }
+                            let mut pump =
+                                shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                            let pump = &mut *pump;
+                            for (id, lost) in gone {
+                                pump.owner.remove(&id);
+                                if lost {
+                                    admitted = admitted.saturating_sub(1);
+                                    pump.report.unrecoverable_sessions += 1;
+                                }
+                            }
+                            pump.txs[shard] = tx;
+                            for frame in held {
+                                route(&pump.owner, &mut pump.routed, &mut pump.report, frame);
+                            }
+                            send_routed(&pump.txs, &mut pump.routed, &mut pump.overflow);
+                            pump.report.recovered_sessions += recovered_sessions;
+                            pump.report.restarts += 1;
+                            dead[shard] = false;
+                        }
+                        FaultEvent::Drain { from, to, .. }
+                            if from < shard_count
+                                && to < shard_count
+                                && from != to
+                                && !dead[from]
+                                && !dead[to] =>
+                        {
+                            let tx = {
+                                let pump =
+                                    shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                                pump.txs[from].clone()
+                            };
+                            let _ = send_shard(&tx, clock, ShardMsg::Drain { to });
+                        }
+                        // Out-of-range shard, kill of a dead shard, restart
+                        // of a live one, a drain from or into a dead shard,
+                        // `auto` (expanded by `schedule`): no-ops.
+                        _ => {}
+                    }
+                }
+
+                // Sleep to the next fault's tick or one grace period on,
+                // whichever comes first. A moved session wakes the
+                // supervisor at once: its `Resume` is queued, and its
+                // frames routed, before the next pass.
+                let wake = faults.get(next_fault).map_or(now + grace, |ev| {
+                    clock.instant_of_tick(ev.tick()).min(now + grace)
+                });
+                if let Ok(msg) = pump_rx.recv_timeout(wake.saturating_duration_since(clock.now())) {
+                    shared.handle(std::iter::once(msg).chain(pump_rx.try_iter()), &dead, None);
+                }
+            }
+        };
+
+        // Shutdown: best-effort message, then close the queues — a shard
+        // whose queue was full still sees the hangup. Every way out of
+        // the scope passes here, or its implicit join would wait on
+        // shards that never see one.
+        {
+            let mut pump = shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+            for tx in &pump.txs {
+                let _ = tx.try_send(ShardMsg::Shutdown);
+            }
+            pump.txs.clear();
+        }
+
+        // Join *every* epoch of every shard — including threads that
+        // crashed or panicked long before shutdown. A panic anywhere is a
+        // run failure, never a silent exit-0.
+        let mut first_err = run.err();
+        let mut shards = Vec::new();
+        for (index, handle, _) in handles {
+            match handle.join() {
+                Ok(Ok(shard)) => shards.push(shard),
+                Ok(Err(e)) => first_err = first_err.or(Some(e)),
+                Err(_) => {
+                    first_err = first_err.or(Some(NetError::Thread {
+                        what: format!("shard {index} panicked"),
+                    }))
+                }
             }
         }
+        (first_err, shards)
+    });
+
+    let Pump {
+        mut report,
+        mut overflow,
+        ..
+    } = shared
+        .pump
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    for mut shard in shards {
+        report.orphan_frames += shard.orphan_frames;
+        // Pass-side overflow is per shard index, not per epoch; book it
+        // once, against the index's first-joined epoch.
+        if let Some(dropped) = overflow.get_mut(shard.shard) {
+            shard.ingress_overflow = std::mem::take(dropped);
+        }
+        report.shards.push(shard);
     }
     report.shards.sort_by_key(|s| s.shard);
     // Seal the recording even on a failing run — a postmortem of the
@@ -911,33 +1066,7 @@ pub fn run_server<T: ServeTransport>(
 mod tests {
     use super::*;
     use crate::hub::MemHub;
-
-    #[test]
-    fn the_pump_passes_once_per_tick_one_slack_before_the_boundary() {
-        let epoch = Instant::now();
-        for tick_us in [50u64, 200, 500, 2_000, 10_000] {
-            let tick = Duration::from_micros(tick_us);
-            // Every microsecond of two ticks; a 10-ms tick every 7 µs.
-            let step = if tick_us > 2_000 { 7 } else { 1 };
-            for slack in [Duration::ZERO, tick / 4, tick / 2] {
-                for offset in (0..2 * tick_us).step_by(step) {
-                    let now = epoch + Duration::from_micros(offset);
-                    let pass = next_pass(now, epoch, tick, slack);
-                    let why = format!("tick {tick:?}, slack {slack:?}, {offset} µs in");
-                    assert!(pass > now, "{why}");
-                    assert!(pass - now <= MAX_NAP, "{why}");
-                    // The first `boundary − slack` after `now`, by search.
-                    let aim = (0..)
-                        .map(|n: u32| epoch + tick * n - slack)
-                        .find(|&p| p > now)
-                        .unwrap();
-                    if aim - now <= MAX_NAP {
-                        assert_eq!(pass, aim, "{why}");
-                    }
-                }
-            }
-        }
-    }
+    use std::time::Instant;
 
     fn params() -> TimingParams {
         TimingParams::from_ticks(1, 2, 4).expect("valid")
@@ -983,6 +1112,54 @@ mod tests {
         assert_eq!(report.admitted(), 2);
         assert_eq!(report.rejected_sessions, 2);
         assert_eq!(report.completed(), 2);
+    }
+
+    #[test]
+    fn frames_held_for_a_restarting_shard_wait_for_its_new_queue() {
+        // Session 2 left shard 0 for shard 1 as both died: neither takes
+        // it, so it stays with shard 0, whose restart recovers it. The
+        // frame it held comes back to the restart, to follow the
+        // recovered session into the new queue, instead of dropping at
+        // shard 0's closed one.
+        let tick = Duration::from_micros(200);
+        let config = ServeConfig::new(params(), tick).with_shards(2);
+        let mut hub = MemHub::new();
+        let spec = spec(2, 4);
+        let mut pump = Pump::new(&mut hub, 2, Vec::new(), Vec::new());
+        pump.owner
+            .insert(2, (0, codec_for(spec.kind).expect("codec")));
+        pump.txs = (0..2).map(|_| sync_channel(1).0).collect();
+        let shared = Shared {
+            config: &config,
+            clock: clock(tick),
+            completed: AtomicU64::new(0),
+            pump_tx: channel().0,
+            pump: Mutex::new(pump),
+        };
+        let frame = Frame {
+            protocol: rstp_net::ProtocolId::Beta,
+            k: 4,
+            packet: Packet::Data(1),
+            seq: 0,
+            sent_at_micros: 0,
+            session: spec.id,
+        };
+        let moved = PumpMsg::Moved {
+            from: 0,
+            to: 1,
+            session: Box::new(ResumeSession {
+                spec,
+                endpoint: crate::endpoint::receiver_endpoint(spec.kind, params(), spec.n)
+                    .expect("endpoint"),
+                seq: 0,
+            }),
+            held: vec![frame],
+        };
+        let aside = shared.handle(std::iter::once(moved), &[true, true], Some(0));
+        assert_eq!(aside, vec![frame]);
+        let pump = shared.pump.lock().expect("pump");
+        assert_eq!(pump.owner[&2].0, 0);
+        assert_eq!(pump.report.orphan_frames + pump.report.decode_errors, 0);
     }
 
     #[test]

@@ -2,38 +2,34 @@
 //! timer wheel.
 //!
 //! A shard owns every session hashed to it — no other thread touches
-//! their automata, so the data path takes no locks. Ingress arrives on a
-//! *bounded* channel, one message per pump batch (the server drops,
-//! never blocks, when it is full: an admitted session may lose frames,
-//! which the protocols already tolerate, but it is never stalled past its
-//! `c2` window by a slow neighbour). Pacing uses the
-//! [`TimerWheel`] instead of one sleeping thread per session; the
-//! miss/violation accounting, re-anchoring and grace completion are
+//! their automata. Right after each wake it reads ingress for every
+//! shard, in one `Pump::pass` under the lock all shards share, then
+//! drains its own *bounded* queue, which holds one message per ingress
+//! batch (a pass drops, never blocks, when a queue is full: an admitted
+//! session may lose frames, which the protocols already tolerate, but it
+//! is never stalled past its `c2` window by a slow neighbour). Pacing
+//! uses the [`TimerWheel`] instead of one sleeping thread per session;
+//! the miss/violation accounting, re-anchoring and grace completion are
 //! `rstp_net`'s [`Pacer`], the same rules its driver loop applies, so a
 //! 256-session swarm is held to the same `[c1, c2]` standard as a lone
 //! endpoint.
 //!
 //! A session's step happens at one instant: the shard reads its
-//! [`TickClock`] once per wheel pop, and the wake booking, latency
-//! samples, frame stamps, recorded events and next deadline of that step
-//! all derive from that reading.
+//! [`TickClock`](rstp_net::TickClock) once per wheel pop, and the wake
+//! booking, latency samples, frame stamps, recorded events and next
+//! deadline of that step all derive from that reading.
 
 use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
+use crate::hub::lock_without_parking;
 use crate::metrics::{SessionStats, ShardReport};
-use crate::server::{EgressSink, PumpMsg, SessionSpec, BATCH};
+use crate::server::{EgressSink, PumpMsg, ServeTransport, SessionSpec, Shared, BATCH};
 use crate::snapshot::SessionSnapshot;
 use crate::wheel::TimerWheel;
-use rstp_core::TimingParams;
-use rstp_net::{
-    codec_for, Cadence, Frame, FrameBuf, NetError, Pace, Pacer, StepEffect, TickClock, Wake,
-    WireCodec,
-};
+use rstp_net::{codec_for, Cadence, Frame, FrameBuf, NetError, Pacer, StepEffect, Wake, WireCodec};
 use rstp_record::{Event, FrameDir, ShardRecorder};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, TryRecvError};
 
 /// A live session on its way into a shard: the spec, a live endpoint,
 /// and the outgoing sequence number to continue from. Crash recovery
@@ -50,11 +46,11 @@ pub(crate) enum ShardMsg {
     /// Take ownership of a new session.
     Admit(SessionSpec),
     /// Decoded frames for sessions this shard owns, in arrival order: this
-    /// shard's share of one pump batch, or frames a drained session's
+    /// shard's share of one ingress batch, or frames a drained session's
     /// source held for it.
     Frames(Vec<Frame>),
     /// Move every live session to shard `to`, each as one
-    /// [`PumpMsg::Moved`] through the pump.
+    /// [`PumpMsg::Moved`] through the supervisor.
     Drain {
         /// The target shard.
         to: usize,
@@ -70,16 +66,6 @@ pub(crate) enum ShardMsg {
     Resume(Box<ResumeSession>),
     /// Finish up: account remaining sessions as unfinished and return.
     Shutdown,
-}
-
-/// Static configuration a shard runs under (crate-internal; the public
-/// surface is [`crate::ServeConfig`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ShardParams {
-    pub index: usize,
-    pub params: TimingParams,
-    pub tick: Duration,
-    pub pace: Pace,
 }
 
 /// One live session owned by a shard.
@@ -152,24 +138,23 @@ impl Live {
     }
 }
 
-/// Runs one shard until it is told to shut down (or the server side of
-/// its queue disappears). Returns the shard's full report.
-pub(crate) fn run_shard(
-    sp: ShardParams,
-    clock: TickClock,
+/// Runs shard `index` until it is told to shut down (or the server side
+/// of its queue disappears). Returns the shard's full report.
+pub(crate) fn run_shard<T: ServeTransport>(
+    index: usize,
+    shared: &Shared<'_, T>,
     rx: Receiver<ShardMsg>,
     mut egress: Box<dyn EgressSink>,
-    completed_total: Arc<AtomicU64>,
     mut recorder: Option<ShardRecorder>,
-    pump: Sender<PumpMsg>,
 ) -> Result<ShardReport, NetError> {
+    let (config, clock) = (shared.config, shared.clock);
     #[cfg(rstp_check_inject_ack_bug)]
-    let inject_delta2 = sp.params.delta2();
-    let gap_ticks = sp.pace.gap_ticks(sp.params).max(1);
-    let idle_timeout = sp.tick * u32::try_from(gap_ticks).unwrap_or(u32::MAX);
-    let pacer = Pacer::new(sp.params, sp.tick, sp.pace);
+    let inject_delta2 = config.params.delta2();
+    let gap_ticks = config.pace.gap_ticks(config.params).max(1);
+    let idle_timeout = config.tick * u32::try_from(gap_ticks).unwrap_or(u32::MAX);
+    let pacer = Pacer::new(config.params, config.tick, config.pace);
 
-    let mut report = ShardReport::new(sp.index);
+    let mut report = ShardReport::new(index);
     let mut wheel: TimerWheel<usize> = TimerWheel::new();
     let mut sessions: Vec<Option<Live>> = Vec::new();
     let mut by_id: HashMap<u32, usize> = HashMap::new();
@@ -183,8 +168,8 @@ pub(crate) fn run_shard(
     // until a frame actually arrives for them.
     let mut retired: HashMap<u32, Live> = HashMap::new();
     // Sessions a drain moved away. A frame for one that still reaches
-    // this shard (the pump routed it before its owner table moved the
-    // session) follows the session through the pump.
+    // this shard (a pass routed it before the owner table moved the
+    // session) follows the session through the supervisor.
     let mut handed_off: HashSet<u32> = HashSet::new();
     // The latest clock reading: one when the loop wakes, then one per
     // wheel pop. An idle sleep is sized from whichever came last.
@@ -192,11 +177,11 @@ pub(crate) fn run_shard(
 
     'run: loop {
         // Sleep until the next deadline, or one gap while the wheel is
-        // empty. The wheel is the only wake-up: a queued message waits
-        // for the next wake (at most one gap), since a frame only takes
-        // effect at its session's next step anyway. The instant the
-        // sleep woke is the iteration's reading, for everything outside
-        // a step.
+        // empty. The wheel is the only wake-up: a datagram or a queued
+        // message waits for the next wake (at most one gap), since a
+        // frame only takes effect at its session's next step anyway. The
+        // instant the sleep woke is the iteration's reading, for
+        // everything outside a step.
         let wake = match wheel.next_due() {
             Some(t) => clock.instant_of_tick(t),
             None => now + idle_timeout,
@@ -204,6 +189,14 @@ pub(crate) fn run_shard(
         now = clock.sleep_until(wake);
         let now_tick = clock.tick_at(now);
         let at = clock.micros_at(now);
+        // Read ingress for every shard, this one's share landing in its
+        // own queue. Shards wake on the same tick boundaries, so a shard
+        // waits its turn at the lock rather than skip: a skipping shard
+        // could drain its queue before the passing one had routed its
+        // share, and those frames would wait a whole gap.
+        if let Some(mut pump) = lock_without_parking(&shared.pump) {
+            pump.pass(now_tick);
+        }
         // Drain the queue before firing what is due.
         loop {
             let msg = match rx.try_recv() {
@@ -213,7 +206,7 @@ pub(crate) fn run_shard(
             };
             match msg {
                 ShardMsg::Admit(spec) => {
-                    let endpoint = receiver_endpoint(spec.kind, sp.params, spec.n)?;
+                    let endpoint = receiver_endpoint(spec.kind, config.params, spec.n)?;
                     let live = Live::new(spec, endpoint, 0)?;
                     record_anchor(recorder.as_mut(), &live, at);
                     let idx = insert_live(&mut sessions, live);
@@ -248,21 +241,21 @@ pub(crate) fn run_shard(
                         }
                     }
                     if !forward.is_empty() {
-                        let _ = pump.send(PumpMsg::Forward(forward));
+                        let _ = shared.pump_tx.send(PumpMsg::Forward(forward));
                     }
                 }
                 ShardMsg::Drain { to } => {
                     // Each live session leaves whole, still live, with
-                    // the frames it holds; the pump resumes it on `to`.
-                    // Its wheel entry stays behind and finds an empty
-                    // slot, since slots are never reused.
+                    // the frames it holds; the supervisor resumes it on
+                    // `to`. Its wheel entry stays behind and finds an
+                    // empty slot, since slots are never reused.
                     for live in sessions.iter_mut().filter_map(Option::take) {
                         let id = live.spec.id.raw();
                         by_id.remove(&id);
                         handed_off.insert(id);
                         report.handed_off += 1;
-                        let _ = pump.send(PumpMsg::Moved {
-                            from: sp.index,
+                        let _ = shared.pump_tx.send(PumpMsg::Moved {
+                            from: index,
                             to,
                             session: Box::new(ResumeSession {
                                 spec: live.spec,
@@ -299,7 +292,7 @@ pub(crate) fn run_shard(
                     break 'run;
                 }
                 ShardMsg::Panic => {
-                    panic!("rstp-serve shard {}: injected panic fault", sp.index);
+                    panic!("rstp-serve shard {index}: injected panic fault");
                 }
                 ShardMsg::Shutdown => break 'run,
             }
@@ -427,7 +420,7 @@ pub(crate) fn run_shard(
                     });
                 }
                 report.sessions.push(stats);
-                completed_total.fetch_add(1, Ordering::Relaxed);
+                shared.completed.fetch_add(1, Ordering::Relaxed);
                 // Retire, don't discard: the paper's receiver never stops
                 // acknowledging, and the final ack can be lost or its
                 // client stalled past our grace by the scheduler. Late

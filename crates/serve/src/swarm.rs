@@ -414,10 +414,11 @@ pub fn run_swarm_sessions(
 
 /// At most this many client sessions are sending at once, across all
 /// client threads. A default kernel UDP receive buffer holds only a few
-/// hundred datagrams, and on a small host the scheduler can hold the pump
-/// off for tens of milliseconds: 256 concurrent senders overrun the
-/// buffer in that gap, and losing all k copies of a symbol stalls an
-/// open-loop session forever.
+/// hundred datagrams. A busy shard reads the socket once a tick, and on
+/// a small host the scheduler can hold the shards off for tens of
+/// milliseconds: 256 concurrent senders overrun the buffer in that gap,
+/// and losing all k copies of a symbol stalls an open-loop session
+/// forever.
 const WAVE: usize = 64;
 
 /// Runs `server` on the calling thread while one client thread per shard
@@ -645,11 +646,11 @@ mod tests {
     #[test]
     fn drain_handover_migrates_sessions_without_losing_output() {
         // Shard 0 drains every live session to shard 1 mid-transfer:
-        // each moves whole through the pump and resumes on shard 1,
+        // each moves whole through the supervisor and resumes on shard 1,
         // where it must finish with Y = X. β and γ never resend data, so
         // the frames the source held when the session left (delivered
-        // but not yet applied, or routed to it before the pump moved its
-        // owner-table entry) must follow the session.
+        // but not yet applied, or routed to it before the supervisor
+        // moved its owner-table entry) must follow the session.
         let params = TimingParams::from_ticks(1, 2, 4).expect("valid");
         let tick = Duration::from_micros(200);
         let stenning = ProtocolKind::Stenning {

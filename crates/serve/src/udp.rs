@@ -3,7 +3,7 @@
 //! One bound socket carries every session; datagrams are demultiplexed
 //! by each frame's session id. The server learns each session's return
 //! address from the datagrams it sees (the cheap [`peek_session`]
-//! probe — the pump's full decode validates every frame), and shard
+//! probe — the ingress pass's full decode validates every frame), and shard
 //! egress replies through a cloned handle of the same socket, so the
 //! data path never funnels through a shared lock beyond the address map.
 
@@ -108,7 +108,7 @@ impl EgressSink for UdpEgress {
     fn send_batch(&mut self, frames: &[(u32, FrameBuf)]) -> Result<usize, NetError> {
         let mut sent = 0;
         for (session, bytes) in frames {
-            // The pump may hold the map mid-refresh: wait it out without
+            // A pass may hold the map mid-refresh: wait it out without
             // parking. Dropping the frame instead would lose an ack that
             // γ never resends (§6.2 assumes a lossless channel).
             let addr = lock_without_parking(&self.addrs).and_then(|map| map.get(session).copied());

@@ -1,15 +1,18 @@
-//! A shard that dies ends the run at once.
+//! A shard that dies, or a transport that fails, ends the run at once.
 //!
-//! A panicked or failed shard's sessions can never complete, so the pump
-//! must not wait for them until `max_wall`: it notices that the shard's
-//! thread ended without a scripted kill and stops, and the join reports
-//! the panic as the run's error. A swarm then stops its clients too,
-//! whose transmitters could only wait out their own `max_wall`.
+//! A panicked or failed shard's sessions can never complete, so the
+//! server must not wait for them until `max_wall`: it notices that the
+//! shard's thread ended without a scripted kill and stops, and the join
+//! reports the panic as the run's error. A swarm then stops its clients
+//! too, whose transmitters could only wait out their own `max_wall`. A
+//! shard's pass that meets a transport error keeps it, and the run ends
+//! with that error at the supervisor's next wake.
 
 use rstp::core::{Message, SessionId, TimingParams};
-use rstp::net::{NetError, TickClock};
+use rstp::net::{FrameBuf, NetError, TickClock};
 use rstp::serve::{
-    run_server, run_swarm_sessions, FaultPlan, MemHub, ServeConfig, SessionSpec, SwarmTransport,
+    run_server, run_swarm_sessions, EgressSink, FaultPlan, MemHub, ServeConfig, ServeTransport,
+    SessionSpec, SwarmTransport,
 };
 use rstp::sim::harness::random_input;
 use rstp::sim::ProtocolKind;
@@ -76,4 +79,46 @@ fn a_swarm_whose_shard_panics_stops_its_clients_at_once() {
             "{transport:?}: the swarm took {took:?}"
         );
     }
+}
+
+/// A [`MemHub`] whose ingress fails from its third read on.
+struct FailingHub {
+    hub: MemHub,
+    reads: u32,
+}
+
+impl ServeTransport for FailingHub {
+    fn recv_batch(&mut self, out: &mut Vec<FrameBuf>, max: usize) -> Result<usize, NetError> {
+        self.reads += 1;
+        if self.reads >= 3 {
+            return Err(NetError::Io(std::io::Error::other("ingress failed")));
+        }
+        self.hub.recv_batch(out, max)
+    }
+
+    fn egress(&self) -> Result<Box<dyn EgressSink>, NetError> {
+        self.hub.egress()
+    }
+}
+
+#[test]
+fn a_failing_transport_ends_the_run_at_once() {
+    let tick = Duration::from_micros(200);
+    let config = ServeConfig::new(TimingParams::from_ticks(1, 2, 4).unwrap(), tick)
+        .with_shards(2)
+        .with_max_wall(Duration::from_secs(30));
+    let mut transport = FailingHub {
+        hub: MemHub::new(),
+        reads: 0,
+    };
+    // No clients: the sessions never complete, so nothing but the
+    // transport error can end the run before `max_wall`.
+    let clock = TickClock::start(tick);
+    let result = run_server(&mut transport, clock, &specs(4), &config);
+    let took = clock.now().saturating_duration_since(clock.epoch());
+    assert!(
+        matches!(result, Err(NetError::Io(_))),
+        "expected the transport's error, got {result:?}"
+    );
+    assert!(took < Duration::from_secs(10), "the run took {took:?}");
 }

@@ -8,6 +8,10 @@
 //! `/proc/self/status`: clients run as sessions of the driver loop on one
 //! thread per shard, so the peak stays far below one thread per client.
 //! (This file is its own test binary, so no other test's threads count.)
+//!
+//! The shards read ingress when they wake, so the thread that calls
+//! `run_server` only supervises: `/proc/thread-self/schedstat` shows it
+//! running about once per grace period, not once per tick.
 
 use rstp::core::{SessionId, TimingParams};
 use rstp::serve::{run_swarm_sessions, ServeConfig, SessionSpec, SwarmTransport};
@@ -17,6 +21,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+
+/// How many times the scheduler has run the calling thread (field 3 of
+/// `/proc/thread-self/schedstat`), when `/proc` is mounted.
+fn runs_of_this_thread() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    stat.split_whitespace().nth(2)?.parse().ok()
+}
 
 /// This process's current thread count, when `/proc` is mounted.
 fn threads_now() -> Option<usize> {
@@ -82,6 +93,46 @@ fn mixed_mem_swarm_is_exact_and_runs_on_a_thread_per_shard() {
         assert!(
             peak < SESSIONS,
             "{peak} threads for {SESSIONS} sessions on 2 shards"
+        );
+    }
+}
+
+#[test]
+fn the_server_caller_wakes_per_grace_period_not_per_tick() {
+    const SESSIONS: u32 = 16;
+    let tick = Duration::from_micros(200);
+    let params = TimingParams::from_ticks(1, 2, 4).unwrap();
+    let sessions: Vec<(SessionSpec, Vec<bool>)> = (1..=SESSIONS)
+        .map(|i| {
+            let spec = SessionSpec {
+                id: SessionId::new(i),
+                kind: ProtocolKind::Beta { k: 4 },
+                n: 256,
+            };
+            (spec, random_input(256, 900 + u64::from(i)))
+        })
+        .collect();
+    let serve = ServeConfig::new(params, tick)
+        .with_shards(2)
+        .with_max_sessions(SESSIONS as usize)
+        .with_queue_cap(SESSIONS as usize * 32)
+        .with_max_wall(Duration::from_secs(30));
+
+    for transport in [SwarmTransport::Mem, SwarmTransport::Udp] {
+        let Some(before) = runs_of_this_thread() else {
+            return;
+        };
+        let report = run_swarm_sessions(&sessions, &serve, transport).expect("swarm");
+        let runs = runs_of_this_thread().expect("schedstat") - before;
+
+        assert!(report.all_good(), "{transport:?}: {}", report.summary());
+        assert_eq!(report.serve.timing_violations(), 0, "{}", report.summary());
+        // The caller supervises: it wakes for a fault, a moved session,
+        // or once per grace period (12 ticks here), never once per tick.
+        let ticks = report.serve.wall_elapsed.as_micros() / tick.as_micros();
+        assert!(
+            u128::from(runs) < ticks / 4,
+            "{transport:?}: the calling thread ran {runs} times in {ticks} ticks"
         );
     }
 }
