@@ -22,9 +22,10 @@
 //!   that the server and `rstp swarm` report a nonzero verdict instead
 //!   of unwinding silently. The run ends as soon as the thread has.
 //! * `drain=A->B@T` — at tick `T`, shard `A` moves every live session
-//!   to shard `B`: each leaves whole through the supervisor and resumes
-//!   on `B` (or back on `A` if `B` cannot take it). A drain from or into
-//!   a dead shard does nothing.
+//!   to shard `B`: each leaves whole, with every frame it has not
+//!   applied, into `B`'s mailbox in one hold of the ingress lock, and
+//!   resumes on `B`. A drain from or into a dead shard does nothing, and
+//!   neither does one into a shard killed before `A` reads it.
 //! * `stall=T1..T2` — no pass reads ingress in ticks `[T1, T2)`: a
 //!   socket stall. Frames queue in the transport.
 //! * `hubdrop=T1..T2` — every pass reads and *discards* ingress in

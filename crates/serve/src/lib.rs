@@ -17,9 +17,9 @@
 //!   (α next to β(k) next to γ(k)) behind one trait.
 //! * [`metrics`] — per-shard and aggregate counters: active/completed
 //!   sessions, per-session effort, latency percentiles, deadline misses.
-//! * [`shard`] — the worker: a session table slice, its timer wheel, a
-//!   bounded ingress queue, and batched egress. After each wake it reads
-//!   ingress for every shard, under the one lock the shards share.
+//! * [`shard`] — the worker: a session table slice, its timer wheel, and
+//!   batched egress. After each wake it reads ingress for every shard and
+//!   takes its own mailbox, under the one lock the shards share.
 //! * [`hub`] — the loopback transport: a server inbox and per-client
 //!   inboxes, drained whole batches at a time.
 //! * [`udp`] — the same server loop over one UDP socket, demultiplexing

@@ -60,7 +60,8 @@ pub struct ShardReport {
     pub deadline_misses: u64,
     /// Observed per-session step gaps outside `[c1·tick − slack, c2·tick + slack]`.
     pub timing_violations: u64,
-    /// Frames dropped because an admitted session's ingress queue was full.
+    /// Frames dropped because the shard's mailbox already held its bound
+    /// of `queue_cap × 32` frames.
     pub ingress_overflow: u64,
     /// Total automaton steps across all sessions.
     pub steps: u64,
@@ -85,8 +86,7 @@ pub struct ShardReport {
     /// next hand-off.
     pub events_dropped: u64,
     /// Sessions this shard took through a `Resume`: recovered from the
-    /// flight recording after a crash, or moved here by a drain (a
-    /// session that comes home counts here too).
+    /// flight recording after a crash, or moved here by a drain.
     pub adopted: u64,
     /// Sessions this shard gave up to a drain.
     pub handed_off: u64,

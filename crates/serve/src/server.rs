@@ -2,22 +2,19 @@
 //!
 //! The shards read ingress themselves. Right after each wake, a shard
 //! runs one `Pump::pass`: it drains the transport in batches of up to
-//! `BATCH` datagrams per call, at most `PASS_READS` calls, routes each
-//! frame by its session id, and hands each shard its share of the
-//! batch, in arrival order, as one message on that shard's bounded
-//! queue. One `Pump`, behind one lock, serves every shard's passes. The
-//! thread that calls [`run_server`] supervises: it admits sessions, fires
-//! the scripted faults, resumes moved sessions, restarts killed shards,
-//! and ends the run. It holds the lock only to read or change the
-//! tables and queues, never while it waits for a shard.
+//! `BATCH` datagrams per call, at most `PASS_READS` calls, and pushes
+//! each frame, in arrival order, into the mailbox of the shard that owns
+//! its session. In the same hold of the lock it takes its own mailbox.
+//! One `Pump`, behind one lock, holds every shard's mailbox and serves
+//! every shard's passes. The thread that calls [`run_server`] supervises:
+//! it admits sessions, fires the scripted faults, restarts killed shards,
+//! and ends the run. It holds the lock only to read or change the tables
+//! and mailboxes, never while it waits.
 //!
-//! Admission is strict — a session beyond `max_sessions`, with a
-//! duplicate id, or arriving while its shard's queue is full is
-//! *rejected*, because the alternative (blocking a pass) would stall
-//! every admitted session past its `c2` window. Frames for admitted
-//! sessions likewise drop rather than block when a queue is full; the
-//! protocols already tolerate channel loss, they do not tolerate a
-//! frozen clock.
+//! Admission is strict — a session beyond `max_sessions` or with a
+//! duplicate id is *rejected*. A mailbox never refuses a message, but it
+//! holds at most `queue_cap × BATCH` frames: a frame past that bound
+//! drops, since the protocols already tolerate channel loss.
 
 use crate::endpoint::restore_receiver_endpoint;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -30,16 +27,16 @@ use rstp_net::{
 };
 use rstp_record::{shard_file_name, Event, RecorderSet, Recording, RunMeta, ShardRecorder};
 use rstp_sim::ProtocolKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::thread::{self, Scope, ScopedJoinHandle};
 use std::time::Duration;
 
 /// The batch bound `B`: datagrams a pass drains per ingress call, frames
-/// per shard queue message, and frames a shard flushes per egress call.
+/// a mailbox holds per unit of `queue_cap`, and frames a shard flushes
+/// per egress call.
 pub(crate) const BATCH: usize = 32;
 
 /// Ingress calls per pass at most. A pass runs on a shard thread, ahead
@@ -108,11 +105,12 @@ pub struct ServeConfig {
     pub pace: Pace,
     /// Worker shard count; sessions are hashed by `id % shards`.
     pub shards: usize,
-    /// Bound of each shard's ingress queue, in messages: an admission, a
-    /// drain, a resumed session, or one ingress batch's frames for that
-    /// shard (up to `BATCH` = 32 frames). A shard drains its queue right
-    /// after its own pass, so the queue holds what the other shards'
-    /// passes routed to it since its last wake, up to one gap of them.
+    /// Bound of each shard's mailbox, in units of `BATCH` = 32 frames: a
+    /// mailbox holds at most `queue_cap × 32` frames. A shard takes its
+    /// mailbox right after its own pass, so it holds what the other
+    /// shards' passes routed to it since its last wake, up to one gap of
+    /// them. Control messages (admissions, drains, resumed sessions) are
+    /// never refused.
     pub queue_cap: usize,
     /// Admission ceiling across all shards.
     pub max_sessions: usize,
@@ -132,7 +130,8 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Defaults mirroring `rstp-net`'s driver where the knobs overlap:
     /// slow pace (the slack and grace come from the same [`Pacer`]);
-    /// plus 4 shards, queues of 256, and room for 1024 sessions.
+    /// plus 4 shards, mailboxes of 256 × 32 frames, and room for 1024
+    /// sessions.
     #[must_use]
     pub fn new(params: TimingParams, tick: Duration) -> Self {
         ServeConfig {
@@ -156,7 +155,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-shard ingress queue bound, in messages.
+    /// Sets the per-shard mailbox bound, in units of `BATCH` frames.
     #[must_use]
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap.max(1);
@@ -206,38 +205,33 @@ impl ServeConfig {
     }
 }
 
-/// Shard → supervisor messages. A drained session travels through the
-/// supervisor rather than a shard-to-shard channel, so its owner-table
-/// entry moves under the pump's lock, at the same point of the frame
-/// order as its `Resume` is queued.
-pub(crate) enum PumpMsg {
-    /// A drained session leaving shard `from` for `to`, still live, with
-    /// the frames it held: resume it on `to`, move its owner-table entry,
-    /// then route the frames.
-    Moved {
-        /// The source shard, the session's home if `to` cannot take it.
-        from: usize,
-        /// The target shard.
-        to: usize,
-        /// The session, whole.
-        session: Box<ResumeSession>,
-        /// Frames the source received for the session but never applied,
-        /// in arrival order.
-        held: Vec<Frame>,
-    },
-    /// Frames that reached a shard after a drain moved their session
-    /// away: route them again, to the session's owner now.
-    Forward(Vec<Frame>),
+/// One shard's inbound mailbox, in the `Pump`: the control messages and
+/// the frames routed to the shard since it last took them, which it
+/// swaps out at its next wake, in the same hold as its pass.
+#[derive(Default)]
+struct Mailbox {
+    msgs: Vec<ShardMsg>,
+    frames: Vec<Frame>,
+    /// The shard epoch this mailbox serves. A restart moves it on, so the
+    /// killed epoch takes nothing more and moves no session.
+    epoch: u32,
+    /// Killed and not yet restarted: a drain moves nothing here.
+    dead: bool,
+    /// Frames dropped past the bound, over every epoch of the shard.
+    overflow: u64,
 }
 
-/// Queues `frame` on its owning shard's share of the current batch. A
-/// frame for a session no shard owns counts as an orphan. One its
-/// session cannot take counts as a decode error and never reaches the
-/// automaton: another protocol or `k` (the rule of `WireCodec::decode`),
-/// or an ack, since every server session is a receiver.
+/// Pushes `frame` into the mailbox of the shard that owns its session,
+/// unless that mailbox already holds `cap` frames: then the frame counts
+/// in the shard's overflow (a channel loss the protocol tolerates). A
+/// frame for a session no shard owns counts as an orphan. One its session
+/// cannot take counts as a decode error and never reaches the automaton:
+/// another protocol or `k` (the rule of `WireCodec::decode`), or an ack,
+/// since every server session is a receiver.
 fn route(
     owner: &HashMap<u32, (usize, WireCodec)>,
-    routed: &mut [Vec<Frame>],
+    mailboxes: &mut [Mailbox],
+    cap: usize,
     report: &mut ServeReport,
     frame: Frame,
 ) {
@@ -246,27 +240,11 @@ fn route(
         return;
     };
     let fits = codec.accepts(&frame) && matches!(frame.packet, Packet::Data(_));
-    match routed.get_mut(shard) {
-        Some(share) if fits => share.push(frame),
-        Some(_) => report.decode_errors += 1,
+    match mailboxes.get_mut(shard) {
+        Some(_) if !fits => report.decode_errors += 1,
+        Some(mailbox) if mailbox.frames.len() < cap => mailbox.frames.push(frame),
+        Some(mailbox) => mailbox.overflow += 1,
         None => report.orphan_frames += 1,
-    }
-}
-
-/// Sends each shard its routed frames, in arrival order, as messages of
-/// at most `BATCH` frames: one message per shard for an ingress batch.
-/// Backpressure: a full queue refuses a whole message and each of its
-/// frames counts as `ingress_overflow` (a channel loss the protocol
-/// tolerates) instead of stalling the pass. A shard that died drops its
-/// share; its error surfaces at join.
-fn send_routed(txs: &[SyncSender<ShardMsg>], routed: &mut [Vec<Frame>], overflow: &mut [u64]) {
-    for ((tx, share), dropped) in txs.iter().zip(routed.iter_mut()).zip(overflow) {
-        for frames in share.chunks(BATCH) {
-            if let Err(TrySendError::Full(_)) = tx.try_send(ShardMsg::Frames(frames.to_vec())) {
-                *dropped += frames.len() as u64;
-            }
-        }
-        share.clear();
     }
 }
 
@@ -276,20 +254,18 @@ fn within(windows: &[(u64, u64)], tick: u64) -> bool {
 }
 
 /// The ingress state every shard's pass shares, behind one lock: the
-/// transport, the tables a frame is routed by, and what routing books.
-/// The supervisor takes the same lock to admit, move and recover sessions
-/// and to install a restarted shard's queue.
+/// transport, the tables a frame is routed by, every shard's mailbox,
+/// and what routing books. The supervisor takes the same lock to admit
+/// sessions, fire faults and restart shards.
 pub(crate) struct Pump<'t, T> {
     transport: &'t mut T,
     /// Each admitted session's shard, with its codec for the frame check
     /// in `route`.
     owner: HashMap<u32, (usize, WireCodec)>,
-    /// Each shard's queue: its live epoch's, or a dead one's, closed.
-    txs: Vec<SyncSender<ShardMsg>>,
-    /// Each shard's share of the frames being routed.
-    routed: Vec<Vec<Frame>>,
-    /// Frames each shard's full queue refused, per shard index.
-    overflow: Vec<u64>,
+    /// Each shard's mailbox, by shard index.
+    mailboxes: Vec<Mailbox>,
+    /// The most frames a mailbox holds: `queue_cap × BATCH`.
+    frame_cap: usize,
     report: ServeReport,
     batch: Vec<FrameBuf>,
     /// Scripted `stall` windows, in ticks: no pass reads.
@@ -305,19 +281,19 @@ pub(crate) struct Pump<'t, T> {
 
 impl<'t, T> Pump<'t, T> {
     /// The ingress state of a run over `shards` shards, before bring-up:
-    /// no session admitted and no shard queue yet.
+    /// no session admitted, and each mailbox empty and serving epoch 0.
     fn new(
         transport: &'t mut T,
         shards: usize,
+        frame_cap: usize,
         stalls: Vec<(u64, u64)>,
         hubdrops: Vec<(u64, u64)>,
     ) -> Self {
         Pump {
             transport,
             owner: HashMap::new(),
-            txs: Vec::with_capacity(shards),
-            routed: (0..shards).map(|_| Vec::with_capacity(BATCH)).collect(),
-            overflow: vec![0; shards],
+            mailboxes: (0..shards).map(|_| Mailbox::default()).collect(),
+            frame_cap,
             report: ServeReport::default(),
             batch: Vec::with_capacity(BATCH),
             stalls,
@@ -326,12 +302,86 @@ impl<'t, T> Pump<'t, T> {
             error: None,
         }
     }
+
+    /// Swaps shard `index`'s mailbox with `msgs` and `frames`, which the
+    /// shard emptied after its last wake, so once warm neither side
+    /// allocates. Returns `false`, and leaves the mailbox untouched, when
+    /// a restart has given it to an epoch newer than `epoch`.
+    pub(crate) fn take(
+        &mut self,
+        index: usize,
+        epoch: u32,
+        msgs: &mut Vec<ShardMsg>,
+        frames: &mut Vec<Frame>,
+    ) -> bool {
+        match self.mailboxes.get_mut(index) {
+            Some(mailbox) if mailbox.epoch == epoch => {
+                std::mem::swap(&mut mailbox.msgs, msgs);
+                std::mem::swap(&mut mailbox.frames, frames);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Moves the `leaving` sessions of shard `from`, at `epoch`, to shard
+    /// `to`, in this one hold: each one's owner entry, then its `Resume`
+    /// and the frames it held into `to`'s mailbox, then the frames
+    /// `from`'s mailbox got for it since `from` last took it. No frame of
+    /// a moved session reaches `from` afterwards. Returns how many moved:
+    /// none, with `leaving` never read, when `to` is dead or `epoch` is
+    /// no longer `from`'s.
+    pub(crate) fn drain_into(
+        &mut self,
+        from: usize,
+        epoch: u32,
+        to: usize,
+        leaving: impl Iterator<Item = (Box<ResumeSession>, VecDeque<Frame>)>,
+    ) -> u64 {
+        let current = self.mailboxes.get(from).is_some_and(|m| m.epoch == epoch);
+        let adopts = self.mailboxes.get(to).is_some_and(|m| !m.dead);
+        if from == to || !current || !adopts {
+            return 0;
+        }
+        // The source's unread frames, set aside while the target's
+        // mailbox is borrowed.
+        let mut unread = self
+            .mailboxes
+            .get_mut(from)
+            .map(|m| std::mem::take(&mut m.frames))
+            .unwrap_or_default();
+        let mut moved = 0;
+        if let Some(target) = self.mailboxes.get_mut(to) {
+            for (session, held) in leaving {
+                if let Some(entry) = self.owner.get_mut(&session.spec.id.raw()) {
+                    entry.0 = to;
+                }
+                target.msgs.push(ShardMsg::Resume(session));
+                target.frames.extend(held);
+                moved += 1;
+            }
+            let owner = &self.owner;
+            unread.retain(|frame| {
+                let follows = owner
+                    .get(&frame.session.raw())
+                    .is_some_and(|&(shard, _)| shard == to);
+                if follows {
+                    target.frames.push(*frame);
+                }
+                !follows
+            });
+        }
+        if let Some(source) = self.mailboxes.get_mut(from) {
+            source.frames = unread;
+        }
+        moved
+    }
 }
 
 impl<T: ServeTransport> Pump<'_, T> {
     /// Drains the transport at `now_tick`: `BATCH`-sized reads until one
-    /// comes back short, or `PASS_READS` of them, each batch decoded,
-    /// routed and sent to the shards as it is read. Inside a `stall`
+    /// comes back short, or `PASS_READS` of them, each frame decoded and
+    /// routed into its shard's mailbox as it is read. Inside a `stall`
     /// window it reads nothing; inside a `hubdrop` window it reads and
     /// discards. The pass judges both windows by its own tick, so a
     /// window opens for the first pass inside it, whichever shard runs
@@ -363,11 +413,16 @@ impl<T: ServeTransport> Pump<'_, T> {
                     // exactly once, here, rather than trusting the cheap
                     // peek.
                     match decode_any(bytes) {
-                        Ok(frame) => route(&self.owner, &mut self.routed, &mut self.report, frame),
+                        Ok(frame) => route(
+                            &self.owner,
+                            &mut self.mailboxes,
+                            self.frame_cap,
+                            &mut self.report,
+                            frame,
+                        ),
                         Err(_) => self.report.decode_errors += 1,
                     }
                 }
-                send_routed(&self.txs, &mut self.routed, &mut self.overflow);
             }
             if got < BATCH {
                 return;
@@ -382,149 +437,32 @@ pub(crate) struct Shared<'a, T> {
     pub(crate) clock: TickClock,
     /// Sessions completed, over every shard and epoch.
     pub(crate) completed: AtomicU64,
-    /// Moved sessions and forwarded frames, to the supervisor.
-    pub(crate) pump_tx: Sender<PumpMsg>,
     pub(crate) pump: Mutex<Pump<'a, T>>,
-}
-
-impl<'a, T> Shared<'a, T> {
-    /// Handles messages the shards sent the supervisor: each moved
-    /// session is resumed, then its held frames, or a shard's forwarded
-    /// ones, are routed with the owner table as it stands, so each lands
-    /// behind its session's `Resume` in a FIFO queue. Frames owned by
-    /// shard `restarting`, whose new queue is not installed yet, come back
-    /// instead of dropping at its closed queue.
-    fn handle(
-        &self,
-        msgs: impl Iterator<Item = PumpMsg>,
-        dead: &[bool],
-        restarting: Option<usize>,
-    ) -> Vec<Frame> {
-        let mut aside = Vec::new();
-        for msg in msgs {
-            let (mut pump, frames) = match msg {
-                PumpMsg::Moved {
-                    from,
-                    to,
-                    session,
-                    held,
-                } => (self.resume(from, to, session, dead), held),
-                PumpMsg::Forward(frames) => (
-                    self.pump.lock().unwrap_or_else(PoisonError::into_inner),
-                    frames,
-                ),
-            };
-            let pump = &mut *pump;
-            for frame in frames {
-                route(&pump.owner, &mut pump.routed, &mut pump.report, frame);
-            }
-            if let Some(share) = restarting.and_then(|shard| pump.routed.get_mut(shard)) {
-                aside.append(share);
-            }
-            send_routed(&pump.txs, &mut pump.routed, &mut pump.overflow);
-        }
-        aside
-    }
-
-    /// Queues a moved session's `Resume` on its target `to`, or back on
-    /// its source `from` when the target is dead or its queue stays full,
-    /// and moves its owner-table entry to whichever took it; if neither
-    /// did, the entry stays with the source, whose restart recovers the
-    /// session from its recording. Returns the lock, held since the entry
-    /// moved, so the session's held frames are routed behind its
-    /// `Resume`.
-    ///
-    /// The lock is held only to try a send. A full queue is waited out
-    /// in 100 µs naps, for at most 200 ms per shard, with the lock
-    /// released: the shard that owns the queue runs a pass, which takes
-    /// the lock, before it drains the queue. Meanwhile the source forwards
-    /// the frames it is routed for the session.
-    fn resume(
-        &self,
-        from: usize,
-        to: usize,
-        session: Box<ResumeSession>,
-        dead: &[bool],
-    ) -> MutexGuard<'_, Pump<'a, T>> {
-        let id = session.spec.id.raw();
-        let mut msg = ShardMsg::Resume(session);
-        for shard in [to, from] {
-            if dead[shard] {
-                continue;
-            }
-            let mut at = self.clock.now();
-            let give_up = at + Duration::from_millis(200);
-            loop {
-                {
-                    let mut pump = self.pump.lock().unwrap_or_else(PoisonError::into_inner);
-                    match pump.txs[shard].try_send(msg) {
-                        Ok(()) => {
-                            if let Some(entry) = pump.owner.get_mut(&id) {
-                                entry.0 = shard;
-                            }
-                            return pump;
-                        }
-                        Err(TrySendError::Full(back)) if at < give_up => msg = back,
-                        Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => {
-                            msg = back;
-                            break;
-                        }
-                    }
-                }
-                at = self.clock.sleep_until(at + Duration::from_micros(100));
-            }
-        }
-        self.pump.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Delivers a must-arrive message (drain, crash, panic, resume) to a
-/// shard, waiting out a full queue in 100 µs naps for at most 200 ms. The
-/// message comes back if the shard is gone or its queue stays full. The
-/// caller must not hold the pump's lock: the shard runs a pass, which
-/// takes it, before it drains its queue.
-fn send_shard(
-    tx: &SyncSender<ShardMsg>,
-    clock: TickClock,
-    mut msg: ShardMsg,
-) -> Result<(), ShardMsg> {
-    let mut at = clock.now();
-    let give_up = at + Duration::from_millis(200);
-    loop {
-        match tx.try_send(msg) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Full(m)) if at < give_up => {
-                msg = m;
-                at = clock.sleep_until(at + Duration::from_micros(100));
-            }
-            Err(TrySendError::Full(m) | TrySendError::Disconnected(m)) => return Err(m),
-        }
-    }
 }
 
 /// One shard worker thread: the first of its index, or one a restart
 /// spawned.
 type Epoch<'scope> = ScopedJoinHandle<'scope, Result<ShardReport, NetError>>;
 
-/// Spawns one shard worker thread (initial bring-up and crash restarts
-/// share this path) and returns its queue with its join handle.
+/// Spawns `epoch` of shard `index` (initial bring-up and crash restarts
+/// share this path); it reads the mailbox the `Pump` keeps for that
+/// epoch.
 fn spawn_shard<'scope, T: ServeTransport + Send>(
     scope: &'scope Scope<'scope, '_>,
     shared: &'scope Shared<'_, T>,
     index: usize,
+    epoch: u32,
     egress: Box<dyn EgressSink>,
     recorder: Option<ShardRecorder>,
-) -> Result<(SyncSender<ShardMsg>, Epoch<'scope>), NetError> {
-    let (tx, rx) = sync_channel::<ShardMsg>(shared.config.queue_cap.max(1));
-    let handle = thread::Builder::new()
+) -> Result<Epoch<'scope>, NetError> {
+    thread::Builder::new()
         .name(format!("rstp-serve-shard-{index}"))
         .spawn_scoped(scope, move || {
-            run_shard(index, shared, rx, egress, recorder)
+            run_shard(index, epoch, shared, egress, recorder)
         })
         .map_err(|e| NetError::Thread {
             what: format!("spawn shard {index}: {e}"),
-        })?;
-    Ok((tx, handle))
+        })
 }
 
 /// Outcome of trying to re-create one session from a shard recording.
@@ -652,8 +590,8 @@ fn record_err(e: &rstp_record::RecordError) -> NetError {
 /// `transport` until they all complete or `max_wall` expires.
 ///
 /// The shards read `transport`, each in a pass right after it wakes. The
-/// calling thread supervises: it wakes for a fault's tick, a moved
-/// session, or once per grace period.
+/// calling thread supervises: it wakes for a fault's tick, or once per
+/// grace period.
 ///
 /// The caller owns the clock so client endpoints can share its epoch
 /// (latency stamps are only comparable on one epoch).
@@ -676,15 +614,6 @@ pub fn run_server<T: ServeTransport + Send>(
         .iter()
         .map(|spec| codec_for(spec.kind))
         .collect::<Result<Vec<_>, _>>()?;
-    // Shard → supervisor channel: moved sessions and forwarded frames.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a shard may neither block on this queue (c2 deadlines) nor drop from it \
-                  (forwarded beta frames are never resent); each message answers one taken \
-                  from a bounded shard queue, or moves one drained session, and the \
-                  supervisor drains the queue completely whenever it wakes"
-    )]
-    let (pump_tx, pump_rx) = channel::<PumpMsg>();
 
     // Flight recorder: one ring + writer thread per shard, created
     // before the shards so each takes its nonblocking handle with it.
@@ -726,12 +655,18 @@ pub fn run_server<T: ServeTransport + Send>(
             ev => faults.push(ev),
         }
     }
+    let frame_cap = config.queue_cap.max(1).saturating_mul(BATCH);
     let shared = Shared {
         config,
         clock,
         completed: AtomicU64::new(0),
-        pump_tx,
-        pump: Mutex::new(Pump::new(transport, shard_count, stalls, hubdrops)),
+        pump: Mutex::new(Pump::new(
+            transport,
+            shard_count,
+            frame_cap,
+            stalls,
+            hubdrops,
+        )),
     };
 
     // The shards borrow `shared`, so they are scoped threads. The
@@ -745,40 +680,34 @@ pub fn run_server<T: ServeTransport + Send>(
         let run: Result<(), NetError> = 'run: {
             // Bring-up and admission under one hold of the lock, so no
             // pass runs before every session has its owner. Admission is
-            // strict and non-blocking: duplicates, table overflow, and a
-            // full shard queue all reject. The owner table keeps each
-            // admitted session's codec beside its shard, for the frame
-            // check in `route`.
+            // strict: duplicates and table overflow reject. The owner
+            // table keeps each admitted session's codec beside its shard,
+            // for the frame check in `route`.
             let mut admitted: u64 = 0;
             {
                 let mut pump = shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                let pump = &mut *pump;
                 for (index, egress) in egress.into_iter().enumerate() {
-                    match spawn_shard(scope, &shared, index, egress, shard_recorders.next()) {
-                        Ok((tx, handle)) => {
-                            pump.txs.push(tx);
-                            handles.push((index, handle, false));
-                        }
+                    match spawn_shard(scope, &shared, index, 0, egress, shard_recorders.next()) {
+                        Ok(handle) => handles.push((index, handle, false)),
                         Err(e) => break 'run Err(e),
                     }
                 }
                 for (spec, &codec) in specs.iter().zip(&codecs) {
                     let raw = spec.id.raw();
                     let shard = raw as usize % shard_count;
-                    let fits = !pump.owner.contains_key(&raw)
-                        && pump.owner.len() < config.max_sessions
-                        && pump.txs[shard].try_send(ShardMsg::Admit(*spec)).is_ok();
-                    if fits {
-                        pump.owner.insert(raw, (shard, codec));
-                        admitted += 1;
-                    } else {
+                    if pump.owner.contains_key(&raw) || pump.owner.len() >= config.max_sessions {
                         pump.report.rejected_sessions += 1;
                         pump.report.rejected_ids.push(raw);
+                        continue;
                     }
+                    pump.mailboxes[shard].msgs.push(ShardMsg::Admit(*spec));
+                    pump.owner.insert(raw, (shard, codec));
+                    admitted += 1;
                 }
             }
 
             let mut next_fault = 0usize;
-            let mut dead = vec![false; shard_count];
             // Lame-duck linger: once every session has completed, keep
             // serving until ingress has been dry for a grace period
             // rather than exiting on the spot. A client the scheduler
@@ -826,124 +755,91 @@ pub fn run_server<T: ServeTransport + Send>(
                     break 'run Ok(());
                 }
 
-                // Fire every scripted fault whose tick has arrived.
+                // Fire every scripted fault whose tick has arrived. The
+                // kills, panics and drains of one wake share one hold of
+                // the lock, so a drain into a shard killed in the same
+                // tick finds it dead, whichever shard wakes first. A
+                // restart takes the lock itself, in its place in the order.
+                let mut held = None;
                 while let Some(&ev) = faults.get(next_fault).filter(|ev| ev.tick() <= now_tick) {
                     next_fault += 1;
-                    match ev {
-                        FaultEvent::Kill { shard, .. } | FaultEvent::Panic { shard, .. }
-                            if shard < shard_count && !dead[shard] =>
+                    if let FaultEvent::Restart { shard, .. } = ev {
+                        held = None;
+                        // Recovery: wait for the killed epoch to return,
+                        // so the batch its recorder still held is in the
+                        // ring (at most 200 ms). Under the lock, give the
+                        // shard's mailbox to the next epoch, which fences
+                        // the killed one off (it takes nothing more and
+                        // moves no session), and read the sessions the
+                        // shard still owns. Without the lock,
+                        // barrier-flush the shard's recording so
+                        // everything its last life pushed is on disk, read
+                        // it back (a torn tail is tolerated), and
+                        // re-create each session from its latest snapshot
+                        // plus replay. Sessions that cannot reach their
+                        // acknowledged floor are dropped from the run.
+                        if let Some((_, epoch, _)) = handles
+                            .iter()
+                            .rev()
+                            .find(|(i, _, killed)| *i == shard && *killed)
                         {
-                            let kill = matches!(ev, FaultEvent::Kill { .. });
-                            let tx = {
-                                let mut pump =
-                                    shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
-                                pump.report.crashes += 1;
-                                pump.txs[shard].clone()
-                            };
-                            let msg = if kill {
-                                ShardMsg::Crash
-                            } else {
-                                ShardMsg::Panic
-                            };
-                            let _ = send_shard(&tx, clock, msg);
-                            // A panicked epoch stays unmarked: its end
-                            // ends the run.
-                            if let Some((.., killed)) =
-                                handles.iter_mut().rev().find(|(i, ..)| kill && *i == shard)
-                            {
-                                *killed = true;
+                            let give_up = now + Duration::from_millis(200);
+                            let mut at = now;
+                            while !epoch.is_finished() && at < give_up {
+                                at = clock.sleep_until(at + Duration::from_micros(100));
                             }
-                            dead[shard] = true;
                         }
-                        FaultEvent::Restart { shard, .. } if shard < shard_count && dead[shard] => {
-                            // Recovery: wait for the killed epoch to
-                            // return, so the batch its recorder still held
-                            // is in the ring (bounded like `send_shard`: at
-                            // most 200 ms), and settle the sessions it
-                            // moved before it died, so none is both
-                            // resumed elsewhere and recovered here; the
-                            // frames they held for this shard wait for its
-                            // new queue. Then barrier-flush the shard's
-                            // recording so everything its last life pushed
-                            // is on disk, read it back (a torn tail is
-                            // tolerated), and re-create each still-owned
-                            // session from its latest snapshot plus
-                            // replay. Sessions that cannot reach their
-                            // acknowledged floor are dropped from the run.
-                            // None of this holds the lock: meanwhile,
-                            // passes route the shard's frames to its
-                            // closed queue, where they drop, as between
-                            // any kill and restart.
-                            if let Some((_, killed, _)) =
-                                handles.iter().rev().find(|(i, ..)| *i == shard)
-                            {
-                                let give_up = now + Duration::from_millis(200);
-                                let mut at = now;
-                                while !killed.is_finished() && at < give_up {
-                                    at = clock.sleep_until(at + Duration::from_micros(100));
+                        let (epoch, mine, egress) = {
+                            let mut pump =
+                                shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                            let pump = &mut *pump;
+                            // A restart of a live shard is a no-op.
+                            let Some(mailbox) = pump.mailboxes.get_mut(shard).filter(|m| m.dead)
+                            else {
+                                continue;
+                            };
+                            mailbox.epoch += 1;
+                            let mine: Vec<u32> = pump
+                                .owner
+                                .iter()
+                                .filter(|&(_, &(sh, _))| sh == shard)
+                                .map(|(&id, _)| id)
+                                .collect();
+                            (mailbox.epoch, mine, pump.transport.egress())
+                        };
+                        let recording = match (&recorder_set, &config.record_dir) {
+                            (Some(set), Some(dir)) => {
+                                if let Some(mut r) = set.recorder(shard) {
+                                    r.push_stats();
+                                    let _ = r.flush_barrier(Duration::from_secs(2));
                                 }
+                                let path = dir.join(shard_file_name(
+                                    u32::try_from(shard).unwrap_or(u32::MAX),
+                                ));
+                                Recording::load(&path).ok()
                             }
-                            let held = shared.handle(pump_rx.try_iter(), &dead, Some(shard));
-                            let (mine, egress): (Vec<u32>, _) = {
-                                let pump =
-                                    shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
-                                let mine = pump
-                                    .owner
-                                    .iter()
-                                    .filter(|&(_, &(sh, _))| sh == shard)
-                                    .map(|(&id, _)| id)
-                                    .collect();
-                                (mine, pump.transport.egress())
+                            _ => None,
+                        };
+                        let mut resumes = Vec::new();
+                        let mut gone = Vec::new();
+                        for id in mine {
+                            let outcome = match &recording {
+                                Some(rec) => recover_session(rec, id, config.params),
+                                None => Recovered::Lost,
                             };
-                            let recording = match (&recorder_set, &config.record_dir) {
-                                (Some(set), Some(dir)) => {
-                                    if let Some(mut r) = set.recorder(shard) {
-                                        r.push_stats();
-                                        let _ = r.flush_barrier(Duration::from_secs(2));
-                                    }
-                                    let path = dir.join(shard_file_name(
-                                        u32::try_from(shard).unwrap_or(u32::MAX),
-                                    ));
-                                    Recording::load(&path).ok()
-                                }
-                                _ => None,
-                            };
-
-                            // The new epoch's queue stays the supervisor's
-                            // until every recovered session is queued on
-                            // it, so no pass routes a frame to the new
-                            // epoch ahead of its session's `Resume`.
-                            let recorder =
-                                recorder_set.as_ref().and_then(|set| set.recorder(shard));
-                            let spawned = egress.and_then(|egress| {
-                                spawn_shard(scope, &shared, shard, egress, recorder)
-                            });
-                            let (tx, handle) = match spawned {
-                                Ok(pair) => pair,
-                                Err(e) => break 'run Err(e),
-                            };
-                            handles.push((shard, handle, false));
-                            let mut gone = Vec::new();
-                            let mut recovered_sessions = 0;
-                            for id in mine {
-                                let outcome = match &recording {
-                                    Some(rec) => recover_session(rec, id, config.params),
-                                    None => Recovered::Lost,
-                                };
-                                match outcome {
-                                    Recovered::Resumed(rs) => {
-                                        if send_shard(&tx, clock, ShardMsg::Resume(rs)).is_ok() {
-                                            recovered_sessions += 1;
-                                        } else {
-                                            gone.push((id, true));
-                                        }
-                                    }
-                                    // Counted at completion; late client
-                                    // traffic orphans at the pass.
-                                    Recovered::AlreadyComplete => gone.push((id, false)),
-                                    Recovered::Lost => gone.push((id, true)),
-                                }
+                            match outcome {
+                                Recovered::Resumed(rs) => resumes.push(ShardMsg::Resume(rs)),
+                                // Counted at completion; late client
+                                // traffic orphans at the pass.
+                                Recovered::AlreadyComplete => gone.push((id, false)),
+                                Recovered::Lost => gone.push((id, true)),
                             }
+                        }
+                        // The next epoch's mailbox starts with the
+                        // recovered sessions' `Resume`s, so each comes
+                        // before every frame of its session. The frames
+                        // routed to the shard while it was dead drop here.
+                        {
                             let mut pump =
                                 shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
                             let pump = &mut *pump;
@@ -954,59 +850,82 @@ pub fn run_server<T: ServeTransport + Send>(
                                     pump.report.unrecoverable_sessions += 1;
                                 }
                             }
-                            pump.txs[shard] = tx;
-                            for frame in held {
-                                route(&pump.owner, &mut pump.routed, &mut pump.report, frame);
-                            }
-                            send_routed(&pump.txs, &mut pump.routed, &mut pump.overflow);
-                            pump.report.recovered_sessions += recovered_sessions;
+                            pump.report.recovered_sessions += resumes.len() as u64;
                             pump.report.restarts += 1;
-                            dead[shard] = false;
+                            let mailbox = &mut pump.mailboxes[shard];
+                            mailbox.msgs = resumes;
+                            mailbox.frames.clear();
+                            mailbox.dead = false;
                         }
-                        FaultEvent::Drain { from, to, .. }
-                            if from < shard_count
-                                && to < shard_count
-                                && from != to
-                                && !dead[from]
-                                && !dead[to] =>
-                        {
-                            let tx = {
-                                let pump =
-                                    shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
-                                pump.txs[from].clone()
+                        let recorder = recorder_set.as_ref().and_then(|set| set.recorder(shard));
+                        let spawned = egress.and_then(|egress| {
+                            spawn_shard(scope, &shared, shard, epoch, egress, recorder)
+                        });
+                        match spawned {
+                            Ok(handle) => handles.push((shard, handle, false)),
+                            Err(e) => break 'run Err(e),
+                        }
+                        continue;
+                    }
+                    let pump = &mut **held.get_or_insert_with(|| {
+                        shared.pump.lock().unwrap_or_else(PoisonError::into_inner)
+                    });
+                    match ev {
+                        FaultEvent::Kill { shard, .. } | FaultEvent::Panic { shard, .. } => {
+                            let Some(mailbox) = pump.mailboxes.get_mut(shard).filter(|m| !m.dead)
+                            else {
+                                continue;
                             };
-                            let _ = send_shard(&tx, clock, ShardMsg::Drain { to });
+                            let kill = matches!(ev, FaultEvent::Kill { .. });
+                            mailbox.msgs.push(if kill {
+                                ShardMsg::Crash
+                            } else {
+                                ShardMsg::Panic
+                            });
+                            mailbox.dead = true;
+                            pump.report.crashes += 1;
+                            // A panicked epoch stays unmarked: its end
+                            // ends the run.
+                            if let Some((.., killed)) =
+                                handles.iter_mut().rev().find(|(i, ..)| kill && *i == shard)
+                            {
+                                *killed = true;
+                            }
                         }
-                        // Out-of-range shard, kill of a dead shard, restart
-                        // of a live one, a drain from or into a dead shard,
-                        // `auto` (expanded by `schedule`): no-ops.
+                        FaultEvent::Drain { from, to, .. } => {
+                            let live =
+                                |shard: usize| pump.mailboxes.get(shard).is_some_and(|m| !m.dead);
+                            if live(from) && live(to) {
+                                pump.mailboxes[from].msgs.push(ShardMsg::Drain { to });
+                            }
+                        }
+                        // Out-of-range shard, kill of a dead shard, a
+                        // drain from or into a dead shard, `auto`
+                        // (expanded by `schedule`): no-ops.
                         _ => {}
                     }
                 }
+                drop(held);
 
                 // Sleep to the next fault's tick or one grace period on,
-                // whichever comes first. A moved session wakes the
-                // supervisor at once: its `Resume` is queued, and its
-                // frames routed, before the next pass.
+                // whichever comes first.
                 let wake = faults.get(next_fault).map_or(now + grace, |ev| {
                     clock.instant_of_tick(ev.tick()).min(now + grace)
                 });
-                if let Ok(msg) = pump_rx.recv_timeout(wake.saturating_duration_since(clock.now())) {
-                    shared.handle(std::iter::once(msg).chain(pump_rx.try_iter()), &dead, None);
-                }
+                clock.sleep_until(wake);
             }
         };
 
-        // Shutdown: best-effort message, then close the queues — a shard
-        // whose queue was full still sees the hangup. Every way out of
-        // the scope passes here, or its implicit join would wait on
-        // shards that never see one.
+        // Shutdown: every mailbox takes the message, which its shard reads
+        // at its next wake. Every way out of the scope passes here, or its
+        // implicit join would wait on shards that never see one.
+        for mailbox in &mut shared
+            .pump
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .mailboxes
         {
-            let mut pump = shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
-            for tx in &pump.txs {
-                let _ = tx.try_send(ShardMsg::Shutdown);
-            }
-            pump.txs.clear();
+            mailbox.msgs.push(ShardMsg::Shutdown);
         }
 
         // Join *every* epoch of every shard — including threads that
@@ -1030,7 +949,7 @@ pub fn run_server<T: ServeTransport + Send>(
 
     let Pump {
         mut report,
-        mut overflow,
+        mut mailboxes,
         ..
     } = shared
         .pump
@@ -1038,10 +957,10 @@ pub fn run_server<T: ServeTransport + Send>(
         .unwrap_or_else(PoisonError::into_inner);
     for mut shard in shards {
         report.orphan_frames += shard.orphan_frames;
-        // Pass-side overflow is per shard index, not per epoch; book it
+        // Mailbox overflow is per shard index, not per epoch; book it
         // once, against the index's first-joined epoch.
-        if let Some(dropped) = overflow.get_mut(shard.shard) {
-            shard.ingress_overflow = std::mem::take(dropped);
+        if let Some(mailbox) = mailboxes.get_mut(shard.shard) {
+            shard.ingress_overflow = std::mem::take(&mut mailbox.overflow);
         }
         report.shards.push(shard);
     }
@@ -1115,51 +1034,68 @@ mod tests {
     }
 
     #[test]
-    fn frames_held_for_a_restarting_shard_wait_for_its_new_queue() {
-        // Session 2 left shard 0 for shard 1 as both died: neither takes
-        // it, so it stays with shard 0, whose restart recovers it. The
-        // frame it held comes back to the restart, to follow the
-        // recovered session into the new queue, instead of dropping at
-        // shard 0's closed one.
-        let tick = Duration::from_micros(200);
-        let config = ServeConfig::new(params(), tick).with_shards(2);
+    fn a_drain_moves_each_session_with_every_frame_of_it_in_one_hold() {
+        // Sessions 2 and 4 live on shard 0. Session 2 leaves for shard 1
+        // holding its frame 0, while its frame 1 and a frame of session 4
+        // wait in shard 0's mailbox: frame 1 follows frame 0, behind the
+        // session's `Resume`, and session 4's frame stays.
         let mut hub = MemHub::new();
-        let spec = spec(2, 4);
-        let mut pump = Pump::new(&mut hub, 2, Vec::new(), Vec::new());
-        pump.owner
-            .insert(2, (0, codec_for(spec.kind).expect("codec")));
-        pump.txs = (0..2).map(|_| sync_channel(1).0).collect();
-        let shared = Shared {
-            config: &config,
-            clock: clock(tick),
-            completed: AtomicU64::new(0),
-            pump_tx: channel().0,
-            pump: Mutex::new(pump),
-        };
-        let frame = Frame {
+        let mut pump = Pump::new(&mut hub, 2, BATCH, Vec::new(), Vec::new());
+        let codec = codec_for(spec(2, 4).kind).expect("codec");
+        pump.owner.insert(2, (0, codec));
+        pump.owner.insert(4, (0, codec));
+        let frame = |id: u32, seq: u64| Frame {
             protocol: rstp_net::ProtocolId::Beta,
             k: 4,
             packet: Packet::Data(1),
-            seq: 0,
+            seq,
             sent_at_micros: 0,
-            session: spec.id,
+            session: SessionId::new(id),
         };
-        let moved = PumpMsg::Moved {
-            from: 0,
-            to: 1,
-            session: Box::new(ResumeSession {
+        pump.mailboxes[0].frames = vec![frame(2, 1), frame(4, 0)];
+        let leaving = || {
+            let spec = spec(2, 4);
+            let endpoint =
+                crate::endpoint::receiver_endpoint(spec.kind, params(), spec.n).expect("endpoint");
+            let session = Box::new(ResumeSession {
                 spec,
-                endpoint: crate::endpoint::receiver_endpoint(spec.kind, params(), spec.n)
-                    .expect("endpoint"),
+                endpoint,
                 seq: 0,
-            }),
-            held: vec![frame],
+            });
+            std::iter::once((session, VecDeque::from([frame(2, 0)])))
         };
-        let aside = shared.handle(std::iter::once(moved), &[true, true], Some(0));
-        assert_eq!(aside, vec![frame]);
-        let pump = shared.pump.lock().expect("pump");
+
+        // A dead target, or a source epoch a restart replaced, moves
+        // nothing: the source keeps its session.
+        pump.mailboxes[1].dead = true;
+        assert_eq!(pump.drain_into(0, 0, 1, leaving()), 0);
+        pump.mailboxes[1].dead = false;
+        assert_eq!(pump.drain_into(0, 1, 1, leaving()), 0);
         assert_eq!(pump.owner[&2].0, 0);
-        assert_eq!(pump.report.orphan_frames + pump.report.decode_errors, 0);
+        assert!(pump.mailboxes[1].msgs.is_empty());
+
+        assert_eq!(pump.drain_into(0, 0, 1, leaving()), 1);
+        assert_eq!(pump.owner[&2].0, 1);
+        assert_eq!(pump.owner[&4].0, 0);
+        let target = &pump.mailboxes[1];
+        assert!(matches!(
+            target.msgs.as_slice(),
+            [ShardMsg::Resume(rs)] if rs.spec.id.raw() == 2
+        ));
+        assert_eq!(target.frames, vec![frame(2, 0), frame(2, 1)]);
+        assert_eq!(pump.mailboxes[0].frames, vec![frame(4, 0)]);
+
+        // Once a restart gives shard 1's mailbox to epoch 1, epoch 0 takes
+        // nothing and leaves it whole for epoch 1.
+        pump.mailboxes[1].epoch = 1;
+        let (mut msgs, mut frames) = (Vec::new(), Vec::new());
+        assert!(!pump.take(1, 0, &mut msgs, &mut frames));
+        assert!(msgs.is_empty() && frames.is_empty());
+        assert_eq!(pump.mailboxes[1].msgs.len(), 1);
+        assert_eq!(pump.mailboxes[1].frames.len(), 2);
+        assert!(pump.take(1, 1, &mut msgs, &mut frames));
+        assert_eq!((msgs.len(), frames.len()), (1, 2));
+        assert!(pump.mailboxes[1].msgs.is_empty() && pump.mailboxes[1].frames.is_empty());
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //!
 //! A shard owns every session hashed to it — no other thread touches
 //! their automata. Right after each wake it reads ingress for every
-//! shard, in one `Pump::pass` under the lock all shards share, then
-//! drains its own *bounded* queue, which holds one message per ingress
-//! batch (a pass drops, never blocks, when a queue is full: an admitted
-//! session may lose frames, which the protocols already tolerate, but it
-//! is never stalled past its `c2` window by a slow neighbour). Pacing
-//! uses the [`TimerWheel`] instead of one sleeping thread per session;
-//! the miss/violation accounting, re-anchoring and grace completion are
-//! `rstp_net`'s [`Pacer`], the same rules its driver loop applies, so a
-//! 256-session swarm is held to the same `[c1, c2]` standard as a lone
-//! endpoint.
+//! shard, in one `Pump::pass` under the lock all shards share, and in
+//! the same hold takes its own mailbox: the control messages and the
+//! frames routed to it since its last wake. A mailbox holds a bounded
+//! number of frames (a pass drops, never blocks, past the bound: an
+//! admitted session may lose frames, which the protocols already
+//! tolerate, but it is never stalled past its `c2` window by a slow
+//! neighbour). Pacing uses the [`TimerWheel`] instead of one sleeping
+//! thread per session; the miss/violation accounting, re-anchoring and
+//! grace completion are `rstp_net`'s [`Pacer`], the same rules its driver
+//! loop applies, so a 256-session swarm is held to the same `[c1, c2]`
+//! standard as a lone endpoint.
 //!
 //! A session's step happens at one instant: the shard reads its
 //! [`TickClock`](rstp_net::TickClock) once per wheel pop, and the wake
@@ -22,14 +23,14 @@
 use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
 use crate::hub::lock_without_parking;
 use crate::metrics::{SessionStats, ShardReport};
-use crate::server::{EgressSink, PumpMsg, ServeTransport, SessionSpec, Shared, BATCH};
+use crate::server::{EgressSink, ServeTransport, SessionSpec, Shared, BATCH};
 use crate::snapshot::SessionSnapshot;
 use crate::wheel::TimerWheel;
 use rstp_net::{codec_for, Cadence, Frame, FrameBuf, NetError, Pacer, StepEffect, Wake, WireCodec};
 use rstp_record::{Event, FrameDir, ShardRecorder};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::PoisonError;
 
 /// A live session on its way into a shard: the spec, a live endpoint,
 /// and the outgoing sequence number to continue from. Crash recovery
@@ -41,16 +42,13 @@ pub(crate) struct ResumeSession {
     pub(crate) seq: u64,
 }
 
-/// What the server sends a shard over its bounded ingress queue.
+/// A control message in a shard's mailbox; the shard reads them before
+/// the mailbox's frames.
 pub(crate) enum ShardMsg {
     /// Take ownership of a new session.
     Admit(SessionSpec),
-    /// Decoded frames for sessions this shard owns, in arrival order: this
-    /// shard's share of one ingress batch, or frames a drained session's
-    /// source held for it.
-    Frames(Vec<Frame>),
-    /// Move every live session to shard `to`, each as one
-    /// [`PumpMsg::Moved`] through the supervisor.
+    /// Move every live session, whole, to shard `to`, under the pump's
+    /// lock (`Pump::drain_into`).
     Drain {
         /// The target shard.
         to: usize,
@@ -138,12 +136,13 @@ impl Live {
     }
 }
 
-/// Runs shard `index` until it is told to shut down (or the server side
-/// of its queue disappears). Returns the shard's full report.
+/// Runs `epoch` of shard `index` until it is told to shut down or to
+/// crash, or a restart has given its mailbox to a newer epoch. Returns
+/// the shard's full report.
 pub(crate) fn run_shard<T: ServeTransport>(
     index: usize,
+    epoch: u32,
     shared: &Shared<'_, T>,
-    rx: Receiver<ShardMsg>,
     mut egress: Box<dyn EgressSink>,
     mut recorder: Option<ShardRecorder>,
 ) -> Result<ShardReport, NetError> {
@@ -167,17 +166,16 @@ pub(crate) fn run_shard<T: ServeTransport>(
     // still finish. Ghosts hold no wheel deadlines and cost nothing
     // until a frame actually arrives for them.
     let mut retired: HashMap<u32, Live> = HashMap::new();
-    // Sessions a drain moved away. A frame for one that still reaches
-    // this shard (a pass routed it before the owner table moved the
-    // session) follows the session through the supervisor.
-    let mut handed_off: HashSet<u32> = HashSet::new();
+    // The mailbox's contents, swapped out at each wake.
+    let mut msgs: Vec<ShardMsg> = Vec::new();
+    let mut frames: Vec<Frame> = Vec::new();
     // The latest clock reading: one when the loop wakes, then one per
     // wheel pop. An idle sleep is sized from whichever came last.
     let mut now = clock.now();
 
     'run: loop {
         // Sleep until the next deadline, or one gap while the wheel is
-        // empty. The wheel is the only wake-up: a datagram or a queued
+        // empty. The wheel is the only wake-up: a datagram or a mailbox
         // message waits for the next wake (at most one gap), since a
         // frame only takes effect at its session's next step anyway. The
         // instant the sleep woke is the iteration's reading, for
@@ -189,21 +187,23 @@ pub(crate) fn run_shard<T: ServeTransport>(
         now = clock.sleep_until(wake);
         let now_tick = clock.tick_at(now);
         let at = clock.micros_at(now);
-        // Read ingress for every shard, this one's share landing in its
-        // own queue. Shards wake on the same tick boundaries, so a shard
+        // Read ingress for every shard, then take this shard's mailbox,
+        // in one hold. Shards wake on the same tick boundaries, so a shard
         // waits its turn at the lock rather than skip: a skipping shard
-        // could drain its queue before the passing one had routed its
-        // share, and those frames would wait a whole gap.
+        // would leave its mailbox, and whatever the passing one routed to
+        // it, for a whole gap.
         if let Some(mut pump) = lock_without_parking(&shared.pump) {
             pump.pass(now_tick);
+            if !pump.take(index, epoch, &mut msgs, &mut frames) {
+                // A restart gave the mailbox to a newer epoch: this one
+                // was killed and never read its `Crash`.
+                msgs.push(ShardMsg::Crash);
+            }
         }
-        // Drain the queue before firing what is due.
-        loop {
-            let msg = match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break 'run,
-            };
+        // Messages before frames: a moved or recovered session's `Resume`
+        // entered the mailbox in the same hold that made this shard its
+        // owner, so it comes before every frame of that session.
+        for msg in msgs.drain(..) {
             match msg {
                 ShardMsg::Admit(spec) => {
                     let endpoint = receiver_endpoint(spec.kind, config.params, spec.n)?;
@@ -217,54 +217,32 @@ pub(crate) fn run_shard<T: ServeTransport>(
                     wheel.schedule(now_tick + 1, idx);
                     report.admitted += 1;
                 }
-                ShardMsg::Frames(frames) => {
-                    let mut forward = Vec::new();
-                    for frame in frames {
-                        let id = frame.session.raw();
-                        if let Some(live) = by_id
-                            .get(&id)
-                            .and_then(|&idx| sessions.get_mut(idx))
-                            .and_then(Option::as_mut)
-                        {
-                            live.pending.push_back(frame);
-                        } else if let Some(ghost) = retired.get_mut(&id) {
-                            report.frames_received += 1;
-                            reack(ghost, frame, at, &mut out_buf, &mut report);
-                        } else if handed_off.contains(&id) {
-                            forward.push(frame);
-                        } else {
-                            // Unknown id: trailing traffic for a session
-                            // that completed on another epoch or shard.
-                            // Dropped, like the driver ignoring frames
-                            // after its grace period.
-                            report.orphan_frames += 1;
-                        }
-                    }
-                    if !forward.is_empty() {
-                        let _ = shared.pump_tx.send(PumpMsg::Forward(forward));
-                    }
-                }
                 ShardMsg::Drain { to } => {
                     // Each live session leaves whole, still live, with
-                    // the frames it holds; the supervisor resumes it on
-                    // `to`. Its wheel entry stays behind and finds an
-                    // empty slot, since slots are never reused.
-                    for live in sessions.iter_mut().filter_map(Option::take) {
-                        let id = live.spec.id.raw();
-                        by_id.remove(&id);
-                        handed_off.insert(id);
-                        report.handed_off += 1;
-                        let _ = shared.pump_tx.send(PumpMsg::Moved {
-                            from: index,
-                            to,
-                            session: Box::new(ResumeSession {
-                                spec: live.spec,
-                                endpoint: live.endpoint,
-                                seq: live.seq,
-                            }),
-                            held: live.pending.into(),
-                        });
-                    }
+                    // every frame it holds, this wake's among them; its
+                    // wheel entry stays behind and finds an empty slot,
+                    // since slots are never reused. A frame for a session
+                    // not live here waits for the loop below: a later
+                    // `Resume` of this wake may be its session's.
+                    frames.retain(|frame| {
+                        let Some(live) = live_mut(&mut sessions, &by_id, frame.session.raw())
+                        else {
+                            return true;
+                        };
+                        live.pending.push_back(*frame);
+                        false
+                    });
+                    let leaving = sessions.iter_mut().filter_map(Option::take).map(|live| {
+                        by_id.remove(&live.spec.id.raw());
+                        let session = ResumeSession {
+                            spec: live.spec,
+                            endpoint: live.endpoint,
+                            seq: live.seq,
+                        };
+                        (Box::new(session), live.pending)
+                    });
+                    let mut pump = shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
+                    report.handed_off += pump.drain_into(index, epoch, to, leaving);
                 }
                 ShardMsg::Resume(resume) => {
                     let rs = *resume;
@@ -276,8 +254,6 @@ pub(crate) fn run_shard<T: ServeTransport>(
                     record_anchor(recorder.as_mut(), &live, at);
                     let idx = insert_live(&mut sessions, live);
                     by_id.insert(id, idx);
-                    // A session can come home after a drain.
-                    handed_off.remove(&id);
                     wheel.schedule(now_tick + 1, idx);
                     report.adopted += 1;
                 }
@@ -295,6 +271,20 @@ pub(crate) fn run_shard<T: ServeTransport>(
                     panic!("rstp-serve shard {index}: injected panic fault");
                 }
                 ShardMsg::Shutdown => break 'run,
+            }
+        }
+        for frame in frames.drain(..) {
+            let id = frame.session.raw();
+            if let Some(live) = live_mut(&mut sessions, &by_id, id) {
+                live.pending.push_back(frame);
+            } else if let Some(ghost) = retired.get_mut(&id) {
+                report.frames_received += 1;
+                reack(ghost, frame, at, &mut out_buf, &mut report);
+            } else {
+                // Unknown id: trailing traffic for a session that
+                // completed on another epoch or shard. Dropped, like the
+                // driver ignoring frames after its grace period.
+                report.orphan_frames += 1;
             }
         }
 
@@ -504,6 +494,18 @@ fn reack(
     }
 }
 
+/// The live session `id`, if this shard holds it.
+fn live_mut<'a>(
+    sessions: &'a mut [Option<Live>],
+    by_id: &HashMap<u32, usize>,
+    id: u32,
+) -> Option<&'a mut Live> {
+    by_id
+        .get(&id)
+        .and_then(|&idx| sessions.get_mut(idx))
+        .and_then(Option::as_mut)
+}
+
 /// Places `live` in a new slot and returns its index. Slots are never
 /// reused: a session that left keeps one wheel entry here, and that entry
 /// must find its slot empty, not a newcomer.
@@ -571,10 +573,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_handover_message_costs_a_queue_slot_no_more_than_an_admission() {
+    fn a_handover_message_costs_a_mailbox_slot_no_more_than_an_admission() {
         // A drain names only its target and a moved session travels
-        // boxed, so neither is larger than an admission and a queue slot
-        // stays 40 bytes on x86-64.
+        // boxed, so neither is larger than an admission and a mailbox
+        // slot stays 40 bytes on x86-64.
         assert!(std::mem::size_of::<ShardMsg>() <= 40);
     }
 }

@@ -39,7 +39,7 @@ pub enum SwarmTransport {
 /// [`run_swarm_sessions`] takes an explicit mixed plan instead).
 #[derive(Clone, Debug)]
 pub struct SwarmConfig {
-    /// Server-side configuration (shards, batching, pacing, caps).
+    /// Server-side configuration (shards, pacing, faults, caps).
     pub serve: ServeConfig,
     /// Concurrent sessions `M`.
     pub sessions: usize,
@@ -67,15 +67,16 @@ impl SwarmConfig {
         params: TimingParams,
         tick: Duration,
     ) -> Self {
-        // Queue bound sized to the offered load: on an oversubscribed
+        // Mailbox bound sized to the offered load: on an oversubscribed
         // box the shards can lag the clients by entire bursts, and a
         // drop kills an open-loop session (β sends each symbol exactly
         // k times — lose all k and the receiver stalls forever). The
-        // bound counts messages, and a frame message carries up to
-        // `BATCH` frames. The bound still exists; the load harness just
-        // provisions it, as a deployment would. No test shrinks it: the
-        // backpressure test (`backpressure_rejects_rather_than_stalls`)
-        // shrinks `max_sessions` to watch admission reject the surplus.
+        // bound counts batches of `BATCH` = 32 frames, so this is
+        // `sessions × 1024` frames. The bound still exists; the load
+        // harness just provisions it, as a deployment would. No test
+        // shrinks it: the backpressure test
+        // (`backpressure_rejects_rather_than_stalls`) shrinks
+        // `max_sessions` to watch admission reject the surplus.
         let queue_cap = (sessions.saturating_mul(32)).max(256);
         SwarmConfig {
             serve: ServeConfig::new(params, tick)
@@ -492,7 +493,7 @@ mod tests {
     use super::*;
 
     /// Every frame a client sent is accounted for exactly once: applied
-    /// by a shard, refused by a full queue, orphaned, or undecodable.
+    /// by a shard, dropped past a full mailbox, orphaned, or undecodable.
     fn assert_frames_conserved(report: &SwarmReport) {
         let serve = &report.serve;
         let received: u64 = serve.shards.iter().map(|s| s.frames_received).sum();
