@@ -9,7 +9,10 @@
 //!   exists, otherwise to **all** workspace methods named `m` in scope;
 //! * `recv.m(...)` binds to all workspace methods named `m` in scope
 //!   (the "all impls of that method name" fallback — over-approximation
-//!   is the price of soundness without type inference);
+//!   is the price of soundness without type inference), except where
+//!   `recv` is a parameter declared as a std container (`out: &mut
+//!   Vec<T>`) that the body names only as a receiver (`out.m`): no
+//!   pattern or `let` can have rebound it, so the call is `Vec::m`;
 //! * `Type::m(...)` binds through the impl table when `Type` is a
 //!   workspace type, through free functions when `Type` names a module
 //!   file, and is classified *external* when it is `Vec`, `Box`, or any
@@ -48,6 +51,10 @@ pub struct FnDef {
     pub line: u32,
     /// Body token range `(open brace, close brace)` in the file.
     pub body: (usize, usize),
+    /// Parameters declared as a std container that the body names only
+    /// as method receivers, with the container's name:
+    /// `("out", "Vec")` for `out: &mut Vec<A>`.
+    pub std_receivers: Vec<(String, String)>,
     /// Index into the file list the graph was built from.
     pub file_idx: usize,
 }
@@ -312,6 +319,47 @@ fn impl_blocks(file: &SourceFile) -> Vec<ImplCtx> {
     out
 }
 
+/// The parameters in the signature tokens `sig` declared as a
+/// [`CONTAINER_TYPES`] type (`v: Vec<..>`, `v: &Vec<..>`, `v: &mut
+/// Vec<..>`) whose every use in the `body` tokens is `v.`: a receiver,
+/// never a binding that could give the name another type.
+fn std_receivers(
+    toks: &[Token],
+    sig: (usize, usize),
+    body: (usize, usize),
+) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for j in sig.0..sig.1 {
+        if toks[j].kind != TokenKind::Ident || !toks.get(j + 1).is_some_and(|t| t.is_punct(':')) {
+            continue;
+        }
+        let mut k = j + 2;
+        if toks.get(k).is_some_and(|t| t.is_punct('&')) {
+            k += 1;
+            if toks.get(k).is_some_and(|t| t.is_ident("mut")) {
+                k += 1;
+            }
+        }
+        let Some(ty) = toks
+            .get(k)
+            .filter(|t| CONTAINER_TYPES.contains(&t.text.as_str()))
+        else {
+            continue;
+        };
+        if !toks.get(k + 1).is_some_and(|t| t.is_punct('<')) {
+            continue;
+        }
+        let name = &toks[j].text;
+        let only_receiver = (body.0..body.1)
+            .filter(|&b| toks[b].is_ident(name))
+            .all(|b| toks.get(b + 1).is_some_and(|t| t.is_punct('.')));
+        if only_receiver {
+            out.push((name.clone(), ty.text.clone()));
+        }
+    }
+    out
+}
+
 /// Index of the `}` matching the `{` at `open` (or the last token).
 fn match_brace(toks: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
@@ -376,6 +424,7 @@ fn fn_defs(file: &SourceFile, file_idx: usize, attrs: &[bool]) -> Vec<FnDef> {
                     trait_name: ctx.and_then(|c| c.trait_name.clone()),
                     line: toks[i].line,
                     body: (open, close),
+                    std_receivers: std_receivers(toks, (i + 2, open), (open, close)),
                     file_idx,
                 });
                 // Nested items attribute to the outer fn.
@@ -404,8 +453,14 @@ enum RawCall {
     Bare { name: String },
 }
 
-/// Scans one fn body for call sites. `attrs` masks attribute spans.
-fn call_sites(file: &SourceFile, body: (usize, usize), attrs: &[bool]) -> Vec<RawCall> {
+/// Scans one fn body for call sites. `attrs` masks attribute spans. A
+/// method call on one of `std_receivers` is the container's own method.
+fn call_sites(
+    file: &SourceFile,
+    body: (usize, usize),
+    std_receivers: &[(String, String)],
+    attrs: &[bool],
+) -> Vec<RawCall> {
     let toks = &file.tokens;
     let mut out = Vec::new();
     let mut j = body.0;
@@ -470,10 +525,20 @@ fn call_sites(file: &SourceFile, body: (usize, usize), attrs: &[bool]) -> Vec<Ra
             continue;
         }
         if prev_is('.') {
-            let on_self = j
-                .checked_sub(2)
-                .and_then(|k| toks.get(k))
-                .is_some_and(|t| t.is_ident("self"));
+            let receiver = j.checked_sub(2).and_then(|k| toks.get(k));
+            let bare = j.checked_sub(3).map_or(true, |k| !toks[k].is_punct('.'));
+            let container = std_receivers
+                .iter()
+                .find(|(param, _)| bare && receiver.is_some_and(|t| t.is_ident(param)));
+            if let Some((_, ty)) = container {
+                out.push(RawCall::Qualified {
+                    qualifier: ty.clone(),
+                    name: t.text.clone(),
+                });
+                j = after;
+                continue;
+            }
+            let on_self = receiver.is_some_and(|t| t.is_ident("self"));
             out.push(RawCall::Method {
                 name: t.text.clone(),
                 on_self,
@@ -564,7 +629,7 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
                 .filter(|&id| scope.contains(&fns[id].krate))
                 .collect()
         };
-        for call in call_sites(file, f.body, &attr_masks[f.file_idx]) {
+        for call in call_sites(file, f.body, &f.std_receivers, &attr_masks[f.file_idx]) {
             stats.sites += 1;
             // Candidates plus the confident classification for an empty
             // candidate set. Out-of-scope workspace definitions are
@@ -1067,6 +1132,28 @@ mod tests {
         );
         let go = g.find_in_file("crates/serve/src/x.rs", "go")[0];
         assert_eq!(g.edges[go].len(), 2, "both impls are candidates");
+    }
+
+    #[test]
+    fn calls_on_a_std_container_parameter_are_std_calls() {
+        let g = graph_of(
+            "struct A;\n\
+             impl A { fn push(&self, x: u8) {} }\n\
+             fn fill(out: &mut Vec<u8>) { out.push(1); out.clear(); }\n\
+             fn shadow(out: &mut Vec<u8>, a: Option<A>) {\n\
+               if let Some(out) = a { out.push(1); }\n\
+             }\n\
+             fn nested(s: &S, out: &mut Vec<u8>) { s.out.push(1); }",
+        );
+        let push = g.find("A", "push")[0];
+        let fill = g.find_in_file("crates/serve/src/x.rs", "fill")[0];
+        assert!(g.edges[fill].is_empty(), "Vec::push, not A::push");
+        // A body that rebinds the name, or a field of the same name,
+        // keeps the all-impls fallback.
+        let shadow = g.find_in_file("crates/serve/src/x.rs", "shadow")[0];
+        assert_eq!(g.edges[shadow], vec![push]);
+        let nested = g.find_in_file("crates/serve/src/x.rs", "nested")[0];
+        assert_eq!(g.edges[nested], vec![push]);
     }
 
     #[test]

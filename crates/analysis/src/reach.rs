@@ -123,15 +123,18 @@ const PANIC_ENTRIES: &[Matcher] = &[
 
 /// Entry points for the blocking and allocation passes: the recorder's
 /// per-event encoding and once-per-iteration hand-off, the ring's
-/// single-record push, serve's per-frame ingress/egress loops, and the
-/// ingress pass and mailbox swap a shard runs after every wake.
+/// single-record push, serve's per-frame ingress/egress loops, the
+/// ingress pass and mailbox swap a shard runs after every wake, and the
+/// parts of a shard's step that run for every session it paces: each
+/// automaton's `enabled_into` and the wheel's `schedule` and `advance`.
 /// `run_shard` itself is *not* here — its single `sleep_until` to the
 /// wheel's next deadline is the designed blocking point, and its
-/// admission work (session setup) may allocate; the per-frame work it
-/// dispatches to is what must stay nonblocking and allocation-free.
-/// Protocol automata (`apply`) are the *panic* pass's concern: their
-/// error paths may format messages, which is cold-path allocation, not
-/// steady state.
+/// admission work (session setup) may allocate; the per-frame and
+/// per-step work it dispatches to is what must stay nonblocking and
+/// allocation-free. `Automaton::apply` is the *panic* pass's concern:
+/// its error paths format messages, which is cold-path allocation, and
+/// its effects grow a receiver's state (an ack queue, the decoded
+/// bits), which amortizes to nothing per step.
 const STEADY_STATE_ENTRIES: &[Matcher] = &[
     Matcher::TypeMethod {
         type_name: "RingProducer",
@@ -164,6 +167,18 @@ const STEADY_STATE_ENTRIES: &[Matcher] = &[
     Matcher::TypeMethod {
         type_name: "Pump",
         name: "take",
+    },
+    Matcher::TraitImpl {
+        trait_name: "Automaton",
+        method: Some("enabled_into"),
+    },
+    Matcher::TypeMethod {
+        type_name: "TimerWheel",
+        name: "schedule",
+    },
+    Matcher::TypeMethod {
+        type_name: "TimerWheel",
+        name: "advance",
     },
 ];
 

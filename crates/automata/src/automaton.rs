@@ -2,7 +2,9 @@
 //!
 //! An implementation supplies the start state, the on-demand action
 //! classification (`in`/`out`/`int`), the set of locally controlled actions
-//! enabled in a state, the transition function, and the fairness partition.
+//! enabled in a state (appended to a caller's buffer, so a stepping loop
+//! allocates nothing for it), the transition function, and the fairness
+//! partition.
 //!
 //! Protocol automata in this repository (the transmitter, receiver, and
 //! channel of RSTP) implement this trait with *explicit
@@ -59,10 +61,12 @@ impl std::error::Error for StepError {}
 ///
 /// The transition relation is represented by [`apply`](Automaton::apply)
 /// (a partial function: failure via [`StepError`]) together with
-/// [`enabled`](Automaton::enabled) (which local actions may fire). All
-/// automata in this crate family are *deterministic* in the paper's sense —
-/// at most one local action enabled per state and at most one post-state per
-/// (state, action) — which [`check_deterministic`] can verify along an
+/// [`enabled_into`](Automaton::enabled_into) (which local actions may
+/// fire, appended to a caller's buffer; [`enabled`](Automaton::enabled)
+/// is the allocating convenience over it). All automata in this crate
+/// family are *deterministic* in the paper's sense — at most one local
+/// action enabled per state and at most one post-state per (state,
+/// action) — which [`check_deterministic`] can verify along an
 /// execution.
 pub trait Automaton {
     /// The action alphabet this automaton participates in. Composable
@@ -80,12 +84,23 @@ pub trait Automaton {
     /// must be disjoint by construction (a total function cannot overlap).
     fn classify(&self, action: &Self::Action) -> Option<ActionClass>;
 
-    /// The locally controlled actions enabled in `state`.
+    /// Appends the locally controlled actions enabled in `state` to `out`.
     ///
-    /// For a deterministic automaton this has length 0 or 1. The returned
-    /// actions must all be classified [`ActionClass::Output`] or
-    /// [`ActionClass::Internal`].
-    fn enabled(&self, state: &Self::State) -> Vec<Self::Action>;
+    /// This is the body every automaton supplies. It only appends: it never
+    /// clears, reorders or reads what `out` already held, so a caller that
+    /// steps in a loop can reuse one buffer and allocate nothing once it
+    /// has grown. For a deterministic automaton it appends 0 or 1 action.
+    /// The appended actions must all be classified [`ActionClass::Output`]
+    /// or [`ActionClass::Internal`].
+    fn enabled_into(&self, state: &Self::State, out: &mut Vec<Self::Action>);
+
+    /// The locally controlled actions enabled in `state`, in a fresh
+    /// vector: [`enabled_into`](Automaton::enabled_into) on an empty one.
+    fn enabled(&self, state: &Self::State) -> Vec<Self::Action> {
+        let mut out = Vec::new();
+        self.enabled_into(state, &mut out);
+        out
+    }
 
     /// Applies `action` to `state` in place, as the paper's effects update
     /// state variables (`A := A ∪ {p}`, `k := k + 1`).
@@ -227,13 +242,13 @@ mod tests {
             })
         }
 
-        fn enabled(&self, state: &bool) -> Vec<Act> {
+        fn enabled_into(&self, state: &bool, out: &mut Vec<Act>) {
             if self.buggy {
-                vec![Act::On, Act::Off]
+                out.extend([Act::On, Act::Off]);
             } else if *state {
-                vec![Act::Off]
+                out.push(Act::Off);
             } else {
-                vec![Act::On]
+                out.push(Act::On);
             }
         }
 

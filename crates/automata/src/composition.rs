@@ -92,8 +92,10 @@ impl std::error::Error for CompatibilityError {}
 ///     type State = bool; // fired?
 ///     fn initial_state(&self) -> bool { false }
 ///     fn classify(&self, _: &Act) -> Option<ActionClass> { Some(ActionClass::Output) }
-///     fn enabled(&self, s: &bool) -> Vec<Act> {
-///         if *s { vec![] } else { vec![Act::Fire] }
+///     fn enabled_into(&self, s: &bool, out: &mut Vec<Act>) {
+///         if !*s {
+///             out.push(Act::Fire);
+///         }
 ///     }
 ///     fn apply(&self, s: &mut bool, _: &Act) -> Result<(), StepError> {
 ///         if *s {
@@ -113,7 +115,7 @@ impl std::error::Error for CompatibilityError {}
 ///     type State = bool; // latched?
 ///     fn initial_state(&self) -> bool { false }
 ///     fn classify(&self, _: &Act) -> Option<ActionClass> { Some(ActionClass::Input) }
-///     fn enabled(&self, _: &bool) -> Vec<Act> { vec![] }
+///     fn enabled_into(&self, _: &bool, _: &mut Vec<Act>) {}
 ///     fn apply(&self, s: &mut bool, _: &Act) -> Result<(), StepError> {
 ///         *s = true;
 ///         Ok(())
@@ -244,10 +246,10 @@ where
         }
     }
 
-    fn enabled(&self, state: &Self::State) -> Vec<A> {
-        let mut actions = self.left.enabled(&state.0);
-        actions.extend(self.right.enabled(&state.1));
-        actions
+    /// The left component's enabled actions, then the right's.
+    fn enabled_into(&self, state: &Self::State, out: &mut Vec<A>) {
+        self.left.enabled_into(&state.0, out);
+        self.right.enabled_into(&state.1, out);
     }
 
     /// All-or-nothing: when a shared action fails on the right, the left
@@ -314,11 +316,9 @@ mod tests {
             }
         }
 
-        fn enabled(&self, state: &Self::State) -> Vec<Act> {
+        fn enabled_into(&self, state: &Self::State, out: &mut Vec<Act>) {
             if !state.0 {
-                vec![Act::Ping]
-            } else {
-                vec![]
+                out.push(Act::Ping);
             }
         }
 
@@ -349,11 +349,9 @@ mod tests {
             }
         }
 
-        fn enabled(&self, state: &Self::State) -> Vec<Act> {
+        fn enabled_into(&self, state: &Self::State, out: &mut Vec<Act>) {
             if state.0 && !state.1 {
-                vec![Act::Pong]
-            } else {
-                vec![]
+                out.push(Act::Pong);
             }
         }
 
@@ -436,11 +434,9 @@ mod tests {
             (*action == Act::Ping).then_some(ActionClass::Output)
         }
 
-        fn enabled(&self, state: &bool) -> Vec<Act> {
-            if *state {
-                vec![]
-            } else {
-                vec![Act::Ping]
+        fn enabled_into(&self, state: &bool, out: &mut Vec<Act>) {
+            if !*state {
+                out.push(Act::Ping);
             }
         }
 

@@ -128,11 +128,9 @@ mod tests {
         fn classify(&self, _a: &Act) -> Option<ActionClass> {
             Some(ActionClass::Internal)
         }
-        fn enabled(&self, s: &u64) -> Vec<Act> {
+        fn enabled_into(&self, s: &u64, out: &mut Vec<Act>) {
             if *s < self.cap {
-                vec![Act::Tick]
-            } else {
-                Vec::new()
+                out.push(Act::Tick);
             }
         }
         fn apply(&self, s: &mut u64, _a: &Act) -> Result<(), StepError> {

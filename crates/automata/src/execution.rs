@@ -257,8 +257,8 @@ mod tests {
             })
         }
 
-        fn enabled(&self, state: &u32) -> Vec<Act> {
-            vec![Act::Inc, Act::Report(*state)]
+        fn enabled_into(&self, state: &u32, out: &mut Vec<Act>) {
+            out.extend([Act::Inc, Act::Report(*state)]);
         }
 
         fn apply(&self, state: &mut u32, action: &Act) -> Result<(), StepError> {

@@ -215,11 +215,9 @@ mod tests {
             })
         }
 
-        fn enabled(&self, state: &u32) -> Vec<Act> {
+        fn enabled_into(&self, state: &u32, out: &mut Vec<Act>) {
             if *state < self.limit {
-                vec![Act::Inc]
-            } else {
-                vec![]
+                out.push(Act::Inc);
             }
         }
 
@@ -301,8 +299,8 @@ mod tests {
             fn classify(&self, _a: &Act) -> Option<ActionClass> {
                 Some(ActionClass::Internal)
             }
-            fn enabled(&self, _s: &u32) -> Vec<Act> {
-                vec![Act::Inc, Act::Reset]
+            fn enabled_into(&self, _s: &u32, out: &mut Vec<Act>) {
+                out.extend([Act::Inc, Act::Reset]);
             }
             fn apply(&self, _s: &mut u32, _a: &Act) -> Result<(), StepError> {
                 Ok(())

@@ -87,11 +87,9 @@ mod tests {
             Some(ActionClass::Output)
         }
 
-        fn enabled(&self, state: &u32) -> Vec<Emit> {
+        fn enabled_into(&self, state: &u32, out: &mut Vec<Emit>) {
             if *state < self.limit {
-                vec![Emit]
-            } else {
-                vec![]
+                out.push(Emit);
             }
         }
 

@@ -36,7 +36,11 @@
 //!
 //! # Example
 //!
-//! A trivial one-action automaton and a validated execution:
+//! A trivial one-action automaton and a validated execution. An
+//! implementation writes [`Automaton::enabled_into`], which appends the
+//! enabled local actions to a caller's buffer, so a driver that steps in
+//! a loop reuses one buffer; [`Automaton::enabled`] is the provided
+//! convenience that returns them in a fresh vector.
 //!
 //! ```
 //! use rstp_automata::{ActionClass, Automaton, Execution, StepError};
@@ -54,7 +58,9 @@
 //!     fn classify(&self, _a: &Act) -> Option<ActionClass> {
 //!         Some(ActionClass::Internal)
 //!     }
-//!     fn enabled(&self, _s: &u32) -> Vec<Act> { vec![Act::Tick] }
+//!     fn enabled_into(&self, _s: &u32, out: &mut Vec<Act>) {
+//!         out.push(Act::Tick);
+//!     }
 //!     fn apply(&self, s: &mut u32, _a: &Act) -> Result<(), StepError> {
 //!         *s += 1;
 //!         Ok(())

@@ -108,16 +108,16 @@ impl Automaton for PositionalTransmitter {
         }
     }
 
-    fn enabled(&self, s: &PtState) -> Vec<RstpAction> {
+    fn enabled_into(&self, s: &PtState, out: &mut Vec<RstpAction>) {
         if s.block >= self.blocks.len() {
-            return vec![];
+            return;
         }
         if s.c < self.burst_len {
-            vec![RstpAction::Send(Packet::Data(
+            out.push(RstpAction::Send(Packet::Data(
                 self.blocks[s.block][s.c as usize],
-            ))]
+            )));
         } else {
-            vec![RstpAction::TransmitterInternal(InternalKind::Wait)]
+            out.push(RstpAction::TransmitterInternal(InternalKind::Wait));
         }
     }
 
@@ -191,11 +191,11 @@ impl Automaton for PositionalReceiver {
         }
     }
 
-    fn enabled(&self, s: &PrState) -> Vec<RstpAction> {
+    fn enabled_into(&self, s: &PrState, out: &mut Vec<RstpAction>) {
         if s.written < s.decoded.len() {
-            vec![RstpAction::Write(s.decoded[s.written])]
+            out.push(RstpAction::Write(s.decoded[s.written]));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 

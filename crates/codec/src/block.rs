@@ -7,7 +7,9 @@
 //!   sequence of length `δ` (the composite `toseq_k(δ) ∘ tomulti_k(δ)` of
 //!   paper §6.1),
 //! * [`decode_block`](BlockCodec::decode_block) — a received **multiset** of
-//!   `δ` packets → the `b` bits (order-insensitive by construction),
+//!   `δ` packets → the `b` bits (order-insensitive by construction);
+//!   [`decode_block_into`](BlockCodec::decode_block_into) appends them to a
+//!   receiver's own vector instead,
 //! * [`encode_stream`](BlockCodec::encode_stream) — a whole input sequence
 //!   `X`, zero-padding the final block (the paper assumes
 //!   `|X| ≡ 0 (mod b)`; we lift that),
@@ -17,7 +19,7 @@
 use core::fmt;
 use rstp_combinatorics::{block_bits, CountError, Multiset, MultisetCodec, RankError};
 
-use crate::bits::{bits_to_u128, u128_to_bits};
+use crate::bits::bits_to_u128;
 
 /// Errors from block encoding/decoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -176,12 +178,33 @@ impl BlockCodec {
     /// [`CodecError::Rank`] for a wrong-sized multiset;
     /// [`CodecError::NotACodeword`] if the rank exceeds `2^b - 1`.
     pub fn decode_block(&self, multiset: &Multiset) -> Result<Vec<bool>, CodecError> {
+        let mut bits = Vec::with_capacity(self.bits as usize);
+        self.decode_block_into(multiset, &mut bits, self.bits as usize)?;
+        Ok(bits)
+    }
+
+    /// Decodes a received multiset like [`decode_block`](Self::decode_block)
+    /// and appends at most `limit` of the block's `b` bits to `out`, most
+    /// significant first — a receiver that knows how many bits it still
+    /// expects drops the final block's padding without a second vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_block`](Self::decode_block); `out` is then unchanged.
+    pub fn decode_block_into(
+        &self,
+        multiset: &Multiset,
+        out: &mut Vec<bool>,
+        limit: usize,
+    ) -> Result<(), CodecError> {
         let rank = self.codec.rank(multiset)?;
         let codewords = 1u128 << self.bits;
         if rank >= codewords {
             return Err(CodecError::NotACodeword { rank, codewords });
         }
-        Ok(u128_to_bits(rank, self.bits as usize))
+        let msb_first = (0..self.bits).rev().map(|i| (rank >> i) & 1 == 1);
+        out.extend(msb_first.take(limit));
+        Ok(())
     }
 
     /// Splits an entire input sequence `X` into encoded blocks, zero-padding
@@ -242,6 +265,7 @@ impl BlockCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::u128_to_bits;
     use proptest::prelude::*;
 
     #[test]
@@ -283,6 +307,18 @@ mod tests {
             assert!(packets.iter().all(|&p| p < 3));
             let multiset = c.collect(&packets).unwrap();
             assert_eq!(c.decode_block(&multiset).unwrap(), bits);
+            // Appending keeps the caller's prefix and stops at `limit`.
+            let prefix = [true, false, false, true, true];
+            for limit in [0, 2, 3, 4] {
+                let mut out = prefix.to_vec();
+                c.decode_block_into(&multiset, &mut out, limit).unwrap();
+                assert_eq!(out[..prefix.len()], prefix, "prefix kept, limit {limit}");
+                assert_eq!(
+                    out[prefix.len()..],
+                    bits[..limit.min(3)],
+                    "block bits MSB first, limit {limit}"
+                );
+            }
         }
     }
 
@@ -323,6 +359,9 @@ mod tests {
                 codewords: 4
             })
         ));
+        let mut out = vec![true];
+        assert!(c.decode_block_into(&bad, &mut out, 2).is_err());
+        assert_eq!(out, [true], "a refused block appends nothing");
     }
 
     #[test]

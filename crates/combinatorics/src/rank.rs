@@ -159,17 +159,21 @@ impl MultisetCodec {
     /// not belong to `multi_k(n)`.
     pub fn rank(&self, m: &Multiset) -> Result<u128, RankError> {
         self.check(m)?;
-        let seq = m.to_sorted_vec();
+        // Walk the sorted linearization by its counts: only the first copy
+        // of each symbol `x` skips symbols (`lo..x`); its later copies
+        // repeat `lo = x` and add nothing.
         let mut rank: u128 = 0;
         let mut lo: u64 = 0;
-        for (i, &x) in seq.iter().enumerate() {
-            let remaining = self.n - 1 - i as u64;
+        let mut placed: u64 = 0;
+        for (x, count) in m.iter() {
+            let remaining = self.n - 1 - placed;
             for s in lo..x {
                 // Sequences that agree on the prefix, place `s` here, and
                 // continue nondecreasingly over {s, …, k-1}.
                 rank += mu(self.k - s, remaining)?;
             }
             lo = x;
+            placed += count;
         }
         Ok(rank)
     }

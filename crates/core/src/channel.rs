@@ -108,16 +108,17 @@ impl Automaton for Channel {
         }
     }
 
-    fn enabled(&self, state: &ChannelState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &ChannelState, out: &mut Vec<RstpAction>) {
         // One recv per *distinct* in-flight packet (multiplicity does not
-        // multiply the enabled set).
-        let mut seen: Vec<Packet> = Vec::new();
+        // multiply the enabled set). Distinct among this call's own
+        // appends: the caller's prefix is not ours to read.
+        let mine = out.len();
         for &p in &state.in_flight {
-            if !seen.contains(&p) {
-                seen.push(p);
+            let recv = RstpAction::Recv(p);
+            if !out.iter().skip(mine).any(|a| *a == recv) {
+                out.push(recv);
             }
         }
-        seen.into_iter().map(RstpAction::Recv).collect()
     }
 
     fn apply(&self, state: &mut ChannelState, action: &RstpAction) -> Result<(), StepError> {

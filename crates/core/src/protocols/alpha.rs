@@ -105,16 +105,15 @@ impl Automaton for AlphaTransmitter {
         }
     }
 
-    fn enabled(&self, state: &AlphaTransmitterState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &AlphaTransmitterState, out: &mut Vec<RstpAction>) {
         if state.idle_count == 0 {
+            // i = |X|: all of X transmitted, quiescent.
             if state.next < self.input.len() {
-                vec![RstpAction::Send(self.packet_for(state.next))]
-            } else {
-                vec![] // all of X transmitted: quiescent
+                out.push(RstpAction::Send(self.packet_for(state.next)));
             }
         } else {
             // 0 < j < δ1 (advance() never leaves j = δ1 standing).
-            vec![RstpAction::TransmitterInternal(InternalKind::Wait)]
+            out.push(RstpAction::TransmitterInternal(InternalKind::Wait));
         }
     }
 
@@ -195,13 +194,13 @@ impl Automaton for AlphaReceiver {
         }
     }
 
-    fn enabled(&self, state: &AlphaReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &AlphaReceiverState, out: &mut Vec<RstpAction>) {
         if let Some(&m) = state.received.get(state.written) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else {
             // Figure 1: idle_r is enabled exactly when there is nothing to
             // write, so the receiver always has a local step available.
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 

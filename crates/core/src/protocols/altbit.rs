@@ -100,14 +100,14 @@ impl Automaton for AltBitTransmitter {
         }
     }
 
-    fn enabled(&self, state: &AltBitTransmitterState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &AltBitTransmitterState, out: &mut Vec<RstpAction>) {
         if state.next >= self.input.len() {
-            return vec![]; // done: every message acknowledged
+            return; // done: every message acknowledged
         }
         if state.timer == 0 {
-            vec![RstpAction::Send(self.current_packet(state))]
+            out.push(RstpAction::Send(self.current_packet(state)));
         } else {
-            vec![RstpAction::TransmitterInternal(InternalKind::Wait)]
+            out.push(RstpAction::TransmitterInternal(InternalKind::Wait));
         }
     }
 
@@ -200,13 +200,13 @@ impl Automaton for AltBitReceiver {
         }
     }
 
-    fn enabled(&self, state: &AltBitReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &AltBitReceiverState, out: &mut Vec<RstpAction>) {
         if let Some(&tag) = state.ack_queue.front() {
-            vec![RstpAction::Send(Packet::Ack(tag))]
+            out.push(RstpAction::Send(Packet::Ack(tag)));
         } else if let Some(&m) = state.received.get(state.written) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 

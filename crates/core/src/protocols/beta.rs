@@ -185,9 +185,9 @@ impl Automaton for BetaTransmitter {
         }
     }
 
-    fn enabled(&self, state: &BetaTransmitterState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &BetaTransmitterState, out: &mut Vec<RstpAction>) {
         if state.block >= self.blocks.len() {
-            return vec![]; // whole input transmitted: quiescent
+            return; // whole input transmitted: quiescent
         }
         let symbol = self
             .blocks
@@ -195,9 +195,9 @@ impl Automaton for BetaTransmitter {
             .filter(|_| state.step_in_round < self.burst_len)
             .and_then(|block| block.get(state.step_in_round as usize));
         if let Some(&symbol) = symbol {
-            vec![RstpAction::Send(Packet::Data(symbol))]
+            out.push(RstpAction::Send(Packet::Data(symbol)));
         } else {
-            vec![RstpAction::TransmitterInternal(InternalKind::Wait)]
+            out.push(RstpAction::TransmitterInternal(InternalKind::Wait));
         }
     }
 
@@ -316,13 +316,12 @@ impl BetaReceiver {
         }
         state.burst.insert(symbol);
         if state.burst.len() == self.codec.packets_per_block() {
-            match self.codec.decode_block(&state.burst) {
-                Ok(bits) => {
-                    let remaining = self.expected_bits.saturating_sub(state.decoded.len());
-                    let take = bits.len().min(remaining);
-                    state.decoded.extend(bits.into_iter().take(take));
-                }
-                Err(_) => state.decode_failures += 1,
+            let remaining = self.expected_bits.saturating_sub(state.decoded.len());
+            let decoded = self
+                .codec
+                .decode_block_into(&state.burst, &mut state.decoded, remaining);
+            if decoded.is_err() {
+                state.decode_failures += 1;
             }
             state.burst.clear();
         }
@@ -351,11 +350,11 @@ impl Automaton for BetaReceiver {
         }
     }
 
-    fn enabled(&self, state: &BetaReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &BetaReceiverState, out: &mut Vec<RstpAction>) {
         if let Some(&m) = state.decoded.get(state.written) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 

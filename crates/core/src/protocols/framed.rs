@@ -84,8 +84,8 @@ impl Automaton for FramedTransmitter {
         self.inner.classify(action)
     }
 
-    fn enabled(&self, state: &BetaTransmitterState) -> Vec<RstpAction> {
-        self.inner.enabled(state)
+    fn enabled_into(&self, state: &BetaTransmitterState, out: &mut Vec<RstpAction>) {
+        self.inner.enabled_into(state, out);
     }
 
     fn apply(
@@ -191,13 +191,14 @@ impl Automaton for FramedReceiver {
         }
     }
 
-    fn enabled(&self, state: &FramedReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &FramedReceiverState, out: &mut Vec<RstpAction>) {
         if state.written < state.available_payload() {
             if let Some(&m) = state.decoded.get(HEADER_BITS + state.written) {
-                return vec![RstpAction::Write(m)];
+                out.push(RstpAction::Write(m));
+                return;
             }
         }
-        vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+        out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
     }
 
     fn apply(&self, state: &mut FramedReceiverState, action: &RstpAction) -> Result<(), StepError> {
@@ -209,9 +210,11 @@ impl Automaton for FramedReceiver {
                 }
                 state.burst.insert(*s);
                 if state.burst.len() == self.codec.packets_per_block() {
-                    match self.codec.decode_block(&state.burst) {
-                        Ok(bits) => state.decoded.extend(bits),
-                        Err(_) => state.decode_failures += 1,
+                    let decoded =
+                        self.codec
+                            .decode_block_into(&state.burst, &mut state.decoded, usize::MAX);
+                    if decoded.is_err() {
+                        state.decode_failures += 1;
                     }
                     state.burst.clear();
                 }

@@ -131,9 +131,9 @@ impl Automaton for GammaTransmitter {
         }
     }
 
-    fn enabled(&self, state: &GammaTransmitterState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &GammaTransmitterState, out: &mut Vec<RstpAction>) {
         if state.block >= self.blocks.len() {
-            return vec![]; // everything sent and acknowledged: quiescent
+            return; // everything sent and acknowledged: quiescent
         }
         let symbol = self
             .blocks
@@ -141,10 +141,10 @@ impl Automaton for GammaTransmitter {
             .filter(|_| state.step_in_burst < self.delta2)
             .and_then(|block| block.get(state.step_in_burst as usize));
         if let Some(&symbol) = symbol {
-            vec![RstpAction::Send(Packet::Data(symbol))]
+            out.push(RstpAction::Send(Packet::Data(symbol)));
         } else {
             // c = δ2: the figure's idle_t, enabled while awaiting acks.
-            vec![RstpAction::TransmitterInternal(InternalKind::Idle)]
+            out.push(RstpAction::TransmitterInternal(InternalKind::Idle));
         }
     }
 
@@ -294,14 +294,14 @@ impl Automaton for GammaReceiver {
         }
     }
 
-    fn enabled(&self, state: &GammaReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &GammaReceiverState, out: &mut Vec<RstpAction>) {
         // Fixed priority: ack, then write, then idle (see module docs).
         if state.pending_acks > 0 {
-            vec![RstpAction::Send(ACK)]
+            out.push(RstpAction::Send(ACK));
         } else if let Some(&m) = state.decoded.get(state.written) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 
@@ -316,13 +316,12 @@ impl Automaton for GammaReceiver {
                 }
                 state.burst.insert(*s);
                 if state.burst.len() == self.codec.packets_per_block() {
-                    match self.codec.decode_block(&state.burst) {
-                        Ok(bits) => {
-                            let remaining = self.expected_bits.saturating_sub(state.decoded.len());
-                            let take = bits.len().min(remaining);
-                            state.decoded.extend(bits.into_iter().take(take));
-                        }
-                        Err(_) => state.decode_failures += 1,
+                    let remaining = self.expected_bits.saturating_sub(state.decoded.len());
+                    let decoded =
+                        self.codec
+                            .decode_block_into(&state.burst, &mut state.decoded, remaining);
+                    if decoded.is_err() {
+                        state.decode_failures += 1;
                     }
                     state.burst.clear();
                 }

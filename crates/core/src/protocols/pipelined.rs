@@ -163,9 +163,9 @@ impl Automaton for PipelinedTransmitter {
         }
     }
 
-    fn enabled(&self, state: &PipelinedTransmitterState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &PipelinedTransmitterState, out: &mut Vec<RstpAction>) {
         if self.done(state) {
-            return vec![];
+            return;
         }
         let sym = self
             .blocks
@@ -173,14 +173,14 @@ impl Automaton for PipelinedTransmitter {
             .filter(|_| self.may_send(state))
             .and_then(|block| block.get(state.c as usize));
         if let Some(&sym) = sym {
-            vec![RstpAction::Send(Packet::Data(wire_symbol(
+            out.push(RstpAction::Send(Packet::Data(wire_symbol(
                 self.window,
                 sym,
                 state.sending_block,
-            )))]
+            ))));
         } else {
             // Window full: wait for acks.
-            vec![RstpAction::TransmitterInternal(InternalKind::Idle)]
+            out.push(RstpAction::TransmitterInternal(InternalKind::Idle));
         }
     }
 
@@ -356,13 +356,13 @@ impl Automaton for PipelinedReceiver {
         }
     }
 
-    fn enabled(&self, state: &PipelinedReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &PipelinedReceiverState, out: &mut Vec<RstpAction>) {
         if let Some(&tag) = state.ack_queue.front() {
-            vec![RstpAction::Send(Packet::Ack(tag))]
+            out.push(RstpAction::Send(Packet::Ack(tag)));
         } else if let Some(&m) = state.decoded.get(state.written) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 
@@ -389,23 +389,35 @@ impl Automaton for PipelinedReceiver {
                 };
                 burst.insert(sym);
                 if burst.len() == self.codec.packets_per_block() {
-                    let decoded = self.codec.decode_block(burst);
+                    let in_order = slot as u64 == state.commit_tag
+                        && state.staged.get(slot).is_some_and(Option::is_none);
+                    let decoded = if in_order {
+                        // The block commits at once: decode straight into ŷ.
+                        let remaining = self.expected_bits.saturating_sub(state.decoded.len());
+                        self.codec
+                            .decode_block_into(burst, &mut state.decoded, remaining)
+                            .map(|()| state.commit_tag = (state.commit_tag + 1) % self.window)
+                    } else {
+                        let mut bits = Vec::new();
+                        self.codec
+                            .decode_block_into(burst, &mut bits, usize::MAX)
+                            .map(|()| {
+                                // The window discipline keeps the slot free;
+                                // defensively count an overwrite (reachable
+                                // only under fault injection).
+                                if state
+                                    .staged
+                                    .get_mut(slot)
+                                    .and_then(|staged| staged.replace(bits))
+                                    .is_some()
+                                {
+                                    state.decode_failures += 1;
+                                }
+                            })
+                    };
                     burst.clear();
-                    match decoded {
-                        Ok(bits) => {
-                            // The window discipline keeps the slot free;
-                            // defensively count an overwrite (reachable
-                            // only under fault injection).
-                            if state
-                                .staged
-                                .get_mut(slot)
-                                .and_then(|staged| staged.replace(bits))
-                                .is_some()
-                            {
-                                state.decode_failures += 1;
-                            }
-                        }
-                        Err(_) => state.decode_failures += 1,
+                    if decoded.is_err() {
+                        state.decode_failures += 1;
                     }
                     self.commit_ready(state);
                 }

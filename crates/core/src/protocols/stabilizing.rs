@@ -296,16 +296,17 @@ impl StabStenningTransmitter {
     /// Clamps every register into its domain; corruption may leave any
     /// values, and stabilization starts by making the state well-formed.
     fn normalize(&self, state: &StabStenningTransmitterState) -> StabStenningTransmitterState {
-        let mut s = state.clone();
-        s.next = s.next.min(self.input.len());
-        s.timer %= self.timeout_steps;
-        s.strikes = s.strikes.min(ESCALATE_AFTER);
-        if let StabPhase::Flush { left } = s.phase {
-            s.phase = StabPhase::Flush {
-                left: left.clamp(1, self.flush_steps),
-            };
+        StabStenningTransmitterState {
+            next: state.next.min(self.input.len()),
+            timer: state.timer % self.timeout_steps,
+            strikes: state.strikes.min(ESCALATE_AFTER),
+            phase: match state.phase {
+                StabPhase::Flush { left } => StabPhase::Flush {
+                    left: left.clamp(1, self.flush_steps),
+                },
+                phase => phase,
+            },
         }
-        s
     }
 
     fn outgoing_symbol(&self, s: &StabStenningTransmitterState) -> Option<u64> {
@@ -369,14 +370,14 @@ impl Automaton for StabStenningTransmitter {
         }
     }
 
-    fn enabled(&self, state: &StabStenningTransmitterState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &StabStenningTransmitterState, out: &mut Vec<RstpAction>) {
         let s = self.normalize(state);
         if s.next >= self.input.len() {
-            return vec![];
+            return;
         }
         match self.outgoing_symbol(&s) {
-            Some(symbol) if s.timer == 0 => vec![RstpAction::Send(Packet::Data(symbol))],
-            _ => vec![RstpAction::TransmitterInternal(InternalKind::Wait)],
+            Some(symbol) if s.timer == 0 => out.push(RstpAction::Send(Packet::Data(symbol))),
+            _ => out.push(RstpAction::TransmitterInternal(InternalKind::Wait)),
         }
     }
 
@@ -561,15 +562,15 @@ impl Automaton for StabStenningReceiver {
         }
     }
 
-    fn enabled(&self, state: &StabStenningReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &StabStenningReceiverState, out: &mut Vec<RstpAction>) {
         // A `written` past the end reads as caught up, so only the pending
         // ack needs normalizing here.
         if let Some(symbol) = Self::pending_ack(state) {
-            vec![RstpAction::Send(Packet::Ack(symbol))]
+            out.push(RstpAction::Send(Packet::Ack(symbol)));
         } else if let Some(m) = self.write_value(state) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 
@@ -792,13 +793,12 @@ impl StabBetaReceiver {
         }
         state.burst.insert(symbol);
         if state.burst.len() == self.codec.packets_per_block() {
-            match self.codec.decode_block(&state.burst) {
-                Ok(bits) => {
-                    let remaining = self.expected_bits.saturating_sub(state.decoded.len());
-                    let take = bits.len().min(remaining);
-                    state.decoded.extend(bits.into_iter().take(take));
-                }
-                Err(_) => state.decode_failures += 1,
+            let remaining = self.expected_bits.saturating_sub(state.decoded.len());
+            let decoded = self
+                .codec
+                .decode_block_into(&state.burst, &mut state.decoded, remaining);
+            if decoded.is_err() {
+                state.decode_failures += 1;
             }
             state.burst.clear();
         }
@@ -829,17 +829,17 @@ impl Automaton for StabBetaReceiver {
         }
     }
 
-    fn enabled(&self, state: &StabBetaReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &StabBetaReceiverState, out: &mut Vec<RstpAction>) {
         // A `written` past the end reads as caught up, so the raw state
         // enables what its normalization would.
         if let Some(&m) = state.decoded.get(state.written) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else if !state.burst.is_empty() {
             // A partial burst is either live (an arrival is imminent) or
             // corrupted garbage; count the silence to tell them apart.
-            vec![RstpAction::ReceiverInternal(InternalKind::Wait)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Wait));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 

@@ -93,14 +93,14 @@ impl Automaton for StenningTransmitter {
         }
     }
 
-    fn enabled(&self, state: &StenningTransmitterState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &StenningTransmitterState, out: &mut Vec<RstpAction>) {
         if state.next >= self.input.len() {
-            return vec![];
+            return;
         }
         if state.timer == 0 {
-            vec![RstpAction::Send(self.current_packet(state))]
+            out.push(RstpAction::Send(self.current_packet(state)));
         } else {
-            vec![RstpAction::TransmitterInternal(InternalKind::Wait)]
+            out.push(RstpAction::TransmitterInternal(InternalKind::Wait));
         }
     }
 
@@ -191,13 +191,13 @@ impl Automaton for StenningReceiver {
         }
     }
 
-    fn enabled(&self, state: &StenningReceiverState) -> Vec<RstpAction> {
+    fn enabled_into(&self, state: &StenningReceiverState, out: &mut Vec<RstpAction>) {
         if let Some(&seq) = state.ack_queue.front() {
-            vec![RstpAction::Send(Packet::Ack(seq))]
+            out.push(RstpAction::Send(Packet::Ack(seq)));
         } else if let Some(&m) = state.received.get(state.written) {
-            vec![RstpAction::Write(m)]
+            out.push(RstpAction::Write(m));
         } else {
-            vec![RstpAction::ReceiverInternal(InternalKind::Idle)]
+            out.push(RstpAction::ReceiverInternal(InternalKind::Idle));
         }
     }
 

@@ -313,17 +313,16 @@ pub struct Driven<A: Automaton<Action = RstpAction>> {
     automaton: A,
     state: A::State,
     written: Vec<Message>,
+    /// What [`SessionEndpoint::step`] collects the enabled actions in,
+    /// cleared before every step, so a warm session allocates nothing.
+    enabled: Vec<RstpAction>,
 }
 
 impl<A: Automaton<Action = RstpAction>> Driven<A> {
     /// `automaton` in its initial state.
     pub fn new(automaton: A) -> Self {
         let state = automaton.initial_state();
-        Driven {
-            automaton,
-            state,
-            written: Vec::new(),
-        }
+        Driven::resume(automaton, state, Vec::new())
     }
 
     /// `automaton` resumed in `state`, with `written` already output.
@@ -332,6 +331,7 @@ impl<A: Automaton<Action = RstpAction>> Driven<A> {
             automaton,
             state,
             written,
+            enabled: Vec::new(),
         }
     }
 
@@ -355,8 +355,9 @@ where
     }
 
     fn step(&mut self) -> Result<StepEffect, NetError> {
-        let enabled = self.automaton.enabled(&self.state);
-        let action = match enabled.as_slice() {
+        self.enabled.clear();
+        self.automaton.enabled_into(&self.state, &mut self.enabled);
+        let action = match self.enabled.as_slice() {
             [] => return Ok(StepEffect::Quiescent),
             [a] => *a,
             many => {

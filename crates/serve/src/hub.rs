@@ -13,9 +13,11 @@
 //! block), so a contended lock is retried with `try_lock` and
 //! `yield_now` until its holder lets go.
 
+use crate::idmap::IdMap;
 use crate::server::{EgressSink, ServeTransport};
 use rstp_core::{Packet, SessionId};
 use rstp_net::{decode_any, Frame, FrameBuf, NetError, Transport, TransportStats, WireCodec};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread;
@@ -100,7 +102,7 @@ impl ServeTransport for MemHub {
     fn egress(&self) -> Result<Box<dyn EgressSink>, NetError> {
         Ok(Box::new(HubEgress {
             clients: self.clients.clone(),
-            cached: HashMap::new(),
+            cached: IdMap::default(),
         }))
     }
 }
@@ -111,31 +113,29 @@ struct HubEgress {
     /// Sessions are pinned to one shard, so each egress handle caches the
     /// inboxes it has resolved and touches the shared map only on first
     /// contact with a session.
-    cached: HashMap<u32, Inbox>,
+    cached: IdMap<Inbox>,
 }
 
 impl EgressSink for HubEgress {
     fn send_batch(&mut self, frames: &[(u32, FrameBuf)]) -> Result<usize, NetError> {
         let mut delivered = 0;
         for (session, bytes) in frames {
-            if !self.cached.contains_key(session) {
-                // First contact with a session: resolve its inbox from the
-                // shared map, which another shard may hold for its own
-                // first contact.
-                let Some(map) = lock_without_parking(&self.clients) else {
-                    continue;
-                };
-                match map.get(session) {
-                    Some(inbox) => {
-                        self.cached.insert(*session, Arc::clone(inbox));
-                    }
+            let inbox = match self.cached.entry(*session) {
+                Entry::Occupied(cached) => cached.into_mut(),
+                Entry::Vacant(slot) => {
+                    // First contact with a session: resolve its inbox from
+                    // the shared map, which another shard may hold for its
+                    // own first contact.
+                    let Some(map) = lock_without_parking(&self.clients) else {
+                        continue;
+                    };
                     // A frame for a client that never registered is
                     // dropped: the hub mirrors UDP, not TCP.
-                    None => continue,
+                    let Some(inbox) = map.get(session) else {
+                        continue;
+                    };
+                    slot.insert(Arc::clone(inbox))
                 }
-            }
-            let Some(inbox) = self.cached.get(session) else {
-                continue;
             };
             // The client may be mid-poll on its own inbox.
             let Some(mut queue) = lock_without_parking(inbox) else {

@@ -38,6 +38,7 @@
 pub mod endpoint;
 pub mod faults;
 pub mod hub;
+mod idmap;
 pub mod metrics;
 pub mod server;
 pub mod shard;

@@ -18,6 +18,7 @@
 
 use crate::endpoint::restore_receiver_endpoint;
 use crate::faults::{FaultEvent, FaultPlan};
+use crate::idmap::IdMap;
 use crate::metrics::{ServeReport, ShardReport};
 use crate::shard::{run_shard, ResumeSession, ShardMsg};
 use crate::snapshot::SessionSnapshot;
@@ -27,7 +28,7 @@ use rstp_net::{
 };
 use rstp_record::{shard_file_name, Event, RecorderSet, Recording, RunMeta, ShardRecorder};
 use rstp_sim::ProtocolKind;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -229,7 +230,7 @@ struct Mailbox {
 /// another protocol or `k` (the rule of `WireCodec::decode`), or an ack,
 /// since every server session is a receiver.
 fn route(
-    owner: &HashMap<u32, (usize, WireCodec)>,
+    owner: &IdMap<(usize, WireCodec)>,
     mailboxes: &mut [Mailbox],
     cap: usize,
     report: &mut ServeReport,
@@ -261,7 +262,7 @@ pub(crate) struct Pump<'t, T> {
     transport: &'t mut T,
     /// Each admitted session's shard, with its codec for the frame check
     /// in `route`.
-    owner: HashMap<u32, (usize, WireCodec)>,
+    owner: IdMap<(usize, WireCodec)>,
     /// Each shard's mailbox, by shard index.
     mailboxes: Vec<Mailbox>,
     /// The most frames a mailbox holds: `queue_cap × BATCH`.
@@ -291,7 +292,7 @@ impl<'t, T> Pump<'t, T> {
     ) -> Self {
         Pump {
             transport,
-            owner: HashMap::new(),
+            owner: IdMap::default(),
             mailboxes: (0..shards).map(|_| Mailbox::default()).collect(),
             frame_cap,
             report: ServeReport::default(),

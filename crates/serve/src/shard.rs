@@ -22,13 +22,14 @@
 
 use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
 use crate::hub::lock_without_parking;
+use crate::idmap::IdMap;
 use crate::metrics::{SessionStats, ShardReport};
 use crate::server::{EgressSink, ServeTransport, SessionSpec, Shared, BATCH};
 use crate::snapshot::SessionSnapshot;
 use crate::wheel::TimerWheel;
 use rstp_net::{codec_for, Cadence, Frame, FrameBuf, NetError, Pacer, StepEffect, Wake, WireCodec};
 use rstp_record::{Event, FrameDir, ShardRecorder};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
 
@@ -156,7 +157,7 @@ pub(crate) fn run_shard<T: ServeTransport>(
     let mut report = ShardReport::new(index);
     let mut wheel: TimerWheel<usize> = TimerWheel::new();
     let mut sessions: Vec<Option<Live>> = Vec::new();
-    let mut by_id: HashMap<u32, usize> = HashMap::new();
+    let mut by_id: IdMap<usize> = IdMap::default();
     let mut due: Vec<(u64, usize)> = Vec::new();
     let mut out_buf: Vec<(u32, FrameBuf)> = Vec::new();
     // Completed sessions, kept as ghost re-ackers: a late duplicate
@@ -165,7 +166,7 @@ pub(crate) fn run_shard<T: ServeTransport>(
     // thread the scheduler stalled past this shard's quiet grace — can
     // still finish. Ghosts hold no wheel deadlines and cost nothing
     // until a frame actually arrives for them.
-    let mut retired: HashMap<u32, Live> = HashMap::new();
+    let mut retired: IdMap<Live> = IdMap::default();
     // The mailbox's contents, swapped out at each wake.
     let mut msgs: Vec<ShardMsg> = Vec::new();
     let mut frames: Vec<Frame> = Vec::new();
@@ -497,7 +498,7 @@ fn reack(
 /// The live session `id`, if this shard holds it.
 fn live_mut<'a>(
     sessions: &'a mut [Option<Live>],
-    by_id: &HashMap<u32, usize>,
+    by_id: &IdMap<usize>,
     id: u32,
 ) -> Option<&'a mut Live> {
     by_id

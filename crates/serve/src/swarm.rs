@@ -194,12 +194,16 @@ impl SwarmReport {
                 self.serve.hub_dropped_frames
             );
         }
-        if self.serve.handed_off() + self.serve.adopted() > 0 {
+        if self.serve.handed_off() > 0 {
+            // A restart adopts the sessions it recovers too; those are on
+            // the faults line, so only a drain's adoptions count here.
             let _ = writeln!(
                 out,
                 "handover  : {} handed off, {} adopted",
                 self.serve.handed_off(),
-                self.serve.adopted()
+                self.serve
+                    .adopted()
+                    .saturating_sub(self.serve.recovered_sessions)
             );
         }
         if self.serve.reacked() > 0 {
@@ -491,6 +495,7 @@ fn with_clients<T: Transport + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ShardReport;
 
     /// Every frame a client sent is accounted for exactly once: applied
     /// by a shard, dropped past a full mailbox, orphaned, or undecodable.
@@ -634,13 +639,12 @@ mod tests {
             report.summary()
         );
         // The crashed epoch is visible in the per-shard reports, and
-        // the summary renders the fault line.
+        // the summary renders the fault line but no handover: nothing
+        // was drained.
         assert!(report.serve.shards.iter().any(|s| s.crashed));
-        assert!(
-            report.summary().contains("faults    :"),
-            "{}",
-            report.summary()
-        );
+        let text = report.summary();
+        assert!(text.contains("faults    :"), "{text}");
+        assert!(!text.contains("handover"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -734,6 +738,53 @@ mod tests {
         assert!(
             matches!(err, NetError::Thread { .. }),
             "expected a thread error, got: {err}"
+        );
+    }
+
+    #[test]
+    fn the_handover_line_counts_drains_not_recoveries() {
+        // Shard 1 restarted and recovered 16 sessions; then a drain moved
+        // 4 sessions from shard 0 to shard 1. Both adoptions sit in shard
+        // 1's `adopted`, but only the drain's are a handover.
+        let shards = |drained: u64| {
+            vec![
+                ShardReport {
+                    handed_off: drained,
+                    ..ShardReport::new(0)
+                },
+                ShardReport {
+                    adopted: 16 + drained,
+                    ..ShardReport::new(1)
+                },
+            ]
+        };
+        let mut report = SwarmReport {
+            serve: ServeReport {
+                crashes: 1,
+                restarts: 1,
+                recovered_sessions: 16,
+                shards: shards(0),
+                ..ServeReport::default()
+            },
+            planned: 0,
+            client_deadline_misses: 0,
+            client_timing_violations: 0,
+            client_frames_sent: 0,
+            clients_timed_out: Vec::new(),
+            clients_timed_out_detail: Vec::new(),
+            mismatched: Vec::new(),
+            incomplete: Vec::new(),
+            oracle_checked: 0,
+            oracle_mismatched: Vec::new(),
+        };
+        let text = report.summary();
+        assert!(text.contains("16 sessions recovered"), "{text}");
+        assert!(!text.contains("handover"), "{text}");
+        report.serve.shards = shards(4);
+        let text = report.summary();
+        assert!(
+            text.contains("handover  : 4 handed off, 4 adopted"),
+            "{text}"
         );
     }
 

@@ -8,7 +8,9 @@
 //! however many sessions a shard paces, their deadlines fall on a handful
 //! of distinct ticks (one or two in measured swarms). The map therefore
 //! stays tiny: `schedule` appends to its tick's list, `advance` takes
-//! whole lists off the front, and `next_due` reads the first key.
+//! whole lists off the front, and `next_due` reads the first key. A list
+//! `advance` has emptied is kept, with its capacity, for the next new
+//! tick, so a warm wheel allocates nothing.
 //!
 //! The wheel is deliberately *not* wall-clock-aware: it counts abstract
 //! ticks and the shard maps them through its `TickClock`, the same
@@ -27,6 +29,8 @@ use std::collections::BTreeMap;
 pub struct TimerWheel<T> {
     /// Tokens by deadline tick, each list in scheduling order.
     due: BTreeMap<u64, Vec<T>>,
+    /// Emptied lists, reused for new ticks.
+    spare: Vec<Vec<T>>,
     /// Scheduled tokens, across all ticks.
     len: usize,
 }
@@ -37,6 +41,7 @@ impl<T> TimerWheel<T> {
     pub fn new() -> Self {
         TimerWheel {
             due: BTreeMap::new(),
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -60,7 +65,10 @@ impl<T> TimerWheel<T> {
     ///
     /// [`advance`]: Self::advance
     pub fn schedule(&mut self, due_tick: u64, token: T) {
-        self.due.entry(due_tick).or_default().push(token);
+        self.due
+            .entry(due_tick)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push(token);
         self.len += 1;
     }
 
@@ -72,9 +80,10 @@ impl<T> TimerWheel<T> {
             if *first.key() > to {
                 break;
             }
-            let (tick, tokens) = first.remove_entry();
+            let (tick, mut tokens) = first.remove_entry();
             self.len -= tokens.len();
-            due.extend(tokens.into_iter().map(|token| (tick, token)));
+            due.extend(tokens.drain(..).map(|token| (tick, token)));
+            self.spare.push(tokens);
         }
     }
 

@@ -11,11 +11,16 @@
 //! a real run passes through; at each one, every action of a small
 //! alphabet is fired at a copy, and every refusal must leave the copy
 //! equal to the original.
+//!
+//! The same walk checks the buffer contract of `Automaton::enabled_into`,
+//! which lets `Driven` step with one reused buffer: it appends exactly
+//! `enabled(state)` after whatever the caller's buffer held, and never
+//! clears, reorders or dedupes against that prefix.
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
-use rstp::automata::{Automaton, Compose};
+use rstp::automata::{ActionClass, Automaton, Compose, StepError};
 use rstp::core::protocols::{
     stab_beta_transmitter, AlphaReceiver, AlphaTransmitter, AltBitReceiver, AltBitTransmitter,
     BetaReceiver, BetaTransmitter, FramedReceiver, FramedTransmitter, GammaReceiver,
@@ -23,6 +28,7 @@ use rstp::core::protocols::{
     StabStenningReceiver, StabStenningTransmitter, StenningReceiver, StenningTransmitter,
 };
 use rstp::core::{Channel, ChannelState, InternalKind, Message, Packet, RstpAction, TimingParams};
+use rstp::net::{Driven, NetError, SessionEndpoint, StepEffect};
 
 const K: u64 = 4;
 
@@ -177,6 +183,36 @@ fn assert_refusals_leave_state<A>(
     );
 }
 
+/// At every state, `enabled_into` on a buffer that already holds a
+/// sentinel leaves it first and appends exactly `enabled(state)`. Two
+/// sentinels: an action no automaton enables, and the state's own first
+/// enabled action, which an impl that dedupes against the caller's
+/// prefix would drop.
+fn assert_enabled_into_appends<A>(name: &str, automaton: &A, states: &[A::State])
+where
+    A: Automaton<Action = RstpAction>,
+    A::State: Debug,
+{
+    let foreign = RstpAction::Recv(Packet::Ack(u64::MAX));
+    for state in states {
+        let enabled = automaton.enabled(state);
+        for sentinel in [foreign].into_iter().chain(enabled.first().copied()) {
+            let mut buf = vec![sentinel];
+            automaton.enabled_into(state, &mut buf);
+            assert_eq!(
+                buf.first(),
+                Some(&sentinel),
+                "{name}: enabled_into moved the caller's prefix in {state:?}"
+            );
+            assert_eq!(
+                buf[1..],
+                enabled[..],
+                "{name}: enabled_into appended other than enabled() in {state:?}"
+            );
+        }
+    }
+}
+
 fn check_pair<T, R>(name: &str, t: &T, r: &R, expected: &[Message])
 where
     T: Automaton<Action = RstpAction>,
@@ -192,6 +228,8 @@ where
     let actions = alphabet(w.top_symbol.max(K) + 1);
     assert_refusals_leave_state(&format!("{name} transmitter"), t, &w.transmitter, &actions);
     assert_refusals_leave_state(&format!("{name} receiver"), r, &w.receiver, &actions);
+    assert_enabled_into_appends(&format!("{name} transmitter"), t, &w.transmitter);
+    assert_enabled_into_appends(&format!("{name} receiver"), r, &w.receiver);
 }
 
 #[test]
@@ -279,6 +317,21 @@ fn channel_and_composition_refusals_leave_state_untouched() {
     // channel: the composition must undo the receiver's move.
     let system = Compose::new(r, Compose::new(Channel::new(), t));
     assert_refusals_leave_state("beta ∘ channel ∘ beta", &system, &w.system, &actions);
+    assert_enabled_into_appends("channel", &Channel::new(), &w.channel);
+    assert_enabled_into_appends("beta ∘ channel ∘ beta", &system, &w.system);
+    // A channel holding two distinct packets, and one packet twice, after
+    // a prefix that already names one of them.
+    let mut cs = Channel::new().initial_state();
+    for p in [Packet::Data(1), Packet::Data(2), Packet::Data(1)] {
+        Channel::new().apply(&mut cs, &RstpAction::Send(p)).unwrap();
+    }
+    let mut buf = vec![RstpAction::Recv(Packet::Data(2))];
+    Channel::new().enabled_into(&cs, &mut buf);
+    assert_eq!(
+        buf,
+        [Packet::Data(2), Packet::Data(1), Packet::Data(2)].map(RstpAction::Recv),
+        "one recv per distinct packet, judged apart from the caller's prefix"
+    );
     let start = system.initial_state();
     let stray = RstpAction::Recv(Packet::Data(1));
     assert_ne!(system.left().step(&start.0, &stray).unwrap(), start.0);
@@ -315,4 +368,82 @@ fn stabilizing_refusals_leave_corrupted_states_untouched() {
     let mut partial = rs.clone();
     partial.burst.insert(1);
     assert_refusals_leave_state("stab-beta receiver", &r, &[rs, partial], &actions);
+}
+
+/// An automaton whose enabled set `Driven` sees through its one reused
+/// buffer: `fork` enables two sends at once; otherwise one send is
+/// enabled while armed, and a `recv` re-arms it.
+struct Blinker {
+    fork: bool,
+}
+
+impl Automaton for Blinker {
+    type Action = RstpAction;
+    type State = bool;
+
+    fn initial_state(&self) -> bool {
+        true
+    }
+
+    fn classify(&self, action: &RstpAction) -> Option<ActionClass> {
+        match action {
+            RstpAction::Send(_) => Some(ActionClass::Output),
+            RstpAction::Recv(_) => Some(ActionClass::Input),
+            _ => None,
+        }
+    }
+
+    fn enabled_into(&self, armed: &bool, out: &mut Vec<RstpAction>) {
+        if self.fork {
+            out.extend([Packet::Data(0), Packet::Data(1)].map(RstpAction::Send));
+        } else if *armed {
+            out.push(RstpAction::Send(Packet::Data(7)));
+        }
+    }
+
+    fn apply(&self, armed: &mut bool, action: &RstpAction) -> Result<(), StepError> {
+        match action {
+            RstpAction::Send(_) => *armed = false,
+            RstpAction::Recv(_) => *armed = true,
+            other => return Err(StepError::unknown(other)),
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn driven_refuses_two_enabled_actions_and_names_both() {
+    let mut driven = Driven::new(Blinker { fork: true });
+    match driven.step() {
+        Err(NetError::Determinism { enabled }) => assert_eq!(
+            enabled,
+            [Packet::Data(0), Packet::Data(1)].map(|p| format!("{:?}", RstpAction::Send(p)))
+        ),
+        other => panic!("two enabled actions must be a determinism error: {other:?}"),
+    }
+}
+
+#[test]
+fn driven_clears_its_buffer_before_every_step() {
+    // A buffer left holding the last step's action would make the step
+    // after a send fire it again instead of quiescing.
+    let mut driven = Driven::new(Blinker { fork: false });
+    for round in 0..3 {
+        assert_eq!(
+            driven.step().unwrap(),
+            StepEffect::Sent(Packet::Data(7)),
+            "round {round}"
+        );
+        assert_eq!(
+            driven.step().unwrap(),
+            StepEffect::Quiescent,
+            "round {round}"
+        );
+        assert_eq!(
+            driven.step().unwrap(),
+            StepEffect::Quiescent,
+            "round {round}"
+        );
+        driven.apply_recv(Packet::Ack(0)).unwrap();
+    }
 }
