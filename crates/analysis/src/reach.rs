@@ -127,6 +127,10 @@ const PANIC_ENTRIES: &[Matcher] = &[
 /// ingress pass and mailbox swap a shard runs after every wake, and the
 /// parts of a shard's step that run for every session it paces: each
 /// automaton's `enabled_into` and the wheel's `schedule` and `advance`.
+/// The allocation pass sees explicit allocations only (the sinks of
+/// `callgraph::scan_sinks`), not a container's growth (`push`,
+/// `entry(..).or_default()`), so the wheel's entries cannot tell
+/// whether it reuses its emptied tick lists.
 /// `run_shard` itself is *not* here — its single `sleep_until` to the
 /// wheel's next deadline is the designed blocking point, and its
 /// admission work (session setup) may allocate; the per-frame and

@@ -389,35 +389,24 @@ impl Automaton for PipelinedReceiver {
                 };
                 burst.insert(sym);
                 if burst.len() == self.codec.packets_per_block() {
-                    let in_order = slot as u64 == state.commit_tag
-                        && state.staged.get(slot).is_some_and(Option::is_none);
-                    let decoded = if in_order {
-                        // The block commits at once: decode straight into ŷ.
-                        let remaining = self.expected_bits.saturating_sub(state.decoded.len());
-                        self.codec
-                            .decode_block_into(burst, &mut state.decoded, remaining)
-                            .map(|()| state.commit_tag = (state.commit_tag + 1) % self.window)
-                    } else {
-                        let mut bits = Vec::new();
-                        self.codec
-                            .decode_block_into(burst, &mut bits, usize::MAX)
-                            .map(|()| {
-                                // The window discipline keeps the slot free;
-                                // defensively count an overwrite (reachable
-                                // only under fault injection).
-                                if state
-                                    .staged
-                                    .get_mut(slot)
-                                    .and_then(|staged| staged.replace(bits))
-                                    .is_some()
-                                {
-                                    state.decode_failures += 1;
-                                }
-                            })
-                    };
+                    let mut bits = Vec::new();
+                    let decoded = self.codec.decode_block_into(burst, &mut bits, usize::MAX);
                     burst.clear();
-                    if decoded.is_err() {
-                        state.decode_failures += 1;
+                    match decoded {
+                        Ok(()) => {
+                            // The window discipline keeps the slot free;
+                            // defensively count an overwrite (reachable
+                            // only under fault injection).
+                            if state
+                                .staged
+                                .get_mut(slot)
+                                .and_then(|staged| staged.replace(bits))
+                                .is_some()
+                            {
+                                state.decode_failures += 1;
+                            }
+                        }
+                        Err(_) => state.decode_failures += 1,
                     }
                     self.commit_ready(state);
                 }
