@@ -4,9 +4,13 @@
 //! The model: every `.lock()` (and, in files that mention `RwLock`,
 //! `.read()` / `.write()`) acquisition is named by the receiver field or
 //! binding it is called on (`self.clients.lock()` → `clients`),
-//! qualified by crate and file (`serve/hub::clients`) so same-named
-//! files in different crates cannot alias. A guard's *hold span* is
-//! approximated lexically:
+//! qualified by its crate (`serve::clients`). One lock taken in two files
+//! of a crate (the ingress lock `pump`, in `server.rs` and `shard.rs`) is
+//! one node, so a cycle that runs through both files closes. Two locks
+//! that share a field name in one crate merge too, which can only add a
+//! cycle to review, never hide one; naming a lock by its declared type
+//! instead is defeated by aliases (`type Inbox = Arc<Mutex<..>>`). A
+//! guard's *hold span* is approximated lexically:
 //!
 //! * a `let`-bound guard is held to the end of its enclosing block;
 //! * a temporary guard (`x.lock()?.push(..)` in one statement) is held
@@ -15,7 +19,7 @@
 //! Locks are not the only way to wait. In files that mention `mpsc` /
 //! `sync_channel`, a blocking channel endpoint operation (`.recv()`,
 //! `.recv_timeout()`, `.send()` — but not `try_send`) becomes a
-//! **channel-wait node** (`serve/shard::pump.chan`). A channel wait
+//! **channel-wait node** (`serve::pump.chan`). A channel wait
 //! holds nothing afterwards, so it only ever appears as the *target*
 //! of an edge; what it adds to the graph is the deadlock shape "parked
 //! on a channel while holding a lock".
@@ -23,9 +27,9 @@
 //! An edge `A → B` means "the thread waited on B while A was
 //! (statically) still held" — either directly inside A's hold span, or
 //! through a same-file call to a function that (transitively) waits on
-//! B. A cycle in the edge set is a potential deadlock; the acyclic
-//! order is emitted as TOML so any regression shows up as a diff of a
-//! checked-in file.
+//! B; each edge's site names its file. A cycle in the edge set is a
+//! potential deadlock; the acyclic order is emitted as TOML so any
+//! regression shows up as a diff of a checked-in file.
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
@@ -34,9 +38,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One nested acquisition: `to` taken while `from` was held.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LockEdge {
-    /// The lock already held (`file::name`).
+    /// The lock already held (`crate::name`).
     pub from: String,
-    /// The lock acquired under it (`file::name`).
+    /// The lock acquired under it (`crate::name`).
     pub to: String,
     /// `path:function:line` of the inner acquisition or call site.
     pub site: String,
@@ -45,7 +49,7 @@ pub struct LockEdge {
 /// The extracted acquisition graph.
 #[derive(Clone, Debug, Default)]
 pub struct LockGraph {
-    /// Every lock observed, sorted (`file::name`).
+    /// Every lock observed, sorted (`crate::name`).
     pub nodes: Vec<String>,
     /// Nested-acquisition edges, deduplicated and sorted by (from, to).
     pub edges: Vec<LockEdge>,
@@ -86,7 +90,7 @@ pub fn extract(files: &[&SourceFile]) -> LockGraph {
     let mut edges: BTreeMap<(String, String), String> = BTreeMap::new();
 
     for file in files {
-        let scope = file_scope(&file.path);
+        let scope = crate_scope(&file.path);
         let stem = scope.as_str();
         let track_rw = file.tokens.iter().any(|t| t.is_ident("RwLock"));
         let track_chan = file
@@ -162,20 +166,20 @@ fn site(path: &str, function: &str, line: u32) -> String {
     format!("{path}:{function}:{line}")
 }
 
-/// `crates/serve/src/hub.rs` → `serve/hub`; paths outside the standard
+/// `crates/serve/src/hub.rs` → `serve`; paths outside the standard
 /// layout fall back to the bare file stem.
-fn file_scope(path: &str) -> String {
-    let stem = path
-        .rsplit('/')
-        .next()
-        .and_then(|f| f.strip_suffix(".rs"))
-        .unwrap_or(path);
+fn crate_scope(path: &str) -> String {
     match path
         .strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
     {
-        Some(krate) => format!("{krate}/{stem}"),
-        None => stem.to_string(),
+        Some(krate) => krate.to_string(),
+        None => path
+            .rsplit('/')
+            .next()
+            .and_then(|f| f.strip_suffix(".rs"))
+            .unwrap_or(path)
+            .to_string(),
     }
 }
 
@@ -565,10 +569,10 @@ mod tests {
             "fn f(&self) {\n let a = self.alpha.lock().unwrap();\n \
              let b = self.beta.lock().unwrap();\n}",
         );
-        assert_eq!(g.nodes, vec!["serve/x::alpha", "serve/x::beta"]);
+        assert_eq!(g.nodes, vec!["serve::alpha", "serve::beta"]);
         assert_eq!(g.edges.len(), 1);
-        assert_eq!(g.edges[0].from, "serve/x::alpha");
-        assert_eq!(g.edges[0].to, "serve/x::beta");
+        assert_eq!(g.edges[0].from, "serve::alpha");
+        assert_eq!(g.edges[0].to, "serve::beta");
         assert!(g.cycles.is_empty());
     }
 
@@ -580,7 +584,7 @@ mod tests {
             "fn f(&self) {\n let inbox = { let map = self.clients.lock().unwrap(); \
              map.get(0).cloned() };\n inbox.lock().unwrap().push_back(1);\n}",
         );
-        assert_eq!(g.nodes, vec!["serve/x::clients", "serve/x::inbox"]);
+        assert_eq!(g.nodes, vec!["serve::clients", "serve::inbox"]);
         assert!(g.edges.is_empty(), "{:?}", g.edges);
     }
 
@@ -607,14 +611,39 @@ mod tests {
     }
 
     #[test]
+    fn one_lock_taken_in_two_files_is_one_node_and_closes_a_cycle() {
+        let a = SourceFile::new(
+            "crates/serve/src/a.rs",
+            "fn f(&self) { let a = self.alpha.lock().unwrap(); let b = self.beta.lock().unwrap(); }",
+        );
+        let b = SourceFile::new(
+            "crates/serve/src/b.rs",
+            "fn g(&self) { let b = self.beta.lock().unwrap(); let a = self.alpha.lock().unwrap(); }",
+        );
+        let g = extract(&[&a, &b]);
+        assert_eq!(g.nodes, vec!["serve::alpha", "serve::beta"]);
+        assert_eq!(g.edges.len(), 2, "{:?}", g.edges);
+        assert_eq!(g.edges[0].site, "crates/serve/src/a.rs:f:1");
+        assert_eq!(g.cycles.len(), 1, "{:?}", g.cycles);
+        // The same field in another crate is another lock.
+        let other = SourceFile::new(
+            "crates/record/src/c.rs",
+            "fn h(&self) { let b = self.beta.lock().unwrap(); let a = self.alpha.lock().unwrap(); }",
+        );
+        let g = extract(&[&a, &other]);
+        assert_eq!(g.nodes.len(), 4, "{:?}", g.nodes);
+        assert!(g.cycles.is_empty(), "{:?}", g.cycles);
+    }
+
+    #[test]
     fn call_graph_propagates_held_locks() {
         let g = graph_of(
             "fn helper(&self) { self.beta.lock().unwrap().push(1); }\n\
              fn f(&self) { let a = self.alpha.lock().unwrap(); self.helper(); }",
         );
         assert_eq!(g.edges.len(), 1);
-        assert_eq!(g.edges[0].from, "serve/x::alpha");
-        assert_eq!(g.edges[0].to, "serve/x::beta");
+        assert_eq!(g.edges[0].from, "serve::alpha");
+        assert_eq!(g.edges[0].to, "serve::beta");
     }
 
     #[test]
@@ -623,10 +652,10 @@ mod tests {
             "use std::sync::mpsc;\nfn f(&self, rx: &mpsc::Receiver<u8>) {\n \
              let a = self.alpha.lock().unwrap();\n let msg = rx.recv_timeout(t);\n}",
         );
-        assert_eq!(g.nodes, vec!["serve/x::alpha", "serve/x::rx.chan"]);
+        assert_eq!(g.nodes, vec!["serve::alpha", "serve::rx.chan"]);
         assert_eq!(g.edges.len(), 1, "{:?}", g.edges);
-        assert_eq!(g.edges[0].from, "serve/x::alpha");
-        assert_eq!(g.edges[0].to, "serve/x::rx.chan");
+        assert_eq!(g.edges[0].from, "serve::alpha");
+        assert_eq!(g.edges[0].to, "serve::rx.chan");
     }
 
     #[test]
@@ -642,7 +671,7 @@ mod tests {
             "use std::sync::mpsc;\nfn f(&self, tx: &mpsc::SyncSender<u8>) {\n \
              let a = self.alpha.lock().unwrap();\n let _ = tx.try_send(1);\n}",
         );
-        assert_eq!(g.nodes, vec!["serve/x::alpha"]);
+        assert_eq!(g.nodes, vec!["serve::alpha"]);
         assert!(g.edges.is_empty(), "{:?}", g.edges);
         // Without an mpsc mention, .send()/.recv() are plain I/O.
         let g = graph_of("fn f(&self) { let n = self.sock.send(buf); }");
@@ -655,7 +684,7 @@ mod tests {
             "use std::sync::RwLock;\nfn f(&self) { let a = self.table.read().unwrap(); \
              self.meta.write().unwrap().push(1); }",
         );
-        assert_eq!(g.nodes, vec!["serve/x::meta", "serve/x::table"]);
+        assert_eq!(g.nodes, vec!["serve::meta", "serve::table"]);
         assert_eq!(g.edges.len(), 1);
         // Without RwLock in the file, .read()/.write() are plain I/O.
         let g = graph_of("fn f(&self) { let n = self.sock.read().unwrap(); }");
@@ -694,7 +723,7 @@ mod tests {
         let a = render_toml(&graph_of(src));
         let b = render_toml(&graph_of(src));
         assert_eq!(a, b);
-        assert!(a.contains("nodes = [\"serve/x::alpha\", \"serve/x::beta\"]"));
+        assert!(a.contains("nodes = [\"serve::alpha\", \"serve::beta\"]"));
         assert!(a.contains("[[edge]]"));
     }
 }

@@ -126,7 +126,9 @@ const PANIC_ENTRIES: &[Matcher] = &[
 /// single-record push, serve's per-frame ingress/egress loops, the
 /// ingress pass and mailbox swap a shard runs after every wake, and the
 /// parts of a shard's step that run for every session it paces: each
-/// automaton's `enabled_into` and the wheel's `schedule` and `advance`.
+/// automaton's `enabled_into`, the wheel's `schedule` and `advance`, and
+/// the `Pacer`'s `wake`, `next_due` and `settle`, which every driver step
+/// calls too.
 /// The allocation pass sees explicit allocations only (the sinks of
 /// `callgraph::scan_sinks`), not a container's growth (`push`,
 /// `entry(..).or_default()`), so the wheel's entries cannot tell
@@ -183,6 +185,18 @@ const STEADY_STATE_ENTRIES: &[Matcher] = &[
     Matcher::TypeMethod {
         type_name: "TimerWheel",
         name: "advance",
+    },
+    Matcher::TypeMethod {
+        type_name: "Pacer",
+        name: "wake",
+    },
+    Matcher::TypeMethod {
+        type_name: "Pacer",
+        name: "next_due",
+    },
+    Matcher::TypeMethod {
+        type_name: "Pacer",
+        name: "settle",
     },
 ];
 

@@ -82,7 +82,7 @@ fn lock_cycle_fixture_is_detected() {
     let hits = findings_of("lock_cycle_bad", "lock-order-cycle");
     assert_eq!(hits.len(), 1, "ABBA order must be a cycle: {hits:?}");
     assert!(
-        hits[0].contains("state::table") && hits[0].contains("state::journal"),
+        hits[0].contains("serve::table") && hits[0].contains("serve::journal"),
         "cycle names both locks: {hits:?}"
     );
 }
@@ -98,10 +98,7 @@ fn acyclic_fixture_is_fully_clean() {
         report.findings
     );
     assert_eq!(report.graph.cycles.len(), 0);
-    assert_eq!(
-        report.graph.order,
-        vec!["serve/state::table", "serve/state::journal"]
-    );
+    assert_eq!(report.graph.order, vec!["serve::table", "serve::journal"]);
 }
 
 #[test]

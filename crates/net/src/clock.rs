@@ -7,8 +7,12 @@
 //!
 //! It is also the one reader of the wall clock. A paced loop takes one
 //! [`TickClock::now`] reading per step (or [`TickClock::sleep_until`]'s
-//! wake instant) and derives every time in that step from it, as the
-//! paper's process steps at one instant.
+//! wake instant), converts it once to `u64` nanoseconds since the epoch
+//! ([`TickClock::nanos_at`]), and derives every time in that step from
+//! that integer, as the paper's process steps at one instant. Ticks and
+//! deadlines convert in the same unit ([`TickClock::nanos_of_tick`],
+//! [`TickClock::tick_of_nanos`]), saturating rather than wrapping; an
+//! `Instant` is rebuilt only to sleep ([`TickClock::instant_of_nanos`]).
 
 #![expect(
     clippy::disallowed_methods,
@@ -22,22 +26,33 @@ use std::time::{Duration, Instant};
 pub struct TickClock {
     epoch: Instant,
     tick: Duration,
+    /// `tick` in nanoseconds, the unit of every integer time below.
+    tick_ns: u64,
+}
+
+/// `d` in whole nanoseconds, saturating past `u64::MAX` (584 years).
+#[inline]
+pub(crate) fn nanos(d: Duration) -> u64 {
+    d.as_secs()
+        .saturating_mul(1_000_000_000)
+        .saturating_add(u64::from(d.subsec_nanos()))
 }
 
 impl TickClock {
     /// Starts a clock now with the given tick length.
     pub fn start(tick: Duration) -> Self {
-        TickClock {
-            epoch: Instant::now(),
-            tick,
-        }
+        TickClock::with_epoch(Instant::now(), tick)
     }
 
     /// A clock sharing an existing epoch — both endpoints of an
     /// in-process transfer use this so their microsecond readings are
     /// directly comparable for latency measurement.
     pub fn with_epoch(epoch: Instant, tick: Duration) -> Self {
-        TickClock { epoch, tick }
+        TickClock {
+            epoch,
+            tick,
+            tick_ns: nanos(tick),
+        }
     }
 
     /// Starts a clock whose epoch lies `headroom` in the future, so every
@@ -46,10 +61,7 @@ impl TickClock {
     /// `Instant::now()` at call sites would scatter unaccounted
     /// wall-clock reads across the workspace (`clippy.toml` bans them).
     pub fn start_after(headroom: Duration, tick: Duration) -> Self {
-        TickClock {
-            epoch: Instant::now() + headroom,
-            tick,
-        }
+        TickClock::with_epoch(Instant::now() + headroom, tick)
     }
 
     /// The clock's epoch.
@@ -73,24 +85,48 @@ impl TickClock {
         self.micros_at(self.now())
     }
 
-    /// Microseconds from the epoch to `at` (0 before the epoch).
+    /// Nanoseconds from the epoch to `at` (0 before the epoch): the
+    /// integer time a paced step books, stamps and schedules in.
+    #[inline]
+    pub fn nanos_at(&self, at: Instant) -> u64 {
+        nanos(at.saturating_duration_since(self.epoch))
+    }
+
+    /// The instant `ns` nanoseconds after the epoch, the inverse of
+    /// [`TickClock::nanos_at`], for sleeping to an integer deadline.
+    #[inline]
+    pub fn instant_of_nanos(&self, ns: u64) -> Instant {
+        // At most 584 years past the epoch, well inside `Instant`'s range.
+        self.epoch + Duration::from_nanos(ns)
+    }
+
+    /// Microseconds from the epoch to `at` (0 before the epoch), floored.
     #[inline]
     pub fn micros_at(&self, at: Instant) -> u64 {
-        let since = at.saturating_duration_since(self.epoch).as_micros();
-        u64::try_from(since).unwrap_or(u64::MAX)
+        self.nanos_at(at) / 1_000
+    }
+
+    /// Nanoseconds from the epoch to the start of tick `n`, saturating.
+    #[inline]
+    pub fn nanos_of_tick(&self, n: u64) -> u64 {
+        n.saturating_mul(self.tick_ns)
+    }
+
+    /// The tick that `ns` nanoseconds after the epoch falls in.
+    #[inline]
+    pub fn tick_of_nanos(&self, ns: u64) -> u64 {
+        ns / self.tick_ns.max(1)
     }
 
     /// The absolute instant of tick `n`.
     pub fn instant_of_tick(&self, n: u64) -> Instant {
-        self.epoch + self.tick * u32::try_from(n).unwrap_or(u32::MAX)
+        self.instant_of_nanos(self.nanos_of_tick(n))
     }
 
-    /// The tick `at` falls in (ticks before the epoch count as tick 0),
-    /// at the microsecond resolution of [`TickClock::micros_at`].
+    /// The tick `at` falls in (ticks before the epoch count as tick 0).
     #[inline]
     pub fn tick_at(&self, at: Instant) -> u64 {
-        let tick = u64::try_from(self.tick.as_micros()).unwrap_or(u64::MAX);
-        self.micros_at(at) / tick.max(1)
+        self.tick_of_nanos(self.nanos_at(at))
     }
 
     /// Sleeps until `deadline` and returns the instant the caller woke,
@@ -119,6 +155,32 @@ mod tests {
             Duration::from_millis(1)
         );
         assert_eq!(clock.instant_of_tick(0), clock.epoch());
+    }
+
+    #[test]
+    fn tick_instants_past_two_to_the_32_ticks_keep_counting() {
+        let tick = Duration::from_micros(1);
+        let clock = TickClock::start(tick);
+        let n = (1u64 << 32) + 3;
+        assert_eq!(
+            clock.instant_of_tick(n) - clock.epoch(),
+            Duration::from_micros(n)
+        );
+        assert_eq!(clock.tick_at(clock.instant_of_tick(n)), n);
+        // A tick whose nanoseconds overflow saturates, never wraps.
+        assert_eq!(clock.nanos_of_tick(u64::MAX / 500), u64::MAX);
+    }
+
+    #[test]
+    fn nanos_at_and_instant_of_nanos_are_inverse() {
+        let clock = TickClock::start(Duration::from_micros(100));
+        for ns in [0, 1, 999, 1_000, 123_456_789, 5_000_000_001] {
+            assert_eq!(clock.nanos_at(clock.instant_of_nanos(ns)), ns);
+            assert_eq!(clock.micros_at(clock.instant_of_nanos(ns)), ns / 1_000);
+        }
+        assert_eq!(clock.nanos_at(clock.epoch() - Duration::from_millis(1)), 0);
+        assert_eq!(clock.nanos_of_tick(7), 700_000);
+        assert_eq!(clock.tick_of_nanos(799_999), 7);
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //!
 //! A step happens at one instant, as in the paper: the loop takes one
 //! clock reading per step, the instant [`TickClock::sleep_until`] woke,
-//! and the wake booking, every latency sample, a sent frame's stamp, the
-//! write time and the next deadline are all derived from it.
+//! and converts it once to nanoseconds since the clock's epoch
+//! ([`TickClock::nanos_at`]). The wake booking, every latency sample, a
+//! sent frame's stamp, the write time and the next deadline are all
+//! derived from that integer; only the sleep to the next deadline turns
+//! it back into an [`Instant`](std::time::Instant).
 //!
 //! An operating system cannot honour the paper's idealized timing axioms
 //! exactly, so the [`Pacer`] *measures* misses rather than pretending:
@@ -59,14 +62,14 @@
 //! against a peer that never shows up; [`run_sessions_until`] also stops
 //! at a flag its caller raises, for a peer known to be gone.
 
-use crate::clock::TickClock;
+use crate::clock::{nanos, TickClock};
 use crate::error::NetError;
 use crate::histogram::LatencyHistogram;
 use crate::transport::{Transport, TransportStats};
 use rstp_automata::Automaton;
 use rstp_core::{InternalKind, Message, Packet, RstpAction, TimingParams};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which point of the `[c1, c2]` window the driver paces at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,20 +146,26 @@ impl DriverConfig {
 /// The `[c1, c2]` accounting every paced session is held to — this
 /// driver's sessions and `rstp-serve`'s shard sessions alike.
 ///
-/// Callers pass wake and due instants in; the pacer books deadline
-/// misses and timing violations, re-anchors the schedule after a stall,
-/// and decides grace-period completion. Each session keeps its own
-/// history in a [`Cadence`].
+/// Callers pass wake and due times in as `u64` nanoseconds since their
+/// [`TickClock`]'s epoch ([`TickClock::nanos_at`],
+/// [`TickClock::nanos_of_tick`]); the pacer books deadline misses and
+/// timing violations, re-anchors the schedule after a stall, and decides
+/// grace-period completion, in integer arithmetic that saturates rather
+/// than wraps. Each session keeps its own history in a [`Cadence`].
 ///
 /// The pacer derives both of its tolerances from `(params, tick)`: the
 /// slack (a quarter tick) and the completion
 /// [`grace`](Pacer::grace_ticks). Nothing else computes them.
 #[derive(Clone, Copy, Debug)]
 pub struct Pacer {
-    gap: Duration,
-    lo: Duration,
-    hi: Duration,
-    slack: Duration,
+    /// The step gap, in ns.
+    gap: u64,
+    /// The shortest punctual gap, `c1·tick − slack`, in ns.
+    lo: u64,
+    /// The longest punctual gap, `c2·tick + slack`, in ns.
+    hi: u64,
+    /// How late a wake may be and still be punctual, in ns.
+    slack: u64,
     grace_ticks: u64,
     quiet_steps: u64,
 }
@@ -164,7 +173,8 @@ pub struct Pacer {
 /// One session's pacing history under a [`Pacer`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Cadence {
-    prev_wake: Option<Instant>,
+    /// The last punctual wake, in ns since the epoch.
+    prev_wake: Option<u64>,
     idle_streak: u64,
 }
 
@@ -188,14 +198,15 @@ impl Pacer {
     /// request/ack round trip with a step on each side — an ack-clocked
     /// transmitter idles that long legitimately).
     pub fn new(params: TimingParams, tick: Duration, pace: Pace) -> Self {
+        let tick = nanos(tick);
         let slack = tick / 4;
         let grace_ticks = 2 * (params.d().ticks() + params.c2().ticks());
         let gap_ticks = pace.gap_ticks(params).max(1);
-        let ticks = |n: u64| tick * u32::try_from(n).unwrap_or(u32::MAX);
+        let ticks = |n: u64| tick.saturating_mul(n);
         Pacer {
             gap: ticks(gap_ticks),
             lo: ticks(params.c1().ticks()).saturating_sub(slack),
-            hi: ticks(params.c2().ticks()) + slack,
+            hi: ticks(params.c2().ticks()).saturating_add(slack),
             slack,
             grace_ticks,
             quiet_steps: grace_ticks.div_ceil(gap_ticks).max(1),
@@ -208,19 +219,20 @@ impl Pacer {
         self.grace_ticks
     }
 
-    /// Books a wake at `wake` for the step due at `due`.
+    /// Books a wake at `wake` for the step due at `due`, both in ns since
+    /// the epoch.
     ///
     /// A late wake is accounted once, as a deadline miss. The gaps that
     /// start or end at a late wake are distorted by that same stall, so
     /// they are left unmeasured rather than double-counted as timing
     /// violations.
     #[inline]
-    pub fn wake(&self, cadence: &mut Cadence, due: Instant, wake: Instant) -> Wake {
-        let late = wake.saturating_duration_since(due) > self.slack;
+    pub fn wake(&self, cadence: &mut Cadence, due: u64, wake: u64) -> Wake {
+        let late = wake.saturating_sub(due) > self.slack;
         let booked = match cadence.prev_wake {
             _ if late => Wake::Late,
             Some(prev) => {
-                let observed = wake.saturating_duration_since(prev);
+                let observed = wake.saturating_sub(prev);
                 if observed < self.lo || observed > self.hi {
                     Wake::Violation
                 } else {
@@ -234,19 +246,20 @@ impl Pacer {
     }
 
     /// The deadline after the step due at `due`, when that step woke at
-    /// `wake`: one gap on — or `wake` itself after a stall that woke it
-    /// more than one gap past that next deadline. Replaying the missed
-    /// deadlines back to back would burst steps faster than `c1` and turn
-    /// one stall into many violations. The gap spanning the stall is as
-    /// distorted as one ending at a late wake, so it goes unmeasured too.
+    /// `wake`, all in ns since the epoch: one gap on — or `wake` itself
+    /// after a stall that woke it more than one gap past that next
+    /// deadline. Replaying the missed deadlines back to back would burst
+    /// steps faster than `c1` and turn one stall into many violations.
+    /// The gap spanning the stall is as distorted as one ending at a late
+    /// wake, so it goes unmeasured too.
     ///
-    /// Callers pass the step's one clock reading, its wake instant, not a
+    /// Callers pass the step's one clock reading, its wake time, not a
     /// reading taken after the step ran: the two differ by one step's run
     /// time, typically under a microsecond.
     #[inline]
-    pub fn next_due(&self, cadence: &mut Cadence, due: Instant, wake: Instant) -> Instant {
-        let next = due + self.gap;
-        if wake > next + self.gap {
+    pub fn next_due(&self, cadence: &mut Cadence, due: u64, wake: u64) -> u64 {
+        let next = due.saturating_add(self.gap);
+        if wake > next.saturating_add(self.gap) {
             cadence.prev_wake = None;
             wake
         } else {
@@ -501,18 +514,18 @@ impl<T> Session<T> {
     }
 }
 
-/// A running session: its place in the caller's list, its deadline, and
-/// what it has observed so far.
+/// A running session: its place in the caller's list, its deadline (ns
+/// since the clock's epoch), and what it has observed so far.
 struct Running<T> {
     index: usize,
     session: Session<T>,
-    due: Instant,
+    due: u64,
     cadence: Cadence,
     report: DriverReport,
 }
 
 impl<T: Transport> Running<T> {
-    fn new(index: usize, session: Session<T>, due: Instant, cadence: Cadence) -> Self {
+    fn new(index: usize, session: Session<T>, due: u64, cadence: Cadence) -> Self {
         Running {
             index,
             session,
@@ -522,18 +535,14 @@ impl<T: Transport> Running<T> {
         }
     }
 
-    /// One paced step at the instant `now` it woke: book the wake, drain
-    /// deliveries as `recv` inputs, fire the enabled action, and settle
-    /// completion. Every time the step records is `now`. `true` when the
-    /// session has completed; otherwise `due` holds its next deadline.
-    fn paced_step(
-        &mut self,
-        pacer: &Pacer,
-        clock: &TickClock,
-        now: Instant,
-    ) -> Result<bool, NetError> {
+    /// One paced step at the time `now` it woke, in ns since the clock's
+    /// epoch: book the wake, drain deliveries as `recv` inputs, fire the
+    /// enabled action, and settle completion. Every time the step records
+    /// is `now`. `true` when the session has completed; otherwise `due`
+    /// holds its next deadline.
+    fn paced_step(&mut self, pacer: &Pacer, now: u64) -> Result<bool, NetError> {
         let report = &mut self.report;
-        let at = clock.micros_at(now);
+        let at = now / 1_000;
         match pacer.wake(&mut self.cadence, self.due, now) {
             Wake::Late => report.deadline_misses += 1,
             Wake::Violation => report.timing_violations += 1,
@@ -594,16 +603,12 @@ impl<T: Transport> Running<T> {
         Ok(false)
     }
 
-    /// The session's report, for a run that ended at `now`.
-    fn finish(
-        mut self,
-        outcome: DriverOutcome,
-        clock: &TickClock,
-        now: Instant,
-    ) -> (usize, DriverReport) {
+    /// The session's report, for a run that ended `now` ns after the
+    /// clock's epoch.
+    fn finish(mut self, outcome: DriverOutcome, now: u64) -> (usize, DriverReport) {
         self.report.outcome = outcome;
         self.report.written = self.session.endpoint.written().to_vec();
-        self.report.wall_elapsed = now.saturating_duration_since(clock.epoch());
+        self.report.wall_elapsed = Duration::from_nanos(now);
         self.report.transport = self.session.transport.local_stats();
         (self.index, self.report)
     }
@@ -641,6 +646,7 @@ pub fn run_sessions_until<T: Transport>(
     stop: &AtomicBool,
 ) -> Result<Vec<DriverReport>, NetError> {
     let pacer = config.pacer();
+    let max_wall = nanos(config.max_wall);
     let total = sessions.len();
     let slots = config.max_live.clamp(1, total.max(1));
     let window = config.params.c2().ticks();
@@ -653,23 +659,22 @@ pub fn run_sessions_until<T: Transport>(
     // process. Sessions sharing a tick share the loop's wake-up.
     for (slot, (index, session)) in waiting.by_ref().take(slots).enumerate() {
         let tick = window * slot as u64 / slots as u64;
-        let due = clock.instant_of_tick(tick);
+        let due = clock.nanos_of_tick(tick);
         live.push(Running::new(index, session, due, Cadence::default()));
     }
 
-    // The loop's one clock reading per step: the instant it woke.
-    let mut now = clock.now();
+    // The loop's one clock reading per step, the instant it woke, in ns
+    // since the epoch.
+    let mut now = clock.nanos_at(clock.now());
     while !live.is_empty() {
-        if stop.load(Ordering::Relaxed)
-            || now.saturating_duration_since(clock.epoch()) > config.max_wall
-        {
+        if stop.load(Ordering::Relaxed) || now > max_wall {
             break;
         }
         let Some(next) = (0..live.len()).min_by_key(|&i| live[i].due) else {
             break;
         };
-        now = clock.sleep_until(live[next].due);
-        if !live[next].paced_step(&pacer, &clock, now)? {
+        now = clock.nanos_at(clock.sleep_until(clock.instant_of_nanos(live[next].due)));
+        if !live[next].paced_step(&pacer, now)? {
             continue;
         }
         let done = live.swap_remove(next);
@@ -680,15 +685,15 @@ pub fn run_sessions_until<T: Transport>(
             let due = pacer.next_due(&mut cadence, done.due, now);
             live.push(Running::new(index, session, due, cadence));
         }
-        let (index, report) = done.finish(DriverOutcome::Completed, &clock, now);
+        let (index, report) = done.finish(DriverOutcome::Completed, now);
         reports[index] = Some(report);
     }
 
     // Whatever is still running or never started ran out of wall clock.
-    let unstarted = waiting
-        .map(|(index, session)| Running::new(index, session, clock.epoch(), Cadence::default()));
+    let unstarted =
+        waiting.map(|(index, session)| Running::new(index, session, 0, Cadence::default()));
     for running in live.into_iter().chain(unstarted) {
-        let (index, report) = running.finish(DriverOutcome::TimedOut, &clock, now);
+        let (index, report) = running.finish(DriverOutcome::TimedOut, now);
         reports[index] = Some(report);
     }
     Ok(reports.into_iter().map(Option::unwrap_or_default).collect())
@@ -722,12 +727,13 @@ mod tests {
             .expect("one report")
     }
 
-    /// Scripted time: `t(n)` is `n` ticks of 100 µs after a fixed base.
-    fn scripted() -> (Pacer, impl Fn(f64) -> Instant) {
-        let tick = Duration::from_micros(100);
-        let pacer = DriverConfig::new(params(), tick).pacer();
-        let base = Instant::now();
-        (pacer, move |ticks: f64| base + tick.mul_f64(ticks))
+    /// Scripted time: `t(n)` is `n` ticks of 100 µs after a fixed base,
+    /// in ns since the epoch.
+    fn scripted() -> (Pacer, impl Fn(f64) -> u64) {
+        const TICK_NS: f64 = 100_000.0;
+        let pacer = DriverConfig::new(params(), Duration::from_micros(100)).pacer();
+        let base = 1_000_000_000;
+        (pacer, move |ticks: f64| base + (ticks * TICK_NS) as u64)
     }
 
     #[test]
@@ -737,7 +743,7 @@ mod tests {
         let mut due = t(0.0);
         for _ in 0..50 {
             // Woken a little after each deadline, within the slack.
-            let wake = due + Duration::from_micros(10);
+            let wake = due + 10_000;
             assert_eq!(pacer.wake(&mut cadence, due, wake), Wake::Punctual);
             due = pacer.next_due(&mut cadence, due, wake);
         }
@@ -785,7 +791,7 @@ mod tests {
             wakes.push(due);
             due = pacer.next_due(&mut cadence, due, due);
         }
-        let c1 = Duration::from_micros(100);
+        let c1 = 100_000;
         assert!(wakes.windows(2).all(|w| w[1] - w[0] >= c1), "{wakes:?}");
     }
 

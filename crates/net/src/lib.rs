@@ -17,11 +17,13 @@
 //!   in the peer's in-flight queue, and `poll_recv` takes those whose
 //!   release instant has come. No thread runs the channel.
 //! * [`udp`] — the same endpoints over `std::net::UdpSocket`.
-//! * [`clock`] / [`driver`] — a tick-to-`Instant` mapping and the
-//!   real-time driver that paces any number of sessions per thread
-//!   inside `[c1, c2]` wall-clock windows. Its [`driver::Pacer`] counts
-//!   every deadline miss and timing violation instead of pretending the
-//!   OS is ideal, and `rstp-serve`'s shards pace with the same rules.
+//! * [`clock`] / [`driver`] — a clock that maps ticks and instants to
+//!   `u64` nanoseconds since its epoch, and the real-time driver that
+//!   paces any number of sessions per thread inside `[c1, c2]`
+//!   wall-clock windows. Its [`driver::Pacer`] books and schedules in
+//!   those integer nanoseconds and counts every deadline miss and timing
+//!   violation instead of pretending the OS is ideal; `rstp-serve`'s
+//!   shards pace with the same rules.
 //! * [`session`] — endpoint construction and whole-transfer
 //!   orchestration ([`session::transmitter_endpoint`],
 //!   [`session::receiver_endpoint`], [`session::run_transfer_mem`],

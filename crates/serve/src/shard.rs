@@ -16,9 +16,11 @@
 //! standard as a lone endpoint.
 //!
 //! A session's step happens at one instant: the shard reads its
-//! [`TickClock`](rstp_net::TickClock) once per wheel pop, and the wake
-//! booking, latency samples, frame stamps, recorded events and next
-//! deadline of that step all derive from that reading.
+//! [`TickClock`](rstp_net::TickClock) once per wheel pop and converts the
+//! reading once to nanoseconds since the clock's epoch. The wake booking,
+//! latency samples, frame stamps, recorded events and next deadline of
+//! that step all derive from that integer, so a pop does no `Instant`
+//! arithmetic.
 
 use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
 use crate::hub::lock_without_parking;
@@ -186,8 +188,9 @@ pub(crate) fn run_shard<T: ServeTransport>(
             None => now + idle_timeout,
         };
         now = clock.sleep_until(wake);
-        let now_tick = clock.tick_at(now);
-        let at = clock.micros_at(now);
+        let woke = clock.nanos_at(now);
+        let now_tick = clock.tick_of_nanos(woke);
+        let at = woke / 1_000;
         // Read ingress for every shard, then take this shard's mailbox,
         // in one hold. Shards wake on the same tick boundaries, so a shard
         // waits its turn at the lock rather than skip: a skipping shard
@@ -297,12 +300,14 @@ pub(crate) fn run_shard<T: ServeTransport>(
                 continue;
             };
 
-            // The step's one clock reading: everything it books, stamps
-            // and records happens at this instant.
+            // The step's one clock reading, converted once to ns since the
+            // epoch: everything it books, stamps and records happens at
+            // this instant.
             now = clock.now();
-            let at = clock.micros_at(now);
-            let due = clock.instant_of_tick(due_tick);
-            let booked = pacer.wake(&mut live.cadence, due, now);
+            let now_ns = clock.nanos_at(now);
+            let at = now_ns / 1_000;
+            let due = clock.nanos_of_tick(due_tick);
+            let booked = pacer.wake(&mut live.cadence, due, now_ns);
             match booked {
                 Wake::Late => report.deadline_misses += 1,
                 Wake::Violation => report.timing_violations += 1,
@@ -420,10 +425,10 @@ pub(crate) fn run_shard<T: ServeTransport>(
                 continue;
             }
 
-            // Reschedule one gap on, or re-anchored on the wake after a
-            // stall.
-            let next = pacer.next_due(&mut live.cadence, due, now);
-            wheel.schedule(clock.tick_at(next), idx);
+            // Reschedule one gap on, or re-anchored on the wake's tick
+            // after a stall.
+            let next = pacer.next_due(&mut live.cadence, due, now_ns);
+            wheel.schedule(clock.tick_of_nanos(next), idx);
         }
 
         // Flush egress in batches of B frames per call.
