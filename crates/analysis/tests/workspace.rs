@@ -102,19 +102,27 @@ fn every_entry_matcher_matches_a_workspace_fn() {
 
 #[test]
 fn hub_nesting_stays_out_of_the_edge_set() {
-    // serve::hub's egress resolves a client inbox under the map lock but
-    // releases the map guard (its match-arm block ends) before locking
-    // the inbox. The hold-span model must see that release: an edge
-    // clients -> inbox here would claim nesting that doesn't exist, and
-    // the day someone *does* hold both, this test plus the drift file
-    // will both move.
+    // serve::hub takes its client map (`clients`) with `.lock()` when a
+    // client registers, and a client's `inbox` when it polls; no path
+    // holds the map guard while it locks an inbox. An edge clients ->
+    // inbox would claim nesting that doesn't exist, and the day someone
+    // *does* hold both, this test plus the drift file will both move.
     let report = analyze_workspace(&workspace_root()).expect("workspace analyzes");
+    // Both nodes must exist, or a rename of the node scheme would leave
+    // the edge check below unable to fail.
+    for node in ["serve::clients", "serve::inbox"] {
+        assert!(
+            report.graph.nodes.iter().any(|n| n == node),
+            "no lock node {node}: {:?}",
+            report.graph.nodes
+        );
+    }
     assert!(
         !report
             .graph
             .edges
             .iter()
-            .any(|e| e.from == "serve/hub::clients" && e.to == "serve/hub::inbox"),
+            .any(|e| e.from == "serve::clients" && e.to == "serve::inbox"),
         "hub map guard must drop before the inbox lock: {:?}",
         report.graph.edges
     );

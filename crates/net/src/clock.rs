@@ -82,7 +82,7 @@ impl TickClock {
 
     /// Microseconds elapsed since the epoch.
     pub fn now_micros(&self) -> u64 {
-        self.micros_at(self.now())
+        self.nanos_at(self.now()) / 1_000
     }
 
     /// Nanoseconds from the epoch to `at` (0 before the epoch): the
@@ -100,12 +100,6 @@ impl TickClock {
         self.epoch + Duration::from_nanos(ns)
     }
 
-    /// Microseconds from the epoch to `at` (0 before the epoch), floored.
-    #[inline]
-    pub fn micros_at(&self, at: Instant) -> u64 {
-        self.nanos_at(at) / 1_000
-    }
-
     /// Nanoseconds from the epoch to the start of tick `n`, saturating.
     #[inline]
     pub fn nanos_of_tick(&self, n: u64) -> u64 {
@@ -121,12 +115,6 @@ impl TickClock {
     /// The absolute instant of tick `n`.
     pub fn instant_of_tick(&self, n: u64) -> Instant {
         self.instant_of_nanos(self.nanos_of_tick(n))
-    }
-
-    /// The tick `at` falls in (ticks before the epoch count as tick 0).
-    #[inline]
-    pub fn tick_at(&self, at: Instant) -> u64 {
-        self.tick_of_nanos(self.nanos_at(at))
     }
 
     /// Sleeps until `deadline` and returns the instant the caller woke,
@@ -166,7 +154,10 @@ mod tests {
             clock.instant_of_tick(n) - clock.epoch(),
             Duration::from_micros(n)
         );
-        assert_eq!(clock.tick_at(clock.instant_of_tick(n)), n);
+        assert_eq!(
+            clock.tick_of_nanos(clock.nanos_at(clock.instant_of_tick(n))),
+            n
+        );
         // A tick whose nanoseconds overflow saturates, never wraps.
         assert_eq!(clock.nanos_of_tick(u64::MAX / 500), u64::MAX);
     }
@@ -176,7 +167,6 @@ mod tests {
         let clock = TickClock::start(Duration::from_micros(100));
         for ns in [0, 1, 999, 1_000, 123_456_789, 5_000_000_001] {
             assert_eq!(clock.nanos_at(clock.instant_of_nanos(ns)), ns);
-            assert_eq!(clock.micros_at(clock.instant_of_nanos(ns)), ns / 1_000);
         }
         assert_eq!(clock.nanos_at(clock.epoch() - Duration::from_millis(1)), 0);
         assert_eq!(clock.nanos_of_tick(7), 700_000);
@@ -184,14 +174,15 @@ mod tests {
     }
 
     #[test]
-    fn tick_at_inverts_instant_of_tick() {
+    fn tick_of_nanos_inverts_instant_of_tick() {
         let clock = TickClock::start(Duration::from_micros(300));
+        let tick_at = |at| clock.tick_of_nanos(clock.nanos_at(at));
         for n in [0, 1, 7, 1000] {
-            assert_eq!(clock.tick_at(clock.instant_of_tick(n)), n);
+            assert_eq!(tick_at(clock.instant_of_tick(n)), n);
         }
         let mid = clock.instant_of_tick(4) + Duration::from_micros(299);
-        assert_eq!(clock.tick_at(mid), 4);
-        assert_eq!(clock.tick_at(clock.epoch() - Duration::from_millis(1)), 0);
+        assert_eq!(tick_at(mid), 4);
+        assert_eq!(tick_at(clock.epoch() - Duration::from_millis(1)), 0);
     }
 
     #[test]
@@ -214,12 +205,14 @@ mod tests {
     }
 
     #[test]
-    fn micros_at_reads_a_given_instant() {
+    fn nanos_at_reads_a_given_instant() {
         let clock = TickClock::start(Duration::from_micros(100));
-        let at = clock.epoch() + Duration::from_micros(1234);
-        assert_eq!(clock.micros_at(at), 1234);
-        assert_eq!(clock.micros_at(clock.epoch() - Duration::from_millis(1)), 0);
-        assert_eq!(clock.tick_at(at), 12);
+        let at = clock.epoch() + Duration::from_nanos(1_234_567);
+        assert_eq!(clock.nanos_at(at), 1_234_567);
+        // Stamps floor to whole microseconds.
+        assert_eq!(clock.nanos_at(at) / 1_000, 1234);
+        assert_eq!(clock.nanos_at(clock.epoch() - Duration::from_millis(1)), 0);
+        assert_eq!(clock.tick_of_nanos(clock.nanos_at(at)), 12);
     }
 
     #[test]

@@ -725,7 +725,7 @@ pub fn run_server<T: ServeTransport + Send>(
             loop {
                 // The wake's one clock reading.
                 let now = clock.now();
-                let now_tick = clock.tick_at(now);
+                let now_tick = clock.tick_of_nanos(clock.nanos_at(now));
                 let (last_ingress_tick, error) = {
                     let mut pump = shared.pump.lock().unwrap_or_else(PoisonError::into_inner);
                     (pump.last_ingress_tick, pump.error.take())

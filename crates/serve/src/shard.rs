@@ -17,10 +17,11 @@
 //!
 //! A session's step happens at one instant: the shard reads its
 //! [`TickClock`](rstp_net::TickClock) once per wheel pop and converts the
-//! reading once to nanoseconds since the clock's epoch. The wake booking,
-//! latency samples, frame stamps, recorded events and next deadline of
-//! that step all derive from that integer, so a pop does no `Instant`
-//! arithmetic.
+//! reading once to nanoseconds since the clock's epoch, one `Instant`
+//! subtraction. The wake booking, latency samples, frame stamps, recorded
+//! events and next deadline of that step all derive from that integer,
+//! so everything a pop books and schedules after the conversion is
+//! integer arithmetic.
 
 use crate::endpoint::{receiver_endpoint, SnapshotEndpoint};
 use crate::hub::lock_without_parking;
